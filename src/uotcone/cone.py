@@ -169,7 +169,7 @@ def integrate_cone(initial, problem, base):
             k3 = f(y + 0.5 * dt * k2)
             k4 = f(y + dt * k3)
         except (ApexCrossingError, NonFiniteError) as exc:
-            exc.details["step"] = k
+            exc.details["step"] = k + 1
             raise
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):

@@ -18,8 +18,7 @@ DEFAULTS = {
     "length": 2.0 * math.pi,
     "dt": 1e-3,
     "steps": 1000,
-    "tol": 1e-8,       # shooting endpoint tolerance
-    "max_iter": 50,    # shooting iteration budget
+    "tol": 1e-8,       # two-point endpoint tolerance of the verification flow
     "continuity_tol": 1e-5,
     "num_times": 11,   # samples of closed-form interpolations
     "p": 1.0,          # cone exponent
@@ -30,67 +29,91 @@ DEFAULTS = {
 
 _NUMBER = (int, float)
 
+#: fewest points of a periodic grid (the staggered differences need them)
+MIN_GRID = 8
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# json.loads accepts NaN and Infinity, so every number is checked for finiteness
+def _is_finite(v):
+    return isinstance(v, _NUMBER) and not isinstance(v, bool) and math.isfinite(v)
+
 
 def _is_number_list(v):
-    return isinstance(v, list) and all(
-        isinstance(x, _NUMBER) and not isinstance(x, bool) for x in v)
+    return (isinstance(v, list)
+            and all(isinstance(x, _NUMBER) and not isinstance(x, bool) for x in v)
+            and all(map(math.isfinite, v)))
 
 
-def _is_matrix(v):
-    return isinstance(v, list) and all(_is_number_list(row) for row in v)
+def _is_grid(v):
+    return _is_number_list(v) and len(v) >= MIN_GRID
 
 
+# kind -> (predicate, description for the error message)
 _KINDS = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, _NUMBER) and not isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
-    "floats": _is_number_list,
-    "matrix": _is_matrix,
+    "int": (_is_int, "an integer"),
+    "count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "samples": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "gridsize": (lambda v: _is_int(v) and v >= MIN_GRID,
+                 f"an integer >= {MIN_GRID}"),
+    "float": (_is_finite, "a finite number"),
+    "positive": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "floats": (_is_number_list, "a list of finite numbers"),
+    "grid": (_is_grid, f"a list of at least {MIN_GRID} finite numbers"),
+    "grids": (lambda v: isinstance(v, list) and all(_is_grid(row) for row in v),
+              f"a list of rows of at least {MIN_GRID} finite numbers"),
 }
 
-# key -> (kind, required); optional keys fall back to DEFAULTS when present
+# key -> (kind, required); optional keys fall back to DEFAULTS when present.
+# Range rules live in the kinds, so no run starts with a value the numerics
+# would refuse.
 _SCHEMAS = {
     "gauss-geodesic": {
-        "n": ("int", True), "V": ("floats", True), "m": ("float", True),
+        "n": ("count", True), "V": ("floats", True), "m": ("float", True),
         "P": ("floats", True), "xi": ("float", True),
-        "dt": ("float", False), "steps": ("int", False),
+        "dt": ("positive", False), "steps": ("count", False),
     },
     "gauss-connect": {
-        "n": ("int", True), "Sigma0": ("floats", True), "m0": ("float", True),
+        "n": ("count", True), "Sigma0": ("floats", True), "m0": ("float", True),
         "Sigma1": ("floats", True), "m1": ("float", True),
-        "tol": ("float", False), "dt": ("float", False),
-        "max_iter": ("int", False), "steps": ("int", False),
+        "tol": ("float", False), "dt": ("positive", False),
     },
     "pde-evolve": {
-        "model": ("str", False), "n": ("int", False), "length": ("float", False),
-        "rho": ("floats", True), "theta": ("floats", True),
-        "dt": ("float", False), "steps": ("int", False),
+        "model": ("str", False), "n": ("gridsize", False),
+        "length": ("positive", False),
+        "rho": ("grid", True), "theta": ("grid", True),
+        "dt": ("positive", False), "steps": ("count", False),
     },
     "pde-metric": {
-        "metric": ("str", False), "n": ("int", False), "length": ("float", False),
-        "rho": ("floats", True), "rhodot": ("floats", True),
+        "metric": ("str", False), "n": ("gridsize", False),
+        "length": ("positive", False),
+        "rho": ("grid", True), "rhodot": ("grid", True),
     },
     "fr-geodesic": {
-        "n": ("int", False), "length": ("float", False),
-        "rho0": ("floats", True), "rho1": ("floats", True),
-        "num_times": ("int", False),
+        "n": ("gridsize", False), "length": ("positive", False),
+        "rho0": ("grid", True), "rho1": ("grid", True),
+        "num_times": ("samples", False),
     },
     "cone-geodesic": {
         "base": ("str", True), "p": ("float", False),
         "q": ("floats", True), "q_dot": ("floats", True),
         "alpha": ("float", True), "alpha_dot": ("float", True),
-        "dt": ("float", False), "steps": ("int", False),
+        "dt": ("positive", False), "steps": ("count", False),
     },
     "bb-action": {
-        "n": ("int", False), "length": ("float", False),
+        "n": ("gridsize", False), "length": ("positive", False),
         "source": ("str", True), "continuity_tol": ("float", False),
         # explicit paths
-        "times": ("floats", False), "rhobar": ("matrix", False),
-        "w": ("matrix", False), "r": ("floats", False),
+        "times": ("floats", False), "rhobar": ("grids", False),
+        "w": ("grids", False), "r": ("floats", False),
         # paths derived from a conical-model run
-        "rho": ("floats", False), "theta": ("floats", False),
-        "dt": ("float", False), "steps": ("int", False),
+        "rho": ("grid", False), "theta": ("grid", False),
+        "dt": ("positive", False), "steps": ("count", False),
     },
     "check": {
         "quick": ("bool", False),
@@ -140,8 +163,9 @@ def validate_run(cfg):
     for key, (kind, required) in schema.items():
         if key in cfg:
             value = cfg[key]
-            if not _KINDS[kind](value):
-                raise ConfigError(f"key {key!r} must be of kind {kind}",
+            accepts, description = _KINDS[kind]
+            if not accepts(value):
+                raise ConfigError(f"key {key!r} must be {description}",
                                   command=command)
             if key in _CHOICES and value not in _CHOICES[key]:
                 raise ConfigError(

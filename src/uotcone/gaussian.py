@@ -12,13 +12,14 @@ Along the canonical flow the total mass satisfies d^2 m / dt^2 = H exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cone import BaseManifold
-from .errors import (MassError, NonFiniteError, ShootingError, SingularSystemError,
-                     SpdError, SymmetryError)
+from .errors import (ApexCrossingError, MassError, NonFiniteError, ShootingError,
+                     SingularSystemError, SpdError, SymmetryError)
 from .trace import GeodesicTrace
 
 _SYM_TOL = 1e-12
@@ -223,7 +224,7 @@ def _check_step(y, n, step, check_spd=True):
 
 
 def _advance(y0, n, dt, steps, spd_every=50):
-    """Endpoint of the flow without recording (used by the shooting solver)."""
+    """Endpoint of the flow without recording (the two-point solver's check)."""
     y = y0.copy()
     for k in range(steps):
         y = _rk4_step(y, n, dt)
@@ -264,6 +265,14 @@ def integrate_geodesic(initial, dt, steps):
     return GeodesicTrace(columns=tuple(cols), data=data)
 
 
+def _mccann_map(Sigma0, Sigma1):
+    """Balanced transport map T with T Sigma0 T = Sigma1:
+    T = Sigma1^{1/2} (Sigma1^{1/2} Sigma0 Sigma1^{1/2})^{-1/2} Sigma1^{1/2}."""
+    Uh = spd_power(Sigma1, 0.5, "Sigma1")
+    mid = spd_power(Uh @ Sigma0 @ Uh, -0.5, "Sigma1^(1/2) Sigma0 Sigma1^(1/2)")
+    return symmetrize(Uh @ mid @ Uh)
+
+
 def mccann_geodesic(U, V, t):
     """Balanced-transport geodesic between covariances: W(0) = V, W(1) = U.
 
@@ -272,101 +281,50 @@ def mccann_geodesic(U, V, t):
     """
     U = require_spd(U, "U")
     V = require_spd(V, "V")
-    Uh = spd_power(U, 0.5, "U")
-    mid = spd_power(Uh @ V @ Uh, -0.5, "U^(1/2) V U^(1/2)")
-    T = symmetrize(Uh @ mid @ Uh)
+    T = _mccann_map(V, U)
     C = (1.0 - t) * np.eye(U.shape[0]) + t * T
     return symmetrize(C @ V @ C.T)
 
 
-def mccann_initial_velocity(Sigma0, Sigma1):
-    """Initial covariance velocity of the balanced geodesic from Sigma0 to Sigma1."""
-    Sigma0 = require_spd(Sigma0, "Sigma0")
-    Sigma1 = require_spd(Sigma1, "Sigma1")
-    Uh = spd_power(Sigma1, 0.5, "Sigma1")
-    mid = spd_power(Uh @ Sigma0 @ Uh, -0.5, "Sigma1^(1/2) Sigma0 Sigma1^(1/2)")
-    T = symmetrize(Uh @ mid @ Uh)
-    D = T - np.eye(T.shape[0])
-    return symmetrize(D @ Sigma0 + Sigma0 @ D)
+def _cone_line(m0, m1, d):
+    """Straight line of the flat picture between the two-point endpoints.
 
-
-def _triu_weights(n):
-    iu = np.triu_indices(n)
-    w = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return iu, w
-
-
-def _sym_from_triu(z, n, iu):
-    M = np.zeros((n, n))
-    M[iu] = z
-    M.T[iu] = z
-    return M
-
-
-def _damped_newton(residual, z0, tol, max_iter, fd_eps=1e-6):
-    """Newton iteration with finite-difference Jacobian and backtracking.
-
-    ``residual`` maps the unknown vector to a residual vector; evaluations
-    that raise a NumericsError are treated as infeasible trial points.
+    The endpoints sit at |a| = sqrt(m0) and |b| = sqrt(m1) with angle
+    theta = d / 2 between them (d the base distance).  Returns theta,
+    s1 = int_0^1 2/m dt (the swept angle over |a x b|, doubled) and the
+    initial log-mass rate xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0.  For
+    theta >= pi the line runs through the apex and no geodesic of the model
+    connects the endpoints.
     """
-
-    def safe(z):
-        try:
-            r = residual(z)
-            nrm = float(np.linalg.norm(r))
-            if not np.isfinite(nrm):
-                return None, np.inf
-            return r, nrm
-        except NumericsError:
-            return None, np.inf
-
-    z = np.asarray(z0, dtype=float).copy()
-    r, nrm = safe(z)
-    if r is None:
-        raise ShootingError("infeasible initial guess for the two-point solver")
-    for it in range(max_iter):
-        if nrm <= tol:
-            return z, nrm, it
-        J = np.empty((r.size, z.size))
-        for k in range(z.size):
-            eps = fd_eps * max(1.0, abs(z[k]))
-            zk = z.copy()
-            zk[k] += eps
-            rk, nk = safe(zk)
-            if rk is None:
-                zk[k] = z[k] - eps
-                rk, nk = safe(zk)
-                if rk is None:
-                    raise ShootingError("Jacobian evaluation failed",
-                                        iteration=it, residual=nrm)
-                J[:, k] = (r - rk) / eps
-            else:
-                J[:, k] = (rk - r) / eps
-        step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        accepted = False
-        for lam in 2.0 ** -np.arange(13):
-            rt, nt = safe(z + lam * step)
-            if rt is not None and nt < (1.0 - 1e-4 * lam) * nrm:
-                z = z + lam * step
-                r, nrm = rt, nt
-                accepted = True
-                break
-        if not accepted:
-            raise ShootingError("line search stalled", iteration=it, residual=nrm)
-    if nrm <= tol:
-        return z, nrm, max_iter
-    raise ShootingError("no convergence within iteration budget",
-                        iteration=max_iter, residual=nrm)
+    theta = 0.5 * d
+    if theta >= math.pi:
+        raise ApexCrossingError("the two-point geodesic runs through the cone apex "
+                                "(theta >= pi)", theta=theta)
+    g = math.sqrt(m0 * m1)
+    s1 = 2.0 * theta / (g * math.sin(theta)) if theta > 0.0 else 2.0 / g
+    return theta, s1, 2.0 * (g * math.cos(theta) - m0) / m0
 
 
-def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3, max_iter=50):
-    """Solve the two-point geodesic problem on (covariance, mass).
+def _require_landing(miss, tol, theta):
+    """Endpoint check of the verification flow: the norm of the stacked
+    endpoint mismatches (Frobenius for matrices) must not exceed tol."""
+    residual = float(np.linalg.norm(miss))
+    if residual > tol:
+        raise ShootingError("the verification flow misses the endpoint",
+                            residual=residual, tol=tol, theta=theta)
 
-    Finds (P0, xi0) such that the unit-time flow from (Sigma0, m0, P0, xi0)
-    lands on (Sigma1, m1) within tol in the combined Frobenius/absolute-mass
-    norm.  Initialized from the balanced log map and the pure-scaling rate
-    xi0 = 2 (sqrt(m1/m0) - 1); damped Newton with a finite-difference
-    Jacobian does the rest.
+
+def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
+    """Solve the two-point geodesic problem on (covariance, mass) in closed form.
+
+    The model is the Euclidean cone over the covariances with the balanced
+    metric scaled by 1/4, so the geodesic is a straight line in a flat 2D
+    picture with angle theta = W2(Sigma0, Sigma1) / 2 (see ``_cone_line``).
+    The initial data are P0 = (T - I) / s1, with T the balanced transport
+    map, and xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0.  One unrecorded RK4
+    flow at dt verifies them: the flow from (Sigma0, m0, P0, xi0) must land
+    on (Sigma1, m1) within tol in the combined Frobenius/absolute-mass norm,
+    else ShootingError.  theta >= pi raises ApexCrossingError.
     """
     Sigma0 = require_spd(Sigma0, "Sigma0")
     Sigma1 = require_spd(Sigma1, "Sigma1")
@@ -375,34 +333,15 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3, max_iter=50):
     n = Sigma0.shape[0]
     if Sigma1.shape != (n, n):
         raise ValueError("endpoint covariances must have equal shapes")
-    iu, w = _triu_weights(n)
-
-    def make_residual(step_dt):
-        steps = max(1, round(1.0 / step_dt))
-        h = 1.0 / steps
-
-        def residual(z):
-            P0 = _sym_from_triu(z[:-1], n, iu)
-            y0 = _pack_state(GaussianCotangentState(V=Sigma0, m=m0, P=P0, xi=z[-1]))
-            y1 = _advance(y0, n, h, steps)
-            dV = y1[:n * n].reshape(n, n) - Sigma1
-            return np.concatenate([w * dV[iu], [y1[-2] - m1]])
-
-        return residual
-
-    P_init = 0.5 * m0 * lyapunov_solve(Sigma0, mccann_initial_velocity(Sigma0, Sigma1))
-    z0 = np.concatenate([P_init[iu], [2.0 * (np.sqrt(m1 / m0) - 1.0)]])
-
-    # coarse continuation keeps the finite-difference Jacobian cheap; the
-    # returned parameters always satisfy the residual at the requested dt
-    coarse = max(dt, 2e-3)
-    if coarse > dt:
-        try:
-            z0, _, _ = _damped_newton(make_residual(coarse), z0, tol, max_iter)
-        except ShootingError:
-            pass
-    z, nrm, _ = _damped_newton(make_residual(dt), z0, tol, max_iter)
-    return _sym_from_triu(z[:-1], n, iu), float(z[-1])
+    D = _mccann_map(Sigma0, Sigma1) - np.eye(n)
+    # W2^2 = tr(D Sigma0 D)
+    theta, s1, xi0 = _cone_line(m0, m1, math.sqrt(max(np.sum((D @ Sigma0) * D), 0.0)))
+    P0 = D / s1
+    steps = max(1, round(1.0 / dt))
+    y1 = _advance(_pack_state(GaussianCotangentState(V=Sigma0, m=m0, P=P0, xi=xi0)),
+                  n, 1.0 / steps, steps)
+    _require_landing(np.append(y1[:n * n] - Sigma1.ravel(), y1[-2] - m1), tol, theta)
+    return P0, xi0
 
 
 @dataclass(frozen=True)
@@ -496,52 +435,44 @@ class AffineConnection:
         return ts, np.array([self.at(t).m for t in ts])
 
 
-def connect_affine(g0, g1, tol=1e-8, dt=1e-3, max_iter=50):
+def connect_affine(g0, g1, tol=1e-8, dt=1e-3):
     """Solve the two-point problem for Gaussians with means (zero-mean reference).
 
-    Unknowns are the covariance momentum, the (conserved) mean momentum, and
-    the initial log-mass rate; residuals are the covariance, mean, and mass
-    endpoint mismatches at t = 1.
+    The base is the product of the covariances and the means, so the cone
+    angle is theta = sqrt(W2^2 + |b1 - b0|^2) / 2 and the closed form of
+    ``shoot_bvp`` carries over, with the conserved mean momentum
+    pb0 = 2 (b1 - b0) / s1.  One unrecorded RK4 flow at dt verifies the
+    covariance, mean and mass endpoints within tol, else ShootingError;
+    theta >= pi raises ApexCrossingError.
     """
     g0 = g0.validate()
     g1 = g1.validate()
     n = g0.Sigma.shape[0]
     if g1.Sigma.shape != (n, n):
         raise ValueError("endpoint covariances must have equal shapes")
-    iu, w = _triu_weights(n)
+    D = _mccann_map(g0.Sigma, g1.Sigma) - np.eye(n)
+    db = g1.mean - g0.mean
+    theta, s1, xi0 = _cone_line(
+        g0.m, g1.m, math.sqrt(max(np.sum((D @ g0.Sigma) * D), 0.0) + db @ db))
+    P0 = D / s1
+    pb0 = 2.0 * db / s1
     steps = max(1, round(1.0 / dt))
-    h = 1.0 / steps
-
-    def residual(z):
-        P0 = _sym_from_triu(z[:iu[0].size], n, iu)
-        pb0 = z[iu[0].size:iu[0].size + n]
-        xi0 = z[-1]
-        y0 = np.concatenate([g0.Sigma.ravel(), P0.ravel(), g0.mean, pb0,
-                             [g0.m, xi0]])
-        y1 = _affine_advance(y0, n, h, steps)
-        dV = y1[:n * n].reshape(n, n) - g1.Sigma
-        db = y1[2 * n * n:2 * n * n + n] - g1.mean
-        return np.concatenate([w * dV[iu], db, [y1[-2] - g1.m]])
-
-    P_init = 0.5 * g0.m * lyapunov_solve(
-        g0.Sigma, mccann_initial_velocity(g0.Sigma, g1.Sigma))
-    z0 = np.concatenate([P_init[iu],
-                         0.5 * (g0.m + g1.m) * (g1.mean - g0.mean),
-                         [2.0 * (np.sqrt(g1.m / g0.m) - 1.0)]])
-    z, _, _ = _damped_newton(residual, z0, tol, max_iter)
-    return AffineConnection(g0=g0, g1=g1,
-                            P0=_sym_from_triu(z[:iu[0].size], n, iu),
-                            pb0=z[iu[0].size:iu[0].size + n],
-                            xi0=float(z[-1]), dt=dt)
+    y0 = np.concatenate([g0.Sigma.ravel(), P0.ravel(), g0.mean, pb0, [g0.m, xi0]])
+    y1 = _affine_advance(y0, n, 1.0 / steps, steps)
+    nn = n * n
+    _require_landing(np.concatenate([y1[:nn] - g1.Sigma.ravel(),
+                                     y1[2 * nn:2 * nn + n] - g1.mean,
+                                     [y1[-2] - g1.m]]), tol, theta)
+    return AffineConnection(g0=g0, g1=g1, P0=P0, pb0=pb0, xi0=xi0, dt=dt)
 
 
-def affine_geodesic(g0, g1, t, tol=1e-8, dt=1e-3, max_iter=50):
+def affine_geodesic(g0, g1, t, tol=1e-8, dt=1e-3):
     """Interpolate Gaussians with means: affine mean motion, conical (Sigma, m).
 
     Solves the two-point problem on each call; reuse ``connect_affine`` when
     evaluating many parameter values of the same endpoint pair.
     """
-    return connect_affine(g0, g1, tol=tol, dt=dt, max_iter=max_iter).at(t)
+    return connect_affine(g0, g1, tol=tol, dt=dt).at(t)
 
 
 def submersion_consistency(A, m, thetaS, xi, Sigma):

@@ -82,6 +82,55 @@ def test_gauss_connect_scaling_case(tmp_path):
     assert summary["endpoint_residual"] <= 1e-8
 
 
+def test_gauss_connect_apex_crossing_is_structured(tmp_path):
+    cfg = {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
+           "Sigma1": [(1.0 + TWO_PI) ** 2], "m1": 1.0}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == "apex-crossing"
+    assert reason["theta"] == pytest.approx(np.pi, abs=1e-12)
+
+
+def test_gauss_connect_missed_endpoint_is_structured(tmp_path, capsys):
+    # theta ~ 1.10 < pi, but the verification flow at dt = 1e-3 lands about
+    # 4e-8 off the endpoint, above the default tol = 1e-8
+    cfg = {"command": "gauss-connect", "n": 2, "Sigma0": [1.0, 0.0, 0.0, 1.0],
+           "m0": 1.0, "Sigma1": [9.0, 0.0, 0.0, 0.01], "m1": 0.01}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == "shooting-no-convergence"
+    assert reason["tol"] == 1e-8
+    assert reason["residual"] > reason["tol"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"command": "pde-evolve", "rho": [1.0] * 4, "theta": [0.0] * 4},
+    gauss_config(dt=0.0),
+    gauss_config(dt=-1e-3),
+    gauss_config(steps=0),
+    {"command": "fr-geodesic", "rho0": [1.0] * 8, "rho1": [2.0] * 8,
+     "num_times": 1},
+    gauss_config(xi=float("nan")),
+    {"command": "pde-metric", "rho": [1.0] * 7 + [float("inf")],
+     "rhodot": [0.0] * 8},
+    {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
+     "Sigma1": [1.0], "m1": 4.0, "max_iter": 50},
+    {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
+     "Sigma1": [1.0], "m1": 4.0, "steps": 1000},
+], ids=["grid-n4", "dt-zero", "dt-negative", "steps-zero", "num-times-1",
+        "nan", "inf-in-grid", "connect-max-iter", "connect-steps"])
+def test_config_rejected_before_any_computation(tmp_path, capsys, cfg):
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["kind"] == "config"
+    assert not (out / "summary.json").exists()
+
+
 def test_pde_evolve_scaling_matches_radial_law(tmp_path):
     n = 64
     cfg = {"command": "pde-evolve", "model": "small", "rho": [1.0] * n,

@@ -106,10 +106,13 @@ def test_projection_property_circle():
 
 
 def test_apex_crossing_reports_step():
-    state = ConeState(q=np.zeros(1), q_dot=np.zeros(1), alpha=0.1, alpha_dot=-1.0)
+    # alpha(t) = 0.107 - t: the step from t = 0.10 to 0.11 is the first to
+    # leave the cone (its last RK4 stage sees alpha = -0.003), and a failure
+    # inside the step from k to k + 1 is stamped k + 1
+    state = ConeState(q=np.zeros(1), q_dot=np.zeros(1), alpha=0.107, alpha_dot=-1.0)
     with pytest.raises(ApexCrossingError) as exc:
         integrate_cone(state, ConeProblem(p=1.0, dt=1e-2, steps=100), circle_base())
-    assert exc.value.details["step"] >= 10
+    assert exc.value.details["step"] == 11
 
 
 def test_non_finite_base_reported():

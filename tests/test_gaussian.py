@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from uotcone.cone import ConeProblem, ConeState, integrate_cone, scaled_base
-from uotcone.errors import MassError, SingularSystemError, SpdError, SymmetryError
+from uotcone.errors import (ApexCrossingError, MassError, SingularSystemError,
+                            SpdError, SymmetryError)
 from uotcone.gaussian import (AffineGaussian, GaussianCotangentState,
                               base_metric_eval, connect_affine, geodesic_rhs,
                               group_metric_eval, hamiltonian, integrate_geodesic,
@@ -359,6 +360,21 @@ def test_shoot_equal_mass_dip():
     trace = integrate_geodesic(
         GaussianCotangentState(V=S0, m=1.0, P=P0, xi=xi0), dt=1e-3, steps=1000)
     assert np.min(trace.column("m")) < 1.0
+
+
+def test_two_point_apex_crossing_is_typed():
+    # scalar covariances 1 -> (1 + 2 pi)^2 are W2 = 2 pi apart, so the cone
+    # angle is theta = pi and the straight line runs through the apex; the
+    # same angle from a mean shift of 2 pi in the affine extension
+    one = np.array([[1.0]])
+    with pytest.raises(ApexCrossingError) as exc:
+        shoot_bvp(one, 1.0, np.array([[(1.0 + 2.0 * np.pi) ** 2]]), 1.0)
+    assert exc.value.details["theta"] == pytest.approx(np.pi, abs=1e-12)
+    g0 = AffineGaussian(Sigma=one, mean=np.zeros(1), m=1.0)
+    g1 = AffineGaussian(Sigma=one, mean=np.array([2.0 * np.pi]), m=2.0)
+    with pytest.raises(ApexCrossingError) as exc:
+        connect_affine(g0, g1)
+    assert exc.value.details["theta"] == pytest.approx(np.pi, abs=1e-12)
 
 
 def test_covariance_path_lies_on_mccann_curve():
