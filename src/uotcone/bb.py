@@ -17,13 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuityError, PositivityError
-from .pde import Grid1D
+from .pde import Grid1D, periodic_edges
 
 DEFAULT_CONTINUITY_TOL = 1e-5
-
-
-def _half_cols(a):
-    return 0.5 * (a + np.roll(a, -1, axis=1))
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ def continuity_residual(path):
     dts = np.diff(path.times)[:, None]
     drho = (path.rhobar[1:] - path.rhobar[:-1]) / dts
     wbar = 0.5 * (path.w[1:] + path.w[:-1])
-    div = (wbar - np.roll(wbar, 1, axis=1)) / h
+    div = periodic_edges(np.subtract, wbar, backward=True) / h
     return float(np.max(np.abs(drho + div)))
 
 
@@ -87,7 +83,7 @@ def bb_action(path, continuity_tol=DEFAULT_CONTINUITY_TOL):
         raise ContinuityError("path violates the continuity constraint",
                               residual=res, tol=continuity_tol)
     h = path.grid.h
-    rb_half = _half_cols(path.rhobar)
+    rb_half = 0.5 * periodic_edges(np.add, path.rhobar)
     transport_nodes = path.r**2 * h * np.sum(path.w**2 / rb_half, axis=1)
     dts = np.diff(path.times)
     transport = float(np.sum(0.5 * (transport_nodes[1:] + transport_nodes[:-1]) * dts))
@@ -108,7 +104,8 @@ def from_small_trace(trace, grid):
     theta = trace.block("theta")
     m = trace.column("m")[:, None]
     rhobar = rho / m
-    w = _half_cols(rhobar) * (np.roll(theta, -1, axis=1) - theta) / grid.h
+    w = (0.5 * periodic_edges(np.add, rhobar) * periodic_edges(np.subtract, theta)
+         / grid.h)
     r = np.sqrt(trace.column("m"))
     return BBPath(grid=grid, times=t, rhobar=rhobar, w=w, r=r).validate()
 

@@ -97,11 +97,8 @@ def _handle_gauss_connect(cfg, outdir, seed):
     n = cfg["n"]
     Sigma0 = _matrix(cfg, "Sigma0", n)
     Sigma1 = _matrix(cfg, "Sigma1", n)
-    P0, xi0 = shoot_bvp(Sigma0, float(cfg["m0"]), Sigma1, float(cfg["m1"]),
-                        tol=cfg["tol"], dt=cfg["dt"])
-    state = GaussianCotangentState(V=Sigma0, m=float(cfg["m0"]), P=P0, xi=xi0)
-    steps = max(1, round(1.0 / cfg["dt"]))
-    trace = integrate_geodesic(state, dt=1.0 / steps, steps=steps)
+    P0, xi0, trace = shoot_bvp(Sigma0, float(cfg["m0"]), Sigma1, float(cfg["m1"]),
+                               tol=cfg["tol"], dt=cfg["dt"])
     trace.write_csv(outdir / "trace.csv")
     V1 = trace.data[-1, 4:4 + n * n].reshape(n, n)
     residual = float(np.linalg.norm(V1 - Sigma1)
@@ -211,14 +208,18 @@ def _handle_bb_action(cfg, outdir, seed):
         for key in ("times", "rhobar", "w", "r"):
             if key not in cfg:
                 raise ConfigError(f"explicit bb-action needs key {key!r}")
-        rhobar = np.asarray(cfg["rhobar"], dtype=float)
-        if rhobar.ndim != 2:
-            raise ConfigError("'rhobar' must be a list of per-time rows")
-        n = cfg.get("n", rhobar.shape[1])
-        grid = Grid1D(n=n, length=float(cfg["length"]))
-        path = BBPath(grid=grid, times=np.asarray(cfg["times"], dtype=float),
-                      rhobar=rhobar, w=np.asarray(cfg["w"], dtype=float),
-                      r=np.asarray(cfg["r"], dtype=float)).validate()
+        # ragged rows, a single time sample and shapes that disagree with
+        # each other or with n are config errors, not numerical ones
+        try:
+            rhobar = np.asarray(cfg["rhobar"], dtype=float)
+            if rhobar.ndim != 2:
+                raise ValueError("'rhobar' must be a list of per-time rows")
+            grid = Grid1D(n=cfg.get("n", rhobar.shape[1]), length=float(cfg["length"]))
+            path = BBPath(grid=grid, times=np.asarray(cfg["times"], dtype=float),
+                          rhobar=rhobar, w=np.asarray(cfg["w"], dtype=float),
+                          r=np.asarray(cfg["r"], dtype=float)).validate()
+        except ValueError as exc:
+            raise ConfigError(f"explicit bb-action path: {exc}") from None
         energy_integral = None
     else:
         for key in ("rho", "theta"):

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ApexCrossingError, MassError, NonFiniteError
-from .trace import GeodesicTrace
+from .trace import GeodesicTrace, _rk4
 
 
 @dataclass(frozen=True)
@@ -146,37 +146,26 @@ def integrate_cone(initial, problem, base):
         return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float))
                                for v in cone_rhs(_unpack(y, dim), problem.p, base)])
 
+    def post(y):
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteError("non-finite state during integration")
+        if y[2 * dim] <= 0.0:
+            raise ApexCrossingError("apex crossing during integration",
+                                    alpha=float(y[2 * dim]))
+
     cols = (["t", "m", "xi", "H"]
             + [f"q{i}" for i in range(dim)]
             + [f"qdot{i}" for i in range(dim)]
             + ["alpha", "alphadot"])
     data = np.empty((problem.steps + 1, len(cols)))
-
-    y = _pack(initial)
-    dt = problem.dt
-    for k in range(problem.steps + 1):
-        state = _unpack(y, dim)
-        data[k, 0] = k * dt
-        data[k, 1] = state.alpha**2
-        data[k, 2] = 2.0 * state.alpha_dot / state.alpha
-        data[k, 3] = cone_energy(state, problem.p, base)
-        data[k, 4:] = y
-        if k == problem.steps:
-            break
-        try:
-            k1 = f(y)
-            k2 = f(y + 0.5 * dt * k1)
-            k3 = f(y + 0.5 * dt * k2)
-            k4 = f(y + dt * k3)
-        except (ApexCrossingError, NonFiniteError) as exc:
-            exc.details["step"] = k + 1
-            raise
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteError("non-finite state during integration", step=k + 1)
-        if y[2 * dim] <= 0.0:
-            raise ApexCrossingError("apex crossing during integration",
-                                    step=k + 1, alpha=float(y[2 * dim]))
+    data[0, 4:] = _pack(initial)
+    _rk4(f, post, data[:, 4:], problem.dt)
+    for k, row in enumerate(data):
+        state = _unpack(row[4:], dim)
+        row[0] = k * problem.dt
+        row[1] = state.alpha**2
+        row[2] = 2.0 * state.alpha_dot / state.alpha
+        row[3] = cone_energy(state, problem.p, base)
     return GeodesicTrace(columns=tuple(cols), data=data)
 
 

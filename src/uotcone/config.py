@@ -14,7 +14,6 @@ from .errors import ConfigError
 
 #: central defaults used by every command that does not override them
 DEFAULTS = {
-    "n": 256,          # grid points / matrix size
     "length": 2.0 * math.pi,
     "dt": 1e-3,
     "steps": 1000,
@@ -127,14 +126,6 @@ _CHOICES = {
     "source": ("explicit", "small-run"),
 }
 
-# grid fields define their own size; do not inject the default n there
-_NO_DEFAULT = {
-    "pde-evolve": {"n"},
-    "pde-metric": {"n"},
-    "fr-geodesic": {"n"},
-    "bb-action": {"n"},
-}
-
 COMMANDS = tuple(sorted(_SCHEMAS))
 
 
@@ -174,7 +165,7 @@ def validate_run(cfg):
             out[key] = value
         elif required:
             raise ConfigError(f"missing required key {key!r} for {command}")
-        elif key in DEFAULTS and key not in _NO_DEFAULT.get(command, ()):
+        elif key in DEFAULTS:
             out[key] = DEFAULTS[key]
     return out
 

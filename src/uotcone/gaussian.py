@@ -20,7 +20,7 @@ import numpy as np
 from .cone import BaseManifold
 from .errors import (ApexCrossingError, MassError, NonFiniteError, ShootingError,
                      SingularSystemError, SpdError, SymmetryError)
-from .trace import GeodesicTrace
+from .trace import GeodesicTrace, _rk4
 
 _SYM_TOL = 1e-12
 
@@ -193,44 +193,22 @@ def geodesic_rhs(state):
             symmetrize(dy[nn:2 * nn].reshape(n, n)), float(dy[-1]))
 
 
-def _rk4_step(y, n, dt):
-    k1 = _gauss_rhs(y, n)
-    k2 = _gauss_rhs(y + 0.5 * dt * k1, n)
-    k3 = _gauss_rhs(y + 0.5 * dt * k2, n)
-    k4 = _gauss_rhs(y + dt * k3, n)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _resymmetrize(y, n):
+def _project(y, n):
+    """Post-step hook of the Gaussian flows: re-symmetrize V and P in place,
+    then require finite entries, positive mass and an SPD covariance."""
     nn = n * n
     V = y[:nn].reshape(n, n)
     P = y[nn:2 * nn].reshape(n, n)
     y[:nn] = (0.5 * (V + V.T)).ravel()
     y[nn:2 * nn] = (0.5 * (P + P.T)).ravel()
-
-
-def _check_step(y, n, step, check_spd=True):
     if not np.all(np.isfinite(y)):
-        raise NonFiniteError("non-finite state during integration", step=step)
+        raise NonFiniteError("non-finite state during integration")
     if y[-2] <= 0.0:
-        raise MassError("mass became nonpositive during integration",
-                        step=step, m=float(y[-2]))
-    if check_spd:
-        try:
-            np.linalg.cholesky(y[:n * n].reshape(n, n))
-        except np.linalg.LinAlgError:
-            raise SpdError("covariance lost positive-definiteness",
-                           step=step) from None
-
-
-def _advance(y0, n, dt, steps, spd_every=50):
-    """Endpoint of the flow without recording (the two-point solver's check)."""
-    y = y0.copy()
-    for k in range(steps):
-        y = _rk4_step(y, n, dt)
-        _resymmetrize(y, n)
-        _check_step(y, n, k + 1, check_spd=((k + 1) % spd_every == 0 or k + 1 == steps))
-    return y
+        raise MassError("mass became nonpositive during integration", m=float(y[-2]))
+    try:
+        np.linalg.cholesky(y[:nn].reshape(n, n))
+    except np.linalg.LinAlgError:
+        raise SpdError("covariance lost positive-definiteness") from None
 
 
 def integrate_geodesic(initial, dt, steps):
@@ -244,24 +222,19 @@ def integrate_geodesic(initial, dt, steps):
         raise ValueError("dt must be positive")
     state = initial.validate()
     n = state.n
+    nn = n * n
+    states = np.empty((steps + 1, 2 * nn + 2))
+    states[0] = _pack_state(state)
+    _rk4(lambda y: _gauss_rhs(y, n), lambda y: _project(y, n), states, dt)
     cols = (["t", "m", "xi", "H"]
             + [f"V_{i}_{j}" for i in range(n) for j in range(n)]
             + [f"P_{i}_{j}" for i in range(n) for j in range(n)])
     data = np.empty((steps + 1, len(cols)))
-    y = _pack_state(state)
-    for k in range(steps + 1):
-        st = _unpack_state(y, n)
-        data[k, 0] = k * dt
-        data[k, 1] = st.m
-        data[k, 2] = st.xi
-        data[k, 3] = hamiltonian(st)
-        data[k, 4:4 + n * n] = y[:n * n]
-        data[k, 4 + n * n:] = y[n * n:2 * n * n]
-        if k == steps:
-            break
-        y = _rk4_step(y, n, dt)
-        _resymmetrize(y, n)
-        _check_step(y, n, k + 1)
+    data[:, 0] = np.arange(steps + 1) * dt
+    data[:, 1] = states[:, -2]
+    data[:, 2] = states[:, -1]
+    data[:, 3] = [hamiltonian(_unpack_state(y, n)) for y in states]
+    data[:, 4:] = states[:, :2 * nn]
     return GeodesicTrace(columns=tuple(cols), data=data)
 
 
@@ -321,10 +294,11 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     metric scaled by 1/4, so the geodesic is a straight line in a flat 2D
     picture with angle theta = W2(Sigma0, Sigma1) / 2 (see ``_cone_line``).
     The initial data are P0 = (T - I) / s1, with T the balanced transport
-    map, and xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0.  One unrecorded RK4
-    flow at dt verifies them: the flow from (Sigma0, m0, P0, xi0) must land
-    on (Sigma1, m1) within tol in the combined Frobenius/absolute-mass norm,
-    else ShootingError.  theta >= pi raises ApexCrossingError.
+    map, and xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0.  The recorded RK4
+    flow from (Sigma0, m0, P0, xi0) over unit time at dt verifies them: it
+    must land on (Sigma1, m1) within tol in the combined
+    Frobenius/absolute-mass norm, else ShootingError.  theta >= pi raises
+    ApexCrossingError.  Returns P0, xi0 and the trace of that flow.
     """
     Sigma0 = require_spd(Sigma0, "Sigma0")
     Sigma1 = require_spd(Sigma1, "Sigma1")
@@ -338,10 +312,11 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     theta, s1, xi0 = _cone_line(m0, m1, math.sqrt(max(np.sum((D @ Sigma0) * D), 0.0)))
     P0 = D / s1
     steps = max(1, round(1.0 / dt))
-    y1 = _advance(_pack_state(GaussianCotangentState(V=Sigma0, m=m0, P=P0, xi=xi0)),
-                  n, 1.0 / steps, steps)
-    _require_landing(np.append(y1[:n * n] - Sigma1.ravel(), y1[-2] - m1), tol, theta)
-    return P0, xi0
+    trace = integrate_geodesic(GaussianCotangentState(V=Sigma0, m=m0, P=P0, xi=xi0),
+                               1.0 / steps, steps)
+    end = trace.data[-1]
+    _require_landing(np.append(end[4:4 + n * n] - Sigma1.ravel(), end[1] - m1), tol, theta)
+    return P0, xi0, trace
 
 
 @dataclass(frozen=True)
@@ -380,24 +355,11 @@ def _affine_rhs(y, n):
     return out
 
 
-def _affine_advance(y0, n, dt, steps):
-    nn = n * n
-    y = y0.copy()
-    for k in range(steps):
-        k1 = _affine_rhs(y, n)
-        k2 = _affine_rhs(y + 0.5 * dt * k1, n)
-        k3 = _affine_rhs(y + 0.5 * dt * k2, n)
-        k4 = _affine_rhs(y + dt * k3, n)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        V = y[:nn].reshape(n, n)
-        P = y[nn:2 * nn].reshape(n, n)
-        y[:nn] = (0.5 * (V + V.T)).ravel()
-        y[nn:2 * nn] = (0.5 * (P + P.T)).ravel()
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteError("non-finite state during integration", step=k + 1)
-        if y[-2] <= 0.0:
-            raise MassError("mass became nonpositive during integration", step=k + 1)
-    return y
+def _affine_flow(y0, n, dt, steps):
+    """End state of the affine flow from y0 after steps RK4 steps of dt."""
+    states = np.empty((steps + 1, y0.size))
+    states[0] = y0
+    return _rk4(lambda y: _affine_rhs(y, n), lambda y: _project(y, n), states, dt)
 
 
 @dataclass(frozen=True)
@@ -426,7 +388,7 @@ class AffineConnection:
         steps = max(1, round(abs(t) / self.dt))
         y0 = np.concatenate([g0.Sigma.ravel(), self.P0.ravel(), g0.mean,
                              self.pb0, [g0.m, self.xi0]])
-        y = _affine_advance(y0, n, t / steps, steps)
+        y = _affine_flow(y0, n, t / steps, steps)
         return AffineGaussian(Sigma=symmetrize(y[:n * n].reshape(n, n)),
                               mean=mean, m=float(y[-2]))
 
@@ -458,7 +420,7 @@ def connect_affine(g0, g1, tol=1e-8, dt=1e-3):
     pb0 = 2.0 * db / s1
     steps = max(1, round(1.0 / dt))
     y0 = np.concatenate([g0.Sigma.ravel(), P0.ravel(), g0.mean, pb0, [g0.m, xi0]])
-    y1 = _affine_advance(y0, n, 1.0 / steps, steps)
+    y1 = _affine_flow(y0, n, 1.0 / steps, steps)
     nn = n * n
     _require_landing(np.concatenate([y1[:nn] - g1.Sigma.ravel(),
                                      y1[2 * nn:2 * nn + n] - g1.mean,

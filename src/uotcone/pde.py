@@ -14,14 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (MassError, NonFiniteError, PositivityError,
                      SingularSystemError, StepGuardError)
-from .trace import GeodesicTrace
+from .trace import GeodesicTrace, _rk4
 
 DT_GUARD_FACTOR = 0.2
+
+#: bound on the normwise backward error of an elliptic solve, a fixed
+#: multiple of the unit roundoff
+SOLVE_BACKWARD_ERROR_BOUND = 256.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -44,26 +46,41 @@ class Grid1D:
         return np.arange(self.n) * self.h
 
 
+def periodic_edges(op, f, backward=False):
+    """op(f_{i+1}, f_i) on every edge of the periodic last axis, from slices.
+
+    The edge between nodes i and i + 1 lands at index i (its half-point
+    i + 1/2), or with backward=True at index i + 1, so that node i holds its
+    left edge i - 1/2.
+    """
+    f = np.asarray(f, dtype=float)
+    out = np.empty(f.shape)
+    inner, wrap = ((out[..., 1:], out[..., :1]) if backward
+                   else (out[..., :-1], out[..., -1:]))
+    op(f[..., 1:], f[..., :-1], out=inner)
+    op(f[..., :1], f[..., -1:], out=wrap)
+    return out
+
+
 def _dplus(f, h):
     """Forward difference (value at i + 1/2)."""
-    return (np.roll(f, -1) - f) / h
+    return periodic_edges(np.subtract, f) / h
 
 
 def _half(f):
     """Average onto half-points (value at i + 1/2)."""
-    return 0.5 * (f + np.roll(f, -1))
+    return 0.5 * periodic_edges(np.add, f)
 
 
 def grad_sq_nodes(theta, h):
     """|grad theta|^2 at nodes: mean of the two adjacent half-point squares."""
-    gp = _dplus(theta, h)
-    return 0.5 * (gp**2 + np.roll(gp, 1) ** 2)
+    return 0.5 * periodic_edges(np.add, _dplus(theta, h) ** 2, backward=True)
 
 
 def div_flux(rho, theta, h):
     """Conservative form of div(rho grad theta): (F_{i+1/2} - F_{i-1/2}) / h."""
     F = _half(rho) * _dplus(theta, h)
-    return (F - np.roll(F, 1)) / h
+    return periodic_edges(np.subtract, F, backward=True) / h
 
 
 def kinetic_energy(grid, rho, theta):
@@ -176,91 +193,82 @@ def integrate_pde(state, model, dt, steps):
         raise ValueError("steps must be a positive integer")
     state = state.validate()
     rhs, energy = _MODELS[model]
-    h = state.grid.h
+    grid = state.grid
+    n = grid.n
+    h = grid.h
     gmax = float(np.max(np.abs(_dplus(state.theta, h))))
     if gmax > 0.0 and dt > DT_GUARD_FACTOR * h * h / gmax:
         raise StepGuardError(
             "time step exceeds the stability guard",
             dt=dt, bound=DT_GUARD_FACTOR * h * h / gmax, max_grad=gmax)
 
-    n = state.grid.n
+    def f(y):
+        return np.concatenate(rhs(grid, y[:n], y[n:]))
+
+    def post(y):
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteError("non-finite fields during integration")
+        if np.any(y[:n] <= 0.0):
+            raise PositivityError("density lost positivity",
+                                  min_value=float(np.min(y[:n])))
+
     cols = (["t", "m", "xi", "H"]
             + [f"rho{i}" for i in range(n)] + [f"theta{i}" for i in range(n)])
     data = np.empty((steps + 1, len(cols)))
-
-    rho = state.rho.copy()
-    theta = state.theta.copy()
-    grid = state.grid
-    for k in range(steps + 1):
-        st = PdeState(grid=grid, rho=rho, theta=theta)
-        data[k, 0] = k * dt
-        data[k, 1] = total_mass(grid, rho)
-        data[k, 2] = xi_of(st)
-        data[k, 3] = energy(st)
-        data[k, 4:4 + n] = rho
-        data[k, 4 + n:] = theta
-        if k == steps:
-            break
-        try:
-            k1 = rhs(grid, rho, theta)
-            k2 = rhs(grid, rho + 0.5 * dt * k1[0], theta + 0.5 * dt * k1[1])
-            k3 = rhs(grid, rho + 0.5 * dt * k2[0], theta + 0.5 * dt * k2[1])
-            k4 = rhs(grid, rho + dt * k3[0], theta + dt * k3[1])
-        except MassError as exc:
-            exc.details["step"] = k + 1
-            raise
-        rho = rho + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        theta = theta + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(theta))):
-            raise NonFiniteError("non-finite fields during integration", step=k + 1)
-        if np.any(rho <= 0.0):
-            raise PositivityError("density lost positivity", step=k + 1,
-                                  min_value=float(np.min(rho)))
+    data[0, 4:4 + n] = state.rho
+    data[0, 4 + n:] = state.theta
+    _rk4(f, post, data[:, 4:], dt)
+    for k, row in enumerate(data):
+        st = PdeState(grid=grid, rho=row[4:4 + n], theta=row[4 + n:])
+        row[0] = k * dt
+        row[1] = total_mass(grid, st.rho)
+        row[2] = xi_of(st)
+        row[3] = energy(st)
     return GeodesicTrace(columns=tuple(cols), data=data)
-
-
-def _elliptic_matrix(grid, rho):
-    """Sparse operator of theta -> -div(rho grad theta) with the last row
-    replaced by the zero-mean gauge h * sum(theta) = 0."""
-    n = grid.n
-    h2 = grid.h**2
-    rh = _half(rho)  # rho_{i+1/2}
-    rows, cols, vals = [], [], []
-    for i in range(n - 1):
-        rm = rh[i - 1] if i > 0 else rh[n - 1]
-        rp = rh[i]
-        rows += [i, i, i]
-        cols += [(i - 1) % n, i, (i + 1) % n]
-        vals += [-rm / h2, (rm + rp) / h2, -rp / h2]
-    rows += [n - 1] * n
-    cols += list(range(n))
-    vals += [grid.h] * n
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def solve_potential(grid, rho, rhodot):
     """Solve -div(rho grad theta) = rhodot - xi rho on the periodic grid.
 
     xi = (h sum rhodot) / m is forced by solvability (the flux divergence
-    integrates to zero), and the elliptic part of theta carries the zero-mean
-    gauge.  Returns (theta, xi).
+    integrates to zero), and theta carries the zero-mean gauge.
+
+    The solve is O(n).  With b = rhodot - xi rho, the half-point flux
+    F = rho_{i+1/2} (theta_{i+1} - theta_i) / h is F = c - h cumsum(b), the
+    constant c closes the periodic loop sum_i F_{i+1/2} / rho_{i+1/2} = 0,
+    and theta is the cumulative sum of h F / rho_{i+1/2}.  Every solve must
+    have a normwise backward error |r| / (|A| |theta| + |b|) (infinity
+    norms, r the residual on every node; Rigal-Gaches, see Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 7.1) of at most
+    SOLVE_BACKWARD_ERROR_BOUND, else SingularSystemError.  Returns
+    (theta, xi).
     """
     rho = np.asarray(rho, dtype=float)
     rhodot = np.asarray(rhodot, dtype=float)
     m = total_mass(grid, rho)
-    xi = float(grid.h * np.sum(rhodot) / m)
+    h = grid.h
+    xi = float(h * np.sum(rhodot) / m)
+    # the rounding of xi leaves b a mean of order eps |xi rho|, which no
+    # periodic flux can produce; project it out
     b = rhodot - xi * rho
-    rhs = np.append(b[:-1], 0.0)
-    A = _elliptic_matrix(grid, rho)
-    theta = spla.spsolve(A.tocsc(), rhs)
+    b -= np.mean(b)
+    rh = _half(rho)  # rho_{i+1/2}
+    run = h * np.cumsum(b)
+    F = float(np.sum(run / rh) / np.sum(1.0 / rh)) - run
+    theta = np.zeros_like(b)
+    np.cumsum(h * F[:-1] / rh[:-1], out=theta[1:])
+    theta -= np.mean(theta)
     if not np.all(np.isfinite(theta)):
         raise SingularSystemError("elliptic solve produced non-finite values")
-    # residual of the original (unreplaced) equation on every node
-    res = -div_flux(rho, theta, grid.h) - b
-    scale = max(1.0, float(np.max(np.abs(b))))
-    if float(np.max(np.abs(res))) > 1e-9 * scale:
-        raise SingularSystemError("elliptic solve failed the residual check",
-                                  residual=float(np.max(np.abs(res))))
+    residual = float(np.max(np.abs(-div_flux(rho, theta, h) - b)))
+    # row i of A holds -rho_{i-1/2}, rho_{i-1/2} + rho_{i+1/2}, -rho_{i+1/2}
+    # over h^2
+    norm_A = 2.0 * float(np.max(periodic_edges(np.add, rh, backward=True))) / h**2
+    scale = norm_A * float(np.max(np.abs(theta))) + float(np.max(np.abs(b)))
+    if residual > SOLVE_BACKWARD_ERROR_BOUND * scale:
+        raise SingularSystemError("elliptic solve failed the backward-error check",
+                                  backward_error=residual / scale,
+                                  bound=SOLVE_BACKWARD_ERROR_BOUND)
     return theta, xi
 
 

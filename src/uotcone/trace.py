@@ -1,4 +1,5 @@
-"""Time-series container shared by all integrators, plus trace diagnostics.
+"""Time-series container and RK4 driver shared by all integrators, plus trace
+diagnostics.
 
 Column order is fixed: ``t, m, xi, H`` followed by the flattened state of the
 particular model.  CSV output uses shortest round-trip decimal formatting so
@@ -11,6 +12,8 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NumericsError
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,30 @@ class GeodesicTrace:
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(self.to_csv())
+
+
+def _rk4(rhs, post, states, dt):
+    """Classical fixed-step RK4 from ``states[0]``; row k receives the state
+    after step k, and the last state is returned.
+
+    ``post(y)`` projects the new state in place and checks it.  A
+    NumericsError raised by a stage or by ``post`` during the step from k to
+    k + 1 is stamped ``step = k + 1``.
+    """
+    y = states[0]
+    for k in range(1, len(states)):
+        try:
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            post(y)
+        except NumericsError as exc:
+            exc.details["step"] = k
+            raise
+        states[k] = y
+    return y
 
 
 def relative_energy_drift(trace, column="H"):

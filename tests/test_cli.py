@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uotcone
 from uotcone.cli import main
 
 TWO_PI = 2.0 * np.pi
@@ -106,6 +111,13 @@ def test_gauss_connect_missed_endpoint_is_structured(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def bb_explicit_config(**overrides):
+    cfg = {"command": "bb-action", "source": "explicit", "times": [0.0, 1.0],
+           "rhobar": [[1.0] * 8] * 2, "w": [[0.0] * 8] * 2, "r": [1.0, 2.0]}
+    cfg.update(overrides)
+    return cfg
+
+
 @pytest.mark.parametrize("cfg", [
     {"command": "pde-evolve", "rho": [1.0] * 4, "theta": [0.0] * 4},
     gauss_config(dt=0.0),
@@ -120,8 +132,12 @@ def test_gauss_connect_missed_endpoint_is_structured(tmp_path, capsys):
      "Sigma1": [1.0], "m1": 4.0, "max_iter": 50},
     {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
      "Sigma1": [1.0], "m1": 4.0, "steps": 1000},
+    bb_explicit_config(times=[0.0], rhobar=[[1.0] * 8], w=[[0.0] * 8], r=[1.0]),
+    bb_explicit_config(n=16),
+    bb_explicit_config(rhobar=[[1.0] * 8, [1.0] * 9]),
 ], ids=["grid-n4", "dt-zero", "dt-negative", "steps-zero", "num-times-1",
-        "nan", "inf-in-grid", "connect-max-iter", "connect-steps"])
+        "nan", "inf-in-grid", "connect-max-iter", "connect-steps",
+        "bb-one-time", "bb-n-mismatch", "bb-ragged-rows"])
 def test_config_rejected_before_any_computation(tmp_path, capsys, cfg):
     code, out = run_cli(tmp_path, cfg)
     assert code == 1
@@ -255,3 +271,15 @@ def test_check_outputs_are_deterministic(tmp_path):
     code2, out2 = run_cli(tmp_path, {"command": "check", "quick": True}, out="c2")
     assert code1 == 0 and code2 == 0
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+def test_cli_import_loads_numpy_only():
+    # a fresh interpreter: numpy is the only third-party runtime dependency
+    src = str(Path(uotcone.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, uotcone.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -241,6 +241,23 @@ def test_integrate_conserves_hamiltonian_random():
         assert relative_energy_drift(trace) <= 1e-8
 
 
+@pytest.mark.parametrize("dt, error", [(1e-2, SpdError), (1e-1, MassError)],
+                         ids=["spd-loss", "mass-loss"])
+def test_integrate_post_step_failure_reports_step(dt, error):
+    # P < 0 drives the covariance to the boundary of the SPD cone in finite
+    # time; the post-step check of the step from k to k + 1 stamps k + 1, so
+    # the run of step - 1 steps succeeds and the run of step steps fails
+    state = scalar_state(P=-1.0, xi=0.0)
+    with pytest.raises(error) as exc:
+        integrate_geodesic(state, dt=dt, steps=400)
+    step = exc.value.details["step"]
+    trace = integrate_geodesic(state, dt=dt, steps=step - 1)
+    assert trace.column("m")[-1] > 0.0 and trace.column("V_0_0")[-1] > 0.0
+    with pytest.raises(error) as exc:
+        integrate_geodesic(state, dt=dt, steps=step)
+    assert exc.value.details["step"] == step
+
+
 def test_mass_is_quadratic_with_leading_coefficient_H_over_2():
     rng = np.random.default_rng(6)
     state = GaussianCotangentState(V=random_spd(rng, 3), m=1.2,
@@ -307,27 +324,26 @@ def test_mccann_stays_spd():
 def test_shoot_equal_endpoints_trivial():
     rng = np.random.default_rng(13)
     V = random_spd(rng, 2)
-    P0, xi0 = shoot_bvp(V, 1.5, V, 1.5, tol=1e-8)
+    P0, xi0, _ = shoot_bvp(V, 1.5, V, 1.5, tol=1e-8)
     npt.assert_allclose(P0, 0.0, atol=1e-8)
     assert abs(xi0) <= 1e-8
 
 
 def test_shoot_pure_scaling_case():
     one = np.array([[1.0]])
-    P0, xi0 = shoot_bvp(one, 1.0, one, 4.0, tol=1e-10)
+    P0, xi0, _ = shoot_bvp(one, 1.0, one, 4.0, tol=1e-10)
     assert abs(xi0 - 2.0) <= 1e-8
     assert abs(P0[0, 0]) <= 1e-8
 
 
 def test_shoot_scalar_closed_form_oracle():
     # equal masses, covariance 1 -> 4: the (sqrt(V), m) pair moves on a flat
-    # plane; compare the integrated path against the exact chord
+    # plane; compare the verification flow (dt = 1e-3) against the exact chord
     one = np.array([[1.0]])
     four = np.array([[4.0]])
-    P0, xi0 = shoot_bvp(one, 1.0, four, 1.0, tol=1e-10)
-    state = GaussianCotangentState(V=one, m=1.0, P=P0, xi=xi0)
-    trace = integrate_geodesic(state, dt=1e-3, steps=1000)
+    _, _, trace = shoot_bvp(one, 1.0, four, 1.0, tol=1e-10)
     t = trace.t
+    assert t.size == 1001 and t[-1] == pytest.approx(1.0, abs=1e-12)
     m_exact = polar_mass_curve(1.0, 1.0, np.sqrt(4.0) - np.sqrt(1.0), t)
     V_exact = polar_scalar_covariance_curve(1.0, 4.0, 1.0, 1.0, t)
     assert np.max(np.abs(trace.column("m") - m_exact)) <= 1e-6
@@ -344,9 +360,9 @@ def test_shoot_random_n2_endpoints():
         S1 = random_spd(rng, 2)
         m0 = rng.uniform(0.5, 2.0)
         m1 = rng.uniform(0.5, 2.0)
-        P0, xi0 = shoot_bvp(S0, m0, S1, m1, tol=1e-8)
-        trace = integrate_geodesic(
-            GaussianCotangentState(V=S0, m=m0, P=P0, xi=xi0), dt=1e-3, steps=1000)
+        P0, xi0, trace = shoot_bvp(S0, m0, S1, m1, tol=1e-8)
+        npt.assert_array_equal(trace.data[0, 2], xi0)
+        npt.assert_array_equal(trace.block("P_")[0], P0.ravel())
         V1 = trace.data[-1, 4:8].reshape(2, 2)
         err = np.linalg.norm(V1 - S1) + abs(trace.column("m")[-1] - m1)
         assert err <= 1e-6
@@ -356,9 +372,7 @@ def test_shoot_equal_mass_dip():
     rng = np.random.default_rng(15)
     S0 = random_spd(rng, 2)
     S1 = random_spd(rng, 2)
-    P0, xi0 = shoot_bvp(S0, 1.0, S1, 1.0, tol=1e-8)
-    trace = integrate_geodesic(
-        GaussianCotangentState(V=S0, m=1.0, P=P0, xi=xi0), dt=1e-3, steps=1000)
+    _, _, trace = shoot_bvp(S0, 1.0, S1, 1.0, tol=1e-8)
     assert np.min(trace.column("m")) < 1.0
 
 
@@ -382,9 +396,7 @@ def test_covariance_path_lies_on_mccann_curve():
     # of the conical geodesic reproduces the balanced interpolation curve
     one = np.array([[1.0]])
     four = np.array([[4.0]])
-    P0, xi0 = shoot_bvp(one, 1.0, four, 1.0, tol=1e-10)
-    trace = integrate_geodesic(
-        GaussianCotangentState(V=one, m=1.0, P=P0, xi=xi0), dt=1e-3, steps=1000)
+    _, _, trace = shoot_bvp(one, 1.0, four, 1.0, tol=1e-10)
     V = trace.column("V_0_0")
     # arc length in the balanced metric: |d sqrt(V)| for scalars
     s = np.abs(np.sqrt(V) - 1.0) / abs(np.sqrt(V[-1]) - 1.0)

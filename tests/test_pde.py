@@ -3,12 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from uotcone.cone import radial_mass_geodesic
-from uotcone.errors import (PositivityError, SingularSystemError, StepGuardError)
+from uotcone.errors import (MassError, PositivityError, SingularSystemError,
+                            StepGuardError)
 from uotcone.pde import (Grid1D, PdeState, fisher_rao_cone_geodesic,
                          gdiv_metric_eval, hamiltonian_small, hamiltonian_wfr,
-                         integrate_pde, small_metric_eval, small_rhs,
-                         solve_potential, state_from_velocity, total_mass,
-                         wfr_rhs, xi_of)
+                         integrate_pde, periodic_edges, small_metric_eval,
+                         small_rhs, solve_potential, state_from_velocity,
+                         total_mass, wfr_rhs, xi_of)
 from uotcone.trace import mass_acceleration, mass_quadratic_fit, \
     relative_energy_drift
 
@@ -217,9 +218,34 @@ def test_integrate_positivity_abort_with_step():
     grid = Grid1D(n=16)
     rho = 1.0 + 0.95 * np.sin(grid.x)
     theta = 0.15 * np.cos(grid.x)
+    state = PdeState(grid, rho, theta)
     with pytest.raises(PositivityError) as exc:
-        integrate_pde(PdeState(grid, rho, theta), "small", dt=4e-3, steps=4000)
-    assert exc.value.details["step"] > 0
+        integrate_pde(state, "small", dt=4e-3, steps=4000)
+    step = exc.value.details["step"]
+    assert step > 0
+    # the post-step check of the step from k to k + 1 stamps k + 1: one step
+    # fewer still ends on a positive density
+    trace = integrate_pde(state, "small", dt=4e-3, steps=step - 1)
+    assert np.min(trace.block("rho")[-1]) > 0.0
+    with pytest.raises(PositivityError) as exc:
+        integrate_pde(state, "small", dt=4e-3, steps=step)
+    assert exc.value.details["step"] == step
+
+
+def test_integrate_stage_failure_reports_step():
+    # constant theta = -1000 on a uniform density: xi = -1000, so an RK4
+    # stage soon sees a total mass below zero; a stage failure of the step
+    # from k to k + 1 is stamped k + 1
+    grid = Grid1D(n=16)
+    state = PdeState(grid, np.ones(16), np.full(16, -1000.0))
+    with pytest.raises(MassError) as exc:
+        integrate_pde(state, "small", dt=1e-3, steps=50)
+    step = exc.value.details["step"]
+    assert step > 1
+    assert integrate_pde(state, "small", dt=1e-3, steps=step - 1).column("m")[-1] > 0.0
+    with pytest.raises(MassError) as exc:
+        integrate_pde(state, "small", dt=1e-3, steps=step)
+    assert exc.value.details["step"] == step
 
 
 # -- elliptic solves and metric evaluations -----------------------------------
@@ -231,6 +257,78 @@ def test_solve_potential_reproduces_discrete_mode():
         theta, xi = solve_potential(grid, np.ones(n), np.sin(grid.x))
         assert xi == pytest.approx(0.0, abs=1e-14)
         npt.assert_allclose(theta, np.sin(grid.x) / lam_h(grid.h), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [16384, 65536])
+def test_solve_potential_fine_grids_match_discrete_mode(n):
+    # roundoff of the operator grows like 1/h^2, so an absolute residual
+    # threshold fails here; the backward-error check scales with the problem
+    grid = Grid1D(n=n)
+    theta, xi = solve_potential(grid, np.ones(n), np.sin(grid.x))
+    assert xi == pytest.approx(0.0, abs=1e-14)
+    lam = (2.0 * np.sin(grid.h / 2.0) / grid.h) ** 2  # lam_h without cancellation
+    npt.assert_allclose(theta, np.sin(grid.x) / lam, atol=1e-12)
+    value = small_metric_eval(grid, np.ones(n), np.sin(grid.x))
+    assert value == pytest.approx(np.pi * ((grid.h / 2.0) / np.sin(grid.h / 2.0)) ** 2,
+                                  abs=1e-10)
+
+
+def test_solve_potential_matches_dense_reference():
+    # the cumulative-sum solve against a dense solve of the operator whose
+    # last row is replaced by the zero-mean gauge
+    rng = np.random.default_rng(28)
+    for n in (8, 64, 256):
+        grid = Grid1D(n=n, length=float(rng.uniform(0.5, 10.0)))
+        rho = np.abs(1.0 + 0.5 * rng.normal(size=n)) + 0.1
+        rhodot = rng.normal(size=n)
+        theta, xi = solve_potential(grid, rho, rhodot)
+        rh = 0.5 * (rho + np.roll(rho, -1))
+        A = np.zeros((n, n))
+        for i in range(n):
+            A[i, (i - 1) % n] -= rh[i - 1]
+            A[i, i] += rh[i - 1] + rh[i]
+            A[i, (i + 1) % n] -= rh[i]
+        A /= grid.h**2
+        A[-1] = 1.0
+        b = rhodot - xi * rho
+        b[-1] = 0.0
+        reference = np.linalg.solve(A, b)
+        npt.assert_allclose(theta, reference, rtol=0.0,
+                            atol=1e-12 * np.max(np.abs(reference)))
+
+
+def test_periodic_edges_match_np_roll():
+    rng = np.random.default_rng(29)
+    for f in (rng.normal(size=9), rng.normal(size=(4, 9))):
+        up = np.roll(f, -1, axis=-1)
+        down = np.roll(f, 1, axis=-1)
+        npt.assert_array_equal(periodic_edges(np.subtract, f), up - f)
+        npt.assert_array_equal(periodic_edges(np.add, f), f + up)
+        npt.assert_array_equal(periodic_edges(np.subtract, f, backward=True), f - down)
+        npt.assert_array_equal(periodic_edges(np.add, f, backward=True), f + down)
+
+
+def test_solve_potential_is_scale_free():
+    # the backward-error check is relative: scaled data give the scaled
+    # potential at every n
+    rng = np.random.default_rng(27)
+    for n in (64, 4096, 65536):
+        grid = Grid1D(n=n)
+        rho = 1.0 + 0.5 * np.cos(grid.x + rng.uniform(0.0, TWO_PI))
+        rhodot = np.sin(3.0 * grid.x) + 0.2 * np.cos(grid.x) + 0.1
+        theta, _ = solve_potential(grid, rho, rhodot)
+        for scale in (1e-8, 1e8):
+            scaled, _ = solve_potential(grid, rho, scale * rhodot)
+            npt.assert_allclose(scaled / scale, theta, rtol=0.0,
+                                atol=1e-13 * np.max(np.abs(theta)))
+
+
+def test_solve_potential_non_finite_is_singular_system():
+    grid = Grid1D(n=16)
+    rhodot = np.zeros(16)
+    rhodot[3] = np.inf
+    with pytest.raises(SingularSystemError), np.errstate(invalid="ignore"):
+        solve_potential(grid, np.ones(16), rhodot)
 
 
 def test_solve_potential_rejects_nonpositive_density():
