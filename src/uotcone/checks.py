@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bb import antiderivative_half, bb_action, from_small_trace, BBPath
-from .cone import ConeProblem, ConeState, circle_base, integrate_cone
+from .cone import ConeProblem, ConeState, circle_base, cone_line, integrate_cone
 from .gaussian import (GaussianCotangentState, hamiltonian, integrate_geodesic,
                        lyapunov_solve, mccann_geodesic, shoot_bvp,
                        submersion_consistency, symmetrize)
@@ -163,9 +163,10 @@ def check_flat_cone_oracle(rng, quick=False):
     state = ConeState(q=np.zeros(1), q_dot=np.ones(1), alpha=1.0, alpha_dot=0.0)
     trace = integrate_cone(state, ConeProblem(p=1.0, dt=1e-3, steps=1000),
                            circle_base())
-    t = trace.t
-    dev = max(float(np.max(np.abs(trace.column("alpha") - np.sqrt(1.0 + t**2)))),
-              float(np.max(np.abs(trace.column("q0") - np.arctan(t)))))
+    # the line (1, t) runs from mass 1 to mass 2 through the angle pi/4
+    m, s = cone_line(1.0, 2.0, 0.25 * np.pi, trace.t)
+    dev = max(float(np.max(np.abs(trace.column("alpha") - np.sqrt(m)))),
+              float(np.max(np.abs(trace.column("q0") - 0.25 * np.pi * s))))
     return CheckResult("flat-cone-oracle", dev <= 1e-6,
                        f"max deviation from the straight line {dev:.2e} (tol 1e-06)")
 

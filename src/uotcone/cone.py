@@ -122,13 +122,10 @@ def cone_energy(state, p, base):
         + state.alpha_dot**2
 
 
-def _pack(state):
-    return np.concatenate([state.q, state.q_dot, [state.alpha, state.alpha_dot]])
-
-
 def _unpack(y, dim):
+    # numpy scalars: an overflow becomes inf, which the finiteness checks type
     return ConeState(q=y[:dim], q_dot=y[dim:2 * dim],
-                     alpha=float(y[2 * dim]), alpha_dot=float(y[2 * dim + 1]))
+                     alpha=y[2 * dim], alpha_dot=y[2 * dim + 1])
 
 
 def integrate_cone(initial, problem, base):
@@ -158,7 +155,8 @@ def integrate_cone(initial, problem, base):
             + [f"qdot{i}" for i in range(dim)]
             + ["alpha", "alphadot"])
     data = np.empty((problem.steps + 1, len(cols)))
-    data[0, 4:] = _pack(initial)
+    data[0, 4:] = np.concatenate([initial.q, initial.q_dot,
+                                  [initial.alpha, initial.alpha_dot]])
     _rk4(f, post, data[:, 4:], problem.dt)
     for k, row in enumerate(data):
         state = _unpack(row[4:], dim)
@@ -169,13 +167,36 @@ def integrate_cone(initial, problem, base):
     return GeodesicTrace(columns=tuple(cols), data=data)
 
 
+def cone_line(m0, m1, theta, t):
+    """Straight line z(t) = (1 - t) a + t b of a cone's flat picture.
+
+    Every model here is a Euclidean cone, so its two-point geodesic is this
+    line in a flat plane, with |a|^2 = m0, |b|^2 = m1 and angle theta
+    between a and b (Liero-Mielke-Savare, Invent. Math. 2018, sec. 7).
+    Returns the mass m(t) = |z(t)|^2 and the base-arc fraction
+    s(t) = phi(t) / theta in [0, 1], phi(t) the angle of z(t) from a; at
+    theta = 0, s takes its limit t sqrt(m1) / sqrt(m(t)).  Broadcasts over t
+    and over array masses.  For theta >= pi the line runs through the apex
+    and no geodesic of the model connects the endpoints: ApexCrossingError.
+    """
+    if theta >= np.pi:
+        raise ApexCrossingError("the two-point geodesic runs through the cone apex "
+                                "(theta >= pi)", theta=float(theta))
+    r0 = np.sqrt(m0)
+    r1 = np.sqrt(m1)
+    x = (1.0 - t) * r0 + t * r1 * np.cos(theta)
+    y = t * r1 * np.sin(theta)
+    m = x * x + y * y
+    s = np.arctan2(y, x) / theta if theta > 0.0 else t * r1 / np.sqrt(m)
+    return m, s
+
+
 def radial_mass_geodesic(m0, m1, t):
     """Pure-scaling geodesic of total mass: ((1-t) sqrt(m0) + t sqrt(m1))^2.
 
     sqrt(m) is the flat radial coordinate, so it is affine in t and the mass
-    itself is a quadratic in t.
+    itself is a quadratic in t: the theta = 0 case of ``cone_line``.
     """
     if m0 <= 0.0 or m1 <= 0.0:
         raise MassError("masses must be positive", m0=float(m0), m1=float(m1))
-    r = (1.0 - t) * np.sqrt(m0) + t * np.sqrt(m1)
-    return r * r
+    return cone_line(m0, m1, 0.0, t)[0]

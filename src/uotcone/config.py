@@ -53,7 +53,6 @@ def _is_grid(v):
 
 # kind -> (predicate, description for the error message)
 _KINDS = {
-    "int": (_is_int, "an integer"),
     "count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "samples": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     "gridsize": (lambda v: _is_int(v) and v >= MIN_GRID,

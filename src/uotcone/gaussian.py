@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import BaseManifold
-from .errors import (ApexCrossingError, MassError, NonFiniteError, ShootingError,
-                     SingularSystemError, SpdError, SymmetryError)
+from .cone import BaseManifold, cone_line
+from .errors import (MassError, NonFiniteError, ShootingError, SingularSystemError,
+                     SpdError, SymmetryError)
 from .trace import GeodesicTrace, _rk4
 
 _SYM_TOL = 1e-12
@@ -30,11 +30,13 @@ def symmetrize(M):
 
 
 def require_symmetric(M, what="matrix", tol=_SYM_TOL):
-    """Validate symmetry up to tol (relative to the matrix scale), return the
-    symmetrized copy."""
+    """Validate finite entries and symmetry up to tol (relative to the matrix
+    scale), return the symmetrized copy."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise SymmetryError(f"{what} must be square", shape=list(M.shape))
+    if not np.all(np.isfinite(M)):
+        raise NonFiniteError(f"{what} has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
     if float(np.max(np.abs(M - M.T))) > tol * scale:
         raise SymmetryError(f"{what} is not symmetric",
@@ -136,11 +138,13 @@ class GaussianCotangentState:
 
 def hamiltonian(state):
     """H = (2/m) tr(V P^2) + m xi^2 / 2; equals half the metric energy of the
-    velocity reconstructed from P."""
-    if state.m <= 0.0:
-        raise MassError("mass must be positive", m=float(state.m))
-    kinetic = np.sum((state.V @ state.P) * state.P)
-    return float(2.0 * kinetic / state.m + 0.5 * state.m * state.xi**2)
+    velocity reconstructed from P.  A state of stacked V, P (leading axis)
+    and arrays m, xi gives an array."""
+    if np.any(state.m <= 0.0):
+        raise MassError("mass must be positive", m=float(np.min(state.m)))
+    kinetic = np.sum((state.V @ state.P) * state.P, axis=(-2, -1))
+    H = 2.0 * kinetic / state.m + 0.5 * state.m * state.xi**2
+    return H if np.ndim(H) else float(H)
 
 
 def _pack_state(state):
@@ -151,16 +155,6 @@ def _pack_state(state):
     y[-2] = state.m
     y[-1] = state.xi
     return y
-
-
-def _unpack_state(y, n):
-    nn = n * n
-    return GaussianCotangentState(
-        V=y[:nn].reshape(n, n).copy(),
-        m=float(y[-2]),
-        P=y[nn:2 * nn].reshape(n, n).copy(),
-        xi=float(y[-1]),
-    )
 
 
 def _gauss_rhs(y, n):
@@ -233,7 +227,9 @@ def integrate_geodesic(initial, dt, steps):
     data[:, 0] = np.arange(steps + 1) * dt
     data[:, 1] = states[:, -2]
     data[:, 2] = states[:, -1]
-    data[:, 3] = [hamiltonian(_unpack_state(y, n)) for y in states]
+    data[:, 3] = hamiltonian(GaussianCotangentState(
+        V=states[:, :nn].reshape(-1, n, n), m=states[:, -2],
+        P=states[:, nn:2 * nn].reshape(-1, n, n), xi=states[:, -1]))
     data[:, 4:] = states[:, :2 * nn]
     return GeodesicTrace(columns=tuple(cols), data=data)
 
@@ -259,23 +255,20 @@ def mccann_geodesic(U, V, t):
     return symmetrize(C @ V @ C.T)
 
 
-def _cone_line(m0, m1, d):
-    """Straight line of the flat picture between the two-point endpoints.
-
-    The endpoints sit at |a| = sqrt(m0) and |b| = sqrt(m1) with angle
-    theta = d / 2 between them (d the base distance).  Returns theta,
-    s1 = int_0^1 2/m dt (the swept angle over |a x b|, doubled) and the
-    initial log-mass rate xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0.  For
-    theta >= pi the line runs through the apex and no geodesic of the model
-    connects the endpoints.
-    """
-    theta = 0.5 * d
-    if theta >= math.pi:
-        raise ApexCrossingError("the two-point geodesic runs through the cone apex "
-                                "(theta >= pi)", theta=theta)
-    g = math.sqrt(m0 * m1)
-    s1 = 2.0 * theta / (g * math.sin(theta)) if theta > 0.0 else 2.0 / g
-    return theta, s1, 2.0 * (g * math.cos(theta) - m0) / m0
+def _two_point(Sigma0, m0, Sigma1, m1, shift2=0.0):
+    """D = T - I (T the balanced transport map), the cone angle
+    theta = sqrt(W2^2 + shift2) / 2 (W2^2 = tr(D Sigma0 D), shift2 =
+    |b1 - b0|^2 with means), and the initial data of the line
+    ``cone_line(m0, m1, theta, t)``, which raises ApexCrossingError for
+    theta >= pi: s1 = int_0^1 2/m dt (so int_0^t 2/m = s1 s(t)) and
+    xi0 = mdot(0) / m0."""
+    D = _mccann_map(Sigma0, Sigma1) - np.eye(Sigma0.shape[0])
+    theta = 0.5 * math.sqrt(max(np.sum((D @ Sigma0) * D), 0.0) + shift2)
+    cone_line(m0, m1, theta, 1.0)
+    g = math.sqrt(m0) * math.sqrt(m1)  # m0 m1 itself may under- or overflow
+    # a numpy division: g sin(theta) may underflow to 0, giving s1 = inf
+    s1 = 2.0 * theta / np.float64(g * math.sin(theta)) if theta > 0.0 else 2.0 / g
+    return D, theta, s1, 2.0 * (g * math.cos(theta) - m0) / m0
 
 
 def _require_landing(miss, tol, theta):
@@ -292,7 +285,7 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
 
     The model is the Euclidean cone over the covariances with the balanced
     metric scaled by 1/4, so the geodesic is a straight line in a flat 2D
-    picture with angle theta = W2(Sigma0, Sigma1) / 2 (see ``_cone_line``).
+    picture with angle theta = W2(Sigma0, Sigma1) / 2 (``cone.cone_line``).
     The initial data are P0 = (T - I) / s1, with T the balanced transport
     map, and xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0.  The recorded RK4
     flow from (Sigma0, m0, P0, xi0) over unit time at dt verifies them: it
@@ -307,9 +300,7 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     n = Sigma0.shape[0]
     if Sigma1.shape != (n, n):
         raise ValueError("endpoint covariances must have equal shapes")
-    D = _mccann_map(Sigma0, Sigma1) - np.eye(n)
-    # W2^2 = tr(D Sigma0 D)
-    theta, s1, xi0 = _cone_line(m0, m1, math.sqrt(max(np.sum((D @ Sigma0) * D), 0.0)))
+    D, theta, s1, xi0 = _two_point(Sigma0, m0, Sigma1, m1)
     P0 = D / s1
     steps = max(1, round(1.0 / dt))
     trace = integrate_geodesic(GaussianCotangentState(V=Sigma0, m=m0, P=P0, xi=xi0),
@@ -336,40 +327,32 @@ class AffineGaussian:
 
 
 def _affine_rhs(y, n):
-    # layout: V (n^2), P (n^2), b (n), pb (n), m, xi
+    # layout: V (n^2), P (n^2), b (n), pb (n), m, xi.  (V, P, m, xi) follow
+    # the Gaussian flow, whose dxi gains the mean term |pb|^2 / (2 m^2); the
+    # mean momentum pb is conserved.
     nn = n * n
-    V = y[:nn].reshape(n, n)
-    P = y[nn:2 * nn].reshape(n, n)
+    gauss = _gauss_rhs(np.concatenate([y[:2 * nn], y[-2:]]), n)
     pb = y[2 * nn + n:2 * nn + 2 * n]
     m = y[-2]
-    xi = y[-1]
-    PV = P @ V
-    P2 = P @ P
-    out = np.empty_like(y)
-    out[:nn] = ((2.0 / m) * (PV + PV.T)).ravel()
-    out[nn:2 * nn] = ((-2.0 / m) * P2).ravel()
+    out = np.zeros_like(y)
+    out[:2 * nn] = gauss[:-2]
     out[2 * nn:2 * nn + n] = pb / m
-    out[2 * nn + n:2 * nn + 2 * n] = 0.0
-    out[-2] = xi * m
-    out[-1] = (2.0 / m**2) * np.sum(V * P2) + 0.5 * (pb @ pb) / m**2 - 0.5 * xi * xi
+    out[-2] = gauss[-2]
+    out[-1] = gauss[-1] + 0.5 * (pb @ pb) / m**2
     return out
-
-
-def _affine_flow(y0, n, dt, steps):
-    """End state of the affine flow from y0 after steps RK4 steps of dt."""
-    states = np.empty((steps + 1, y0.size))
-    states[0] = y0
-    return _rk4(lambda y: _affine_rhs(y, n), lambda y: _project(y, n), states, dt)
 
 
 @dataclass(frozen=True)
 class AffineConnection:
     """Solved two-point problem between Gaussians with means.
 
-    The covariance/mass pair follows the conical geodesic flow over the
-    product base (covariances x means), where the mean motion enters through
-    its conserved linear momentum; the reported mean itself is the affine
-    interpolation of the endpoints.
+    The path is the line ``cone.cone_line`` of the flat picture over the
+    product base (covariances x means): the mass is m(t), and the base point
+    moves along the base geodesic at the rate of the cone angle, by the
+    base-arc fraction s(t).  So Sigma(t) = C Sigma0 C with
+    C = I + s(t) (T - I), T the balanced transport map, and the mean is
+    b0 + s(t) (b1 - b0), as the conserved mean momentum pb0 of the
+    canonical flow gives it (bdot = pb0 / m).
     """
 
     g0: AffineGaussian
@@ -377,24 +360,23 @@ class AffineConnection:
     P0: np.ndarray
     pb0: np.ndarray
     xi0: float
-    dt: float
+
+    def _line(self, t):
+        g0, g1 = self.g0, self.g1
+        db = g1.mean - g0.mean
+        D, theta, _, _ = _two_point(g0.Sigma, g0.m, g1.Sigma, g1.m, db @ db)
+        m, s = cone_line(g0.m, g1.m, theta, t)
+        return D, db, m, s
 
     def at(self, t):
-        g0, g1 = self.g0, self.g1
-        mean = (1.0 - t) * g0.mean + t * g1.mean
-        if t == 0.0:
-            return AffineGaussian(Sigma=g0.Sigma.copy(), mean=mean, m=g0.m)
-        n = g0.Sigma.shape[0]
-        steps = max(1, round(abs(t) / self.dt))
-        y0 = np.concatenate([g0.Sigma.ravel(), self.P0.ravel(), g0.mean,
-                             self.pb0, [g0.m, self.xi0]])
-        y = _affine_flow(y0, n, t / steps, steps)
-        return AffineGaussian(Sigma=symmetrize(y[:n * n].reshape(n, n)),
-                              mean=mean, m=float(y[-2]))
+        D, db, m, s = self._line(t)
+        C = np.eye(D.shape[0]) + s * D
+        return AffineGaussian(Sigma=symmetrize(C @ self.g0.Sigma @ C),
+                              mean=self.g0.mean + s * db, m=float(m))
 
     def mass_path(self, num=101):
         ts = np.linspace(0.0, 1.0, num)
-        return ts, np.array([self.at(t).m for t in ts])
+        return ts, self._line(ts)[2]
 
 
 def connect_affine(g0, g1, tol=1e-8, dt=1e-3):
@@ -412,24 +394,25 @@ def connect_affine(g0, g1, tol=1e-8, dt=1e-3):
     n = g0.Sigma.shape[0]
     if g1.Sigma.shape != (n, n):
         raise ValueError("endpoint covariances must have equal shapes")
-    D = _mccann_map(g0.Sigma, g1.Sigma) - np.eye(n)
     db = g1.mean - g0.mean
-    theta, s1, xi0 = _cone_line(
-        g0.m, g1.m, math.sqrt(max(np.sum((D @ g0.Sigma) * D), 0.0) + db @ db))
+    D, theta, s1, xi0 = _two_point(g0.Sigma, g0.m, g1.Sigma, g1.m, db @ db)
     P0 = D / s1
     pb0 = 2.0 * db / s1
     steps = max(1, round(1.0 / dt))
-    y0 = np.concatenate([g0.Sigma.ravel(), P0.ravel(), g0.mean, pb0, [g0.m, xi0]])
-    y1 = _affine_flow(y0, n, 1.0 / steps, steps)
+    states = np.empty((steps + 1, 2 * n * n + 2 * n + 2))
+    states[0] = np.concatenate([g0.Sigma.ravel(), P0.ravel(), g0.mean, pb0,
+                                [g0.m, xi0]])
+    y1 = _rk4(lambda y: _affine_rhs(y, n), lambda y: _project(y, n), states,
+              1.0 / steps)
     nn = n * n
     _require_landing(np.concatenate([y1[:nn] - g1.Sigma.ravel(),
                                      y1[2 * nn:2 * nn + n] - g1.mean,
                                      [y1[-2] - g1.m]]), tol, theta)
-    return AffineConnection(g0=g0, g1=g1, P0=P0, pb0=pb0, xi0=xi0, dt=dt)
+    return AffineConnection(g0=g0, g1=g1, P0=P0, pb0=pb0, xi0=xi0)
 
 
 def affine_geodesic(g0, g1, t, tol=1e-8, dt=1e-3):
-    """Interpolate Gaussians with means: affine mean motion, conical (Sigma, m).
+    """Interpolate Gaussians with means along the closed-form two-point path.
 
     Solves the two-point problem on each call; reuse ``connect_affine`` when
     evaluating many parameter values of the same endpoint pair.

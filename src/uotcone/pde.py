@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cone import cone_line
 from .errors import (MassError, NonFiniteError, PositivityError,
                      SingularSystemError, StepGuardError)
 from .trace import GeodesicTrace, _rk4
@@ -83,20 +84,32 @@ def div_flux(rho, theta, h):
     return periodic_edges(np.subtract, F, backward=True) / h
 
 
+# The grid integrals below reduce the last axis, so they take one field or
+# a stack of them (one per row) and return a float or an array.
+def _integral(h, f):
+    s = h * np.sum(f, axis=-1)
+    return s if s.ndim else float(s)
+
+
 def kinetic_energy(grid, rho, theta):
     """h * sum of rho_{i+1/2} ((theta_{i+1} - theta_i)/h)^2, the discrete
     integral of |grad theta|^2 rho."""
-    return float(grid.h * np.sum(_half(rho) * _dplus(theta, grid.h) ** 2))
+    return _integral(grid.h, _half(rho) * _dplus(theta, grid.h) ** 2)
 
 
 def total_mass(grid, rho):
+    """h * sum(rho); every density value must be positive and the mass
+    finite."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise PositivityError("density must be strictly positive",
                               min_value=float(np.min(rho)))
-    m = grid.h * float(np.sum(rho))
-    if m <= 0.0:
-        raise MassError("total mass must be positive", m=m)
+    m = _integral(grid.h, rho)
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteError("total mass is not finite",
+                             max_value=float(np.max(rho)))
+    if np.any(m <= 0.0):
+        raise MassError("total mass must be positive", m=float(np.min(m)))
     return m
 
 
@@ -120,13 +133,13 @@ class PdeState:
 def xi_of(state):
     """Logarithmic mass rate xi = (h sum theta rho) / m."""
     m = total_mass(state.grid, state.rho)
-    return float(state.grid.h * np.sum(state.theta * state.rho) / m)
+    return _integral(state.grid.h, state.theta * state.rho) / m
 
 
 def hamiltonian_small(state):
     """H = (1/2) int |grad theta|^2 rho + (1/(2m)) (int theta rho)^2."""
     m = total_mass(state.grid, state.rho)
-    pairing = state.grid.h * float(np.sum(state.theta * state.rho))
+    pairing = _integral(state.grid.h, state.theta * state.rho)
     return 0.5 * kinetic_energy(state.grid, state.rho, state.theta) \
         + 0.5 * pairing**2 / m
 
@@ -134,18 +147,19 @@ def hamiltonian_small(state):
 def hamiltonian_wfr(state):
     """H = (1/2) int (|grad theta|^2 + theta^2) rho."""
     total_mass(state.grid, state.rho)
-    reaction = state.grid.h * float(np.sum(state.theta**2 * state.rho))
+    reaction = _integral(state.grid.h, state.theta**2 * state.rho)
     return 0.5 * (kinetic_energy(state.grid, state.rho, state.theta) + reaction)
 
 
 def _raw_small_rhs(grid, rho, theta):
     # RK4 stage states may dip negative; only the total mass must stay
-    # positive for the division defining xi
+    # positive for the division defining xi.  m and xi stay numpy scalars,
+    # so that xi^2 overflows to inf instead of raising.
     h = grid.h
-    m = h * float(np.sum(rho))
+    m = h * np.sum(rho)
     if m <= 0.0:
-        raise MassError("total mass became nonpositive", m=m)
-    xi = h * float(np.sum(theta * rho)) / m
+        raise MassError("total mass became nonpositive", m=float(m))
+    xi = h * np.sum(theta * rho) / m
     drho = -div_flux(rho, theta, h) + xi * rho
     dtheta = -0.5 * grad_sq_nodes(theta, h) - xi * theta + 0.5 * xi**2
     return drho, dtheta
@@ -218,12 +232,11 @@ def integrate_pde(state, model, dt, steps):
     data[0, 4:4 + n] = state.rho
     data[0, 4 + n:] = state.theta
     _rk4(f, post, data[:, 4:], dt)
-    for k, row in enumerate(data):
-        st = PdeState(grid=grid, rho=row[4:4 + n], theta=row[4 + n:])
-        row[0] = k * dt
-        row[1] = total_mass(grid, st.rho)
-        row[2] = xi_of(st)
-        row[3] = energy(st)
+    rows = PdeState(grid=grid, rho=data[:, 4:4 + n], theta=data[:, 4 + n:])
+    data[:, 0] = np.arange(steps + 1) * dt
+    data[:, 1] = total_mass(grid, rows.rho)
+    data[:, 2] = xi_of(rows)
+    data[:, 3] = energy(rows)
     return GeodesicTrace(columns=tuple(cols), data=data)
 
 
@@ -262,10 +275,10 @@ def solve_potential(grid, rho, rhodot):
         raise SingularSystemError("elliptic solve produced non-finite values")
     residual = float(np.max(np.abs(-div_flux(rho, theta, h) - b)))
     # row i of A holds -rho_{i-1/2}, rho_{i-1/2} + rho_{i+1/2}, -rho_{i+1/2}
-    # over h^2
-    norm_A = 2.0 * float(np.max(periodic_edges(np.add, rh, backward=True))) / h**2
-    scale = norm_A * float(np.max(np.abs(theta))) + float(np.max(np.abs(b)))
-    if residual > SOLVE_BACKWARD_ERROR_BOUND * scale:
+    # over h^2 (numpy scalars: h^2 may under- or overflow on extreme grids)
+    norm_A = 2.0 * np.max(periodic_edges(np.add, rh, backward=True)) / np.square(h)
+    scale = float(norm_A * np.max(np.abs(theta)) + np.max(np.abs(b)))
+    if not residual <= SOLVE_BACKWARD_ERROR_BOUND * scale:  # a NaN fails too
         raise SingularSystemError("elliptic solve failed the backward-error check",
                                   backward_error=residual / scale,
                                   bound=SOLVE_BACKWARD_ERROR_BOUND)
@@ -286,7 +299,8 @@ def small_metric_eval(grid, rho, rhodot):
     int |grad theta|^2 rho + m xi^2 for the solved potential."""
     theta, xi = solve_potential(grid, rho, rhodot)
     m = total_mass(grid, rho)
-    return kinetic_energy(grid, rho, theta) + m * xi**2
+    # a numpy scalar square overflows to inf instead of raising
+    return float(kinetic_energy(grid, rho, theta) + m * np.float64(xi) ** 2)
 
 
 def gdiv_metric_eval(grid, rho, rhodot):
@@ -301,10 +315,10 @@ def gdiv_metric_eval(grid, rho, rhodot):
 
 def fisher_rao_cone_geodesic(rho0, rho1, t):
     """Flat-cone geodesic of the scaling metric: pointwise
-    ((1-t) sqrt(rho0) + t sqrt(rho1))^2."""
+    ((1-t) sqrt(rho0) + t sqrt(rho1))^2, the theta = 0 case of
+    ``cone.cone_line``; broadcasts over t."""
     rho0 = np.asarray(rho0, dtype=float)
     rho1 = np.asarray(rho1, dtype=float)
     if np.any(rho0 <= 0.0) or np.any(rho1 <= 0.0):
         raise PositivityError("endpoint densities must be strictly positive")
-    r = (1.0 - t) * np.sqrt(rho0) + t * np.sqrt(rho1)
-    return r * r
+    return cone_line(rho0, rho1, 0.0, t)[0]

@@ -8,12 +8,11 @@ identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NonFiniteError, NumericsError, SingularSystemError
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,7 @@ class GeodesicTrace:
         if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
             raise ValueError("trace data shape does not match columns")
         if not np.all(np.isfinite(self.data)):
-            raise ValueError("trace entries must be finite")
+            raise NonFiniteError("trace entries must be finite")
         if self.data.shape[0] > 1 and np.any(np.diff(self.data[:, 0]) <= 0.0):
             raise ValueError("trace times must be strictly increasing")
 
@@ -41,16 +40,12 @@ class GeodesicTrace:
         idx = [i for i, c in enumerate(self.columns) if c.startswith(prefix)]
         return self.data[:, idx]
 
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.data:
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
-
     def write_csv(self, path):
+        """Write the header and then one row at a time."""
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(self.to_csv())
+            f.write(",".join(self.columns) + "\n")
+            for row in self.data:
+                f.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _rk4(rhs, post, states, dt):
@@ -93,7 +88,12 @@ def mass_quadratic_fit(trace):
     """
     t = trace.t
     m = trace.column("m")
-    coeffs = np.polyfit(t, m, 2)
+    try:
+        coeffs = np.polyfit(t, m, 2)
+    except np.linalg.LinAlgError:
+        # t^2 underflows on the tiniest time steps
+        raise SingularSystemError("least-squares fit of m(t) failed",
+                                  t_end=float(t[-1])) from None
     resid = m - np.polyval(coeffs, t)
     return {
         "leading": float(coeffs[0]),

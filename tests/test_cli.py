@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import uotcone
 from uotcone.cli import main
+from uotcone.config import _CHOICES, _SCHEMAS
 
 TWO_PI = 2.0 * np.pi
 
@@ -108,6 +112,53 @@ def test_gauss_connect_missed_endpoint_is_structured(tmp_path, capsys):
     assert reason["kind"] == "shooting-no-convergence"
     assert reason["tol"] == 1e-8
     assert reason["residual"] > reason["tol"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
+@pytest.mark.parametrize("cfg, kind", [
+    # the mass h sum(rho) overflows
+    ({"command": "fr-geodesic", "rho0": [1e308] * 8, "rho1": [1.0] * 8},
+     "non-finite"),
+    ({"command": "pde-metric", "length": 1e308, "rho": [1e10] * 8,
+      "rhodot": [1.0] * 8}, "non-finite"),
+    # h^2 underflows in the backward-error check of the elliptic solve
+    ({"command": "pde-metric", "length": 1e-264, "rho": [1.0] * 8,
+      "rhodot": [1.0] * 4 + [2.0] * 4}, "singular-system"),
+    # the rate xi squares beyond the largest double
+    ({"command": "pde-metric", "rho": [1e-300] + [1.0] * 7,
+      "rhodot": [1e200] + [1.0] * 7}, "non-finite"),
+    ({"command": "pde-evolve", "rho": [1.0] * 8, "theta": [1e200] * 8,
+      "steps": 2}, "non-finite"),
+    # the cone radial acceleration and the mass column overflow
+    ({"command": "cone-geodesic", "base": "circle", "p": 3.0, "q": [0.0],
+      "q_dot": [7.0], "alpha": 8.0, "alpha_dot": 105.0}, "non-finite"),
+    ({"command": "cone-geodesic", "base": "circle", "q": [0.0], "q_dot": [0.0],
+      "alpha": 1.3407807929942597e154, "alpha_dot": 0.0}, "non-finite"),
+    # t^2 underflows in the least-squares fit of m(t)
+    (gauss_config(dt=5e-324), "singular-system"),
+    # the product of the masses underflows, or with sin(theta) does
+    ({"command": "gauss-connect", "n": 1, "Sigma0": [2.3e-248], "m0": 2.3e-248,
+      "Sigma1": [1.15e-34], "m1": 2.3e-248}, "non-finite"),
+    ({"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1e-310,
+      "Sigma1": [1.000000000000001], "m1": 1e-310}, "non-finite"),
+    # Sigma1^(1/2) Sigma0 Sigma1^(1/2) overflows before its eigendecomposition
+    ({"command": "gauss-connect", "n": 3, "m0": 1.37, "m1": 1.0, "dt": 0.05,
+      "Sigma0": [7.444680261402063, 0.36891467162913055, 1.6159451695627658,
+                 0.36891467162913055, 1.6732950748369885e218, 1.1064513145290602,
+                 1.6159451695627658, 1.1064513145290602, 0.36891467162913055],
+      "Sigma1": [4.4, 4.4, 0.36891467162913055, 4.4, 1.6732950748369885e218,
+                 1.6159451695627658, 0.36891467162913055, 1.6159451695627658,
+                 1.6159451695627658]}, "non-finite"),
+], ids=["fr-mass", "pde-metric-mass", "pde-metric-h2", "pde-metric-xi2",
+        "pde-evolve-xi2", "cone-rhs", "cone-mass", "gauss-fit",
+        "connect-tiny-masses", "connect-tiny-angle", "connect-eigh"])
+def test_overflow_is_a_typed_failure(tmp_path, capsys, cfg, kind):
+    # finite, schema-valid inputs whose intermediate values leave the range
+    # of doubles
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert load_summary(out)["reason"]["kind"] == kind
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -283,3 +334,72 @@ def test_cli_import_loads_numpy_only():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# -- fuzzed configs -----------------------------------------------------------
+
+FINITE = st.floats(min_value=-1e308, max_value=1e308)
+POSITIVE = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
+# tame values reach past the input checks into the numerics
+NUMBER = st.one_of(FINITE, st.floats(min_value=0.01, max_value=10.0))
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A schema-valid run of any command but ``check``: grids of 8-32 points,
+    at most 20 steps, matrices of size 1-3, finite numbers up to 1e308."""
+    command = draw(st.sampled_from(sorted(set(_SCHEMAS) - {"check"})))
+    n_grid = draw(st.integers(8, 32))
+    n_mat = draw(st.integers(1, 3))
+    rows = draw(st.integers(2, 4))
+    grid = st.one_of(st.lists(NUMBER, min_size=n_grid, max_size=n_grid),
+                     st.lists(POSITIVE, min_size=n_grid, max_size=n_grid))
+    cfg = {"command": command}
+    for key, (kind, required) in _SCHEMAS[command].items():
+        if not required and not draw(st.booleans()):
+            continue
+        if key in _CHOICES:
+            value = st.sampled_from(_CHOICES[key])
+        elif kind == "positive":
+            # gauss-connect runs round(1 / dt) verification steps
+            value = (st.floats(min_value=0.05, max_value=1e308)
+                     if command == "gauss-connect" and key == "dt" else POSITIVE)
+        elif kind == "float":
+            value = NUMBER
+        elif kind == "count":
+            value = st.integers(1, 20) if key == "steps" else st.just(n_mat)
+        elif kind == "gridsize":
+            value = st.just(n_grid)
+        elif kind == "samples":
+            value = st.integers(2, 20)
+        elif kind == "grid":
+            value = grid
+        elif kind == "grids":
+            value = st.lists(grid, min_size=rows, max_size=rows)
+        elif key in ("times", "r"):
+            value = st.lists(NUMBER, min_size=rows, max_size=rows)
+        elif key in ("q", "q_dot"):
+            size = {"circle": 1, "flat": n_mat}.get(cfg["base"], n_mat * n_mat)
+            value = st.lists(NUMBER, min_size=size, max_size=size)
+        else:  # row-major matrices
+            value = st.lists(NUMBER, min_size=n_mat * n_mat, max_size=n_mat * n_mat)
+        cfg[key] = draw(value)
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=fuzz_configs())
+@example(cfg={"command": "fr-geodesic", "rho0": [1e308] * 8, "rho1": [1.0] * 8})
+@example(cfg={"command": "pde-metric", "length": 1e308, "rho": [1e10] * 8,
+              "rhodot": [1.0] * 8})
+def test_fuzzed_configs_exit_typed(cfg):
+    # no exception may escape main; exit 2 always comes with a reason
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = run_cli(Path(tmp), cfg)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert load_summary(out)["reason"]["kind"]
+        elif code == 0:
+            assert load_summary(out)["status"] == "ok"

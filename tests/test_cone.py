@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from uotcone.cone import (ConeProblem, ConeState, circle_base, cone_energy,
-                          cone_rhs, flat_base, integrate_cone,
+                          cone_line, cone_rhs, flat_base, integrate_cone,
                           radial_mass_geodesic)
 from uotcone.errors import ApexCrossingError, MassError, NonFiniteError
 from uotcone.trace import relative_energy_drift
@@ -166,9 +166,55 @@ def test_radial_rejects_nonpositive_mass():
         radial_mass_geodesic(1.0, -2.0, 0.5)
 
 
+# -- cone_line ----------------------------------------------------------------
+
+def test_cone_line_theta_zero_is_the_radial_formula():
+    t = np.linspace(0.0, 1.0, 11)[:, None]
+    m0 = np.array([0.5, 1.0, 3.0])
+    m1 = np.array([2.0, 1.0, 0.1])
+    m, s = cone_line(m0, m1, 0.0, t)
+    assert m.shape == s.shape == (11, 3)
+    assert np.array_equal(m, ((1.0 - t) * np.sqrt(m0) + t * np.sqrt(m1)) ** 2)
+    npt.assert_allclose(s, t * np.sqrt(m1) / np.sqrt(m), rtol=1e-15)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.2, 3.0])
+def test_cone_line_endpoints_and_reversal(theta):
+    t = np.linspace(0.0, 1.0, 17)
+    m, s = cone_line(0.7, 2.3, theta, t)
+    npt.assert_allclose([m[0], m[-1], s[0], s[-1]], [0.7, 2.3, 0.0, 1.0],
+                        rtol=1e-14, atol=1e-15)
+    assert np.all(np.diff(s) > 0.0)
+    m_rev, s_rev = cone_line(2.3, 0.7, theta, 1.0 - t)
+    npt.assert_allclose(m_rev, m, rtol=1e-14)
+    npt.assert_allclose(s_rev, 1.0 - s, atol=1e-14)
+
+
+def test_cone_line_unit_square_diagonal():
+    # (1, 0) to (1, 1): masses 1 and 2 at angle pi/4, z(t) = (1, t)
+    t = np.linspace(0.0, 1.0, 101)
+    m, s = cone_line(1.0, 2.0, 0.25 * np.pi, t)
+    npt.assert_allclose(m, 1.0 + t**2, rtol=1e-15)
+    npt.assert_allclose(0.25 * np.pi * s, np.arctan(t), atol=1e-15)
+
+
+def test_cone_line_fraction_is_continuous_at_theta_zero():
+    t = np.linspace(0.0, 1.0, 33)
+    _, s0 = cone_line(0.4, 3.0, 0.0, t)
+    _, s = cone_line(0.4, 3.0, 1e-9, t)
+    npt.assert_allclose(s, s0, atol=1e-15)
+
+
+@pytest.mark.parametrize("theta", [np.pi, 4.0])
+def test_cone_line_through_the_apex_is_typed(theta):
+    with pytest.raises(ApexCrossingError) as exc:
+        cone_line(1.0, 1.0, theta, 0.5)
+    assert exc.value.details["theta"] == theta
+
+
 def test_trace_invariants_enforced():
     from uotcone.trace import GeodesicTrace
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError):
         GeodesicTrace(columns=("t", "m"), data=np.array([[0.0, np.inf]]))
     with pytest.raises(ValueError):
         GeodesicTrace(columns=("t", "m"),

@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from uotcone.cone import ConeProblem, ConeState, integrate_cone, scaled_base
+from uotcone import gaussian
+from uotcone.cone import (ConeProblem, ConeState, cone_line, integrate_cone,
+                          scaled_base)
 from uotcone.errors import (ApexCrossingError, MassError, SingularSystemError,
                             SpdError, SymmetryError)
 from uotcone.gaussian import (AffineGaussian, GaussianCotangentState,
@@ -11,7 +13,7 @@ from uotcone.gaussian import (AffineGaussian, GaussianCotangentState,
                               legendre_momentum, lyapunov_solve, mccann_geodesic,
                               shoot_bvp, spd_base, submersion_consistency,
                               symmetrize)
-from uotcone.trace import mass_acceleration, mass_quadratic_fit, \
+from uotcone.trace import _rk4, mass_acceleration, mass_quadratic_fit, \
     relative_energy_drift
 
 
@@ -24,6 +26,15 @@ def random_spd(rng, n, lam_min=0.5, lam_max=2.0):
 def random_sym(rng, n, scale=1.0):
     M = rng.normal(scale=scale, size=(n, n))
     return symmetrize(M)
+
+
+def bures_sq(S0, S1):
+    """W2^2 = tr S0 + tr S1 - 2 tr (S1^(1/2) S0 S1^(1/2))^(1/2)."""
+    def root(M):
+        lam, Q = np.linalg.eigh(M)
+        return (Q * np.sqrt(lam)) @ Q.T
+    r1 = root(S1)
+    return np.trace(S0) + np.trace(S1) - 2.0 * np.trace(root(r1 @ S0 @ r1))
 
 
 def polar_mass_curve(m0, m1, gap, t):
@@ -353,6 +364,20 @@ def test_shoot_scalar_closed_form_oracle():
     assert np.min(trace.column("m")) == pytest.approx(0.5 + 0.5 * np.cos(0.5), abs=1e-5)
 
 
+def test_trace_energy_column_matches_rowwise_hamiltonian():
+    # the whole-array H column against hamiltonian() row by row; the
+    # arithmetic order may differ, so a few units of roundoff are allowed
+    rng = np.random.default_rng(23)
+    state = GaussianCotangentState(V=random_spd(rng, 3), m=1.2,
+                                   P=random_sym(rng, 3, scale=0.2), xi=0.4)
+    trace = integrate_geodesic(state, dt=1e-3, steps=200)
+    V, P = trace.block("V_"), trace.block("P_")
+    ref = [hamiltonian(GaussianCotangentState(V=v.reshape(3, 3), m=row[1],
+                                              P=p.reshape(3, 3), xi=row[2]))
+           for row, v, p in zip(trace.data, V, P)]
+    npt.assert_allclose(trace.column("H"), ref, rtol=16 * np.finfo(float).eps, atol=0.0)
+
+
 def test_shoot_random_n2_endpoints():
     rng = np.random.default_rng(14)
     for _ in range(3):
@@ -366,6 +391,20 @@ def test_shoot_random_n2_endpoints():
         V1 = trace.data[-1, 4:8].reshape(2, 2)
         err = np.linalg.norm(V1 - S1) + abs(trace.column("m")[-1] - m1)
         assert err <= 1e-6
+
+
+def test_shoot_trace_rows_lie_on_the_cone_line():
+    # every row of the verification flow is the closed-form path: mass m(t)
+    # and covariance on the balanced curve at the base-arc fraction s(t)
+    rng = np.random.default_rng(21)
+    S0 = random_spd(rng, 2)
+    S1 = random_spd(rng, 2)
+    m0, m1 = rng.uniform(0.5, 2.0, size=2)
+    _, _, trace = shoot_bvp(S0, m0, S1, m1)
+    m, s = cone_line(m0, m1, 0.5 * np.sqrt(bures_sq(S0, S1)), trace.t)
+    V = np.array([mccann_geodesic(S1, S0, sk).ravel() for sk in s])
+    npt.assert_allclose(trace.block("V_"), V, rtol=0.0, atol=1e-10)
+    npt.assert_allclose(trace.column("m"), m, rtol=0.0, atol=1e-10)
 
 
 def test_shoot_equal_mass_dip():
@@ -448,14 +487,17 @@ def test_affine_mean_shift_mass_dip():
     # equal covariances and masses, means 0 and e1: the mean motion carries
     # kinetic energy, so the mass follows the flat-plane chord with angular
     # gap |b1 - b0| / 2 while the covariance stays put
+    # and the mean moves at the rate of the cone angle, by the base-arc
+    # fraction s(t)
     g0 = AffineGaussian(Sigma=np.eye(2), mean=np.zeros(2), m=1.0)
     g1 = AffineGaussian(Sigma=np.eye(2), mean=np.array([1.0, 0.0]), m=1.0)
     conn = connect_affine(g0, g1, tol=1e-10, dt=1e-3)
     ts = np.linspace(0.0, 1.0, 11)
     m_exact = polar_mass_curve(1.0, 1.0, 1.0, ts)
-    for t, me in zip(ts, m_exact):
+    _, s = cone_line(1.0, 1.0, 0.5, ts)
+    for t, me, st in zip(ts, m_exact, s):
         out = conn.at(t)
-        npt.assert_allclose(out.mean, t * np.array([1.0, 0.0]), atol=1e-12)
+        npt.assert_allclose(out.mean, st * np.array([1.0, 0.0]), atol=1e-12)
         npt.assert_allclose(out.Sigma, np.eye(2), atol=1e-6)
         assert out.m == pytest.approx(me, abs=1e-6)
 
@@ -465,7 +507,59 @@ def test_affine_mean_midpoint():
     g1 = AffineGaussian(Sigma=2.0 * np.eye(2), mean=np.array([1.0, 0.6]), m=2.0)
     conn = connect_affine(g0, g1, tol=1e-8, dt=2e-3)
     mid = conn.at(0.5)
-    npt.assert_allclose(mid.mean, 0.5 * (g0.mean + g1.mean), atol=1e-12)
+    shift = g1.mean - g0.mean
+    theta = 0.5 * np.sqrt(bures_sq(g0.Sigma, g1.Sigma) + shift @ shift)
+    _, s = cone_line(1.0, 2.0, theta, 0.5)
+    npt.assert_allclose(mid.mean, g0.mean + s * shift, atol=1e-12)
+
+
+def roadmap_pair():
+    return (AffineGaussian(Sigma=np.eye(2), mean=np.zeros(2), m=1.0),
+            AffineGaussian(Sigma=2.0 * np.eye(2), mean=np.array([1.0, 0.5]), m=3.0))
+
+
+def test_affine_at_matches_the_recorded_flow():
+    # the closed form of at() against the canonical flow from the solved
+    # initial data, recorded by the shared RK4 driver at dt = 1e-3
+    rng = np.random.default_rng(22)
+    pairs = [roadmap_pair()]
+    for n in (1, 2, 3):
+        pairs.append(tuple(AffineGaussian(Sigma=random_spd(rng, n),
+                                          mean=rng.uniform(-0.5, 0.5, size=n),
+                                          m=float(rng.uniform(0.5, 2.0)))
+                           for _ in range(2)))
+    for g0, g1 in pairs:
+        conn = connect_affine(g0, g1)
+        n = g0.Sigma.shape[0]
+        nn = n * n
+        states = np.empty((1001, 2 * nn + 2 * n + 2))
+        states[0] = np.concatenate([g0.Sigma.ravel(), conn.P0.ravel(), g0.mean,
+                                    conn.pb0, [g0.m, conn.xi0]])
+        _rk4(lambda y: gaussian._affine_rhs(y, n),
+             lambda y: gaussian._project(y, n), states, 1e-3)
+        for k in range(0, 1001, 50):
+            out = conn.at(k / 1000)
+            y = states[k]
+            npt.assert_allclose(out.Sigma.ravel(), y[:nn], rtol=0.0, atol=1e-10)
+            npt.assert_allclose(out.mean, y[2 * nn:2 * nn + n], rtol=0.0, atol=1e-10)
+            assert out.m == pytest.approx(y[-2], rel=0.0, abs=1e-10)
+    mid = connect_affine(*roadmap_pair()).at(0.5)
+    npt.assert_allclose(mid.mean, [0.638, 0.319], atol=5e-4)
+
+
+def test_affine_mass_path_runs_no_flow(monkeypatch):
+    g0, g1 = roadmap_pair()
+    conn = connect_affine(g0, g1)
+
+    def no_flow(*args):
+        raise AssertionError("an RK4 flow ran")
+
+    monkeypatch.setattr(gaussian, "_rk4", no_flow)
+    ts, m = conn.mass_path(101)
+    assert ts.shape == m.shape == (101,)
+    gap = np.sqrt(bures_sq(g0.Sigma, g1.Sigma) + 1.25)
+    npt.assert_allclose(m, polar_mass_curve(1.0, 3.0, gap, ts), rtol=0.0, atol=1e-12)
+    npt.assert_allclose(m, [conn.at(t).m for t in ts], rtol=1e-15)
 
 
 # -- submersion consistency ---------------------------------------------------

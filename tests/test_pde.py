@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from uotcone.cone import radial_mass_geodesic
-from uotcone.errors import (MassError, PositivityError, SingularSystemError,
-                            StepGuardError)
+from uotcone.errors import (MassError, NonFiniteError, PositivityError,
+                            SingularSystemError, StepGuardError)
 from uotcone.pde import (Grid1D, PdeState, fisher_rao_cone_geodesic,
                          gdiv_metric_eval, hamiltonian_small, hamiltonian_wfr,
                          integrate_pde, periodic_edges, small_metric_eval,
@@ -39,6 +39,23 @@ def test_total_mass_rejects_nonpositive():
     rho[3] = 0.0
     with pytest.raises(PositivityError):
         total_mass(grid, rho)
+
+
+def test_total_mass_of_a_stack_is_rowwise():
+    grid = Grid1D(n=16)
+    rho = 1.0 + np.random.default_rng(27).uniform(size=(5, 16))
+    m = total_mass(grid, rho)
+    assert m.shape == (5,)
+    assert np.array_equal(m, [total_mass(grid, row) for row in rho])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_total_mass_overflow_is_non_finite():
+    # finite densities whose mass h sum(rho) overflows
+    with pytest.raises(NonFiniteError):
+        total_mass(Grid1D(n=8, length=1e308), np.full(8, 1e10))
+    with pytest.raises(NonFiniteError):
+        total_mass(Grid1D(n=8), np.full(8, 1e308))
 
 
 def test_xi_constant_theta():
@@ -154,6 +171,22 @@ def test_integrate_frozen_state():
     trace = integrate_pde(uniform_state(), "small", dt=1e-2, steps=20)
     npt.assert_allclose(trace.block("rho"), 1.0)
     npt.assert_allclose(trace.block("theta"), 0.0)
+
+
+@pytest.mark.parametrize("model, energy", [("small", hamiltonian_small),
+                                           ("wfr", hamiltonian_wfr)])
+def test_integrate_columns_match_rowwise_reference(model, energy):
+    # the whole-array m, xi and H columns against the public functions row by
+    # row: m and xi in the same arithmetic, H within a few units of roundoff
+    n = 64
+    grid = Grid1D(n=n)
+    state = PdeState(grid, 1.0 + 0.3 * np.cos(grid.x), 0.2 + 0.05 * np.sin(2.0 * grid.x))
+    trace = integrate_pde(state, model, dt=1e-3, steps=100)
+    rows = [PdeState(grid, row[4:4 + n], row[4 + n:]) for row in trace.data]
+    assert np.array_equal(trace.column("m"), [total_mass(grid, s.rho) for s in rows])
+    assert np.array_equal(trace.column("xi"), [xi_of(s) for s in rows])
+    npt.assert_allclose(trace.column("H"), [energy(s) for s in rows],
+                        rtol=16 * np.finfo(float).eps, atol=0.0)
 
 
 def test_integrate_small_pure_scaling_matches_radial_law():
@@ -450,6 +483,15 @@ def test_fisher_rao_mass_matches_radial_for_proportional_fields():
     for t in np.linspace(0.0, 1.0, 7):
         mt = total_mass(grid, fisher_rao_cone_geodesic(rho0, rho1, t))
         assert mt == pytest.approx(radial_mass_geodesic(m0, m1, t), rel=1e-13)
+
+
+def test_fisher_rao_broadcasts_over_times():
+    rng = np.random.default_rng(28)
+    rho0 = rng.uniform(0.1, 3.0, size=32)
+    rho1 = rng.uniform(0.1, 3.0, size=32)
+    t = np.linspace(0.0, 1.0, 9)
+    stacked = fisher_rao_cone_geodesic(rho0, rho1, t[:, None])
+    assert np.array_equal(stacked, [fisher_rao_cone_geodesic(rho0, rho1, ti) for ti in t])
 
 
 def test_fisher_rao_rejects_nonpositive():

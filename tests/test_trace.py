@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uotcone.errors import NonFiniteError
-from uotcone.trace import _rk4
+from uotcone.trace import GeodesicTrace, _rk4
 
 
 def test_rk4_linear_flow_is_the_degree_four_taylor_factor():
@@ -58,3 +58,13 @@ def test_rk4_post_failure_is_stamped_with_the_new_step():
         _rk4(lambda y: np.ones(1), post, states, 1.0)
     # y after the step from k to k + 1 is k + 1; 4 is the first above 3.5
     assert exc.value.details == {"value": 4.0, "step": 4}
+
+
+def test_write_csv_streams_shortest_round_trip_rows(tmp_path):
+    data = np.array([[0.0, 1.0, -0.0, 1.0 / 3.0],
+                     [0.1, 1e-300, 2.5e17, -7.0]])
+    trace = GeodesicTrace(columns=("t", "m", "xi", "H"), data=data)
+    trace.write_csv(tmp_path / "trace.csv")
+    expected = "t,m,xi,H\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in data)
+    assert (tmp_path / "trace.csv").read_bytes() == expected.encode("utf-8")
