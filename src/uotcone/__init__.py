@@ -2,11 +2,11 @@
 
 from .bb import BBPath, BBResult, bb_action, from_small_trace
 from .cone import (BaseManifold, ConeProblem, ConeState, circle_base, cone_energy,
-                   cone_line, cone_rhs, flat_base, integrate_cone,
+                   cone_line, cone_ray, cone_rhs, flat_base, integrate_cone,
                    radial_mass_geodesic, scaled_base)
 from .gaussian import (AffineConnection, AffineGaussian, GaussianCotangentState,
                        affine_geodesic, base_metric_eval, connect_affine,
-                       geodesic_rhs, group_metric_eval, hamiltonian,
+                       geodesic_ray, geodesic_rhs, group_metric_eval, hamiltonian,
                        integrate_geodesic, legendre_momentum, lyapunov_solve,
                        mccann_geodesic, shoot_bvp, spd_base,
                        submersion_consistency)

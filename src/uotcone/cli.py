@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,8 +43,25 @@ def _jsonable(value):
     return value
 
 
+def _non_finite(value, key=""):
+    """(path, value) of the first non-finite number in a JSON-ready summary,
+    or None."""
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}" if key else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    else:
+        bad = isinstance(value, float) and not math.isfinite(value)
+        return (key, value) if bad else None
+    for k, v in items:
+        found = _non_finite(v, k)
+        if found is not None:
+            return found
+    return None
+
+
 def _write_summary(outdir, summary):
-    text = json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     (outdir / "summary.json").write_text(text, encoding="utf-8")
 
 
@@ -271,9 +289,15 @@ def _run_one(cfg, outdir, seed):
     try:
         summary, code = _HANDLERS[cfg["command"]](cfg, outdir, seed)
         summary.setdefault("status", "ok" if code == 0 else "failed")
+        summary = _jsonable(summary)
+        found = _non_finite(summary)
+        if found is not None:
+            # an overflowed diagnostic is no result to report as success
+            raise NonFiniteError(f"summary value {found[0]!r} is not finite",
+                                 key=found[0], value=str(found[1]))
     except NumericsError as exc:
-        summary = {"command": cfg["command"], "status": "error",
-                   "reason": exc.to_json()}
+        summary = _jsonable({"command": cfg["command"], "status": "error",
+                             "reason": exc.to_json()})
         _write_summary(outdir, summary)
         print(f"numerical failure in {cfg['command']}: {exc}", file=sys.stderr)
         return 2

@@ -167,6 +167,15 @@ def integrate_cone(initial, problem, base):
     return GeodesicTrace(columns=tuple(cols), data=data)
 
 
+def _require_off_apex(angle, **details):
+    """A straight path of a cone's flat picture that sweeps an angle >= pi
+    runs through the apex, where no geodesic of the model continues:
+    ApexCrossingError."""
+    if angle >= np.pi:
+        raise ApexCrossingError("the geodesic runs through the cone apex "
+                                "(theta >= pi)", theta=float(angle), **details)
+
+
 def cone_line(m0, m1, theta, t):
     """Straight line z(t) = (1 - t) a + t b of a cone's flat picture.
 
@@ -179,9 +188,7 @@ def cone_line(m0, m1, theta, t):
     and over array masses.  For theta >= pi the line runs through the apex
     and no geodesic of the model connects the endpoints: ApexCrossingError.
     """
-    if theta >= np.pi:
-        raise ApexCrossingError("the two-point geodesic runs through the cone apex "
-                                "(theta >= pi)", theta=float(theta))
+    _require_off_apex(theta)
     r0 = np.sqrt(m0)
     r1 = np.sqrt(m1)
     x = (1.0 - t) * r0 + t * r1 * np.cos(theta)
@@ -189,6 +196,29 @@ def cone_line(m0, m1, theta, t):
     m = x * x + y * y
     s = np.arctan2(y, x) / theta if theta > 0.0 else t * r1 / np.sqrt(m)
     return m, s
+
+
+def cone_ray(m0, xi0, omega0, t):
+    """Ray z(t) = a + t v of a cone's flat picture: the initial-value geodesic.
+
+    |a|^2 = m0, and v = sqrt(m0) (xi0 / 2, omega0) in the frame of a, with
+    xi0 = mdot(0) / m0 and omega0 >= 0 the initial angular speed (the base
+    speed over the radius).  Returns the mass
+    m(t) = |z(t)|^2 = m0 ((1 + xi0 t / 2)^2 + omega0^2 t^2), whose constant
+    acceleration 2 m0 (xi0^2 / 4 + omega0^2) is the energy H, and the
+    cone angle sigma(t) = int_0^t m0 / m = atan2(omega0 t, 1 + xi0 t / 2) /
+    omega0 swept by z, with its limit t / (1 + xi0 t / 2) at omega0 = 0.
+    Broadcasts over t >= 0.  A radial ray (omega0 = 0) with xi0 < 0 reaches
+    the apex at t = -2 / xi0, where its angle jumps to pi: ApexCrossingError
+    for any t from there on.
+    """
+    x = 1.0 + 0.5 * xi0 * t
+    y = omega0 * t
+    phi = np.arctan2(y, x) if omega0 > 0.0 else np.where(x > 0.0, 0.0, np.pi)
+    _require_off_apex(np.max(phi), xi0=float(xi0), omega0=float(omega0))
+    m = m0 * (x * x + y * y)
+    sigma = phi / omega0 if omega0 > 0.0 else t / x
+    return m, sigma
 
 
 def radial_mass_geodesic(m0, m1, t):

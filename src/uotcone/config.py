@@ -15,9 +15,9 @@ from .errors import ConfigError
 #: central defaults used by every command that does not override them
 DEFAULTS = {
     "length": 2.0 * math.pi,
-    "dt": 1e-3,
+    "dt": 1e-3,        # integrator step; sampling step of the gauss-connect trace
     "steps": 1000,
-    "tol": 1e-8,       # two-point endpoint tolerance of the verification flow
+    "tol": 1e-8,       # gauss-connect: landing tolerance of the closed-form ray
     "continuity_tol": 1e-5,
     "num_times": 11,   # samples of closed-form interpolations
     "p": 1.0,          # cone exponent
@@ -30,6 +30,10 @@ _NUMBER = (int, float)
 
 #: fewest points of a periodic grid (the staggered differences need them)
 MIN_GRID = 8
+
+#: most entries (rows x columns) of the trace one run may write: 2**25
+#: doubles are 256 MiB, and a run holds a few arrays of that size
+MAX_TRACE_ENTRIES = 2**25
 
 
 def _is_int(v):
@@ -127,6 +131,32 @@ _CHOICES = {
 
 COMMANDS = tuple(sorted(_SCHEMAS))
 
+# (rows, columns) of the trace a validated run writes: t, m, xi, H and the
+# model state per row; gauss-connect samples unit time every dt, so its row
+# count is a float and may be inf
+_TRACE_SHAPES = {
+    "gauss-geodesic": lambda c: (c["steps"] + 1, 4 + 2 * c["n"] ** 2),
+    "gauss-connect": lambda c: (1.0 / c["dt"] + 1.0, 4 + 2 * c["n"] ** 2),
+    "pde-evolve": lambda c: (c["steps"] + 1, 4 + 2 * len(c["rho"])),
+    "fr-geodesic": lambda c: (c["num_times"], 4 + len(c["rho0"])),
+    "cone-geodesic": lambda c: (c["steps"] + 1, 6 + 2 * len(c["q"])),
+    "bb-action": lambda c: (c["steps"] + 1 if c["source"] == "small-run" else 0,
+                            4 + 2 * len(c.get("rho", ()))),
+}
+
+
+def _require_trace_size(cfg):
+    """Refuse a run whose trace would exceed MAX_TRACE_ENTRIES, before
+    anything is allocated."""
+    if cfg["command"] not in _TRACE_SHAPES:
+        return
+    rows, columns = _TRACE_SHAPES[cfg["command"]](cfg)
+    if rows * columns > MAX_TRACE_ENTRIES:
+        raise ConfigError(
+            f"the trace would hold {rows:.4g} rows x {columns} columns, more "
+            f"than {MAX_TRACE_ENTRIES} entries", command=cfg["command"],
+            limit=MAX_TRACE_ENTRIES)
+
 
 def validate_run(cfg):
     """Validate one run object and apply defaults; returns a plain dict."""
@@ -166,6 +196,7 @@ def validate_run(cfg):
             raise ConfigError(f"missing required key {key!r} for {command}")
         elif key in DEFAULTS:
             out[key] = DEFAULTS[key]
+    _require_trace_size(out)
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import BaseManifold, cone_line
+from .cone import BaseManifold, cone_line, cone_ray
 from .errors import (MassError, NonFiniteError, ShootingError, SingularSystemError,
                      SpdError, SymmetryError)
 from .trace import GeodesicTrace, _rk4
@@ -26,7 +26,8 @@ _SYM_TOL = 1e-12
 
 
 def symmetrize(M):
-    return 0.5 * (M + M.T)
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def require_symmetric(M, what="matrix", tol=_SYM_TOL):
@@ -82,6 +83,13 @@ def lyapunov_solve(V, X):
     return symmetrize(Q @ St @ Q.T)
 
 
+def _finite(value):
+    # numpy scalar squares overflow to inf instead of raising OverflowError
+    if not np.isfinite(value):
+        raise NonFiniteError("the metric value overflows", value=str(value))
+    return float(value)
+
+
 def group_metric_eval(A, m, Adot, mdot, Sigma):
     """Squared length of (Adot, mdot) at (A, m) for the mass-weighted metric.
 
@@ -97,7 +105,7 @@ def group_metric_eval(A, m, Adot, mdot, Sigma):
         raise SingularSystemError("A must be invertible")
     Sigma = require_spd(Sigma, "Sigma")
     Adot = np.asarray(Adot, dtype=float)
-    return float(m * np.trace(Sigma @ (Adot.T @ Adot)) + mdot**2 / m)
+    return _finite(m * np.trace(Sigma @ (Adot.T @ Adot)) + np.float64(mdot) ** 2 / m)
 
 
 def base_metric_eval(V, m, X, xi):
@@ -105,7 +113,7 @@ def base_metric_eval(V, m, X, xi):
     if m <= 0.0:
         raise MassError("mass must be positive", m=float(m))
     S = lyapunov_solve(V, X)
-    return float(m * (np.sum((V @ S) * S) + xi**2))
+    return _finite(m * (np.sum((V @ S) * S) + np.float64(xi) ** 2))
 
 
 def legendre_momentum(V, m, X):
@@ -210,7 +218,7 @@ def integrate_geodesic(initial, dt, steps):
 
     The trace columns are t, m, xi, H followed by the row-major entries of V
     and P.  SPD loss of V, nonpositive mass, or non-finite values abort with
-    the offending step index.
+    the offending step index.  ``geodesic_ray`` is its closed form.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -220,18 +228,70 @@ def integrate_geodesic(initial, dt, steps):
     states = np.empty((steps + 1, 2 * nn + 2))
     states[0] = _pack_state(state)
     _rk4(lambda y: _gauss_rhs(y, n), lambda y: _project(y, n), states, dt)
+    return _geodesic_trace(np.arange(steps + 1) * dt,
+                           states[:, :nn].reshape(-1, n, n), states[:, -2],
+                           states[:, nn:2 * nn].reshape(-1, n, n), states[:, -1])
+
+
+def _geodesic_trace(t, V, m, P, xi):
+    """Trace of stacked Gaussian states: columns t, m, xi, H, then the
+    row-major entries of V and P."""
+    n = V.shape[-1]
+    nn = n * n
     cols = (["t", "m", "xi", "H"]
             + [f"V_{i}_{j}" for i in range(n) for j in range(n)]
             + [f"P_{i}_{j}" for i in range(n) for j in range(n)])
-    data = np.empty((steps + 1, len(cols)))
-    data[:, 0] = np.arange(steps + 1) * dt
-    data[:, 1] = states[:, -2]
-    data[:, 2] = states[:, -1]
-    data[:, 3] = hamiltonian(GaussianCotangentState(
-        V=states[:, :nn].reshape(-1, n, n), m=states[:, -2],
-        P=states[:, nn:2 * nn].reshape(-1, n, n), xi=states[:, -1]))
-    data[:, 4:] = states[:, :2 * nn]
+    data = np.empty((t.size, len(cols)))
+    data[:, 0] = t
+    data[:, 1] = m
+    data[:, 2] = xi
+    data[:, 3] = hamiltonian(GaussianCotangentState(V=V, m=m, P=P, xi=xi))
+    data[:, 4:4 + nn] = V.reshape(-1, nn)
+    data[:, 4 + nn:] = P.reshape(-1, nn)
     return GeodesicTrace(columns=tuple(cols), data=data)
+
+
+def _ray(V0, m0, P0, xi0, t, pb0=None):
+    """The geodesic from (V0, m0, P0, xi0) at the times t >= 0, in closed form.
+
+    In the cone's flat picture it is the ray ``cone_ray(m0, xi0, omega0, t)``
+    with S0 = 2 P0 / m0 and omega0^2 = tr(V0 S0^2) / 4 (plus
+    |pb0|^2 / (4 m0^2) with a mean momentum pb0), both H0 / (2 m0) - xi0^2 / 4.
+    The covariance runs along the balanced curve by the cone angle sigma(t)
+    (Takatsu, Osaka J. Math. 2011): V = C V0 C and P = P0 C^{-1} with
+    C = I + sigma S0; the mass rate is mdot = m0 xi0 + H0 t.  Returns m, xi,
+    sigma and the stacked V, P; row t = 0 is the initial state exactly.  A
+    singular C (the covariance leaves the SPD cone) raises SpdError with the
+    index of the first such time.
+    """
+    S0 = (2.0 / m0) * P0
+    omega2 = 0.25 * np.sum((V0 @ S0) * S0)
+    if pb0 is not None:
+        omega2 = omega2 + 0.25 * (pb0 @ pb0) / m0 / m0
+    m, sigma = cone_ray(m0, xi0, np.sqrt(omega2), t)
+    xi = (m0 / m) * (xi0 + (0.5 * xi0 * xi0 + 2.0 * omega2) * t)
+    lam, Q = np.linalg.eigh(S0)
+    c = 1.0 + np.multiply.outer(sigma, lam)  # eigenvalues of C
+    lost = np.flatnonzero(np.min(c, axis=-1) <= 0.0)
+    if lost.size:
+        raise SpdError("covariance lost positive-definiteness", step=int(lost[0]))
+    C = np.eye(lam.size) + sigma[:, None, None] * S0
+    V = symmetrize(C @ V0 @ C)
+    P = symmetrize((Q * (0.5 * m0 * lam / c)[:, None, :]) @ Q.T)  # P0 C^{-1}
+    P[sigma == 0.0] = P0  # C = I
+    return m, xi, sigma, V, P
+
+
+def geodesic_ray(initial, dt, steps):
+    """The closed form of ``integrate_geodesic``: the same trace columns on
+    the same time grid, from the flat-picture ray of ``_ray`` instead of RK4
+    steps."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    state = initial.validate()
+    t = np.arange(steps + 1) * dt
+    m, xi, _, V, P = _ray(state.V, state.m, state.P, state.xi, t)
+    return _geodesic_trace(t, V, m, P, xi)
 
 
 def _mccann_map(Sigma0, Sigma1):
@@ -272,11 +332,12 @@ def _two_point(Sigma0, m0, Sigma1, m1, shift2=0.0):
 
 
 def _require_landing(miss, tol, theta):
-    """Endpoint check of the verification flow: the norm of the stacked
-    endpoint mismatches (Frobenius for matrices) must not exceed tol."""
+    """Endpoint check of the ray from the solved initial data: the norm of
+    the stacked endpoint mismatches (Frobenius for matrices) must not exceed
+    tol."""
     residual = float(np.linalg.norm(miss))
     if residual > tol:
-        raise ShootingError("the verification flow misses the endpoint",
+        raise ShootingError("the ray from the solved initial data misses the endpoint",
                             residual=residual, tol=tol, theta=theta)
 
 
@@ -287,11 +348,15 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     metric scaled by 1/4, so the geodesic is a straight line in a flat 2D
     picture with angle theta = W2(Sigma0, Sigma1) / 2 (``cone.cone_line``).
     The initial data are P0 = (T - I) / s1, with T the balanced transport
-    map, and xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0.  The recorded RK4
-    flow from (Sigma0, m0, P0, xi0) over unit time at dt verifies them: it
+    map, and xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0.  The geodesic from
+    (Sigma0, m0, P0, xi0) is then the ray ``cone.cone_ray`` of the flat
+    picture, built from those initial data alone (``geodesic_ray``), and
+    sampled over unit time every dt (round(1 / dt) steps).  Its last sample
     must land on (Sigma1, m1) within tol in the combined
-    Frobenius/absolute-mass norm, else ShootingError.  theta >= pi raises
-    ApexCrossingError.  Returns P0, xi0 and the trace of that flow.
+    Frobenius/absolute-mass norm, else ShootingError; this checks the
+    two-point formulas independently.  theta >= pi raises ApexCrossingError.
+    Returns P0, xi0 and the trace of the ray, with the columns of
+    ``integrate_geodesic``; no RK4 step runs.
     """
     Sigma0 = require_spd(Sigma0, "Sigma0")
     Sigma1 = require_spd(Sigma1, "Sigma1")
@@ -303,8 +368,8 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     D, theta, s1, xi0 = _two_point(Sigma0, m0, Sigma1, m1)
     P0 = D / s1
     steps = max(1, round(1.0 / dt))
-    trace = integrate_geodesic(GaussianCotangentState(V=Sigma0, m=m0, P=P0, xi=xi0),
-                               1.0 / steps, steps)
+    trace = geodesic_ray(GaussianCotangentState(V=Sigma0, m=m0, P=P0, xi=xi0),
+                         1.0 / steps, steps)
     end = trace.data[-1]
     _require_landing(np.append(end[4:4 + n * n] - Sigma1.ravel(), end[1] - m1), tol, theta)
     return P0, xi0, trace
@@ -324,22 +389,6 @@ class AffineGaussian:
         if self.m <= 0.0:
             raise MassError("mass must be positive", m=float(self.m))
         return AffineGaussian(Sigma=Sigma, mean=mean, m=float(self.m))
-
-
-def _affine_rhs(y, n):
-    # layout: V (n^2), P (n^2), b (n), pb (n), m, xi.  (V, P, m, xi) follow
-    # the Gaussian flow, whose dxi gains the mean term |pb|^2 / (2 m^2); the
-    # mean momentum pb is conserved.
-    nn = n * n
-    gauss = _gauss_rhs(np.concatenate([y[:2 * nn], y[-2:]]), n)
-    pb = y[2 * nn + n:2 * nn + 2 * n]
-    m = y[-2]
-    out = np.zeros_like(y)
-    out[:2 * nn] = gauss[:-2]
-    out[2 * nn:2 * nn + n] = pb / m
-    out[-2] = gauss[-2]
-    out[-1] = gauss[-1] + 0.5 * (pb @ pb) / m**2
-    return out
 
 
 @dataclass(frozen=True)
@@ -379,15 +428,17 @@ class AffineConnection:
         return ts, self._line(ts)[2]
 
 
-def connect_affine(g0, g1, tol=1e-8, dt=1e-3):
+def connect_affine(g0, g1, tol=1e-8):
     """Solve the two-point problem for Gaussians with means (zero-mean reference).
 
     The base is the product of the covariances and the means, so the cone
     angle is theta = sqrt(W2^2 + |b1 - b0|^2) / 2 and the closed form of
     ``shoot_bvp`` carries over, with the conserved mean momentum
-    pb0 = 2 (b1 - b0) / s1.  One unrecorded RK4 flow at dt verifies the
-    covariance, mean and mass endpoints within tol, else ShootingError;
-    theta >= pi raises ApexCrossingError.
+    pb0 = 2 (b1 - b0) / s1.  The ray of the flat picture from
+    (P0, xi0, pb0) alone, with the mean b(t) = b0 + sigma(t) pb0 / m0, must
+    land on the covariance, mean and mass endpoints at t = 1 within tol,
+    else ShootingError; theta >= pi raises ApexCrossingError.  No RK4 step
+    runs.
     """
     g0 = g0.validate()
     g1 = g1.validate()
@@ -398,26 +449,20 @@ def connect_affine(g0, g1, tol=1e-8, dt=1e-3):
     D, theta, s1, xi0 = _two_point(g0.Sigma, g0.m, g1.Sigma, g1.m, db @ db)
     P0 = D / s1
     pb0 = 2.0 * db / s1
-    steps = max(1, round(1.0 / dt))
-    states = np.empty((steps + 1, 2 * n * n + 2 * n + 2))
-    states[0] = np.concatenate([g0.Sigma.ravel(), P0.ravel(), g0.mean, pb0,
-                                [g0.m, xi0]])
-    y1 = _rk4(lambda y: _affine_rhs(y, n), lambda y: _project(y, n), states,
-              1.0 / steps)
-    nn = n * n
-    _require_landing(np.concatenate([y1[:nn] - g1.Sigma.ravel(),
-                                     y1[2 * nn:2 * nn + n] - g1.mean,
-                                     [y1[-2] - g1.m]]), tol, theta)
+    m, _, sigma, V, _ = _ray(g0.Sigma, g0.m, P0, xi0, np.ones(1), pb0)
+    _require_landing(np.concatenate([V[0].ravel() - g1.Sigma.ravel(),
+                                     g0.mean + sigma[0] * pb0 / g0.m - g1.mean,
+                                     m - g1.m]), tol, theta)
     return AffineConnection(g0=g0, g1=g1, P0=P0, pb0=pb0, xi0=xi0)
 
 
-def affine_geodesic(g0, g1, t, tol=1e-8, dt=1e-3):
+def affine_geodesic(g0, g1, t, tol=1e-8):
     """Interpolate Gaussians with means along the closed-form two-point path.
 
     Solves the two-point problem on each call; reuse ``connect_affine`` when
     evaluating many parameter values of the same endpoint pair.
     """
-    return connect_affine(g0, g1, tol=tol, dt=dt).at(t)
+    return connect_affine(g0, g1, tol=tol).at(t)
 
 
 def submersion_consistency(A, m, thetaS, xi, Sigma):

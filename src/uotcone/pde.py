@@ -139,9 +139,13 @@ def xi_of(state):
 def hamiltonian_small(state):
     """H = (1/2) int |grad theta|^2 rho + (1/(2m)) (int theta rho)^2."""
     m = total_mass(state.grid, state.rho)
-    pairing = _integral(state.grid.h, state.theta * state.rho)
-    return 0.5 * kinetic_energy(state.grid, state.rho, state.theta) \
+    # a numpy square overflows to inf instead of raising OverflowError
+    pairing = np.float64(_integral(state.grid.h, state.theta * state.rho))
+    H = 0.5 * kinetic_energy(state.grid, state.rho, state.theta) \
         + 0.5 * pairing**2 / m
+    if not np.all(np.isfinite(H)):
+        raise NonFiniteError("the Hamiltonian overflows")
+    return H if np.ndim(H) else float(H)
 
 
 def hamiltonian_wfr(state):

@@ -11,8 +11,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import uotcone
+from uotcone import gaussian
 from uotcone.cli import main
-from uotcone.config import _CHOICES, _SCHEMAS
+from uotcone.config import _CHOICES, _SCHEMAS, MAX_TRACE_ENTRIES, validate_run
+from uotcone.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TWO_PI = 2.0 * np.pi
 
@@ -101,18 +105,56 @@ def test_gauss_connect_apex_crossing_is_structured(tmp_path):
     assert reason["theta"] == pytest.approx(np.pi, abs=1e-12)
 
 
-def test_gauss_connect_missed_endpoint_is_structured(tmp_path, capsys):
-    # theta ~ 1.10 < pi, but the verification flow at dt = 1e-3 lands about
-    # 4e-8 off the endpoint, above the default tol = 1e-8
+def test_gauss_connect_lands_where_rk4_missed(tmp_path):
+    # theta ~ 1.10 < pi: an RK4 flow at dt = 1e-3 lands about 4e-8 off this
+    # endpoint, above the default tol = 1e-8; the closed-form ray lands
     cfg = {"command": "gauss-connect", "n": 2, "Sigma0": [1.0, 0.0, 0.0, 1.0],
            "m0": 1.0, "Sigma1": [9.0, 0.0, 0.0, 0.01], "m1": 0.01}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert load_summary(out)["endpoint_residual"] <= 1e-12
+
+
+def test_gauss_connect_missed_endpoint_is_structured(tmp_path, capsys):
+    # no landing meets tol = 1e-20: the roundoff of the ray exceeds it
+    cfg = {"command": "gauss-connect", "n": 2, "Sigma0": [1.3, 0.2, 0.2, 0.8],
+           "m0": 1.1, "Sigma1": [0.7, -0.1, -0.1, 1.6], "m1": 0.6, "tol": 1e-20}
     code, out = run_cli(tmp_path, cfg)
     assert code == 2
     reason = load_summary(out)["reason"]
     assert reason["kind"] == "shooting-no-convergence"
-    assert reason["tol"] == 1e-8
+    assert reason["tol"] == 1e-20
     assert reason["residual"] > reason["tol"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_gauss_connect_runs_no_flow(tmp_path, monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("an RK4 flow ran")
+
+    monkeypatch.setattr(gaussian, "_rk4", no_flow)
+    out = tmp_path / "out"
+    code = main(["--config", str(CONFIGS / "gauss_connect_scaling.json"),
+                 "--out", str(out)])
+    assert code == 0
+    summary = load_summary(out)
+    assert summary["xi0"] == 2.0 and summary["endpoint_residual"] <= 1e-12
+    # the pure-scaling geodesic m(t) = (1 + t)^2 on 1001 samples
+    rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == 1001
+    np.testing.assert_allclose(rows[:, 1], (1.0 + rows[:, 0]) ** 2, rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
+def test_non_finite_summary_is_a_typed_failure(tmp_path):
+    # every trace entry is finite, but the squared residuals of the mass fit
+    # (m ~ 1e177) overflow
+    code, out = run_cli(tmp_path, gauss_config(V=[2.2e177], m=2.2e177, P=[7.5],
+                                               xi=7.5, steps=20))
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == "non-finite"
+    assert reason["key"] == "mass_fit.rms_residual"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
@@ -137,9 +179,7 @@ def test_gauss_connect_missed_endpoint_is_structured(tmp_path, capsys):
       "alpha": 1.3407807929942597e154, "alpha_dot": 0.0}, "non-finite"),
     # t^2 underflows in the least-squares fit of m(t)
     (gauss_config(dt=5e-324), "singular-system"),
-    # the product of the masses underflows, or with sin(theta) does
-    ({"command": "gauss-connect", "n": 1, "Sigma0": [2.3e-248], "m0": 2.3e-248,
-      "Sigma1": [1.15e-34], "m1": 2.3e-248}, "non-finite"),
+    # the product of the masses with sin(theta) underflows
     ({"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1e-310,
       "Sigma1": [1.000000000000001], "m1": 1e-310}, "non-finite"),
     # Sigma1^(1/2) Sigma0 Sigma1^(1/2) overflows before its eigendecomposition
@@ -152,7 +192,7 @@ def test_gauss_connect_missed_endpoint_is_structured(tmp_path, capsys):
                  1.6159451695627658]}, "non-finite"),
 ], ids=["fr-mass", "pde-metric-mass", "pde-metric-h2", "pde-metric-xi2",
         "pde-evolve-xi2", "cone-rhs", "cone-mass", "gauss-fit",
-        "connect-tiny-masses", "connect-tiny-angle", "connect-eigh"])
+        "connect-tiny-angle", "connect-eigh"])
 def test_overflow_is_a_typed_failure(tmp_path, capsys, cfg, kind):
     # finite, schema-valid inputs whose intermediate values leave the range
     # of doubles
@@ -160,6 +200,22 @@ def test_overflow_is_a_typed_failure(tmp_path, capsys, cfg, kind):
     assert code == 2
     assert load_summary(out)["reason"]["kind"] == kind
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_gauss_connect_tiny_masses_solve(tmp_path):
+    # m0 m1 and m^2 underflow, but the closed form needs neither: the ray
+    # lands relative to the endpoint's own scale
+    cfg = {"command": "gauss-connect", "n": 1, "Sigma0": [2.3e-248], "m0": 2.3e-248,
+           "Sigma1": [1.15e-34], "m1": 2.3e-248}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert load_summary(out)["endpoint_residual"] <= 1e-12 * 1.15e-34
+    rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+    assert rows[-1, 4] == pytest.approx(1.15e-34, rel=1e-12)
+    assert rows[-1, 1] == pytest.approx(2.3e-248, rel=1e-12)
+    # P = P0 / C with C = 1 + sigma S0 growing to sqrt(Sigma1 / Sigma0)
+    np.testing.assert_allclose(rows[:, 5], rows[0, 5] * np.sqrt(rows[0, 4] / rows[:, 4]),
+                               rtol=1e-12)
 
 
 def bb_explicit_config(**overrides):
@@ -186,9 +242,25 @@ def bb_explicit_config(**overrides):
     bb_explicit_config(times=[0.0], rhobar=[[1.0] * 8], w=[[0.0] * 8], r=[1.0]),
     bb_explicit_config(n=16),
     bb_explicit_config(rhobar=[[1.0] * 8, [1.0] * 9]),
+    # traces beyond MAX_TRACE_ENTRIES, refused before they are allocated
+    {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
+     "Sigma1": [1.0], "m1": 4.0, "dt": 1e-300},
+    {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
+     "Sigma1": [1.0], "m1": 4.0, "dt": 5e-324},
+    gauss_config(steps=10**9),
+    {"command": "pde-evolve", "rho": [1.0] * 8, "theta": [0.0] * 8,
+     "steps": MAX_TRACE_ENTRIES},
+    {"command": "cone-geodesic", "base": "circle", "q": [0.0], "q_dot": [1.0],
+     "alpha": 1.0, "alpha_dot": 0.0, "steps": MAX_TRACE_ENTRIES},
+    {"command": "bb-action", "source": "small-run", "rho": [1.0] * 8,
+     "theta": [0.0] * 8, "steps": MAX_TRACE_ENTRIES},
+    {"command": "fr-geodesic", "rho0": [1.0] * 8, "rho1": [2.0] * 8,
+     "num_times": MAX_TRACE_ENTRIES},
 ], ids=["grid-n4", "dt-zero", "dt-negative", "steps-zero", "num-times-1",
         "nan", "inf-in-grid", "connect-max-iter", "connect-steps",
-        "bb-one-time", "bb-n-mismatch", "bb-ragged-rows"])
+        "bb-one-time", "bb-n-mismatch", "bb-ragged-rows",
+        "connect-dt-1e-300", "connect-dt-subnormal", "gauss-steps-1e9",
+        "pde-steps", "cone-steps", "bb-steps", "fr-num-times"])
 def test_config_rejected_before_any_computation(tmp_path, capsys, cfg):
     code, out = run_cli(tmp_path, cfg)
     assert code == 1
@@ -196,6 +268,15 @@ def test_config_rejected_before_any_computation(tmp_path, capsys, cfg):
     assert "Traceback" not in err
     assert json.loads(err)["kind"] == "config"
     assert not (out / "summary.json").exists()
+
+
+def test_trace_size_limit_is_inclusive():
+    # a circle cone trace has 8 columns: t, m, xi, H, q0, qdot0, alpha, alphadot
+    cfg = {"command": "cone-geodesic", "base": "circle", "q": [0.0], "q_dot": [1.0],
+           "alpha": 1.0, "alpha_dot": 0.0}
+    validate_run({**cfg, "steps": MAX_TRACE_ENTRIES // 8 - 1})
+    with pytest.raises(ConfigError):
+        validate_run({**cfg, "steps": MAX_TRACE_ENTRIES // 8})
 
 
 def test_pde_evolve_scaling_matches_radial_law(tmp_path):
@@ -361,8 +442,11 @@ def fuzz_configs(draw):
         if key in _CHOICES:
             value = st.sampled_from(_CHOICES[key])
         elif kind == "positive":
-            # gauss-connect runs round(1 / dt) verification steps
-            value = (st.floats(min_value=0.05, max_value=1e308)
+            # gauss-connect samples unit time every dt: a dt under
+            # 1 / MAX_TRACE_ENTRIES is refused, one of 1e-3 or more is cheap
+            value = (st.one_of(st.floats(min_value=0.0, max_value=1.0 / MAX_TRACE_ENTRIES,
+                                         exclude_min=True),
+                               st.floats(min_value=1e-3, max_value=1e308))
                      if command == "gauss-connect" and key == "dt" else POSITIVE)
         elif kind == "float":
             value = NUMBER
@@ -394,12 +478,21 @@ def fuzz_configs(draw):
 @example(cfg={"command": "fr-geodesic", "rho0": [1e308] * 8, "rho1": [1.0] * 8})
 @example(cfg={"command": "pde-metric", "length": 1e308, "rho": [1e10] * 8,
               "rhodot": [1.0] * 8})
+@example(cfg=gauss_config(V=[2.2e177], m=2.2e177, P=[7.5], xi=7.5, steps=20))
+@example(cfg={"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
+              "Sigma1": [1.0], "m1": 4.0, "dt": 1e-300})
 def test_fuzzed_configs_exit_typed(cfg):
-    # no exception may escape main; exit 2 always comes with a reason
+    # no exception may escape main; exit 2 always comes with a reason, and
+    # exit 0 with finite numbers only
     with tempfile.TemporaryDirectory() as tmp:
         code, out = run_cli(Path(tmp), cfg)
         assert code in (0, 1, 2)
+        if cfg["command"] == "gauss-connect" and cfg.get("dt", 1.0) < 1e-3:
+            assert code == 1
         if code == 2:
             assert load_summary(out)["reason"]["kind"]
         elif code == 0:
-            assert load_summary(out)["status"] == "ok"
+            text = (out / "summary.json").read_text(encoding="utf-8")
+            summary = json.loads(text, parse_constant=lambda name: pytest.fail(
+                f"exit 0 with {name} in summary.json"))
+            assert summary["status"] == "ok"

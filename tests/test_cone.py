@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from uotcone.cone import (ConeProblem, ConeState, circle_base, cone_energy,
-                          cone_line, cone_rhs, flat_base, integrate_cone,
-                          radial_mass_geodesic)
+                          cone_line, cone_ray, cone_rhs, flat_base,
+                          integrate_cone, radial_mass_geodesic)
 from uotcone.errors import ApexCrossingError, MassError, NonFiniteError
 from uotcone.trace import relative_energy_drift
 
@@ -210,6 +210,51 @@ def test_cone_line_through_the_apex_is_typed(theta):
     with pytest.raises(ApexCrossingError) as exc:
         cone_line(1.0, 1.0, theta, 0.5)
     assert exc.value.details["theta"] == theta
+
+
+# -- cone_ray -----------------------------------------------------------------
+
+def test_cone_ray_unit_square_side():
+    # from (1, 0) with velocity (0, 1): m = 1 + t^2, swept angle arctan t
+    t = np.linspace(0.0, 3.0, 61)
+    m, sigma = cone_ray(1.0, 0.0, 1.0, t)
+    npt.assert_allclose(m, 1.0 + t**2, rtol=1e-15)
+    npt.assert_allclose(sigma, np.arctan(t), rtol=1e-15, atol=0.0)
+
+
+def test_cone_ray_has_constant_acceleration():
+    # m'' = 2 m0 (xi0^2 / 4 + omega0^2) and sigma' = m0 / m, by differences
+    m0, xi0, omega0 = 1.7, -0.6, 0.8
+    t = np.linspace(0.0, 4.0, 4001)
+    m, sigma = cone_ray(m0, xi0, omega0, t)
+    dt = t[1] - t[0]
+    acc = (m[2:] - 2.0 * m[1:-1] + m[:-2]) / dt**2
+    npt.assert_allclose(acc, 2.0 * m0 * (0.25 * xi0**2 + omega0**2), rtol=1e-6)
+    npt.assert_allclose(np.gradient(sigma, dt)[1:-1], (m0 / m)[1:-1], rtol=1e-5)
+
+
+def test_cone_ray_angle_is_continuous_at_omega_zero():
+    t = np.linspace(0.0, 2.0, 41)
+    for xi0 in (-0.9, 0.0, 1.5):
+        m0, s0 = cone_ray(0.4, xi0, 0.0, t)
+        m, s = cone_ray(0.4, xi0, 1e-9, t)
+        npt.assert_allclose(s, s0, rtol=1e-15, atol=0.0)
+        npt.assert_allclose(m, m0, rtol=1e-15)
+
+
+def test_radial_ray_reaches_the_apex_at_minus_two_over_xi0():
+    # omega0 = 0, xi0 = -0.8: 1 + xi0 t / 2 vanishes at t = 2.5
+    t = np.linspace(0.0, 2.4, 25)
+    m, s = cone_ray(1.3, -0.8, 0.0, t)
+    npt.assert_allclose(m, 1.3 * (1.0 - 0.4 * t) ** 2, rtol=1e-15)
+    npt.assert_allclose(s, t / (1.0 - 0.4 * t), rtol=1e-15)
+    for end in (2.5, 3.0):
+        with pytest.raises(ApexCrossingError) as exc:
+            cone_ray(1.3, -0.8, 0.0, np.linspace(0.0, end, 11))
+        assert exc.value.details["theta"] == np.pi
+        assert exc.value.details["xi0"] == -0.8
+    # an angular speed keeps the ray off the apex
+    assert np.min(cone_ray(1.3, -0.8, 1e-3, np.linspace(0.0, 3.0, 31))[0]) > 0.0
 
 
 def test_trace_invariants_enforced():

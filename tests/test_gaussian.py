@@ -3,16 +3,16 @@ import numpy.testing as npt
 import pytest
 
 from uotcone import gaussian
-from uotcone.cone import (ConeProblem, ConeState, cone_line, integrate_cone,
-                          scaled_base)
-from uotcone.errors import (ApexCrossingError, MassError, SingularSystemError,
-                            SpdError, SymmetryError)
+from uotcone.cone import (ConeProblem, ConeState, cone_line, cone_ray,
+                          integrate_cone, scaled_base)
+from uotcone.errors import (ApexCrossingError, MassError, NonFiniteError,
+                            SingularSystemError, SpdError, SymmetryError)
 from uotcone.gaussian import (AffineGaussian, GaussianCotangentState,
-                              base_metric_eval, connect_affine, geodesic_rhs,
-                              group_metric_eval, hamiltonian, integrate_geodesic,
-                              legendre_momentum, lyapunov_solve, mccann_geodesic,
-                              shoot_bvp, spd_base, submersion_consistency,
-                              symmetrize)
+                              base_metric_eval, connect_affine, geodesic_ray,
+                              geodesic_rhs, group_metric_eval, hamiltonian,
+                              integrate_geodesic, legendre_momentum,
+                              lyapunov_solve, mccann_geodesic, shoot_bvp,
+                              spd_base, submersion_consistency, symmetrize)
 from uotcone.trace import _rk4, mass_acceleration, mass_quadratic_fit, \
     relative_energy_drift
 
@@ -106,6 +106,15 @@ def test_group_metric_scalar_examples():
     one = np.array([[1.0]])
     assert group_metric_eval(one, 1.0, np.array([[2.0]]), 0.0, one) == pytest.approx(4.0)
     assert group_metric_eval(one, 4.0, np.array([[0.0]]), 2.0, one) == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
+def test_metric_overflow_is_non_finite():
+    # the squares of xi and of mdot leave the range of doubles
+    with pytest.raises(NonFiniteError):
+        base_metric_eval(np.eye(2), 1.0, np.zeros((2, 2)), 1e200)
+    with pytest.raises(NonFiniteError):
+        group_metric_eval(np.eye(2), 1.0, np.zeros((2, 2)), 1e200, np.eye(2))
 
 
 def test_group_metric_rejects_singular_A():
@@ -349,7 +358,7 @@ def test_shoot_pure_scaling_case():
 
 def test_shoot_scalar_closed_form_oracle():
     # equal masses, covariance 1 -> 4: the (sqrt(V), m) pair moves on a flat
-    # plane; compare the verification flow (dt = 1e-3) against the exact chord
+    # plane; compare the solver's trace (dt = 1e-3) against the exact chord
     one = np.array([[1.0]])
     four = np.array([[4.0]])
     _, _, trace = shoot_bvp(one, 1.0, four, 1.0, tol=1e-10)
@@ -394,8 +403,8 @@ def test_shoot_random_n2_endpoints():
 
 
 def test_shoot_trace_rows_lie_on_the_cone_line():
-    # every row of the verification flow is the closed-form path: mass m(t)
-    # and covariance on the balanced curve at the base-arc fraction s(t)
+    # every row of the solver's trace is the two-point path: mass m(t) and
+    # covariance on the balanced curve at the base-arc fraction s(t)
     rng = np.random.default_rng(21)
     S0 = random_spd(rng, 2)
     S1 = random_spd(rng, 2)
@@ -405,6 +414,60 @@ def test_shoot_trace_rows_lie_on_the_cone_line():
     V = np.array([mccann_geodesic(S1, S0, sk).ravel() for sk in s])
     npt.assert_allclose(trace.block("V_"), V, rtol=0.0, atol=1e-10)
     npt.assert_allclose(trace.column("m"), m, rtol=0.0, atol=1e-10)
+
+
+def test_geodesic_ray_matches_the_rk4_flow():
+    # the closed form against the canonical flow, every column of every row;
+    # the initial row is the initial state itself
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 3, 4):
+        state = GaussianCotangentState(V=random_spd(rng, n), m=rng.uniform(0.5, 2.0),
+                                       P=random_sym(rng, n, scale=0.2),
+                                       xi=rng.uniform(-0.8, 0.8))
+        ray = geodesic_ray(state, dt=1e-3, steps=1000)
+        flow = integrate_geodesic(state, dt=1e-3, steps=1000)
+        assert ray.columns == flow.columns
+        npt.assert_array_equal(ray.data[0], flow.data[0])
+        npt.assert_allclose(ray.data, flow.data, rtol=1e-10, atol=1e-10)
+
+
+def test_geodesic_ray_spd_loss_reports_the_first_time():
+    # S0 = -2: C = 1 - 2 sigma vanishes at sigma = atan(t) = 1/2
+    with pytest.raises(SpdError) as exc:
+        geodesic_ray(scalar_state(P=-1.0, xi=0.0), dt=1e-2, steps=100)
+    assert exc.value.details["step"] == int(np.ceil(np.tan(0.5) / 1e-2))
+
+
+def test_ray_of_the_two_point_data_is_the_cone_line():
+    # the ray from (P0, xi0) alone runs along the line of the two-point
+    # solve: the same mass, and sigma(t) / sigma(1) is the base-arc fraction
+    rng = np.random.default_rng(25)
+    t = np.linspace(0.0, 1.0, 101)
+    for n in (1, 2, 3):
+        S0, S1 = random_spd(rng, n), random_spd(rng, n)
+        m0, m1 = rng.uniform(0.5, 2.0, size=2)
+        D, theta, s1, xi0 = gaussian._two_point(S0, m0, S1, m1)
+        S = 2.0 * D / (s1 * m0)
+        m_ray, sigma = cone_ray(m0, xi0, 0.5 * np.sqrt(np.sum((S0 @ S) * S)), t)
+        m_line, s = cone_line(m0, m1, theta, t)
+        npt.assert_allclose(m_ray, m_line, rtol=1e-13, atol=0.0)
+        npt.assert_allclose(sigma / sigma[-1], s, rtol=0.0, atol=1e-13)
+        assert sigma[-1] == pytest.approx(0.5 * m0 * s1, rel=1e-13)
+
+
+def test_affine_mean_is_the_ray_mean():
+    # with means the ray's angular speed includes |pb0|^2 / (4 m0^2), and
+    # the mean b0 + sigma(t) pb0 / m0 is the mean of the closed-form path
+    g0, g1 = roadmap_pair()
+    conn = connect_affine(g0, g1)
+    S = 2.0 * conn.P0 / g0.m
+    omega0 = 0.5 * np.sqrt(np.sum((g0.Sigma @ S) * S) + conn.pb0 @ conn.pb0 / g0.m**2)
+    ts = np.linspace(0.0, 1.0, 11)
+    m, sigma = cone_ray(g0.m, conn.xi0, omega0, ts)
+    for t, mk, sk in zip(ts, m, sigma):
+        out = conn.at(t)
+        npt.assert_allclose(out.mean, g0.mean + sk * conn.pb0 / g0.m, rtol=0.0, atol=1e-13)
+        assert out.m == pytest.approx(mk, rel=1e-13)
 
 
 def test_shoot_equal_mass_dip():
@@ -475,7 +538,7 @@ def test_gaussian_flow_matches_cone_over_spd_base():
 
 def test_affine_equal_endpoints_constant():
     g = AffineGaussian(Sigma=np.eye(2), mean=np.zeros(2), m=1.0)
-    conn = connect_affine(g, g, tol=1e-8, dt=1e-2)
+    conn = connect_affine(g, g, tol=1e-8)
     for t in (0.0, 0.4, 1.0):
         out = conn.at(t)
         npt.assert_allclose(out.Sigma, np.eye(2), atol=1e-8)
@@ -491,7 +554,7 @@ def test_affine_mean_shift_mass_dip():
     # fraction s(t)
     g0 = AffineGaussian(Sigma=np.eye(2), mean=np.zeros(2), m=1.0)
     g1 = AffineGaussian(Sigma=np.eye(2), mean=np.array([1.0, 0.0]), m=1.0)
-    conn = connect_affine(g0, g1, tol=1e-10, dt=1e-3)
+    conn = connect_affine(g0, g1, tol=1e-10)
     ts = np.linspace(0.0, 1.0, 11)
     m_exact = polar_mass_curve(1.0, 1.0, 1.0, ts)
     _, s = cone_line(1.0, 1.0, 0.5, ts)
@@ -505,12 +568,29 @@ def test_affine_mean_shift_mass_dip():
 def test_affine_mean_midpoint():
     g0 = AffineGaussian(Sigma=np.eye(2), mean=np.array([0.2, -0.4]), m=1.0)
     g1 = AffineGaussian(Sigma=2.0 * np.eye(2), mean=np.array([1.0, 0.6]), m=2.0)
-    conn = connect_affine(g0, g1, tol=1e-8, dt=2e-3)
+    conn = connect_affine(g0, g1, tol=1e-8)
     mid = conn.at(0.5)
     shift = g1.mean - g0.mean
     theta = 0.5 * np.sqrt(bures_sq(g0.Sigma, g1.Sigma) + shift @ shift)
     _, s = cone_line(1.0, 2.0, theta, 0.5)
     npt.assert_allclose(mid.mean, g0.mean + s * shift, atol=1e-12)
+
+
+def affine_rhs(y, n):
+    """The canonical flow of the affine model, the definition the closed form
+    is tested against.  Layout: V (n^2), P (n^2), b (n), pb (n), m, xi.
+    (V, P, m, xi) follow the Gaussian flow, whose dxi gains the mean term
+    |pb|^2 / (2 m^2); the mean momentum pb is conserved."""
+    nn = n * n
+    gauss = gaussian._gauss_rhs(np.concatenate([y[:2 * nn], y[-2:]]), n)
+    pb = y[2 * nn + n:2 * nn + 2 * n]
+    m = y[-2]
+    out = np.zeros_like(y)
+    out[:2 * nn] = gauss[:-2]
+    out[2 * nn:2 * nn + n] = pb / m
+    out[-2] = gauss[-2]
+    out[-1] = gauss[-1] + 0.5 * (pb @ pb) / m**2
+    return out
 
 
 def roadmap_pair():
@@ -535,7 +615,7 @@ def test_affine_at_matches_the_recorded_flow():
         states = np.empty((1001, 2 * nn + 2 * n + 2))
         states[0] = np.concatenate([g0.Sigma.ravel(), conn.P0.ravel(), g0.mean,
                                     conn.pb0, [g0.m, conn.xi0]])
-        _rk4(lambda y: gaussian._affine_rhs(y, n),
+        _rk4(lambda y: affine_rhs(y, n),
              lambda y: gaussian._project(y, n), states, 1e-3)
         for k in range(0, 1001, 50):
             out = conn.at(k / 1000)
@@ -615,8 +695,8 @@ def test_affine_geodesic_wrapper_matches_connection():
     from uotcone.gaussian import affine_geodesic
     g0 = AffineGaussian(Sigma=np.eye(2), mean=np.zeros(2), m=1.0)
     g1 = AffineGaussian(Sigma=np.eye(2), mean=np.array([0.5, 0.0]), m=1.0)
-    conn = connect_affine(g0, g1, tol=1e-8, dt=2e-3)
-    direct = affine_geodesic(g0, g1, 0.5, tol=1e-8, dt=2e-3)
+    conn = connect_affine(g0, g1, tol=1e-8)
+    direct = affine_geodesic(g0, g1, 0.5, tol=1e-8)
     expected = conn.at(0.5)
     npt.assert_allclose(direct.Sigma, expected.Sigma, atol=1e-10)
     npt.assert_allclose(direct.mean, expected.mean, atol=1e-14)

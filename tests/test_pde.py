@@ -58,6 +58,14 @@ def test_total_mass_overflow_is_non_finite():
         total_mass(Grid1D(n=8), np.full(8, 1e308))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
+def test_hamiltonian_small_overflow_is_non_finite():
+    # a single state: the square of the pairing int theta rho overflows
+    grid = Grid1D(n=8)
+    with pytest.raises(NonFiniteError):
+        hamiltonian_small(PdeState(grid, np.ones(8), np.full(8, 1e200)))
+
+
 def test_xi_constant_theta():
     state = uniform_state(theta_value=1.7)
     assert xi_of(state) == pytest.approx(1.7, abs=1e-14)
