@@ -17,11 +17,11 @@ import numpy as np
 from .bb import antiderivative_half, bb_action, from_small_trace, BBPath
 from .cone import ConeProblem, ConeState, circle_base, cone_line, integrate_cone
 from .gaussian import (GaussianCotangentState, geodesic_ray, hamiltonian,
-                       integrate_geodesic, lyapunov_solve, mccann_geodesic,
+                       integrate_geodesics, lyapunov_solve, mccann_geodesic,
                        shoot_bvp, submersion_consistency, symmetrize)
 from .pde import (Grid1D, PdeState, gdiv_metric_eval, hamiltonian_small,
-                  integrate_pde, small_metric_eval, small_rhs, total_mass,
-                  xi_of)
+                  integrate_pde, integrate_pdes, small_metric_eval, small_rhs,
+                  total_mass, xi_of)
 from .trace import mass_quadratic_fit, relative_energy_drift
 
 TWO_PI = 2.0 * np.pi
@@ -81,12 +81,35 @@ def random_pde_state(rng, n=256):
 ORDER_BAND = (3.5, 4.5)
 
 
-def _ray_deviation(state, dt, steps):
-    """RK4 trace of the Gaussian flow and its largest deviation from the
-    closed-form ray, over every row and column, relative to max(1, |value|)."""
-    trace = integrate_geodesic(state, dt=dt, steps=steps)
-    ray = geodesic_ray(state, dt=dt, steps=steps).data
-    return trace, float(np.max(np.abs(trace.data - ray) / np.maximum(1.0, np.abs(ray))))
+def _flows_by_n(states, dt, steps):
+    """RK4 traces of the Gaussian flows, in the order of the states, from one
+    ``integrate_geodesics`` stack per matrix size n."""
+    traces = [None] * len(states)
+    for n in sorted({s.n for s in states}):
+        index = [i for i, s in enumerate(states) if s.n == n]
+        for i, trace in zip(index, integrate_geodesics([states[i] for i in index],
+                                                       dt, steps)):
+            traces[i] = trace
+    return traces
+
+
+def _ray_deviations(states, dt, steps):
+    """RK4 traces of the Gaussian flows and the largest deviation of each
+    from its closed-form ray, over every row and column, relative to
+    max(1, |value|)."""
+    traces = _flows_by_n(states, dt, steps)
+    devs = []
+    for state, trace in zip(states, traces):
+        ray = geodesic_ray(state, dt=dt, steps=steps).data
+        devs.append(float(np.max(np.abs(trace.data - ray)
+                                 / np.maximum(1.0, np.abs(ray)))))
+    return traces, devs
+
+
+def _mass_law_deviation(trace):
+    """How far m(t) is from a parabola with leading coefficient H(0)/2."""
+    fit = mass_quadratic_fit(trace)
+    return max(abs(fit["leading"] - 0.5 * trace.column("H")[0]), fit["rms_residual"])
 
 
 def check_constant_acceleration(rng, quick=False):
@@ -94,28 +117,16 @@ def check_constant_acceleration(rng, quick=False):
     the Gaussian RK4 flows follow the closed-form ray (``cone.cone_ray``)
     pointwise, with fourth-order errors under dt halving."""
     start = time.perf_counter()
-    worst_ode = 0.0
-    worst_ray = 0.0
-    coarse = fine = 0.0  # the largest deviations at dt = 0.1 and 0.05
-    for _ in range(4 if quick else 20):
-        state = random_gaussian_state(rng)
-        trace, dev = _ray_deviation(state, 1e-3, 250 if quick else 1000)
-        fit = mass_quadratic_fit(trace)
-        h0 = trace.column("H")[0]
-        worst_ode = max(worst_ode, abs(fit["leading"] - 0.5 * h0),
-                        fit["rms_residual"])
-        worst_ray = max(worst_ray, dev)
-        coarse = max(coarse, _ray_deviation(state, 0.1, 10)[1])
-        fine = max(fine, _ray_deviation(state, 0.05, 20)[1])
-    order = math.log2(coarse / fine)
-    worst_pde = 0.0
-    for _ in range(2 if quick else 5):
-        state = random_pde_state(rng)
-        trace = integrate_pde(state, "small", dt=1e-3, steps=200 if quick else 500)
-        fit = mass_quadratic_fit(trace)
-        h0 = trace.column("H")[0]
-        worst_pde = max(worst_pde, abs(fit["leading"] - 0.5 * h0),
-                        fit["rms_residual"])
+    states = [random_gaussian_state(rng) for _ in range(4 if quick else 20)]
+    pde_states = [random_pde_state(rng) for _ in range(2 if quick else 5)]
+    traces, devs = _ray_deviations(states, 1e-3, 250 if quick else 1000)
+    worst_ode = max(map(_mass_law_deviation, traces))
+    worst_ray = max(devs)
+    # the largest deviations at dt = 0.1 and 0.05
+    order = math.log2(max(_ray_deviations(states, 0.1, 10)[1])
+                      / max(_ray_deviations(states, 0.05, 20)[1]))
+    worst_pde = max(map(_mass_law_deviation, integrate_pdes(
+        pde_states, "small", dt=1e-3, steps=200 if quick else 500)))
     elapsed = time.perf_counter() - start
     in_budget = elapsed < 10.0
     lo, hi = ORDER_BAND
@@ -133,11 +144,9 @@ def check_constant_acceleration(rng, quick=False):
 
 def check_energy_conservation(rng, quick=False):
     """Relative Hamiltonian drift along integrated geodesics."""
-    worst_ode = 0.0
-    for _ in range(2 if quick else 5):
-        trace = integrate_geodesic(random_gaussian_state(rng),
-                                   dt=1e-3, steps=250 if quick else 1000)
-        worst_ode = max(worst_ode, relative_energy_drift(trace))
+    states = [random_gaussian_state(rng) for _ in range(2 if quick else 5)]
+    worst_ode = max(map(relative_energy_drift,
+                        _flows_by_n(states, 1e-3, 250 if quick else 1000)))
     worst_pde = 0.0
     for model in ("small", "wfr"):
         trace = integrate_pde(random_pde_state(rng), model,
@@ -198,12 +207,12 @@ def check_flat_cone_oracle(rng, quick=False):
                        f"max deviation from the straight line {dev:.2e} (tol 1e-06)")
 
 
-def _solved_flow(S0, m0, S1, m1):
-    """The unit-time RK4 flow at dt = 1e-3 from the solved initial data: an
-    oracle independent of the closed form the solver samples."""
+def _solved_start(S0, m0, S1, m1):
+    """The solved initial data of the two-point problem, as a state whose
+    unit-time RK4 flow at dt = 1e-3 is an oracle independent of the closed
+    form the solver samples."""
     P0, xi0, _ = shoot_bvp(S0, m0, S1, m1, tol=1e-8)
-    return integrate_geodesic(GaussianCotangentState(V=S0, m=m0, P=P0, xi=xi0),
-                              dt=1e-3, steps=1000)
+    return GaussianCotangentState(V=S0, m=m0, P=P0, xi=xi0)
 
 
 def check_shooting(rng, quick=False):
@@ -211,21 +220,16 @@ def check_shooting(rng, quick=False):
     P0, xi0, _ = shoot_bvp(one, 1.0, one, 4.0, tol=1e-10)
     scaling_err = max(abs(xi0 - 2.0), abs(P0[0, 0]))
 
-    worst_endpoint = 0.0
-    for _ in range(2 if quick else 10):
-        S0 = random_spd(rng, 2)
-        S1 = random_spd(rng, 2)
-        m0 = float(rng.uniform(0.5, 2.0))
-        m1 = float(rng.uniform(0.5, 2.0))
-        trace = _solved_flow(S0, m0, S1, m1)
-        V1 = trace.data[-1, 4:8].reshape(2, 2)
-        worst_endpoint = max(worst_endpoint,
-                             float(np.linalg.norm(V1 - S1))
-                             + abs(trace.column("m")[-1] - m1))
-
-    S0 = random_spd(rng, 2)
-    S1 = random_spd(rng, 2)
-    dip = float(np.min(_solved_flow(S0, 1.0, S1, 1.0).column("m")))
+    # (S0, S1, m0, m1) in the draw order; the last pair is the equal-mass dip
+    pairs = [(random_spd(rng, 2), random_spd(rng, 2), float(rng.uniform(0.5, 2.0)),
+              float(rng.uniform(0.5, 2.0))) for _ in range(2 if quick else 10)]
+    pairs.append((random_spd(rng, 2), random_spd(rng, 2), 1.0, 1.0))
+    traces = integrate_geodesics([_solved_start(S0, m0, S1, m1)
+                                  for S0, S1, m0, m1 in pairs], dt=1e-3, steps=1000)
+    worst_endpoint = max(float(np.linalg.norm(trace.data[-1, 4:8].reshape(2, 2) - S1))
+                         + abs(trace.column("m")[-1] - m1)
+                         for (_, S1, _, m1), trace in zip(pairs[:-1], traces))
+    dip = float(np.min(traces[-1].column("m")))
     passed = scaling_err <= 1e-8 and worst_endpoint <= 1e-6 and dip < 1.0
     return CheckResult(
         "shooting-bvp", passed,
@@ -375,8 +379,10 @@ ALL_CHECKS = (
 
 
 def run_all(seed=0, quick=False):
-    results = []
+    """Run every check on its own generator of the seed, yielding each
+    CheckResult with the wall-clock seconds its check took."""
     for check in ALL_CHECKS:
         rng = np.random.default_rng(seed)
-        results.append(check(rng, quick=quick))
-    return results
+        start = time.perf_counter()
+        result = check(rng, quick=quick)
+        yield result, time.perf_counter() - start

@@ -6,7 +6,8 @@ itself lives inside the config (``"command": "pde-evolve"`` etc.); without
 deterministic: identical configs and seeds give byte-identical files.
 
 Exit codes: 0 success, 1 configuration/schema error, 2 numerical failure
-(the JSON summary then carries a machine-readable reason).
+(the JSON summary then carries a machine-readable reason; any other
+exception is reported there as kind ``internal``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -261,9 +263,12 @@ def _handle_bb_action(cfg, outdir, seed):
 
 
 def _handle_check(cfg, outdir, seed):
-    results = checks.run_all(seed=seed, quick=cfg["quick"])
-    for r in results:
+    results = []
+    for r, seconds in checks.run_all(seed=seed, quick=cfg["quick"]):
         print(("PASS" if r.passed else "FAIL") + f" {r.name} - {r.detail}")
+        # wall-clock numbers go to stderr only, so the outputs stay reproducible
+        print(f"{r.name} {seconds:.3f}", file=sys.stderr)
+        results.append(r)
     all_passed = all(r.passed for r in results)
     summary = {"command": "check", "seed": seed, "quick": cfg["quick"],
                "all_passed": all_passed,
@@ -285,7 +290,10 @@ _HANDLERS = {
 
 
 def _run_one(cfg, outdir, seed):
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory: {exc}") from None
     try:
         summary, code = _HANDLERS[cfg["command"]](cfg, outdir, seed)
         summary.setdefault("status", "ok" if code == 0 else "failed")
@@ -296,13 +304,26 @@ def _run_one(cfg, outdir, seed):
             raise NonFiniteError(f"summary value {found[0]!r} is not finite",
                                  key=found[0], value=str(found[1]))
     except NumericsError as exc:
-        summary = _jsonable({"command": cfg["command"], "status": "error",
-                             "reason": exc.to_json()})
-        _write_summary(outdir, summary)
-        print(f"numerical failure in {cfg['command']}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(cfg, outdir, exc.to_json(), f"numerical failure in {cfg['command']}")
+    except ConfigError:
+        raise
+    except Exception as exc:
+        # the last resort: a bug, reported as a reason with the innermost
+        # frame that raised it instead of a traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        reason = {"kind": "internal", "message": f"{type(exc).__name__}: {exc}",
+                  "where": f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"}
+        return _fail(cfg, outdir, reason, f"internal error in {cfg['command']}")
     _write_summary(outdir, summary)
     return code
+
+
+def _fail(cfg, outdir, reason, what):
+    """Write the summary of a failed run and return exit code 2."""
+    _write_summary(outdir, _jsonable({"command": cfg["command"], "status": "error",
+                                      "reason": reason}))
+    print(f"{what}: {reason['message']}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None):

@@ -20,7 +20,7 @@ import numpy as np
 from .cone import BaseManifold, cone_line, cone_ray
 from .errors import (MassError, NonFiniteError, ShootingError, SingularSystemError,
                      SpdError, SymmetryError)
-from .trace import GeodesicTrace, _rk4
+from .trace import GeodesicTrace, _first_member, _rk4
 
 _SYM_TOL = 1e-12
 
@@ -150,8 +150,14 @@ def hamiltonian(state):
     and arrays m, xi gives an array."""
     if np.any(state.m <= 0.0):
         raise MassError("mass must be positive", m=float(np.min(state.m)))
-    kinetic = np.sum((state.V @ state.P) * state.P, axis=(-2, -1))
-    H = 2.0 * kinetic / state.m + 0.5 * state.m * state.xi**2
+    # 2 tr(V P^2) / m with P scaled by a power of two near 1 / m: tr(V P^2)
+    # underflows for tiny masses, whose momenta are tiny too, and the exact
+    # scaling gives the bits of the direct formula wherever that formula
+    # stays clear of the subnormal range
+    frac, e = np.frexp(state.m)
+    Ps = np.ldexp(state.P, -np.expand_dims(e, (-2, -1)))
+    kinetic = np.sum((state.V @ Ps) * Ps, axis=(-2, -1))
+    H = np.ldexp(2.0 * kinetic / frac, e) + 0.5 * state.m * state.xi**2
     return H if np.ndim(H) else float(H)
 
 
@@ -166,18 +172,25 @@ def _pack_state(state):
 
 
 def _gauss_rhs(y, n):
+    """The canonical equations on packed states: one state (2n^2 + 2 entries)
+    or a stack of them along a leading member axis, with the matrix products
+    broadcast over the stack."""
     nn = n * n
-    V = y[:nn].reshape(n, n)
-    P = y[nn:2 * nn].reshape(n, n)
-    m = y[-2]
-    xi = y[-1]
+    lead = y.shape[:-1]
+    mat = (*lead, n, n)
+    flat = (*lead, nn)
+    V = y[..., :nn].reshape(mat)
+    P = y[..., nn:2 * nn].reshape(mat)
+    m = y[..., -2][()]  # numpy scalars for one state, whose arithmetic is fast
+    xi = y[..., -1][()]
+    mm = m[..., None, None] if lead else m
     PV = P @ V
     P2 = P @ P
     out = np.empty_like(y)
-    out[:nn] = ((2.0 / m) * (PV + PV.T)).ravel()
-    out[nn:2 * nn] = ((-2.0 / m) * P2).ravel()
-    out[-2] = xi * m
-    out[-1] = (2.0 / m**2) * np.sum(V * P2) - 0.5 * xi * xi
+    out[..., :nn] = ((2.0 / mm) * (PV + PV.swapaxes(-1, -2))).reshape(flat)
+    out[..., nn:2 * nn] = ((-2.0 / mm) * P2).reshape(flat)
+    out[..., -2] = xi * m
+    out[..., -1] = (2.0 / m**2) * (V * P2).reshape(flat).sum(-1) - 0.5 * xi * xi
     return out
 
 
@@ -196,21 +209,39 @@ def geodesic_rhs(state):
 
 
 def _project(y, n):
-    """Post-step hook of the Gaussian flows: re-symmetrize V and P in place,
-    then require finite entries, positive mass and an SPD covariance."""
+    """Post-step hook of the Gaussian flows, on one packed state or a stack
+    of them: re-symmetrize V and P in place, then require finite entries,
+    positive mass and an SPD covariance.  A failing stack names its first
+    failing member."""
     nn = n * n
-    V = y[:nn].reshape(n, n)
-    P = y[nn:2 * nn].reshape(n, n)
-    y[:nn] = (0.5 * (V + V.T)).ravel()
-    y[nn:2 * nn] = (0.5 * (P + P.T)).ravel()
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteError("non-finite state during integration")
-    if y[-2] <= 0.0:
-        raise MassError("mass became nonpositive during integration", m=float(y[-2]))
+    lead = y.shape[:-1]
+    VP = y[..., :2 * nn].reshape(*lead, 2, n, n)
+    y[..., :2 * nn] = (0.5 * (VP + VP.swapaxes(-1, -2))).reshape(*lead, 2 * nn)
+    if not np.isfinite(y).all():
+        raise NonFiniteError("non-finite state during integration",
+                             **_first_member(~np.isfinite(y).all(-1)))
+    m = y[..., -2]
+    if m.min() <= 0.0:
+        where = _first_member(m <= 0.0)
+        raise MassError("mass became nonpositive during integration",
+                        m=float(m[where.get("member", ())]), **where)
+    V = y[..., :nn].reshape(*lead, n, n)
     try:
-        np.linalg.cholesky(y[:nn].reshape(n, n))
+        np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
-        raise SpdError("covariance lost positive-definiteness") from None
+        where = _first_member(_cholesky_fails(V)) if lead else {}
+        raise SpdError("covariance lost positive-definiteness", **where) from None
+
+
+def _cholesky_fails(V):
+    """One flag per matrix of a stack: its Cholesky factorization fails."""
+    flags = np.zeros(len(V), dtype=bool)
+    for i, Vi in enumerate(V):
+        try:
+            np.linalg.cholesky(Vi)
+        except np.linalg.LinAlgError:
+            flags[i] = True
+    return flags
 
 
 def integrate_geodesic(initial, dt, steps):
@@ -220,17 +251,37 @@ def integrate_geodesic(initial, dt, steps):
     and P.  SPD loss of V, nonpositive mass, or non-finite values abort with
     the offending step index.  ``geodesic_ray`` is its closed form.
     """
+    return _flows([initial], dt, steps, stacked=False)[0]
+
+
+def integrate_geodesics(states, dt, steps):
+    """``integrate_geodesic`` for states of equal n, stepped as one stack.
+
+    Returns one trace per state, equal entry for entry to its own
+    ``integrate_geodesic`` trace.  A failure aborts the whole stack and
+    carries, next to the step index, the index ``member`` of the first
+    failing state.
+    """
+    return _flows(states, dt, steps, stacked=True)
+
+
+def _flows(initials, dt, steps, stacked):
+    # a single state runs on the 1-D layout, where numpy scalar arithmetic
+    # keeps the per-step cost of one small state down
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    state = initial.validate()
-    n = state.n
+    states = [s.validate() for s in initials]
+    n = states[0].n
+    if any(s.n != n for s in states):
+        raise ValueError("stacked states must have equal n")
     nn = n * n
-    states = np.empty((steps + 1, 2 * nn + 2))
-    states[0] = _pack_state(state)
-    _rk4(lambda y: _gauss_rhs(y, n), lambda y: _project(y, n), states, dt)
-    return _geodesic_trace(np.arange(steps + 1) * dt,
-                           states[:, :nn].reshape(-1, n, n), states[:, -2],
-                           states[:, nn:2 * nn].reshape(-1, n, n), states[:, -1])
+    ys = np.empty((len(states), steps + 1, 2 * nn + 2))
+    ys[:, 0] = [_pack_state(s) for s in states]
+    _rk4(lambda y: _gauss_rhs(y, n), lambda y: _project(y, n),
+         ys.swapaxes(0, 1) if stacked else ys[0], dt)
+    t = np.arange(steps + 1) * dt
+    return [_geodesic_trace(t, y[:, :nn].reshape(-1, n, n), y[:, -2],
+                            y[:, nn:2 * nn].reshape(-1, n, n), y[:, -1]) for y in ys]
 
 
 def _geodesic_trace(t, V, m, P, xi):
@@ -325,10 +376,15 @@ def _two_point(Sigma0, m0, Sigma1, m1, shift2=0.0):
     D = _mccann_map(Sigma0, Sigma1) - np.eye(Sigma0.shape[0])
     theta = 0.5 * math.sqrt(max(np.sum((D @ Sigma0) * D), 0.0) + shift2)
     cone_line(m0, m1, theta, 1.0)
-    g = math.sqrt(m0) * math.sqrt(m1)  # m0 m1 itself may under- or overflow
+    r0, r1 = math.sqrt(m0), math.sqrt(m1)
+    g = r0 * r1  # m0 m1 itself may under- or overflow
     # a numpy division: g sin(theta) may underflow to 0, giving s1 = inf
     s1 = 2.0 * theta / np.float64(g * math.sin(theta)) if theta > 0.0 else 2.0 / g
-    return D, theta, s1, 2.0 * (g * math.cos(theta) - m0) / m0
+    # xi0 = 2 (r1 cos(theta) - r0) / r0, written without the cancellation of
+    # r1 cos(theta) against r0 when m0 ~ m1 and theta is small:
+    # r1 cos(theta) - r0 = (m1 - m0) / (r0 + r1) - 2 r1 sin^2(theta / 2)
+    xi0 = 2.0 * ((m1 - m0) / (r0 + r1) - 2.0 * r1 * math.sin(0.5 * theta) ** 2) / r0
+    return D, theta, s1, xi0
 
 
 def _require_landing(miss, tol, theta):
@@ -348,7 +404,8 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     metric scaled by 1/4, so the geodesic is a straight line in a flat 2D
     picture with angle theta = W2(Sigma0, Sigma1) / 2 (``cone.cone_line``).
     The initial data are P0 = (T - I) / s1, with T the balanced transport
-    map, and xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0.  The geodesic from
+    map, and xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0, evaluated in a form
+    that does not cancel when m0 ~ m1 and theta is small.  The geodesic from
     (Sigma0, m0, P0, xi0) is then the ray ``cone.cone_ray`` of the flat
     picture, built from those initial data alone (``geodesic_ray``), and
     sampled over unit time every dt (round(1 / dt) steps).  Its last sample

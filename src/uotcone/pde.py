@@ -18,7 +18,7 @@ import numpy as np
 from .cone import cone_line
 from .errors import (MassError, NonFiniteError, PositivityError,
                      SingularSystemError, StepGuardError)
-from .trace import GeodesicTrace, _rk4
+from .trace import GeodesicTrace, _first_member, _rk4
 
 DT_GUARD_FACTOR = 0.2
 
@@ -73,15 +73,16 @@ def _half(f):
     return 0.5 * periodic_edges(np.add, f)
 
 
-def grad_sq_nodes(theta, h):
-    """|grad theta|^2 at nodes: mean of the two adjacent half-point squares."""
-    return 0.5 * periodic_edges(np.add, _dplus(theta, h) ** 2, backward=True)
+def grad_sq_nodes(g):
+    """|grad theta|^2 at nodes from the half-point gradient g = _dplus(theta,
+    h): mean of the two adjacent half-point squares."""
+    return 0.5 * periodic_edges(np.add, g ** 2, backward=True)
 
 
-def div_flux(rho, theta, h):
-    """Conservative form of div(rho grad theta): (F_{i+1/2} - F_{i-1/2}) / h."""
-    F = _half(rho) * _dplus(theta, h)
-    return periodic_edges(np.subtract, F, backward=True) / h
+def div_flux(rho, g, h):
+    """Conservative form of div(rho grad theta) from the half-point gradient
+    g = _dplus(theta, h): (F_{i+1/2} - F_{i-1/2}) / h, F = rho_{i+1/2} g."""
+    return periodic_edges(np.subtract, _half(rho) * g, backward=True) / h
 
 
 # The grid integrals below reduce the last axis, so they take one field or
@@ -157,22 +158,28 @@ def hamiltonian_wfr(state):
 
 def _raw_small_rhs(grid, rho, theta):
     # RK4 stage states may dip negative; only the total mass must stay
-    # positive for the division defining xi.  m and xi stay numpy scalars,
-    # so that xi^2 overflows to inf instead of raising.
+    # positive for the division defining xi.  m and xi stay numpy values, so
+    # that xi^2 overflows to inf instead of raising.  The sums reduce the
+    # last axis, so rho and theta may be stacks along a leading member axis.
     h = grid.h
-    m = h * np.sum(rho)
-    if m <= 0.0:
-        raise MassError("total mass became nonpositive", m=float(m))
-    xi = h * np.sum(theta * rho) / m
-    drho = -div_flux(rho, theta, h) + xi * rho
-    dtheta = -0.5 * grad_sq_nodes(theta, h) - xi * theta + 0.5 * xi**2
+    m = h * rho.sum(-1, keepdims=True)
+    if m.min() <= 0.0:
+        m = m[..., 0]
+        where = _first_member(m <= 0.0)
+        raise MassError("total mass became nonpositive",
+                        m=float(m[where.get("member", ())]), **where)
+    xi = h * (theta * rho).sum(-1, keepdims=True) / m
+    g = _dplus(theta, h)
+    drho = -div_flux(rho, g, h) + xi * rho
+    dtheta = -0.5 * grad_sq_nodes(g) - xi * theta + 0.5 * xi**2
     return drho, dtheta
 
 
 def _raw_wfr_rhs(grid, rho, theta):
     h = grid.h
-    drho = -div_flux(rho, theta, h) + rho * theta
-    dtheta = -0.5 * grad_sq_nodes(theta, h) - 0.5 * theta**2
+    g = _dplus(theta, h)
+    drho = -div_flux(rho, g, h) + rho * theta
+    dtheta = -0.5 * grad_sq_nodes(g) - 0.5 * theta**2
     return drho, dtheta
 
 
@@ -203,45 +210,70 @@ def integrate_pde(state, model, dt, steps):
     aborts with the step index when the density loses positivity.  The trace
     columns are t, m, xi, H followed by rho and theta node values.
     """
+    return _evolve([state], model, dt, steps, stacked=False)[0]
+
+
+def integrate_pdes(states, model, dt, steps):
+    """``integrate_pde`` for states on one grid, stepped as one stack.
+
+    Returns one trace per state, equal entry for entry to its own
+    ``integrate_pde`` trace; the traces are views of one array.  A failure,
+    or a state refused by the step guard, aborts the whole stack and carries
+    the index ``member`` of the first failing state.
+    """
+    return _evolve(states, model, dt, steps, stacked=True)
+
+
+def _evolve(initials, model, dt, steps, stacked):
+    # a single state runs on the 1-D layout, with no member axis
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected 'small' or 'wfr'")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be a positive integer")
-    state = state.validate()
+    states = [s.validate() for s in initials]
+    grid = states[0].grid
+    if any(s.grid != grid for s in states):
+        raise ValueError("stacked states must share one grid")
     rhs, energy = _MODELS[model]
-    grid = state.grid
     n = grid.n
     h = grid.h
-    gmax = float(np.max(np.abs(_dplus(state.theta, h))))
-    if gmax > 0.0 and dt > DT_GUARD_FACTOR * h * h / gmax:
-        raise StepGuardError(
-            "time step exceeds the stability guard",
-            dt=dt, bound=DT_GUARD_FACTOR * h * h / gmax, max_grad=gmax)
+    for i, state in enumerate(states):
+        gmax = float(np.max(np.abs(_dplus(state.theta, h))))
+        if gmax > 0.0 and dt > DT_GUARD_FACTOR * h * h / gmax:
+            raise StepGuardError(
+                "time step exceeds the stability guard",
+                dt=dt, bound=DT_GUARD_FACTOR * h * h / gmax, max_grad=gmax,
+                **({"member": i} if stacked else {}))
 
     def f(y):
-        return np.concatenate(rhs(grid, y[:n], y[n:]))
+        return np.concatenate(rhs(grid, y[..., :n], y[..., n:]), axis=-1)
 
     def post(y):
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteError("non-finite fields during integration")
-        if np.any(y[:n] <= 0.0):
+        if not np.isfinite(y).all():
+            raise NonFiniteError("non-finite fields during integration",
+                                 **_first_member(~np.isfinite(y).all(-1)))
+        rho = y[..., :n]
+        if rho.min() <= 0.0:
+            where = _first_member((rho <= 0.0).any(-1))
             raise PositivityError("density lost positivity",
-                                  min_value=float(np.min(y[:n])))
+                                  min_value=float(rho[where.get("member", ())].min()),
+                                  **where)
 
     cols = (["t", "m", "xi", "H"]
             + [f"rho{i}" for i in range(n)] + [f"theta{i}" for i in range(n)])
-    data = np.empty((steps + 1, len(cols)))
-    data[0, 4:4 + n] = state.rho
-    data[0, 4 + n:] = state.theta
-    _rk4(f, post, data[:, 4:], dt)
-    rows = PdeState(grid=grid, rho=data[:, 4:4 + n], theta=data[:, 4 + n:])
-    data[:, 0] = np.arange(steps + 1) * dt
-    data[:, 1] = total_mass(grid, rows.rho)
-    data[:, 2] = xi_of(rows)
-    data[:, 3] = energy(rows)
-    return GeodesicTrace(columns=tuple(cols), data=data)
+    data = np.empty((len(states), steps + 1, len(cols)))
+    data[:, 0, 4:4 + n] = [s.rho for s in states]
+    data[:, 0, 4 + n:] = [s.theta for s in states]
+    _rk4(f, post, data[:, :, 4:].swapaxes(0, 1) if stacked else data[0, :, 4:], dt)
+    for d in data:  # one member at a time keeps the temporaries small
+        rows = PdeState(grid=grid, rho=d[:, 4:4 + n], theta=d[:, 4 + n:])
+        d[:, 0] = np.arange(steps + 1) * dt
+        d[:, 1] = total_mass(grid, rows.rho)
+        d[:, 2] = xi_of(rows)
+        d[:, 3] = energy(rows)
+    return [GeodesicTrace(columns=tuple(cols), data=d) for d in data]
 
 
 def solve_potential(grid, rho, rhodot):
@@ -277,7 +309,7 @@ def solve_potential(grid, rho, rhodot):
     theta -= np.mean(theta)
     if not np.all(np.isfinite(theta)):
         raise SingularSystemError("elliptic solve produced non-finite values")
-    residual = float(np.max(np.abs(-div_flux(rho, theta, h) - b)))
+    residual = float(np.max(np.abs(-div_flux(rho, _dplus(theta, h), h) - b)))
     # row i of A holds -rho_{i-1/2}, rho_{i-1/2} + rho_{i+1/2}, -rho_{i+1/2}
     # over h^2 (numpy scalars: h^2 may under- or overflow on extreme grids)
     norm_A = 2.0 * np.max(periodic_edges(np.add, rh, backward=True)) / np.square(h)

@@ -72,6 +72,13 @@ def _rk4(rhs, post, states, dt):
     return y
 
 
+def _first_member(bad):
+    """Failure details naming the first failing member of a stack of states:
+    ``bad`` holds one flag per member.  A single state (a 0-d flag) names
+    none."""
+    return {"member": int(np.flatnonzero(bad)[0])} if np.ndim(bad) else {}
+
+
 def relative_energy_drift(trace, column="H"):
     """max |H(t) - H(0)| / max(|H(0)|, eps) over the trace."""
     e = trace.column(column)

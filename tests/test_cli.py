@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import uotcone
-from uotcone import gaussian
+from uotcone import cli, gaussian
 from uotcone.cli import main
 from uotcone.config import _CHOICES, _SCHEMAS, MAX_TRACE_ENTRIES, validate_run
 from uotcone.errors import ConfigError
@@ -75,6 +77,15 @@ def test_gauss_geodesic_run_and_determinism(tmp_path):
     assert summary["H_drift_rel"] <= 1e-8
     assert summary["mass_fit"]["leading"] == pytest.approx(
         summary["mass_fit"]["expected_leading"], abs=1e-8)
+
+
+def test_gauss_geodesic_default_steps(tmp_path):
+    # without "steps" the schema default of 1000 steps applies
+    cfg = gauss_config()
+    del cfg["steps"]
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 1001
 
 
 def test_gauss_geodesic_csv_shape(tmp_path):
@@ -157,6 +168,44 @@ def test_non_finite_summary_is_a_typed_failure(tmp_path):
     assert reason["key"] == "mass_fit.rms_residual"
 
 
+def test_internal_failure_is_structured(tmp_path, monkeypatch, capsys):
+    # an exception that is neither typed kind is a bug: exit 2 with a reason
+    # of kind internal, not a traceback
+    def broken(cfg, outdir, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "gauss-geodesic", broken)
+    code, out = run_cli(tmp_path, gauss_config())
+    assert code == 2
+    summary = load_summary(out)
+    assert summary["status"] == "error"
+    reason = summary["reason"]
+    assert reason["kind"] == "internal"
+    assert reason["message"] == "RuntimeError: boom"
+    assert reason["where"].startswith("test_cli.py:")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    code, _ = run_cli(tmp_path, gauss_config(), out="file/out")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["kind"] == "config"
+
+
+def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
+    def refuses(cfg, outdir, seed):
+        raise ConfigError("refused", key="V")
+
+    monkeypatch.setitem(cli._HANDLERS, "gauss-geodesic", refuses)
+    code, out = run_cli(tmp_path, gauss_config())
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["kind"] == "config"
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
 @pytest.mark.parametrize("cfg, kind", [
     # the mass h sum(rho) overflows
@@ -216,6 +265,14 @@ def test_gauss_connect_tiny_masses_solve(tmp_path):
     # P = P0 / C with C = 1 + sigma S0 growing to sqrt(Sigma1 / Sigma0)
     np.testing.assert_allclose(rows[:, 5], rows[0, 5] * np.sqrt(rows[0, 4] / rows[:, 4]),
                                rtol=1e-12)
+    # m0 = m1 and theta = (sqrt(Sigma1) - sqrt(Sigma0)) / 2 ~ 5.4e-18: the
+    # closed forms are xi0 = -4 sin^2(theta / 2) ~ -theta^2 (a cancelling
+    # xi0 once read -3.5e-16 here) and H = 8 m0 sin^2(theta / 2)
+    half_sin2 = math.sin(0.25 * (math.sqrt(1.15e-34) - math.sqrt(2.3e-248))) ** 2
+    summary = load_summary(out)
+    assert summary["xi0"] == pytest.approx(-4.0 * half_sin2, rel=1e-12, abs=0.0)
+    H = summary["final"]["H"]
+    assert H == pytest.approx(8.0 * 2.3e-248 * half_sin2, rel=1e-12, abs=0.0)
 
 
 def bb_explicit_config(**overrides):
@@ -376,12 +433,15 @@ def test_bb_action_from_small_run(tmp_path):
 
 def test_check_quick_suite(tmp_path, capsys):
     code, out = run_cli(tmp_path, {"command": "check", "quick": True})
-    captured = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    assert captured.count("PASS") == 10
+    assert captured.out.count("PASS") == 10
     summary = load_summary(out)
     assert summary["all_passed"] is True
     assert len(summary["results"]) == 10
+    # one "<name> <seconds>" line per check, on stderr
+    timed = re.findall(r"^(\S+) (\d+\.\d{3})$", captured.err, flags=re.M)
+    assert [name for name, _ in timed] == [r["name"] for r in summary["results"]]
 
 
 def test_sweep_runs_in_subdirectories(tmp_path):
@@ -437,7 +497,9 @@ def fuzz_configs(draw):
                      st.lists(POSITIVE, min_size=n_grid, max_size=n_grid))
     cfg = {"command": command}
     for key, (kind, required) in _SCHEMAS[command].items():
-        if not required and not draw(st.booleans()):
+        # "steps" is always drawn: its default of 1000 would break the promise
+        # of at most 20 steps (test_gauss_geodesic_default_steps covers it)
+        if not required and key != "steps" and not draw(st.booleans()):
             continue
         if key in _CHOICES:
             value = st.sampled_from(_CHOICES[key])
@@ -490,7 +552,8 @@ def test_fuzzed_configs_exit_typed(cfg):
         if cfg["command"] == "gauss-connect" and cfg.get("dt", 1.0) < 1e-3:
             assert code == 1
         if code == 2:
-            assert load_summary(out)["reason"]["kind"]
+            # the last-resort handler must not hide a bug from the fuzz
+            assert load_summary(out)["reason"]["kind"] not in ("", "internal")
         elif code == 0:
             text = (out / "summary.json").read_text(encoding="utf-8")
             summary = json.loads(text, parse_constant=lambda name: pytest.fail(

@@ -10,7 +10,8 @@ from uotcone.errors import (ApexCrossingError, MassError, NonFiniteError,
 from uotcone.gaussian import (AffineGaussian, GaussianCotangentState,
                               base_metric_eval, connect_affine, geodesic_ray,
                               geodesic_rhs, group_metric_eval, hamiltonian,
-                              integrate_geodesic, legendre_momentum,
+                              integrate_geodesic, integrate_geodesics,
+                              legendre_momentum,
                               lyapunov_solve, mccann_geodesic, shoot_bvp,
                               spd_base, submersion_consistency, symmetrize)
 from uotcone.trace import _rk4, mass_acceleration, mass_quadratic_fit, \
@@ -278,6 +279,54 @@ def test_integrate_post_step_failure_reports_step(dt, error):
     assert exc.value.details["step"] == step
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_flows_equal_the_single_flows(n):
+    # the stack runs the same RHS and hook with the matrix products broadcast
+    # over its member axis: every member trace is the single-state trace
+    rng = np.random.default_rng(30 + n)
+    states = [GaussianCotangentState(V=random_spd(rng, n), m=rng.uniform(0.5, 2.0),
+                                     P=random_sym(rng, n, scale=0.2),
+                                     xi=rng.uniform(-0.8, 0.8)) for _ in range(5)]
+    traces = integrate_geodesics(states, dt=1e-3, steps=300)
+    assert len(traces) == 5
+    for state, trace in zip(states, traces):
+        single = integrate_geodesic(state, dt=1e-3, steps=300)
+        assert trace.columns == single.columns
+        assert np.array_equal(trace.data, single.data)
+
+
+@pytest.mark.parametrize("dt, error", [(1e-2, SpdError), (1e-1, MassError)],
+                         ids=["spd-loss", "mass-loss"])
+def test_stacked_flow_failure_names_step_and_member(dt, error):
+    # the failing state of test_integrate_post_step_failure_reports_step as
+    # member 2 of a stack of healthy ones fails at its own step
+    bad = scalar_state(P=-1.0, xi=0.0)
+    with pytest.raises(error) as exc:
+        integrate_geodesic(bad, dt=dt, steps=400)
+    step = exc.value.details["step"]
+    assert "member" not in exc.value.details
+    stack = [scalar_state(P=0.1), scalar_state(P=0.0, xi=0.5), bad, scalar_state(P=0.2)]
+    with pytest.raises(error) as exc:
+        integrate_geodesics(stack, dt=dt, steps=400)
+    assert exc.value.details["step"] == step
+    assert exc.value.details["member"] == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
+def test_stacked_flow_non_finite_names_member():
+    # xi = 1e300 overflows xi^2 in the first stage of member 1
+    stack = [scalar_state(P=0.1), scalar_state(P=0.0, xi=1e300)]
+    with pytest.raises(NonFiniteError) as exc:
+        integrate_geodesics(stack, dt=1e-3, steps=10)
+    assert exc.value.details == {"member": 1, "step": 1}
+
+
+def test_stacked_flows_need_equal_sizes():
+    with pytest.raises(ValueError):
+        integrate_geodesics([scalar_state(), GaussianCotangentState(
+            V=np.eye(2), m=1.0, P=np.zeros((2, 2)), xi=0.0)], dt=1e-3, steps=10)
+
+
 def test_mass_is_quadratic_with_leading_coefficient_H_over_2():
     rng = np.random.default_rng(6)
     state = GaussianCotangentState(V=random_spd(rng, 3), m=1.2,
@@ -504,6 +553,29 @@ def test_covariance_path_lies_on_mccann_curve():
     s = np.abs(np.sqrt(V) - 1.0) / abs(np.sqrt(V[-1]) - 1.0)
     expected = np.array([mccann_geodesic(four, one, si)[0, 0] for si in s])
     assert np.max(np.abs(V - expected)) <= 1e-5
+
+
+@pytest.mark.parametrize("Sigma0, Sigma1, m", [
+    (1.0, (1.0 + 2e-8) ** 2, 2.0),       # theta ~ 1e-8
+    (2.3e-248, 1.15e-34, 2.3e-248),      # theta ~ 5.4e-18 between tiny masses
+], ids=["small-angle", "tiny-masses"])
+def test_two_point_xi0_keeps_its_relative_accuracy(Sigma0, Sigma1, m):
+    # with m0 = m1 = m, xi0 = 2 (cos(theta) - 1) = -4 sin^2(theta / 2), which
+    # the form 2 (sqrt(m0 m1) cos(theta) - m0) / m0 loses to cancellation
+    _, theta, _, xi0 = gaussian._two_point(np.array([[Sigma0]]), m,
+                                           np.array([[Sigma1]]), m)
+    assert 0.0 < theta < 1e-7
+    assert xi0 == pytest.approx(-4.0 * np.sin(0.5 * theta) ** 2, rel=1e-14, abs=0.0)
+
+
+def test_hamiltonian_of_tiny_states_does_not_underflow():
+    # tr(V P^2) ~ 1e-528 underflows, but H = 2 tr(V P^2) / m is a normal
+    # number: the final state of the tiny-mass two-point geodesic
+    m, V, P = 2.3e-248, 1.15e-34, -1.1e-247
+    expected = 2.0 * V * (P / m) * P
+    assert expected > 1e-300
+    H = hamiltonian(scalar_state(V=V, m=m, P=P))
+    assert H == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 # -- cone over the SPD base ---------------------------------------------------

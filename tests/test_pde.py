@@ -7,7 +7,8 @@ from uotcone.errors import (MassError, NonFiniteError, PositivityError,
                             SingularSystemError, StepGuardError)
 from uotcone.pde import (Grid1D, PdeState, fisher_rao_cone_geodesic,
                          gdiv_metric_eval, hamiltonian_small, hamiltonian_wfr,
-                         integrate_pde, periodic_edges, small_metric_eval,
+                         integrate_pde, integrate_pdes, periodic_edges,
+                         small_metric_eval,
                          small_rhs, solve_potential, state_from_velocity,
                          total_mass, wfr_rhs, xi_of)
 from uotcone.trace import mass_acceleration, mass_quadratic_fit, \
@@ -287,6 +288,65 @@ def test_integrate_stage_failure_reports_step():
     with pytest.raises(MassError) as exc:
         integrate_pde(state, "small", dt=1e-3, steps=step)
     assert exc.value.details["step"] == step
+
+
+def smooth_state(grid, phase, amp=0.05):
+    return PdeState(grid, 1.0 + 0.3 * np.cos(grid.x + phase),
+                    0.2 + amp * np.sin(2.0 * grid.x + phase))
+
+
+@pytest.mark.parametrize("model", ["small", "wfr"])
+def test_stacked_flows_equal_the_single_flows(model):
+    # the stack runs the same RHS and hook, reducing the last axis: every
+    # member trace is the single-state trace
+    grid = Grid1D(n=64)
+    states = [smooth_state(grid, phase) for phase in (0.0, 0.7, 1.9, 4.0)]
+    traces = integrate_pdes(states, model, dt=1e-3, steps=200)
+    assert len(traces) == 4
+    for state, trace in zip(states, traces):
+        single = integrate_pde(state, model, dt=1e-3, steps=200)
+        assert trace.columns == single.columns
+        assert np.array_equal(trace.data, single.data)
+
+
+def test_stacked_positivity_failure_names_step_and_member():
+    # the state of test_integrate_positivity_abort_with_step as member 1
+    grid = Grid1D(n=16)
+    bad = PdeState(grid, 1.0 + 0.95 * np.sin(grid.x), 0.15 * np.cos(grid.x))
+    with pytest.raises(PositivityError) as exc:
+        integrate_pde(bad, "small", dt=4e-3, steps=4000)
+    single = exc.value.details
+    assert "member" not in single
+    with pytest.raises(PositivityError) as exc:
+        integrate_pdes([smooth_state(grid, 0.3), bad], "small", dt=4e-3, steps=4000)
+    assert exc.value.details == {**single, "member": 1}
+
+
+def test_stacked_stage_failure_names_step_and_member():
+    # the state of test_integrate_stage_failure_reports_step as member 2
+    grid = Grid1D(n=16)
+    bad = PdeState(grid, np.ones(16), np.full(16, -1000.0))
+    with pytest.raises(MassError) as exc:
+        integrate_pde(bad, "small", dt=1e-3, steps=50)
+    single = exc.value.details
+    with pytest.raises(MassError) as exc:
+        integrate_pdes([uniform_state(16), uniform_state(16, 0.5), bad], "small",
+                       dt=1e-3, steps=50)
+    assert exc.value.details == {**single, "member": 2}
+
+
+def test_stacked_step_guard_names_member():
+    grid = Grid1D(n=256)
+    steep = PdeState(grid, np.ones(256), np.sin(grid.x))
+    with pytest.raises(StepGuardError) as exc:
+        integrate_pdes([smooth_state(grid, 0.0, amp=0.01), steep], "small",
+                       dt=1e-3, steps=10)
+    assert exc.value.details["member"] == 1
+
+
+def test_stacked_flows_need_one_grid():
+    with pytest.raises(ValueError):
+        integrate_pdes([uniform_state(16), uniform_state(32)], "small", dt=1e-3, steps=5)
 
 
 # -- elliptic solves and metric evaluations -----------------------------------

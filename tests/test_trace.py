@@ -17,6 +17,24 @@ def test_rk4_linear_flow_is_the_degree_four_taylor_factor():
     np.testing.assert_array_equal(last, states[-1])
 
 
+def test_rk4_steps_a_stack_of_states_as_its_members():
+    # states of shape (steps + 1, members, d): row k holds every member after
+    # step k, each exactly as a run of its own would give it
+    def oscillator(y):  # (x, v)' = (v, -x - 0.3 v) on the last axis
+        return y[..., ::-1] * [1.0, -1.0] - [0.0, 0.3] * y
+
+    dt, steps = 0.1, 20
+    y0 = np.array([[1.0, 0.0], [0.5, -2.0], [3.0, 1.0]])
+    stack = np.empty((steps + 1, 3, 2))
+    stack[0] = y0
+    _rk4(oscillator, lambda y: None, stack, dt)
+    for i in range(3):
+        single = np.empty((steps + 1, 2))
+        single[0] = y0[i]
+        _rk4(oscillator, lambda y: None, single, dt)
+        np.testing.assert_array_equal(stack[:, i], single)
+
+
 def test_rk4_post_hook_projects_each_state():
     states = np.empty((6, 2))
     states[0] = [1.0, 5.0]
