@@ -5,9 +5,10 @@ itself lives inside the config (``"command": "pde-evolve"`` etc.); without
 ``--config`` the invariant suite (``check``) runs with defaults.  Outputs are
 deterministic: identical configs and seeds give byte-identical files.
 
-Exit codes: 0 success, 1 configuration/schema error, 2 numerical failure
-(the JSON summary then carries a machine-readable reason; any other
-exception is reported there as kind ``internal``).
+Exit codes: 0 success, 1 configuration/schema error (also an output
+directory or file that cannot be written), 2 numerical failure (the JSON
+summary then carries a machine-readable reason; any other exception is
+reported there as kind ``internal``).
 """
 
 from __future__ import annotations
@@ -62,9 +63,24 @@ def _non_finite(value, key=""):
     return None
 
 
+def _write_output(path, content):
+    """Write one output file: a trace as CSV, a string as UTF-8 text.  An
+    OSError (the path is a directory, the disk is full) is a config error
+    that names the file, as for an output directory that cannot be
+    created."""
+    try:
+        if isinstance(content, GeodesicTrace):
+            content.write_csv(path)
+        else:
+            path.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output file {path}: "
+                          f"{exc.strerror or exc}", path=str(path)) from None
+
+
 def _write_summary(outdir, summary):
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    (outdir / "summary.json").write_text(text, encoding="utf-8")
+    _write_output(outdir / "summary.json",
+                  json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
 def _matrix(cfg, key, n):
@@ -107,7 +123,7 @@ def _handle_gauss_geodesic(cfg, outdir, seed):
     state = GaussianCotangentState(V=_matrix(cfg, "V", n), m=float(cfg["m"]),
                                    P=_matrix(cfg, "P", n), xi=float(cfg["xi"]))
     trace = integrate_geodesic(state, dt=cfg["dt"], steps=cfg["steps"])
-    trace.write_csv(outdir / "trace.csv")
+    _write_output(outdir / "trace.csv", trace)
     summary = {"command": cfg["command"], **_trace_summary(trace)}
     summary["mass_fit"]["expected_leading"] = 0.5 * float(trace.column("H")[0])
     return summary, 0
@@ -119,7 +135,7 @@ def _handle_gauss_connect(cfg, outdir, seed):
     Sigma1 = _matrix(cfg, "Sigma1", n)
     P0, xi0, trace = shoot_bvp(Sigma0, float(cfg["m0"]), Sigma1, float(cfg["m1"]),
                                tol=cfg["tol"], dt=cfg["dt"])
-    trace.write_csv(outdir / "trace.csv")
+    _write_output(outdir / "trace.csv", trace)
     V1 = trace.data[-1, 4:4 + n * n].reshape(n, n)
     residual = float(np.linalg.norm(V1 - Sigma1)
                      + abs(trace.column("m")[-1] - float(cfg["m1"])))
@@ -138,11 +154,11 @@ def _handle_pde_evolve(cfg, outdir, seed):
     grid = Grid1D(n=n, length=float(cfg["length"]))
     state = PdeState(grid, _field(cfg, "rho", n), _field(cfg, "theta", n))
     trace = integrate_pde(state, cfg["model"], dt=cfg["dt"], steps=cfg["steps"])
-    trace.write_csv(outdir / "trace.csv")
+    _write_output(outdir / "trace.csv", trace)
     summary = {"command": cfg["command"], "model": cfg["model"],
                **_trace_summary(trace)}
-    if cfg["model"] == "small":
-        summary["mass_fit"]["expected_leading"] = 0.5 * float(trace.column("H")[0])
+    # m'' = H holds for both models
+    summary["mass_fit"]["expected_leading"] = 0.5 * float(trace.column("H")[0])
     return summary, 0
 
 
@@ -156,8 +172,7 @@ def _handle_pde_metric(cfg, outdir, seed):
     if not np.isfinite(value):
         raise NonFiniteError("the metric value overflows", value=str(value))
     rate = float(grid.h * np.sum(rhodot) / total_mass(grid, rho))
-    (outdir / "result.csv").write_text(
-        f"value,rate\n{value!r},{rate!r}\n", encoding="utf-8")
+    _write_output(outdir / "result.csv", f"value,rate\n{value!r},{rate!r}\n")
     return {"command": cfg["command"], "metric": cfg["metric"],
             "value": float(value), "rate": rate}, 0
 
@@ -178,7 +193,7 @@ def _handle_fr_geodesic(cfg, outdir, seed):
     cols = ["t", "m", "xi", "H"] + [f"rho{i}" for i in range(n)]
     data = np.column_stack([t, m_t, mdot / m_t, np.full(t.size, energy), rho_t])
     trace = GeodesicTrace(columns=tuple(cols), data=data)
-    trace.write_csv(outdir / "trace.csv")
+    _write_output(outdir / "trace.csv", trace)
     end_err = max(float(np.max(np.abs(rho_t[0] - rho0))),
                   float(np.max(np.abs(rho_t[-1] - rho1))))
     return {"command": cfg["command"],
@@ -210,9 +225,14 @@ def _handle_cone_geodesic(cfg, outdir, seed):
                       alpha=float(cfg["alpha"]), alpha_dot=float(cfg["alpha_dot"]))
     problem = ConeProblem(p=float(cfg["p"]), dt=cfg["dt"], steps=cfg["steps"])
     trace = integrate_cone(state, problem, base)
-    trace.write_csv(outdir / "trace.csv")
-    return {"command": cfg["command"], "base": cfg["base"], "p": float(cfg["p"]),
+    _write_output(outdir / "trace.csv", trace)
+    mass_fit = mass_quadratic_fit(trace)
+    if problem.p == 1.0:
+        # m = alpha^2 and alpha'' = alpha g(qdot, qdot), so m'' = 2H
+        mass_fit["expected_leading"] = float(trace.column("H")[0])
+    return {"command": cfg["command"], "base": cfg["base"], "p": problem.p,
             "energy_drift_rel": relative_energy_drift(trace),
+            "mass_fit": mass_fit,
             "final": {"t": float(trace.t[-1]),
                       "alpha": float(trace.column("alpha")[-1]),
                       "H": float(trace.column("H")[-1])}}, 0
@@ -247,10 +267,10 @@ def _handle_bb_action(cfg, outdir, seed):
         path = from_small_trace(trace, grid)
         energy_integral = float(np.trapezoid(2.0 * trace.column("H"), trace.t))
     result = bb_action(path, continuity_tol=cfg["continuity_tol"])
-    (outdir / "result.csv").write_text(
-        "action,transport,radial,continuity_residual\n"
-        f"{result.action!r},{result.transport_part!r},{result.radial_part!r},"
-        f"{result.continuity_residual!r}\n", encoding="utf-8")
+    _write_output(outdir / "result.csv",
+                  "action,transport,radial,continuity_residual\n"
+                  f"{result.action!r},{result.transport_part!r},"
+                  f"{result.radial_part!r},{result.continuity_residual!r}\n")
     summary = {"command": cfg["command"], "source": cfg["source"],
                "action": result.action,
                "transport_part": result.transport_part,

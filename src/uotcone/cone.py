@@ -1,9 +1,9 @@
 """Geodesics of warped-product cones r^{2p} g + dr^2 over a pluggable base.
 
-The base manifold enters only through two callbacks (metric evaluation and
-coordinate geodesic acceleration), so a circle, a flat space, or the space of
-SPD matrices plug in interchangeably.  p = 1 is the standard cone, p = 0 the
-product cylinder.
+The base manifold enters only through one callback, its ``jet`` (squared
+speed and coordinate geodesic acceleration), so a circle, a flat space, or
+the space of SPD matrices plug in interchangeably.  p = 1 is the standard
+cone, p = 0 the product cylinder.
 """
 
 from __future__ import annotations
@@ -19,16 +19,17 @@ from .trace import GeodesicTrace, _rk4
 
 @dataclass(frozen=True)
 class BaseManifold:
-    """Base (Q, g) seen through callbacks.
+    """Base (Q, g) seen through one callback.
 
-    ``metric_eval(q, u, v)`` evaluates g_q(u, v).  ``geodesic_rhs(q, qdot)``
-    returns the coordinate acceleration of the unforced base geodesic, i.e.
-    the base geodesic equation reads qddot = geodesic_rhs(q, qdot).
+    ``jet(q, qdot)`` returns (g_q(qdot, qdot), qddot): the squared speed and
+    the coordinate acceleration of the unforced base geodesic, i.e. the base
+    geodesic equation reads qddot = jet(q, qdot)[1].  q and qdot hold dim
+    entries, or a stack of points along a leading axis, which gives one
+    speed and one acceleration per point.
     """
 
     dim: int
-    metric_eval: Callable
-    geodesic_rhs: Callable
+    jet: Callable
 
 
 @dataclass(frozen=True)
@@ -63,22 +64,19 @@ class ConeProblem:
             raise ValueError("steps must be a positive integer")
 
 
+def _euclidean_jet(q, qdot):
+    # straight coordinate lines; vecdot is the BLAS dot of qdot @ qdot
+    return np.vecdot(qdot, qdot), np.zeros_like(qdot)
+
+
 def circle_base():
     """Unit circle S^1 with angle coordinate and metric dphi^2."""
-    return BaseManifold(
-        dim=1,
-        metric_eval=lambda q, u, v: float(u @ v),
-        geodesic_rhs=lambda q, qdot: np.zeros(1),
-    )
+    return BaseManifold(dim=1, jet=_euclidean_jet)
 
 
 def flat_base(dim):
     """Flat R^dim with the Euclidean metric."""
-    return BaseManifold(
-        dim=dim,
-        metric_eval=lambda q, u, v: float(u @ v),
-        geodesic_rhs=lambda q, qdot: np.zeros(dim),
-    )
+    return BaseManifold(dim=dim, jet=_euclidean_jet)
 
 
 def scaled_base(base, factor):
@@ -90,11 +88,51 @@ def scaled_base(base, factor):
     """
     if factor <= 0.0:
         raise ValueError("metric scale factor must be positive")
-    return BaseManifold(
-        dim=base.dim,
-        metric_eval=lambda q, u, v: factor * base.metric_eval(q, u, v),
-        geodesic_rhs=base.geodesic_rhs,
-    )
+
+    def jet(q, qdot):
+        speed2, qddot = base.jet(q, qdot)
+        return factor * speed2, qddot
+
+    return BaseManifold(dim=base.dim, jet=jet)
+
+
+def _pack(state):
+    return np.array([*state.q, *state.q_dot, state.alpha, state.alpha_dot],
+                    dtype=float)
+
+
+def _cone_rhs(y, p, base):
+    """Time derivative of the packed cone state y = (q, qdot, alpha,
+    alphadot): qddot = base acceleration - (2p/alpha) alphadot qdot and
+    alphaddot = p alpha^(2p-1) g(qdot, qdot).  The stage must lie off the
+    apex (alpha > 0) with finite entries, and so must its derivative."""
+    dim = base.dim
+    alpha = y[2 * dim]
+    alphadot = y[2 * dim + 1]
+    if alpha <= 0.0:
+        raise ApexCrossingError("apex crossing: alpha <= 0", alpha=float(alpha))
+    if not np.isfinite(y).all():
+        raise NonFiniteError("non-finite cone state")
+    qdot = y[dim:2 * dim]
+    speed2, acc = base.jet(y[:dim], qdot)
+    out = np.empty_like(y)
+    out[:dim] = qdot
+    out[dim:2 * dim] = acc - (2.0 * p / alpha) * alphadot * qdot
+    out[2 * dim] = alphadot
+    out[2 * dim + 1] = p * alpha ** (2.0 * p - 1.0) * speed2
+    if not np.isfinite(out).all():
+        raise NonFiniteError("non-finite cone derivative")
+    return out
+
+
+def _cone_energy(y, p, base):
+    """alpha^{2p} g(qdot, qdot) + alphadot^2 of packed states, one or a
+    stack along a leading axis."""
+    dim = base.dim
+    alpha = y[..., 2 * dim]
+    alphadot = y[..., 2 * dim + 1]
+    speed2, _ = base.jet(y[..., :dim], y[..., dim:2 * dim])
+    return alpha ** (2.0 * p) * speed2 + alphadot ** 2
 
 
 def cone_rhs(state, p, base):
@@ -104,47 +142,32 @@ def cone_rhs(state, p, base):
     alphaddot = p * alpha^(2p-1) * g(qdot, qdot); for p = 1 the radial
     equation is alphaddot = alpha * g(qdot, qdot).
     """
-    if state.alpha <= 0.0:
-        raise ApexCrossingError("apex crossing: alpha <= 0", alpha=float(state.alpha))
-    g_speed2 = base.metric_eval(state.q, state.q_dot, state.q_dot)
-    qddot = base.geodesic_rhs(state.q, state.q_dot) \
-        - (2.0 * p / state.alpha) * state.alpha_dot * state.q_dot
-    alphaddot = p * state.alpha ** (2.0 * p - 1.0) * g_speed2
-    out = (state.q_dot, qddot, state.alpha_dot, alphaddot)
-    if not all(np.all(np.isfinite(np.atleast_1d(v))) for v in out):
-        raise NonFiniteError("non-finite cone derivative")
-    return out
+    dim = base.dim
+    dy = _cone_rhs(_pack(state), p, base)
+    return dy[:dim], dy[dim:2 * dim], float(dy[2 * dim]), float(dy[2 * dim + 1])
 
 
 def cone_energy(state, p, base):
     """Squared speed alpha^{2p} g(qdot,qdot) + alphadot^2, conserved along geodesics."""
-    return state.alpha ** (2.0 * p) * base.metric_eval(state.q, state.q_dot, state.q_dot) \
-        + state.alpha_dot**2
-
-
-def _unpack(y, dim):
-    # numpy scalars: an overflow becomes inf, which the finiteness checks type
-    return ConeState(q=y[:dim], q_dot=y[dim:2 * dim],
-                     alpha=y[2 * dim], alpha_dot=y[2 * dim + 1])
+    return float(_cone_energy(_pack(state), p, base))
 
 
 def integrate_cone(initial, problem, base):
     """Fixed-step RK4 integration of the cone geodesic flow.
 
     Returns a trace with columns t, m (= alpha^2), xi (= 2 alphadot/alpha),
-    H (the cone energy), then q, qdot, alpha, alphadot.  Aborts with the step
-    index on apex crossing (alpha <= 0) or non-finite values.
+    H (the cone energy), then q, qdot, alpha, alphadot.  One packed RHS
+    (``_cone_rhs``) feeds ``trace._rk4``.  Aborts with the step index on
+    apex crossing (alpha <= 0), non-finite values, or a failure of the
+    base's jet (SpdError on the SPD base).
     """
     problem.validate()
     initial.validate(base.dim)
     dim = base.dim
-
-    def f(y):
-        return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float))
-                               for v in cone_rhs(_unpack(y, dim), problem.p, base)])
+    p = problem.p
 
     def post(y):
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteError("non-finite state during integration")
         if y[2 * dim] <= 0.0:
             raise ApexCrossingError("apex crossing during integration",
@@ -155,15 +178,14 @@ def integrate_cone(initial, problem, base):
             + [f"qdot{i}" for i in range(dim)]
             + ["alpha", "alphadot"])
     data = np.empty((problem.steps + 1, len(cols)))
-    data[0, 4:] = np.concatenate([initial.q, initial.q_dot,
-                                  [initial.alpha, initial.alpha_dot]])
-    _rk4(f, post, data[:, 4:], problem.dt)
-    for k, row in enumerate(data):
-        state = _unpack(row[4:], dim)
-        row[0] = k * problem.dt
-        row[1] = state.alpha**2
-        row[2] = 2.0 * state.alpha_dot / state.alpha
-        row[3] = cone_energy(state, problem.p, base)
+    ys = data[:, 4:]
+    ys[0] = _pack(initial)
+    _rk4(lambda y: _cone_rhs(y, p, base), post, ys, problem.dt)
+    alpha = ys[:, 2 * dim]
+    data[:, 0] = np.arange(problem.steps + 1) * problem.dt
+    data[:, 1] = alpha ** 2
+    data[:, 2] = 2.0 * ys[:, 2 * dim + 1] / alpha
+    data[:, 3] = _cone_energy(ys, p, base)
     return GeodesicTrace(columns=tuple(cols), data=data)
 
 

@@ -56,11 +56,20 @@ def require_spd(M, what="matrix"):
     return M
 
 
+def _require_positive(lam, what):
+    """SPD check on the ascending eigenvalues of one matrix, or of each
+    matrix of a stack: SpdError with the smallest eigenvalue of the first
+    matrix that has one <= 0."""
+    low = lam[..., 0]
+    if (low <= 0.0).any():
+        raise SpdError(f"{what} is not positive definite",
+                       min_eigenvalue=float(low[low <= 0.0][0]))
+
+
 def _spd_eigh(M, what="matrix"):
     M = require_symmetric(M, what)
     lam, Q = np.linalg.eigh(M)
-    if lam[0] <= 0.0:
-        raise SpdError(f"{what} is not positive definite", min_eigenvalue=float(lam[0]))
+    _require_positive(lam, what)
     return lam, Q
 
 
@@ -77,10 +86,16 @@ def lyapunov_solve(V, X):
     solution is elementwise X~_ij / (lam_i + lam_j).
     """
     lam, Q = _spd_eigh(V, "V")
-    X = require_symmetric(X, "X")
-    Xt = Q.T @ X @ Q
-    St = Xt / (lam[:, None] + lam[None, :])
-    return symmetrize(Q @ St @ Q.T)
+    return _lyapunov_eig(lam, Q, require_symmetric(X, "X"))
+
+
+def _lyapunov_eig(lam, Q, X):
+    """The solution S of X = SV + VS from the eigendecomposition
+    V = Q diag(lam) Q^T, for one matrix or a stack of them: in the eigenbasis
+    S is elementwise X~_ij / (lam_i + lam_j).  No validation."""
+    Qt = Q.swapaxes(-1, -2)
+    St = (Qt @ X @ Q) / (lam[..., :, None] + lam[..., None, :])
+    return symmetrize(Q @ St @ Qt)
 
 
 def _finite(value):
@@ -543,19 +558,22 @@ def spd_base(n):
     """BaseManifold over Sym_+(n) with the balanced-transport metric.
 
     Points and tangents are row-major flattened n x n symmetric matrices.
-    The metric is tr(V S_u S_v) with S_u the Lyapunov representer of u, and
-    the geodesic acceleration is 2 S V S (whose integral curves are the
-    balanced interpolation curves).
+    The metric is tr(V S_u S_v) with S_u the Lyapunov representer of u
+    (u = S_u V + V S_u), so the squared speed of X is tr(S_X X) / 2, and the
+    geodesic acceleration is 2 S_X V S_X (whose integral curves are the
+    balanced interpolation curves).  The jet takes both from one
+    eigendecomposition of V; a V that is not positive definite raises
+    SpdError.
     """
 
-    def metric(q, u, v):
-        V = symmetrize(q.reshape(n, n))
-        Su = lyapunov_solve(V, symmetrize(u.reshape(n, n)))
-        return 0.5 * float(np.sum(Su * symmetrize(v.reshape(n, n))))
+    def jet(q, qdot):
+        lead = q.shape[:-1]
+        V = symmetrize(q.reshape(*lead, n, n))
+        X = symmetrize(qdot.reshape(*lead, n, n))
+        lam, Q = np.linalg.eigh(V)
+        _require_positive(lam, "V")
+        S = _lyapunov_eig(lam, Q, X)
+        speed2 = 0.5 * np.sum(S * X, axis=(-2, -1))
+        return speed2, (2.0 * S @ V @ S).reshape(*lead, n * n)
 
-    def rhs(q, qdot):
-        V = symmetrize(q.reshape(n, n))
-        S = lyapunov_solve(V, symmetrize(qdot.reshape(n, n)))
-        return (2.0 * S @ V @ S).ravel()
-
-    return BaseManifold(dim=n * n, metric_eval=metric, geodesic_rhs=rhs)
+    return BaseManifold(dim=n * n, jet=jet)

@@ -195,6 +195,21 @@ def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
     assert json.loads(err)["kind"] == "config"
 
 
+@pytest.mark.parametrize("name", ["summary.json", "trace.csv"])
+def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, name):
+    # an output path that is a directory: one JSON line naming the file,
+    # exit 1, no traceback
+    (tmp_path / "out" / name).mkdir(parents=True)
+    code, _ = run_cli(tmp_path, gauss_config(steps=10))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    reason = json.loads(err)
+    assert reason["kind"] == "config"
+    assert reason["path"] == str(tmp_path / "out" / name)
+    assert name in reason["message"]
+
+
 def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
     def refuses(cfg, outdir, seed):
         raise ConfigError("refused", key="V")
@@ -347,6 +362,19 @@ def test_pde_evolve_scaling_matches_radial_law(tmp_path):
     assert np.max(np.abs(m - TWO_PI * (1.0 + 0.5 * t) ** 2)) <= 1e-6
 
 
+def test_pde_evolve_wfr_mass_fit(tmp_path):
+    # m'' = H holds for the wfr flow too, so its parabola has leading H0 / 2
+    x = np.arange(128) * TWO_PI / 128
+    cfg = {"command": "pde-evolve", "model": "wfr",
+           "rho": list(1.0 + 0.3 * np.cos(x + 0.4)),
+           "theta": list(0.2 + 0.1 * np.sin(2.0 * x)), "dt": 1e-3, "steps": 500}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    fit = load_summary(out)["mass_fit"]
+    assert fit["leading"] == pytest.approx(fit["expected_leading"], abs=1e-8)
+    assert fit["expected_leading"] > 0.01
+
+
 def test_pde_evolve_guard_failure_is_structured(tmp_path):
     n = 64
     grid_x = np.arange(n) * TWO_PI / n
@@ -393,6 +421,37 @@ def test_cone_geodesic_circle(tmp_path):
     code, out = run_cli(tmp_path, cfg)
     assert code == 0
     assert load_summary(out)["energy_drift_rel"] <= 1e-8
+
+
+def test_cone_geodesic_mass_fit(tmp_path):
+    # p = 1: m = alpha^2 has m'' = 2H, so the parabola's leading coefficient
+    # is H(0); for other p the mass is no parabola and no value is expected
+    cfg = {"command": "cone-geodesic", "base": "spd", "q": [1.2, 0.3, 0.3, 0.8],
+           "q_dot": [0.1, -0.05, -0.05, 0.2], "alpha": 1.1, "alpha_dot": 0.2,
+           "dt": 1e-3, "steps": 1000}
+    code, out = run_cli(tmp_path, cfg, out="p1")
+    assert code == 0
+    fit = load_summary(out)["mass_fit"]
+    assert fit["leading"] == pytest.approx(fit["expected_leading"], abs=1e-8)
+    code, out = run_cli(tmp_path, {**cfg, "p": 0.0}, out="p0")
+    assert code == 0
+    fit = load_summary(out)["mass_fit"]
+    assert "expected_leading" not in fit
+    assert set(fit) == {"leading", "linear", "constant", "rms_residual"}
+
+
+def test_cone_geodesic_spd_loss_failure(tmp_path):
+    # q_dot = -20 I shrinks the covariance through the boundary of the SPD
+    # cone; the stage that first sees it lies in step 448
+    cfg = {"command": "cone-geodesic", "base": "spd", "q": [1.0, 0.0, 0.0, 1.0],
+           "q_dot": [-20.0, 0.0, 0.0, -20.0], "alpha": 1.0, "alpha_dot": 0.0,
+           "p": 1.0, "dt": 1e-3, "steps": 1000}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == "not-spd"
+    assert reason["step"] == 448
+    assert reason["min_eigenvalue"] <= 0.0
 
 
 def test_cone_geodesic_apex_failure(tmp_path):

@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from uotcone.cone import (ConeProblem, ConeState, circle_base, cone_energy,
-                          cone_line, cone_ray, cone_rhs, flat_base,
-                          integrate_cone, radial_mass_geodesic)
+from uotcone import gaussian
+from uotcone.cone import (BaseManifold, ConeProblem, ConeState, circle_base,
+                          cone_energy, cone_line, cone_ray, cone_rhs, flat_base,
+                          integrate_cone, radial_mass_geodesic, scaled_base)
 from uotcone.errors import ApexCrossingError, MassError, NonFiniteError
 from uotcone.trace import relative_energy_drift
 
@@ -116,11 +117,12 @@ def test_apex_crossing_reports_step():
 
 
 def test_non_finite_base_reported():
-    base = circle_base()
-    bad = type(base)(dim=1, metric_eval=base.metric_eval,
-                     geodesic_rhs=lambda q, qdot: np.array([np.nan]))
-    with pytest.raises(NonFiniteError):
+    # a base whose jet returns a NaN acceleration: the first stage's
+    # derivative is not finite
+    bad = BaseManifold(dim=1, jet=lambda q, qdot: (qdot @ qdot, np.array([np.nan])))
+    with pytest.raises(NonFiniteError) as exc:
         integrate_cone(circle_state(), ConeProblem(p=1.0, dt=1e-2, steps=10), bad)
+    assert exc.value.details["step"] == 1
 
 
 def test_recorded_energy_column():
@@ -129,6 +131,41 @@ def test_recorded_energy_column():
     assert trace.column("H")[0] == pytest.approx(cone_energy(state, 1.0, circle_base()))
     # energy = alpha^2 phidot^2 + alphadot^2 at the start
     assert trace.column("H")[0] == pytest.approx(1.2**2 + 0.3**2)
+
+
+def test_euclidean_jet_takes_a_stack():
+    base = flat_base(3)
+    q = np.arange(12.0).reshape(4, 3)
+    qdot = np.array([[1.0, 2.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [1e-3, 0.0, 0.0]])
+    speed2, acc = base.jet(q, qdot)
+    assert np.array_equal(speed2, [9.0, 0.0, 25.0, 1e-6])
+    assert np.array_equal(acc, np.zeros((4, 3)))
+    one = base.jet(q[2], qdot[2])
+    assert one[0] == 25.0 and one[1].shape == (3,)
+
+
+def test_energy_column_is_the_energy_of_each_row():
+    state = circle_state(phidot=1.2, alphadot=0.3)
+    base = scaled_base(circle_base(), 0.25)
+    trace = integrate_cone(state, ConeProblem(p=0.5, dt=1e-2, steps=20), base)
+    for row in trace.data:
+        row_state = ConeState(q=row[4:5], q_dot=row[5:6], alpha=row[6], alpha_dot=row[7])
+        assert row[3] == pytest.approx(cone_energy(row_state, 0.5, base),
+                                       rel=1e-15, abs=0.0)
+
+
+def test_spd_cone_flow_calls_no_public_lyapunov_solve(monkeypatch):
+    # the jet of the SPD base solves its Lyapunov equation on the one
+    # eigendecomposition of V per call, not through the validating public solver
+    def refuse(V, X):
+        raise AssertionError("lyapunov_solve called")
+
+    monkeypatch.setattr(gaussian, "lyapunov_solve", refuse)
+    state = ConeState(q=np.array([1.2, 0.3, 0.3, 0.8]),
+                      q_dot=np.array([0.1, -0.05, -0.05, 0.2]), alpha=1.1, alpha_dot=0.1)
+    trace = integrate_cone(state, ConeProblem(p=1.0, dt=1e-2, steps=10),
+                           gaussian.spd_base(2))
+    assert relative_energy_drift(trace) <= 1e-8
 
 
 # -- radial_mass_geodesic -----------------------------------------------------

@@ -606,6 +606,56 @@ def test_gaussian_flow_matches_cone_over_spd_base():
     assert np.max(np.abs(V_cone - V_ham)) <= 1e-7
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cone_over_spd_base_matches_the_ray(n):
+    # the closed form of the Gaussian flow is an oracle for the cone flow over
+    # the SPD base: alpha = 2 sqrt(m), alphadot = xi sqrt(m), qdot = Xdot
+    rng = np.random.default_rng(40 + n)
+    V0 = random_spd(rng, n)
+    P0 = random_sym(rng, n, scale=0.4)
+    m0, xi0 = 1.3, 0.3
+    ray = geodesic_ray(GaussianCotangentState(V=V0, m=m0, P=P0, xi=xi0),
+                       dt=1e-3, steps=1000)
+    X0 = (2.0 / m0) * (P0 @ V0 + V0 @ P0)
+    state = ConeState(q=V0.ravel(), q_dot=X0.ravel(), alpha=2.0 * np.sqrt(m0),
+                      alpha_dot=xi0 * np.sqrt(m0))
+    trace = integrate_cone(state, ConeProblem(p=1.0, dt=1e-3, steps=1000),
+                           scaled_base(spd_base(n), 0.25))
+    npt.assert_allclose(trace.column("alpha") ** 2 / 4.0, ray.column("m"),
+                        rtol=1e-10, atol=0.0)
+    npt.assert_allclose(trace.block("q")[:, :n * n], ray.block("V_"),
+                        rtol=0.0, atol=1e-10)
+
+
+def test_spd_base_jet_is_the_lyapunov_representer():
+    # speed tr(V S S) / 2 = tr(S X) / 2 and acceleration 2 S V S, with S the
+    # solution of X = SV + VS; a stack of points gives one of each per point
+    rng = np.random.default_rng(17)
+    n = 3
+    Vs = np.array([random_spd(rng, n) for _ in range(4)])
+    Xs = np.array([random_sym(rng, n) for _ in range(4)])
+    speed2, acc = spd_base(n).jet(Vs.reshape(4, -1), Xs.reshape(4, -1))
+    assert speed2.shape == (4,) and acc.shape == (4, n * n)
+    for V, X, s2, a in zip(Vs, Xs, speed2, acc):
+        S = lyapunov_solve(V, X)
+        assert s2 == pytest.approx(0.5 * np.sum(S * X), rel=1e-14)
+        npt.assert_allclose(a, (2.0 * S @ V @ S).ravel(), rtol=1e-13, atol=1e-15)
+        one = spd_base(n).jet(V.ravel(), X.ravel())
+        assert one[0] == s2
+        assert np.array_equal(one[1], a)
+
+
+def test_spd_base_jet_rejects_a_non_spd_point():
+    with pytest.raises(SpdError) as exc:
+        spd_base(2).jet(np.array([1.0, 0.0, 0.0, -0.5]), np.zeros(4))
+    assert exc.value.details["min_eigenvalue"] == -0.5
+    # in a stack, the smallest eigenvalue of the first failing point
+    q = np.array([[1.0, 0.0, 0.0, 1.0], [-0.2, 0.0, 0.0, 1.0], [-3.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(SpdError) as exc:
+        spd_base(2).jet(q, np.zeros((3, 4)))
+    assert exc.value.details["min_eigenvalue"] == -0.2
+
+
 # -- affine extension ---------------------------------------------------------
 
 def test_affine_equal_endpoints_constant():
