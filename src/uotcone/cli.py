@@ -27,8 +27,8 @@ from .bb import BBPath, bb_action, from_small_trace
 from .cone import ConeProblem, ConeState, circle_base, flat_base, integrate_cone
 from .config import validate_config
 from .errors import ConfigError, NonFiniteError, NumericsError
-from .gaussian import (GaussianCotangentState, integrate_geodesic, shoot_bvp,
-                       spd_base)
+from .gaussian import (GaussianCotangentState, integrate_geodesic, require_spd,
+                       require_symmetric, shoot_bvp, spd_base)
 from .pde import (Grid1D, PdeState, fisher_rao_cone_geodesic, gdiv_metric_eval,
                   integrate_pde, small_metric_eval, total_mass)
 from .trace import GeodesicTrace, mass_quadratic_fit, relative_energy_drift
@@ -215,6 +215,11 @@ def _cone_base(cfg):
     if n * n != q.size:
         raise ConfigError("spd base expects a flattened square matrix",
                           got=int(q.size))
+    # the flow symmetrizes q and q_dot on every call, so an initial point
+    # that is no SPD matrix, or a velocity that is not symmetric, is refused
+    # here, before any step
+    require_spd(q.reshape(n, n), "q")
+    require_symmetric(_field(cfg, "q_dot", q.size).reshape(n, n), "q_dot")
     return spd_base(n)
 
 

@@ -8,6 +8,7 @@ identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,88 @@ class GeodesicTrace:
         return self.data[:, idx]
 
     def write_csv(self, path):
-        """Write the header and then one row at a time."""
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(",".join(self.columns) + "\n")
-            for row in self.data:
-                f.write(",".join(map(repr, row.tolist())) + "\n")
+        """Write the header and the rows, split into contiguous blocks, one
+        per available core.
+
+        A forked worker formats each block after the first and sends its
+        bytes through a pipe, while this process formats block 0 row by row
+        and then copies the workers' bytes in block order, so the file is
+        the same whatever the block count.  An OSError from the file stays
+        an OSError; a worker that fails raises RuntimeError.  No worker
+        outlives the call.
+        """
+        blocks = np.array_split(self.data, _block_count(self.data))
+        with open(path, "wb") as f:
+            f.write((",".join(self.columns) + "\n").encode())
+            workers = []  # (pid, read end of its pipe)
+            try:
+                for rows in blocks[1:]:
+                    workers.append(_fork_formatter(rows, [fd for _, fd in workers]))
+                for row in blocks[0]:
+                    f.write(_csv_row(row))
+                for _, fd in workers:
+                    while chunk := os.read(fd, 1 << 20):
+                        f.write(chunk)
+            finally:
+                # closed read ends make a worker still writing exit, so
+                # waiting cannot hang on a file that failed midway
+                for _, fd in workers:
+                    os.close(fd)
+                statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+        codes = [os.waitstatus_to_exitcode(s) for s in statuses]
+        if any(codes):
+            # a negative code is the signal that killed the worker
+            raise RuntimeError(f"a worker formatting {path} failed: exit codes {codes}")
+
+
+# Formatting one entry takes 0.9-1.1 us, and a fork, one pipe write and the
+# wait take 1.5-1.9 ms at 83 MB RSS (2-core Xeon, CPython 3.11.7): a block
+# of 2**14 entries, 15-18 ms of work, is the least worth a worker.
+_BLOCK_ENTRIES = 2**14
+
+
+def _csv_row(row):
+    """One CSV line of shortest round-trip floats, as bytes."""
+    return (",".join(map(repr, row.tolist())) + "\n").encode()
+
+
+def _block_count(data):
+    """One block per available core, each of at least _BLOCK_ENTRIES
+    entries and one row.  Where os.sched_getaffinity is missing (macOS,
+    Windows) there is one block, and nothing is forked."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cores, len(data), data.size // _BLOCK_ENTRIES))
+
+
+def _fork_formatter(rows, inherited):
+    """Fork a worker that writes the CSV lines of ``rows`` into a pipe, and
+    return (pid, read end).  ``inherited`` are the read ends of the earlier
+    workers, which the new one closes.  The worker only formats, writes and
+    exits: it calls no BLAS, imports nothing and takes no lock, because
+    the fork copies no thread but this one."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (r, *inherited):
+                os.close(fd)
+            text = bytearray()
+            for row in rows:
+                text += _csv_row(row)
+            out = memoryview(text)
+            while out:
+                out = out[os.write(w, out):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
 
 
 def _rk4(rhs, post, states, dt):

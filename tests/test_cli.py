@@ -210,6 +210,31 @@ def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, name):
     assert name in reason["message"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_disk_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the disk fills while forked workers format the trace: the error names
+    # the file, and no worker is left behind
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "trace.csv").symlink_to("/dev/full")
+    # a header shorter than the file buffer, so the first failing write comes
+    # after the fork
+    cfg = {"command": "fr-geodesic", "rho0": [1.0] * 512, "rho1": [2.0] * 512,
+           "num_times": 101}
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    code, _ = run_cli(tmp_path, cfg)
+    assert forks == [1]
+    assert code == 1
+    reason = json.loads(capsys.readouterr().err)
+    assert reason["kind"] == "config"
+    assert reason["path"] == str(tmp_path / "out" / "trace.csv")
+    assert "No space left on device" in reason["message"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
     def refuses(cfg, outdir, seed):
         raise ConfigError("refused", key="V")
@@ -452,6 +477,25 @@ def test_cone_geodesic_spd_loss_failure(tmp_path):
     assert reason["kind"] == "not-spd"
     assert reason["step"] == 448
     assert reason["min_eigenvalue"] <= 0.0
+
+
+@pytest.mark.parametrize("q, q_dot, kind, key", [
+    # the flow would symmetrize both and run on (exit 0, H ~ 0.01)
+    ([1.0, 0.5, -0.5, 1.0], [0.0, 0.3, -0.3, 0.0], "asymmetric-matrix", "asymmetry"),
+    ([1.0, 0.0, 0.0, 1.0], [0.0, 0.3, -0.3, 0.0], "asymmetric-matrix", "asymmetry"),
+    # once reported as not-spd at step 1
+    ([1.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.0], "not-spd", None),
+], ids=["asymmetric-q", "asymmetric-qdot", "indefinite-q"])
+def test_cone_geodesic_spd_input_is_validated(tmp_path, q, q_dot, kind, key):
+    cfg = {"command": "cone-geodesic", "base": "spd", "q": q, "q_dot": q_dot,
+           "alpha": 1.0, "alpha_dot": 0.0, "dt": 1e-3, "steps": 100}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == kind
+    assert "step" not in reason
+    assert key is None or key in reason
+    assert not (out / "trace.csv").exists()
 
 
 def test_cone_geodesic_apex_failure(tmp_path):

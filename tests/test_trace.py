@@ -1,6 +1,13 @@
+import errno
+import json
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from uotcone import trace as trace_module
+from uotcone.cli import main
 from uotcone.errors import NonFiniteError
 from uotcone.trace import GeodesicTrace, _rk4
 
@@ -78,11 +85,98 @@ def test_rk4_post_failure_is_stamped_with_the_new_step():
     assert exc.value.details == {"value": 4.0, "step": 4}
 
 
-def test_write_csv_streams_shortest_round_trip_rows(tmp_path):
-    data = np.array([[0.0, 1.0, -0.0, 1.0 / 3.0],
-                     [0.1, 1e-300, 2.5e17, -7.0]])
+def big_trace(rows, cols, seed=0):
+    """A trace of rows x cols entries, t strictly increasing."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols - 1)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    return GeodesicTrace(columns=tuple(f"c{i}" for i in range(cols)),
+                         data=np.column_stack([np.arange(rows) * 0.1, values]))
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Pretend this process may run on k cores."""
+    def pretend(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                            raising=False)
+    return pretend
+
+
+def test_write_csv_streams_shortest_round_trip_rows(tmp_path, cores, monkeypatch):
+    # far above one block (2**14 entries): written on the available cores,
+    # on one (which forks nothing) and on three, the bytes are those of the
+    # serial formula
+    special = np.array([[0.0, 1.0, -0.0, 1.0 / 3.0],
+                        [0.1, 1e-300, 2.5e17, -7.0]])
+    data = big_trace(20000, 4).data
+    data[:2] = special
     trace = GeodesicTrace(columns=("t", "m", "xi", "H"), data=data)
-    trace.write_csv(tmp_path / "trace.csv")
     expected = "t,m,xi,H\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n" for row in data)
-    assert (tmp_path / "trace.csv").read_bytes() == expected.encode("utf-8")
+    fork = os.fork
+    for k in (None, 1, 3):
+        if k is not None:
+            cores(k)
+        monkeypatch.setattr(os, "fork", fork if k != 1 else None)
+        trace.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == expected.encode("utf-8")
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("how", ["raise", "kill"])
+def test_worker_failure_is_an_internal_reason(tmp_path, cores, monkeypatch, how):
+    # a worker that raises or is killed: exit 2 with a reason, no traceback,
+    # no hang and no child left behind
+    cores(2)
+    parent = os.getpid()
+    row = trace_module._csv_row
+
+    def failing(values):
+        if os.getpid() != parent:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("worker failure")
+        return row(values)
+
+    monkeypatch.setattr(trace_module, "_csv_row", failing)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "fr-geodesic", "rho0": [1.0] * 4096,
+                               "rho1": [2.0] * 4096}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    reason = json.loads((out / "summary.json").read_text(encoding="utf-8"))["reason"]
+    assert reason["kind"] == "internal"
+    code = -signal.SIGKILL if how == "kill" else 1
+    assert reason["message"].endswith(f"failed: exit codes [{code}]")
+    no_child_left()
+
+
+class Hung(Exception):
+    pass
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_csv_to_a_full_disk_raises_and_leaves_no_child(cores):
+    # the workers' blocks far exceed a pipe's buffer, so a worker is still
+    # writing when the file fails; closing the pipes before waiting ends it
+    cores(3)
+    trace = big_trace(1024, 256)
+
+    def hung(signum, frame):
+        raise Hung("write_csv did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(OSError) as exc:
+            trace.write_csv("/dev/full")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert exc.value.errno == errno.ENOSPC
+    no_child_left()
