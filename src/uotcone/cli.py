@@ -27,7 +27,7 @@ from .bb import BBPath, bb_action, from_small_trace
 from .cone import ConeProblem, ConeState, circle_base, flat_base, integrate_cone
 from .config import validate_config
 from .errors import ConfigError, NonFiniteError, NumericsError
-from .gaussian import (GaussianCotangentState, integrate_geodesic, require_spd,
+from .gaussian import (GaussianCotangentState, geodesic_ray, require_spd,
                        require_symmetric, shoot_bvp, spd_base)
 from .pde import (Grid1D, PdeState, fisher_rao_cone_geodesic, gdiv_metric_eval,
                   integrate_pde, small_metric_eval, total_mass)
@@ -122,7 +122,7 @@ def _handle_gauss_geodesic(cfg, outdir, seed):
     n = cfg["n"]
     state = GaussianCotangentState(V=_matrix(cfg, "V", n), m=float(cfg["m"]),
                                    P=_matrix(cfg, "P", n), xi=float(cfg["xi"]))
-    trace = integrate_geodesic(state, dt=cfg["dt"], steps=cfg["steps"])
+    trace = geodesic_ray(state, dt=cfg["dt"], steps=cfg["steps"])
     _write_output(outdir / "trace.csv", trace)
     summary = {"command": cfg["command"], **_trace_summary(trace)}
     summary["mass_fit"]["expected_leading"] = 0.5 * float(trace.column("H")[0])

@@ -167,8 +167,6 @@ def integrate_cone(initial, problem, base):
     p = problem.p
 
     def post(y):
-        if not np.isfinite(y).all():
-            raise NonFiniteError("non-finite state during integration")
         if y[2 * dim] <= 0.0:
             raise ApexCrossingError("apex crossing during integration",
                                     alpha=float(y[2 * dim]))
@@ -232,12 +230,14 @@ def cone_ray(m0, xi0, omega0, t):
     omega0 swept by z, with its limit t / (1 + xi0 t / 2) at omega0 = 0.
     Broadcasts over t >= 0.  A radial ray (omega0 = 0) with xi0 < 0 reaches
     the apex at t = -2 / xi0, where its angle jumps to pi: ApexCrossingError
-    for any t from there on.
+    for any t from there on, whose ``step`` is the index of the first such t.
     """
     x = 1.0 + 0.5 * xi0 * t
     y = omega0 * t
     phi = np.arctan2(y, x) if omega0 > 0.0 else np.where(x > 0.0, 0.0, np.pi)
-    _require_off_apex(np.max(phi), xi0=float(xi0), omega0=float(omega0))
+    # phi <= pi, so the first maximum is the first t at the apex, if any
+    _require_off_apex(np.max(phi), xi0=float(xi0), omega0=float(omega0),
+                      step=int(np.argmax(phi)))
     m = m0 * (x * x + y * y)
     sigma = phi / omega0 if omega0 > 0.0 else t / x
     return m, sigma

@@ -196,9 +196,9 @@ def _gauss_rhs(y, n):
     flat = (*lead, nn)
     V = y[..., :nn].reshape(mat)
     P = y[..., nn:2 * nn].reshape(mat)
-    m = y[..., -2][()]  # numpy scalars for one state, whose arithmetic is fast
-    xi = y[..., -1][()]
-    mm = m[..., None, None] if lead else m
+    m = y[..., -2]
+    xi = y[..., -1]
+    mm = m[..., None, None]
     PV = P @ V
     P2 = P @ P
     out = np.empty_like(y)
@@ -225,31 +225,28 @@ def geodesic_rhs(state):
 
 def _project(y, n):
     """Post-step hook of the Gaussian flows, on one packed state or a stack
-    of them: re-symmetrize V and P in place, then require finite entries,
-    positive mass and an SPD covariance.  A failing stack names its first
-    failing member."""
+    of them: re-symmetrize V and P in place, then require positive mass and
+    an SPD covariance.  A failing stack names its first failing member."""
     nn = n * n
     lead = y.shape[:-1]
     VP = y[..., :2 * nn].reshape(*lead, 2, n, n)
     y[..., :2 * nn] = (0.5 * (VP + VP.swapaxes(-1, -2))).reshape(*lead, 2 * nn)
-    if not np.isfinite(y).all():
-        raise NonFiniteError("non-finite state during integration",
-                             **_first_member(~np.isfinite(y).all(-1)))
     m = y[..., -2]
     if m.min() <= 0.0:
-        where = _first_member(m <= 0.0)
         raise MassError("mass became nonpositive during integration",
-                        m=float(m[where.get("member", ())]), **where)
+                        m=float(m[m <= 0.0][0]), **_first_member(m <= 0.0))
     V = y[..., :nn].reshape(*lead, n, n)
     try:
         np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
-        where = _first_member(_cholesky_fails(V)) if lead else {}
-        raise SpdError("covariance lost positive-definiteness", **where) from None
+        raise SpdError("covariance lost positive-definiteness",
+                       **_first_member(_cholesky_fails(V))) from None
 
 
 def _cholesky_fails(V):
-    """One flag per matrix of a stack: its Cholesky factorization fails."""
+    """One flag per matrix of a stack (one for a single matrix): its
+    Cholesky factorization fails."""
+    V = V.reshape(-1, *V.shape[-2:])
     flags = np.zeros(len(V), dtype=bool)
     for i, Vi in enumerate(V):
         try:
@@ -266,7 +263,7 @@ def integrate_geodesic(initial, dt, steps):
     and P.  SPD loss of V, nonpositive mass, or non-finite values abort with
     the offending step index.  ``geodesic_ray`` is its closed form.
     """
-    return _flows([initial], dt, steps, stacked=False)[0]
+    return integrate_geodesics([initial], dt, steps)[0]
 
 
 def integrate_geodesics(states, dt, steps):
@@ -275,25 +272,18 @@ def integrate_geodesics(states, dt, steps):
     Returns one trace per state, equal entry for entry to its own
     ``integrate_geodesic`` trace.  A failure aborts the whole stack and
     carries, next to the step index, the index ``member`` of the first
-    failing state.
+    failing state (in a stack of more than one).
     """
-    return _flows(states, dt, steps, stacked=True)
-
-
-def _flows(initials, dt, steps, stacked):
-    # a single state runs on the 1-D layout, where numpy scalar arithmetic
-    # keeps the per-step cost of one small state down
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    states = [s.validate() for s in initials]
+    states = [s.validate() for s in states]
     n = states[0].n
     if any(s.n != n for s in states):
         raise ValueError("stacked states must have equal n")
     nn = n * n
     ys = np.empty((len(states), steps + 1, 2 * nn + 2))
     ys[:, 0] = [_pack_state(s) for s in states]
-    _rk4(lambda y: _gauss_rhs(y, n), lambda y: _project(y, n),
-         ys.swapaxes(0, 1) if stacked else ys[0], dt)
+    _rk4(lambda y: _gauss_rhs(y, n), lambda y: _project(y, n), ys.swapaxes(0, 1), dt)
     t = np.arange(steps + 1) * dt
     return [_geodesic_trace(t, y[:, :nn].reshape(-1, n, n), y[:, -2],
                             y[:, nn:2 * nn].reshape(-1, n, n), y[:, -1]) for y in ys]

@@ -219,7 +219,8 @@ def integrate_pdes(states, model, dt, steps):
     Returns one trace per state, equal entry for entry to its own
     ``integrate_pde`` trace; the traces are views of one array.  A failure,
     or a state refused by the step guard, aborts the whole stack and carries
-    the index ``member`` of the first failing state.
+    the index ``member`` of the first failing state (in a stack of more than
+    one).
     """
     return _evolve(states, model, dt, steps, stacked=True)
 
@@ -245,15 +246,12 @@ def _evolve(initials, model, dt, steps, stacked):
             raise StepGuardError(
                 "time step exceeds the stability guard",
                 dt=dt, bound=DT_GUARD_FACTOR * h * h / gmax, max_grad=gmax,
-                **({"member": i} if stacked else {}))
+                **({"member": i} if len(states) > 1 else {}))
 
     def f(y):
         return np.concatenate(rhs(grid, y[..., :n], y[..., n:]), axis=-1)
 
     def post(y):
-        if not np.isfinite(y).all():
-            raise NonFiniteError("non-finite fields during integration",
-                                 **_first_member(~np.isfinite(y).all(-1)))
         rho = y[..., :n]
         if rho.min() <= 0.0:
             where = _first_member((rho <= 0.0).any(-1))

@@ -9,6 +9,7 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class GeodesicTrace:
         bytes through a pipe, while this process formats block 0 row by row
         and then copies the workers' bytes in block order, so the file is
         the same whatever the block count.  An OSError from the file stays
-        an OSError; a worker that fails raises RuntimeError.  No worker
-        outlives the call.
+        an OSError, and kills the workers at once; a worker that fails
+        raises RuntimeError.  No worker outlives the call.
         """
         blocks = np.array_split(self.data, _block_count(self.data))
         with open(path, "wb") as f:
@@ -64,9 +65,13 @@ class GeodesicTrace:
                 for _, fd in workers:
                     while chunk := os.read(fd, 1 << 20):
                         f.write(chunk)
+            except BaseException:
+                # a file that failed midway waits for no worker to finish
+                # formatting its block
+                for pid, _ in workers:
+                    os.kill(pid, signal.SIGKILL)
+                raise
             finally:
-                # closed read ends make a worker still writing exit, so
-                # waiting cannot hang on a file that failed midway
                 for _, fd in workers:
                     os.close(fd)
                 statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
@@ -130,9 +135,10 @@ def _rk4(rhs, post, states, dt):
     """Classical fixed-step RK4 from ``states[0]``; row k receives the state
     after step k, and the last state is returned.
 
-    ``post(y)`` projects the new state in place and checks it.  A
-    NumericsError raised by a stage or by ``post`` during the step from k to
-    k + 1 is stamped ``step = k + 1``.
+    A new state with a non-finite entry raises NonFiniteError, naming the
+    first such member of a stack; then ``post(y)`` projects the new state in
+    place and checks it.  A NumericsError raised by a stage, by that check or
+    by ``post`` during the step from k to k + 1 is stamped ``step = k + 1``.
     """
     y = states[0]
     for k in range(1, len(states)):
@@ -142,6 +148,9 @@ def _rk4(rhs, post, states, dt):
             k3 = rhs(y + 0.5 * dt * k2)
             k4 = rhs(y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y).all():
+                raise NonFiniteError("non-finite state during integration",
+                                     **_first_member(~np.isfinite(y).all(-1)))
             post(y)
         except NumericsError as exc:
             exc.details["step"] = k
@@ -152,9 +161,9 @@ def _rk4(rhs, post, states, dt):
 
 def _first_member(bad):
     """Failure details naming the first failing member of a stack of states:
-    ``bad`` holds one flag per member.  A single state (a 0-d flag) names
-    none."""
-    return {"member": int(np.flatnonzero(bad)[0])} if np.ndim(bad) else {}
+    ``bad`` holds one flag per member.  A single state (a 0-d flag, or a
+    stack of one) names none."""
+    return {"member": int(np.flatnonzero(bad)[0])} if np.size(bad) > 1 else {}
 
 
 def relative_energy_drift(trace, column="H"):

@@ -95,6 +95,24 @@ def test_gauss_geodesic_csv_shape(tmp_path):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("cfg, kind, step", [
+    # the covariance leaves the SPD cone at step 536 while the mass stays
+    # above 1 (an RK4 flow steps past it and fails on a mass of -2e32 at
+    # step 537)
+    (gauss_config(n=2, V=[1.0, 0.0, 0.0, 1.0], P=[-1.0, 0.2, 0.2, 0.3], xi=0.0,
+                  steps=1000), "not-spd", 536),
+    # a radial collapse reaches the apex at t = -2 / xi = 0.5, step 500 (an
+    # RK4 flow fails on non-finite values at step 503)
+    (gauss_config(xi=-4.0, steps=1000), "apex-crossing", 500),
+], ids=["spd-loss", "apex"])
+def test_gauss_geodesic_failure_names_its_exact_step(tmp_path, cfg, kind, step):
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == kind
+    assert reason["step"] == step
+
+
 def test_gauss_connect_scaling_case(tmp_path):
     cfg = {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
            "Sigma1": [1.0], "m1": 4.0, "tol": 1e-10}
@@ -139,17 +157,20 @@ def test_gauss_connect_missed_endpoint_is_structured(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_gauss_connect_runs_no_flow(tmp_path, monkeypatch):
+@pytest.mark.parametrize("config, summary_holds", [
+    ("gauss_connect_scaling.json",
+     lambda s: s["xi0"] == 2.0 and s["endpoint_residual"] <= 1e-12),
+    ("gauss_geodesic_radial.json", lambda s: s["final"]["m"] == 4.0),
+], ids=["gauss-connect", "gauss-geodesic"])
+def test_gauss_commands_run_no_flow(tmp_path, monkeypatch, config, summary_holds):
     def no_flow(*args):
         raise AssertionError("an RK4 flow ran")
 
     monkeypatch.setattr(gaussian, "_rk4", no_flow)
     out = tmp_path / "out"
-    code = main(["--config", str(CONFIGS / "gauss_connect_scaling.json"),
-                 "--out", str(out)])
+    code = main(["--config", str(CONFIGS / config), "--out", str(out)])
     assert code == 0
-    summary = load_summary(out)
-    assert summary["xi0"] == 2.0 and summary["endpoint_residual"] <= 1e-12
+    assert summary_holds(load_summary(out))
     # the pure-scaling geodesic m(t) = (1 + t)^2 on 1001 samples
     rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
     assert rows.shape[0] == 1001

@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -178,5 +179,28 @@ def test_write_csv_to_a_full_disk_raises_and_leaves_no_child(cores):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert exc.value.errno == errno.ENOSPC
+    no_child_left()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_disk_does_not_wait_for_the_workers(cores, monkeypatch):
+    # workers that would take about 7 s to format their blocks: the file
+    # fails at its first flush, and the workers are killed, not awaited
+    cores(3)
+    trace = big_trace(1024, 256)
+    parent = os.getpid()
+    row = trace_module._csv_row
+
+    def slow(values):
+        if os.getpid() != parent:
+            time.sleep(0.02)
+        return row(values)
+
+    monkeypatch.setattr(trace_module, "_csv_row", slow)
+    start = time.monotonic()
+    with pytest.raises(OSError) as exc:
+        trace.write_csv("/dev/full")
+    assert time.monotonic() - start < 2.0
     assert exc.value.errno == errno.ENOSPC
     no_child_left()
