@@ -1,9 +1,9 @@
 """Conical metrics for unbalanced optimal transport: geodesics and invariants."""
 
 from .bb import BBPath, BBResult, bb_action, from_small_trace
-from .cone import (BaseManifold, ConeProblem, ConeState, circle_base, cone_energy,
-                   cone_line, cone_ray, cone_rhs, flat_base, integrate_cone,
-                   radial_mass_geodesic, scaled_base)
+from .cone import (BaseManifold, ConeProblem, ConeState, circle_base, cone_line,
+                   cone_ray, flat_base, integrate_cone, radial_mass_geodesic,
+                   scaled_base)
 from .gaussian import (AffineConnection, AffineGaussian, GaussianCotangentState,
                        affine_geodesic, base_metric_eval, connect_affine,
                        geodesic_ray, geodesic_rhs, group_metric_eval, hamiltonian,

@@ -215,9 +215,9 @@ def _cone_base(cfg):
     if n * n != q.size:
         raise ConfigError("spd base expects a flattened square matrix",
                           got=int(q.size))
-    # the flow symmetrizes q and q_dot on every call, so an initial point
-    # that is no SPD matrix, or a velocity that is not symmetric, is refused
-    # here, before any step
+    # the SPD base symmetrizes q and q_dot, so an initial point that is no
+    # SPD matrix, or a velocity that is not symmetric, is refused here,
+    # before any step
     require_spd(q.reshape(n, n), "q")
     require_symmetric(_field(cfg, "q_dot", q.size).reshape(n, n), "q_dot")
     return spd_base(n)

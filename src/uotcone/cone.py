@@ -1,9 +1,16 @@
-"""Geodesics of warped-product cones r^{2p} g + dr^2 over a pluggable base.
+"""Geodesics of warped-product cones dalpha^2 + alpha^{2p} g over a base.
 
-The base manifold enters only through one callback, its ``jet`` (squared
-speed and coordinate geodesic acceleration), so a circle, a flat space, or
-the space of SPD matrices plug in interchangeably.  p = 1 is the standard
-cone, p = 0 the product cylinder.
+Every geodesic of such a cone runs along a reparametrized geodesic of the
+base, and Clairaut's integral alpha^{2p} |qdot|_g = c holds along it
+(Bishop-O'Neill, Trans. AMS 1969).  So the flow is three scalars, the radius
+alpha, its rate and the base arc length s:
+
+    alphaddot = p c^2 alpha^{-2p-1},    sdot = c alpha^{-2p},
+
+and the base point is q(t) = exp_{q0}(s(t) qdot0 / |qdot0|_g).  The base
+enters only through its speed and its exponential map (``BaseManifold``),
+so a circle, a flat space, or the space of SPD matrices plug in
+interchangeably.  p = 1 is the standard cone, p = 0 the product cylinder.
 """
 
 from __future__ import annotations
@@ -13,23 +20,25 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ApexCrossingError, MassError, NonFiniteError
+from .errors import ApexCrossingError, MassError, NonFiniteError, NumericsError
 from .trace import GeodesicTrace, _rk4
 
 
 @dataclass(frozen=True)
 class BaseManifold:
-    """Base (Q, g) seen through one callback.
+    """Base (Q, g) seen through its geodesics.
 
-    ``jet(q, qdot)`` returns (g_q(qdot, qdot), qddot): the squared speed and
-    the coordinate acceleration of the unforced base geodesic, i.e. the base
-    geodesic equation reads qddot = jet(q, qdot)[1].  q and qdot hold dim
-    entries, or a stack of points along a leading axis, which gives one
-    speed and one acceleration per point.
+    ``speed(q0, qdot0)`` is |qdot0|_g.  ``exp(q0, qdot0, s)`` returns the
+    points and the unit velocities of the unit-speed geodesic from q0 along
+    qdot0 at the arc lengths s (a 1-D array), one row of dim entries per
+    arc; for qdot0 = 0 they are q0 and 0.  A base with a boundary raises its
+    own NumericsError at the first arc at or beyond it, with that arc's
+    index as ``step``.
     """
 
     dim: int
-    jet: Callable
+    speed: Callable
+    exp: Callable
 
 
 @dataclass(frozen=True)
@@ -64,19 +73,25 @@ class ConeProblem:
             raise ValueError("steps must be a positive integer")
 
 
-def _euclidean_jet(q, qdot):
-    # straight coordinate lines; vecdot is the BLAS dot of qdot @ qdot
-    return np.vecdot(qdot, qdot), np.zeros_like(qdot)
+def _euclidean_speed(q0, qdot0):
+    return np.sqrt(np.vecdot(qdot0, qdot0))
+
+
+def _euclidean_exp(q0, qdot0, s):
+    # straight coordinate lines; a zero velocity has no direction and stays 0
+    speed = _euclidean_speed(q0, qdot0)
+    u = qdot0 / speed if speed > 0.0 else qdot0
+    return q0 + np.multiply.outer(s, u), np.broadcast_to(u, (s.size, u.size))
 
 
 def circle_base():
     """Unit circle S^1 with angle coordinate and metric dphi^2."""
-    return BaseManifold(dim=1, jet=_euclidean_jet)
+    return BaseManifold(dim=1, speed=_euclidean_speed, exp=_euclidean_exp)
 
 
 def flat_base(dim):
     """Flat R^dim with the Euclidean metric."""
-    return BaseManifold(dim=dim, jet=_euclidean_jet)
+    return BaseManifold(dim=dim, speed=_euclidean_speed, exp=_euclidean_exp)
 
 
 def scaled_base(base, factor):
@@ -84,106 +99,76 @@ def scaled_base(base, factor):
 
     Rescaling g changes the radial coupling of the cone, which is how the
     mass-weighted metrics (with their factor-4 radial normalization) are
-    realized on top of a unit-normalized base.
+    realized on top of a unit-normalized base.  Speeds and arc lengths
+    scale by sqrt(factor).
     """
     if factor <= 0.0:
         raise ValueError("metric scale factor must be positive")
+    root = np.sqrt(factor)
 
-    def jet(q, qdot):
-        speed2, qddot = base.jet(q, qdot)
-        return factor * speed2, qddot
+    def exp(q0, qdot0, s):
+        q, u = base.exp(q0, qdot0, s / root)
+        return q, u / root
 
-    return BaseManifold(dim=base.dim, jet=jet)
-
-
-def _pack(state):
-    return np.array([*state.q, *state.q_dot, state.alpha, state.alpha_dot],
-                    dtype=float)
+    return BaseManifold(dim=base.dim, exp=exp,
+                        speed=lambda q0, qdot0: root * base.speed(q0, qdot0))
 
 
-def _cone_rhs(y, p, base):
-    """Time derivative of the packed cone state y = (q, qdot, alpha,
-    alphadot): qddot = base acceleration - (2p/alpha) alphadot qdot and
-    alphaddot = p alpha^(2p-1) g(qdot, qdot).  The stage must lie off the
-    apex (alpha > 0) with finite entries, and so must its derivative."""
-    dim = base.dim
-    alpha = y[2 * dim]
-    alphadot = y[2 * dim + 1]
+def _clairaut_rhs(y, p, alpha0, speed):
+    """Time derivative of the reduced state y = (alpha, alphadot, s) from
+    radius alpha0 and base speed |qdot0|_g: Clairaut's integral gives
+    sdot = speed (alpha0 / alpha)^{2p}, a ratio in which c = alpha0^{2p} speed
+    cannot under- or overflow, and alphaddot = p alpha^{2p-1} sdot^2.  A
+    stage at or below the apex (alpha <= 0) raises ApexCrossingError."""
+    alpha = y[0]
     if alpha <= 0.0:
         raise ApexCrossingError("apex crossing: alpha <= 0", alpha=float(alpha))
-    if not np.isfinite(y).all():
-        raise NonFiniteError("non-finite cone state")
-    qdot = y[dim:2 * dim]
-    speed2, acc = base.jet(y[:dim], qdot)
-    out = np.empty_like(y)
-    out[:dim] = qdot
-    out[dim:2 * dim] = acc - (2.0 * p / alpha) * alphadot * qdot
-    out[2 * dim] = alphadot
-    out[2 * dim + 1] = p * alpha ** (2.0 * p - 1.0) * speed2
-    if not np.isfinite(out).all():
-        raise NonFiniteError("non-finite cone derivative")
-    return out
-
-
-def _cone_energy(y, p, base):
-    """alpha^{2p} g(qdot, qdot) + alphadot^2 of packed states, one or a
-    stack along a leading axis."""
-    dim = base.dim
-    alpha = y[..., 2 * dim]
-    alphadot = y[..., 2 * dim + 1]
-    speed2, _ = base.jet(y[..., :dim], y[..., dim:2 * dim])
-    return alpha ** (2.0 * p) * speed2 + alphadot ** 2
-
-
-def cone_rhs(state, p, base):
-    """Time derivative (qdot, qddot, alphadot, alphaddot) of the cone flow.
-
-    qddot = base acceleration - (2p/alpha) * alphadot * qdot and
-    alphaddot = p * alpha^(2p-1) * g(qdot, qdot); for p = 1 the radial
-    equation is alphaddot = alpha * g(qdot, qdot).
-    """
-    dim = base.dim
-    dy = _cone_rhs(_pack(state), p, base)
-    return dy[:dim], dy[dim:2 * dim], float(dy[2 * dim]), float(dy[2 * dim + 1])
-
-
-def cone_energy(state, p, base):
-    """Squared speed alpha^{2p} g(qdot,qdot) + alphadot^2, conserved along geodesics."""
-    return float(_cone_energy(_pack(state), p, base))
+    sdot = speed * (alpha0 / alpha) ** (2.0 * p)
+    return np.array([y[1], p * alpha ** (2.0 * p - 1.0) * sdot * sdot, sdot])
 
 
 def integrate_cone(initial, problem, base):
     """Fixed-step RK4 integration of the cone geodesic flow.
 
     Returns a trace with columns t, m (= alpha^2), xi (= 2 alphadot/alpha),
-    H (the cone energy), then q, qdot, alpha, alphadot.  One packed RHS
-    (``_cone_rhs``) feeds ``trace._rk4``.  Aborts with the step index on
-    apex crossing (alpha <= 0), non-finite values, or a failure of the
-    base's jet (SpdError on the SPD base).
+    H (the cone energy alphadot^2 + alpha^{2p} sdot^2), then q, qdot, alpha,
+    alphadot.  ``trace._rk4`` steps the reduced state (alpha, alphadot, s)
+    through ``_clairaut_rhs``, and one call of the base's ``exp`` over the
+    arc column gives q and the direction of qdot = sdot u.  Aborts with the
+    step index on apex crossing (alpha <= 0), non-finite values, or an arc
+    beyond the base's boundary (not-spd on the SPD base), whichever comes
+    first.
     """
     problem.validate()
     initial.validate(base.dim)
-    dim = base.dim
     p = problem.p
+    ys = np.zeros((problem.steps + 1, 3))
+    ys[0, :2] = initial.alpha, initial.alpha_dot
+    speed = base.speed(initial.q, initial.q_dot)
 
     def post(y):
-        if y[2 * dim] <= 0.0:
+        if y[0] <= 0.0:
             raise ApexCrossingError("apex crossing during integration",
-                                    alpha=float(y[2 * dim]))
+                                    alpha=float(y[0]))
 
-    cols = (["t", "m", "xi", "H"]
-            + [f"q{i}" for i in range(dim)]
-            + [f"qdot{i}" for i in range(dim)]
-            + ["alpha", "alphadot"])
-    data = np.empty((problem.steps + 1, len(cols)))
-    ys = data[:, 4:]
-    ys[0] = _pack(initial)
-    _rk4(lambda y: _cone_rhs(y, p, base), post, ys, problem.dt)
-    alpha = ys[:, 2 * dim]
-    data[:, 0] = np.arange(problem.steps + 1) * problem.dt
-    data[:, 1] = alpha ** 2
-    data[:, 2] = 2.0 * ys[:, 2 * dim + 1] / alpha
-    data[:, 3] = _cone_energy(ys, p, base)
+    try:
+        _rk4(lambda y: _clairaut_rhs(y, p, initial.alpha, speed), post, ys, problem.dt)
+    except NumericsError as exc:
+        # an arc past the base's boundary before that step fails first
+        base.exp(initial.q, initial.q_dot, ys[:exc.details["step"], 2])
+        raise
+    alpha, alphadot, s = ys.T
+    q, u = base.exp(initial.q, initial.q_dot, s)
+    sdot = speed * (initial.alpha / alpha) ** (2.0 * p)
+    data = np.column_stack([np.arange(problem.steps + 1) * problem.dt, alpha ** 2,
+                            2.0 * alphadot / alpha,
+                            alphadot ** 2 + alpha ** (2.0 * p) * sdot * sdot,
+                            q, sdot[:, None] * u, alpha, alphadot])
+    cols = (["t", "m", "xi", "H"] + [f"q{i}" for i in range(base.dim)]
+            + [f"qdot{i}" for i in range(base.dim)] + ["alpha", "alphadot"])
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise NonFiniteError("non-finite cone trace", step=int(np.argmax(bad)))
     return GeodesicTrace(columns=tuple(cols), data=data)
 
 

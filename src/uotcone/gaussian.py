@@ -56,20 +56,12 @@ def require_spd(M, what="matrix"):
     return M
 
 
-def _require_positive(lam, what):
-    """SPD check on the ascending eigenvalues of one matrix, or of each
-    matrix of a stack: SpdError with the smallest eigenvalue of the first
-    matrix that has one <= 0."""
-    low = lam[..., 0]
-    if (low <= 0.0).any():
-        raise SpdError(f"{what} is not positive definite",
-                       min_eigenvalue=float(low[low <= 0.0][0]))
-
-
 def _spd_eigh(M, what="matrix"):
-    M = require_symmetric(M, what)
-    lam, Q = np.linalg.eigh(M)
-    _require_positive(lam, what)
+    """Ascending eigendecomposition of a symmetric positive-definite matrix:
+    SpdError with the smallest eigenvalue if it is <= 0."""
+    lam, Q = np.linalg.eigh(require_symmetric(M, what))
+    if lam[0] <= 0.0:
+        raise SpdError(f"{what} is not positive definite", min_eigenvalue=float(lam[0]))
     return lam, Q
 
 
@@ -91,11 +83,10 @@ def lyapunov_solve(V, X):
 
 def _lyapunov_eig(lam, Q, X):
     """The solution S of X = SV + VS from the eigendecomposition
-    V = Q diag(lam) Q^T, for one matrix or a stack of them: in the eigenbasis
-    S is elementwise X~_ij / (lam_i + lam_j).  No validation."""
-    Qt = Q.swapaxes(-1, -2)
-    St = (Qt @ X @ Q) / (lam[..., :, None] + lam[..., None, :])
-    return symmetrize(Q @ St @ Qt)
+    V = Q diag(lam) Q^T: in the eigenbasis S is elementwise
+    X~_ij / (lam_i + lam_j).  No validation."""
+    St = (Q.T @ X @ Q) / (lam[:, None] + lam[None, :])
+    return symmetrize(Q @ St @ Q.T)
 
 
 def _finite(value):
@@ -307,6 +298,26 @@ def _geodesic_trace(t, V, m, P, xi):
     return GeodesicTrace(columns=tuple(cols), data=data)
 
 
+def _balanced_factor(S, sigma):
+    """The factors C = I + sigma S of the balanced curve C V0 C, one per
+    arc sigma >= 0, with the eigendecomposition S = Q diag(lam) Q^T and the
+    eigenvalues c = 1 + sigma lam of each C: returns lam, Q, c, C.
+
+    The curve leaves the SPD cone where C turns singular, at
+    sigma = -1 / min(lam) (never if min(lam) >= 0): the first sigma whose C
+    has an eigenvalue <= 0 raises SpdError, with its index as ``step`` and
+    that eigenvalue as ``min_eigenvalue``.
+    """
+    lam, Q = np.linalg.eigh(S)
+    c = 1.0 + np.multiply.outer(sigma, lam)
+    low = np.min(c, axis=-1)
+    lost = np.flatnonzero(low <= 0.0)
+    if lost.size:
+        raise SpdError("covariance lost positive-definiteness", step=int(lost[0]),
+                       min_eigenvalue=float(low[lost[0]]))
+    return lam, Q, c, np.eye(lam.size) + sigma[:, None, None] * S
+
+
 def _ray(V0, m0, P0, xi0, t, pb0=None):
     """The geodesic from (V0, m0, P0, xi0) at the times t >= 0, in closed form.
 
@@ -318,7 +329,7 @@ def _ray(V0, m0, P0, xi0, t, pb0=None):
     C = I + sigma S0; the mass rate is mdot = m0 xi0 + H0 t.  Returns m, xi,
     sigma and the stacked V, P; row t = 0 is the initial state exactly.  A
     singular C (the covariance leaves the SPD cone) raises SpdError with the
-    index of the first such time.
+    index of the first such time (``_balanced_factor``).
     """
     S0 = (2.0 / m0) * P0
     omega2 = 0.25 * np.sum((V0 @ S0) * S0)
@@ -326,12 +337,7 @@ def _ray(V0, m0, P0, xi0, t, pb0=None):
         omega2 = omega2 + 0.25 * (pb0 @ pb0) / m0 / m0
     m, sigma = cone_ray(m0, xi0, np.sqrt(omega2), t)
     xi = (m0 / m) * (xi0 + (0.5 * xi0 * xi0 + 2.0 * omega2) * t)
-    lam, Q = np.linalg.eigh(S0)
-    c = 1.0 + np.multiply.outer(sigma, lam)  # eigenvalues of C
-    lost = np.flatnonzero(np.min(c, axis=-1) <= 0.0)
-    if lost.size:
-        raise SpdError("covariance lost positive-definiteness", step=int(lost[0]))
-    C = np.eye(lam.size) + sigma[:, None, None] * S0
+    lam, Q, c, C = _balanced_factor(S0, sigma)
     V = symmetrize(C @ V0 @ C)
     P = symmetrize((Q * (0.5 * m0 * lam / c)[:, None, :]) @ Q.T)  # P0 C^{-1}
     P[sigma == 0.0] = P0  # C = I
@@ -549,21 +555,28 @@ def spd_base(n):
 
     Points and tangents are row-major flattened n x n symmetric matrices.
     The metric is tr(V S_u S_v) with S_u the Lyapunov representer of u
-    (u = S_u V + V S_u), so the squared speed of X is tr(S_X X) / 2, and the
-    geodesic acceleration is 2 S_X V S_X (whose integral curves are the
-    balanced interpolation curves).  The jet takes both from one
-    eigendecomposition of V; a V that is not positive definite raises
-    SpdError.
+    (u = S_u V + V S_u), so the speed of X at V is sqrt(tr(S X) / 2), from
+    one eigendecomposition of V; a V that is not positive definite raises
+    SpdError.  The unit-speed geodesic from V0 along X is the balanced curve
+    V(s) = C V0 C with C = I + s S, S the representer of X / |X| (Takatsu,
+    Osaka J. Math. 2011), and its unit velocity is S V0 C + C V0 S.  It
+    leaves the SPD cone at the arc s* = -1 / min eig(S), and ``exp`` raises
+    SpdError at the first arc at or beyond it (``_balanced_factor``).
     """
 
-    def jet(q, qdot):
-        lead = q.shape[:-1]
-        V = symmetrize(q.reshape(*lead, n, n))
-        X = symmetrize(qdot.reshape(*lead, n, n))
-        lam, Q = np.linalg.eigh(V)
-        _require_positive(lam, "V")
-        S = _lyapunov_eig(lam, Q, X)
-        speed2 = 0.5 * np.sum(S * X, axis=(-2, -1))
-        return speed2, (2.0 * S @ V @ S).reshape(*lead, n * n)
+    def start(q0, qdot0):
+        V = symmetrize(q0.reshape(n, n))
+        X = symmetrize(qdot0.reshape(n, n))
+        S = _lyapunov_eig(*_spd_eigh(V, "V"), X)
+        return V, S, np.sqrt(0.5 * np.sum(S * X))
 
-    return BaseManifold(dim=n * n, jet=jet)
+    def exp(q0, qdot0, s):
+        V, S, speed = start(q0, qdot0)
+        if speed > 0.0:  # a zero velocity has no direction and stays 0
+            S = S / speed
+        C = _balanced_factor(S, s)[3]
+        SVC = S @ V @ C
+        return (symmetrize(C @ V @ C).reshape(-1, n * n),
+                (SVC + SVC.swapaxes(-1, -2)).reshape(-1, n * n))
+
+    return BaseManifold(dim=n * n, exp=exp, speed=lambda q0, qdot0: start(q0, qdot0)[2])

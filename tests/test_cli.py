@@ -282,9 +282,10 @@ def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
       "rhodot": [1e200] + [1.0] * 7}, "non-finite"),
     ({"command": "pde-evolve", "rho": [1.0] * 8, "theta": [1e200] * 8,
       "steps": 2}, "non-finite"),
-    # the cone radial acceleration and the mass column overflow
+    # the cone radial acceleration 3 alpha^5 |q_dot|^2 and the mass column
+    # overflow
     ({"command": "cone-geodesic", "base": "circle", "p": 3.0, "q": [0.0],
-      "q_dot": [7.0], "alpha": 8.0, "alpha_dot": 105.0}, "non-finite"),
+      "q_dot": [1e300], "alpha": 8.0, "alpha_dot": 105.0}, "non-finite"),
     ({"command": "cone-geodesic", "base": "circle", "q": [0.0], "q_dot": [0.0],
       "alpha": 1.3407807929942597e154, "alpha_dot": 0.0}, "non-finite"),
     # t^2 underflows in the least-squares fit of m(t)
@@ -498,6 +499,23 @@ def test_cone_geodesic_spd_loss_failure(tmp_path):
     assert reason["kind"] == "not-spd"
     assert reason["step"] == 448
     assert reason["min_eigenvalue"] <= 0.0
+
+
+def test_cone_geodesic_spd_boundary_is_exact(tmp_path):
+    # the base geodesic leaves the SPD cone where C = I + s S turns singular,
+    # at the arc s* = -1 / min eig(S), which the flow reaches at step 1613; a
+    # flow that stepped over that pole of the Lyapunov representer ran on to
+    # exit 0 with an energy drift of 44.6
+    cfg = {"command": "cone-geodesic", "base": "spd", "q": [1.0, 0.0, 0.0, 1.0],
+           "q_dot": [-2.0, 0.4, 0.4, 0.6], "alpha": 1.0, "alpha_dot": 0.0,
+           "p": 1.0, "dt": 1e-3, "steps": 2000}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == "not-spd"
+    assert reason["step"] == 1613
+    assert reason["min_eigenvalue"] <= 0.0
+    assert not (out / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("q, q_dot, kind, key", [

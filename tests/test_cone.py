@@ -1,12 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from uotcone import gaussian
-from uotcone.cone import (BaseManifold, ConeProblem, ConeState, circle_base,
-                          cone_energy, cone_line, cone_ray, cone_rhs, flat_base,
-                          integrate_cone, radial_mass_geodesic, scaled_base)
-from uotcone.errors import ApexCrossingError, MassError, NonFiniteError
+from uotcone.cone import (BaseManifold, ConeProblem, ConeState, _clairaut_rhs,
+                          circle_base, cone_line, cone_ray, flat_base, integrate_cone,
+                          radial_mass_geodesic, scaled_base)
+from uotcone.errors import ApexCrossingError, MassError, NonFiniteError, SpdError
 from uotcone.trace import relative_energy_drift
 
 
@@ -15,53 +18,66 @@ def circle_state(phi=0.0, phidot=1.0, alpha=1.0, alphadot=0.0):
                      alpha=alpha, alpha_dot=alphadot)
 
 
-# -- cone_rhs -----------------------------------------------------------------
+def reduced_rhs(state, p, base=None):
+    """(alphadot, alphaddot, sdot) of the reduced flow at a cone state."""
+    base = base or circle_base()
+    return _clairaut_rhs(np.array([state.alpha, state.alpha_dot, 0.0]), p, state.alpha,
+                         base.speed(state.q, state.q_dot))
+
+
+# -- the reduced flow (alpha, alphadot, s) ------------------------------------
 
 def test_rhs_pure_radial_motion_is_straight():
     state = ConeState(q=np.array([0.3]), q_dot=np.zeros(1), alpha=2.0, alpha_dot=-0.5)
-    dq, dqdot, dalpha, dalphadot = cone_rhs(state, p=1.0, base=circle_base())
-    npt.assert_allclose(dqdot, 0.0)
+    dalpha, dalphadot, ds = reduced_rhs(state, p=1.0)
+    assert ds == 0.0  # the base point stands still
     assert dalphadot == 0.0
     assert dalpha == -0.5
 
 
 def test_rhs_flat_cone_initial_acceleration():
     # cartesian straight line (1, t): alpha(t) = sqrt(1 + t^2) so alphaddot(0) = 1
-    dq, dqdot, dalpha, dalphadot = cone_rhs(circle_state(), p=1.0, base=circle_base())
-    npt.assert_allclose(dq, [1.0])
-    npt.assert_allclose(dqdot, [0.0])
+    dalpha, dalphadot, ds = reduced_rhs(circle_state(), p=1.0)
+    npt.assert_allclose(ds, 1.0)
+    assert dalpha == 0.0
     assert dalphadot == pytest.approx(1.0)
 
 
 def test_rhs_p_zero_decouples():
     state = circle_state(phidot=0.7, alphadot=0.4)
-    dq, dqdot, dalpha, dalphadot = cone_rhs(state, p=0.0, base=circle_base())
-    npt.assert_allclose(dqdot, 0.0)  # base rhs of the circle is zero
+    _, dalphadot, ds = reduced_rhs(state, p=0.0)
+    npt.assert_allclose(ds, 0.7)  # the base moves at its own constant speed
     assert dalphadot == 0.0
 
 
 def test_rhs_rejects_apex():
-    state = ConeState(q=np.zeros(1), q_dot=np.ones(1), alpha=1.0, alpha_dot=0.0)
-    bad = ConeState(q=state.q, q_dot=state.q_dot, alpha=-0.1, alpha_dot=0.0)
     with pytest.raises(ApexCrossingError):
-        cone_rhs(bad, p=1.0, base=circle_base())
+        _clairaut_rhs(np.array([-0.1, 0.0, 0.0]), 1.0, 1.0, 1.0)
 
 
 def test_general_p_radial_equation():
     # alphaddot = p alpha^(2p-1) g(qdot,qdot)
     state = circle_state(phidot=2.0, alpha=1.5)
     for p in (-0.5, 0.0, 0.5, 1.0, 2.0):
-        _, _, _, dalphadot = cone_rhs(state, p=p, base=circle_base())
+        _, dalphadot, _ = reduced_rhs(state, p=p)
         assert dalphadot == pytest.approx(p * 1.5 ** (2 * p - 1) * 4.0)
 
 
 # -- integrate_cone -----------------------------------------------------------
 
-def test_integrate_zero_velocity_is_constant():
-    state = ConeState(q=np.array([0.4]), q_dot=np.zeros(1), alpha=1.3, alpha_dot=0.0)
-    trace = integrate_cone(state, ConeProblem(p=1.0, dt=1e-2, steps=50), circle_base())
-    npt.assert_allclose(trace.column("alpha"), 1.3)
-    npt.assert_allclose(trace.column("q0"), 0.4)
+@pytest.mark.parametrize("base, q", [
+    (circle_base(), [0.4]),
+    (flat_base(3), [0.4, -1.0, 2.5]),
+    (gaussian.spd_base(2), [1.2, 0.3, 0.3, 0.8]),
+], ids=["circle", "flat", "spd"])
+def test_integrate_zero_velocity_is_constant(base, q):
+    # no base speed to divide by: q stays, qdot is 0 and alpha is affine
+    q = np.array(q)
+    state = ConeState(q=q, q_dot=np.zeros(q.size), alpha=1.3, alpha_dot=-0.2)
+    trace = integrate_cone(state, ConeProblem(p=1.0, dt=1e-2, steps=50), base)
+    npt.assert_allclose(trace.column("alpha"), 1.3 - 0.2 * trace.t)
+    assert np.array_equal(trace.block("q")[:, :q.size], np.tile(q, (51, 1)))
+    assert np.array_equal(trace.block("qdot"), np.zeros((51, q.size)))
 
 
 def test_flat_cone_over_circle_matches_cartesian_line():
@@ -74,6 +90,17 @@ def test_flat_cone_over_circle_matches_cartesian_line():
     phi_exact = np.arctan(t)
     assert np.max(np.abs(trace.column("alpha") - alpha_exact)) <= 1e-6
     assert np.max(np.abs(trace.column("q0") - phi_exact)) <= 1e-6
+
+
+def test_p_one_cone_is_scale_invariant_down_to_tiny_radii():
+    # scaling alpha and alphadot by 1e-170 scales the p = 1 geodesic and
+    # keeps its base path, although alpha0^2 |qdot0| underflows
+    problem = ConeProblem(p=1.0, dt=1e-3, steps=1000)
+    unit = integrate_cone(circle_state(alphadot=0.5), problem, circle_base())
+    tiny = integrate_cone(circle_state(alpha=1e-170, alphadot=0.5e-170), problem,
+                          circle_base())
+    npt.assert_allclose(tiny.column("q0"), unit.column("q0"), rtol=1e-14, atol=0.0)
+    npt.assert_allclose(tiny.column("alpha"), 1e-170 * unit.column("alpha"), rtol=1e-14)
 
 
 def test_energy_drift_small_and_fourth_order():
@@ -116,47 +143,109 @@ def test_apex_crossing_reports_step():
     assert exc.value.details["step"] == 11
 
 
+def test_spd_boundary_is_exact_for_p_zero():
+    # at p = 0 the arc is s = |qdot0| t, and the balanced curve leaves the
+    # SPD cone at s* = -|qdot0| / min eig(S0), S0 the representer of qdot0:
+    # the first step whose arc reaches it is ceil(-1 / (min eig(S0) dt)),
+    # and it is reported before the apex that alpha = 1 - t / 2 reaches later
+    V0 = np.array([[1.0, 0.2], [0.2, 2.0]])
+    X0 = np.array([[-1.3, 0.1], [0.1, 0.4]])
+    dt = 1e-3
+    steps_to_edge = -1.0 / (np.linalg.eigvalsh(gaussian.lyapunov_solve(V0, X0))[0] * dt)
+    assert 0.2 < steps_to_edge % 1.0 < 0.8  # clear of a knife edge
+    step = math.ceil(steps_to_edge)
+    state = ConeState(q=V0.ravel(), q_dot=X0.ravel(), alpha=1.0, alpha_dot=-0.5)
+    base = gaussian.spd_base(2)
+    inside = integrate_cone(state, ConeProblem(p=0.0, dt=dt, steps=step - 1), base)
+    assert np.linalg.eigvalsh(inside.block("q")[-1, :4].reshape(2, 2))[0] > 0.0
+    with pytest.raises(SpdError) as exc:
+        integrate_cone(state, ConeProblem(p=0.0, dt=dt, steps=2500), base)
+    assert exc.value.details["step"] == step
+    assert exc.value.details["min_eigenvalue"] <= 0.0
+
+
 def test_non_finite_base_reported():
-    # a base whose jet returns a NaN acceleration: the first stage's
-    # derivative is not finite
-    bad = BaseManifold(dim=1, jet=lambda q, qdot: (qdot @ qdot, np.array([np.nan])))
+    # a base whose exponential map returns NaN points off the start: the
+    # first row past it is not finite
+    def exp(q0, qdot0, s):
+        q, u = circle_base().exp(q0, qdot0, s)
+        return np.where(s[:, None] > 0.0, np.nan, q), u
+
+    bad = BaseManifold(dim=1, speed=circle_base().speed, exp=exp)
     with pytest.raises(NonFiniteError) as exc:
         integrate_cone(circle_state(), ConeProblem(p=1.0, dt=1e-2, steps=10), bad)
     assert exc.value.details["step"] == 1
 
 
+@pytest.mark.parametrize("base, q, q_dot", [
+    (circle_base(), [0.0], [1.2]),
+    (gaussian.spd_base(2), [1.2, 0.3, 0.3, 0.8], [0.1, -0.05, -0.05, 0.2]),
+], ids=["circle", "spd"])
+def test_cone_flow_calls_exp_once_per_trace(base, q, q_dot):
+    # the base's exponential map runs over the whole arc column at once, so
+    # no per-step base call creeps back into the flow
+    calls = []
+
+    def exp(*args):
+        calls.append(1)
+        return base.exp(*args)
+
+    counted = dataclasses.replace(base, exp=exp)
+    state = ConeState(q=np.array(q), q_dot=np.array(q_dot), alpha=1.1, alpha_dot=0.1)
+    counts = []
+    for steps in (10, 1000):
+        calls.clear()
+        integrate_cone(state, ConeProblem(p=1.0, dt=1e-3, steps=steps), counted)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 1
+
+
 def test_recorded_energy_column():
     state = circle_state(phidot=1.2, alphadot=0.3)
-    trace = integrate_cone(state, ConeProblem(p=1.0, dt=1e-2, steps=5), circle_base())
-    assert trace.column("H")[0] == pytest.approx(cone_energy(state, 1.0, circle_base()))
-    # energy = alpha^2 phidot^2 + alphadot^2 at the start
+    base = circle_base()
+    trace = integrate_cone(state, ConeProblem(p=1.0, dt=1e-2, steps=5), base)
+    # energy = alpha^2 g(qdot, qdot) + alphadot^2 at the start
+    speed = base.speed(state.q, state.q_dot)
+    assert trace.column("H")[0] == pytest.approx(state.alpha**2 * speed**2 + 0.3**2)
     assert trace.column("H")[0] == pytest.approx(1.2**2 + 0.3**2)
 
 
-def test_euclidean_jet_takes_a_stack():
+def test_euclidean_exp_takes_a_stack_of_arcs():
     base = flat_base(3)
-    q = np.arange(12.0).reshape(4, 3)
-    qdot = np.array([[1.0, 2.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [1e-3, 0.0, 0.0]])
-    speed2, acc = base.jet(q, qdot)
-    assert np.array_equal(speed2, [9.0, 0.0, 25.0, 1e-6])
-    assert np.array_equal(acc, np.zeros((4, 3)))
-    one = base.jet(q[2], qdot[2])
-    assert one[0] == 25.0 and one[1].shape == (3,)
+    q0 = np.array([1.0, -2.0, 0.5])
+    qdot0 = np.array([1.0, 2.0, 2.0])
+    assert base.speed(q0, qdot0) == 3.0
+    s = np.array([0.0, 1.5, 3.0, 1e-3])
+    q, u = base.exp(q0, qdot0, s)
+    assert q.shape == u.shape == (4, 3)
+    assert np.array_equal(q, q0 + s[:, None] * (qdot0 / 3.0))
+    assert np.array_equal(u, np.tile(qdot0 / 3.0, (4, 1)))
+    # a zero velocity stays at q0 with no direction
+    assert base.speed(q0, np.zeros(3)) == 0.0
+    q, u = base.exp(q0, np.zeros(3), s)
+    assert np.array_equal(q, np.tile(q0, (4, 1)))
+    assert np.array_equal(u, np.zeros((4, 3)))
 
 
 def test_energy_column_is_the_energy_of_each_row():
     state = circle_state(phidot=1.2, alphadot=0.3)
     base = scaled_base(circle_base(), 0.25)
-    trace = integrate_cone(state, ConeProblem(p=0.5, dt=1e-2, steps=20), base)
+    p = 0.5
+    trace = integrate_cone(state, ConeProblem(p=p, dt=1e-2, steps=20), base)
+    c = state.alpha ** (2 * p) * base.speed(state.q, state.q_dot)
     for row in trace.data:
-        row_state = ConeState(q=row[4:5], q_dot=row[5:6], alpha=row[6], alpha_dot=row[7])
-        assert row[3] == pytest.approx(cone_energy(row_state, 0.5, base),
+        alpha, alphadot = row[6], row[7]
+        speed = base.speed(row[4:5], row[5:6])
+        assert row[3] == pytest.approx(alpha ** (2 * p) * speed**2 + alphadot**2,
                                        rel=1e-15, abs=0.0)
+        # Clairaut's integral alpha^{2p} |qdot|_g = c
+        assert alpha ** (2 * p) * speed == pytest.approx(c, rel=1e-15, abs=0.0)
 
 
 def test_spd_cone_flow_calls_no_public_lyapunov_solve(monkeypatch):
-    # the jet of the SPD base solves its Lyapunov equation on the one
-    # eigendecomposition of V per call, not through the validating public solver
+    # the speed and the exponential map of the SPD base solve the Lyapunov
+    # equation of q_dot on the one eigendecomposition of q, not through the
+    # validating public solver
     def refuse(V, X):
         raise AssertionError("lyapunov_solve called")
 

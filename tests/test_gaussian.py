@@ -627,33 +627,43 @@ def test_cone_over_spd_base_matches_the_ray(n):
                         rtol=0.0, atol=1e-10)
 
 
-def test_spd_base_jet_is_the_lyapunov_representer():
-    # speed tr(V S S) / 2 = tr(S X) / 2 and acceleration 2 S V S, with S the
-    # solution of X = SV + VS; a stack of points gives one of each per point
+def test_spd_base_exp_is_the_balanced_geodesic():
+    # speed sqrt(tr(S X) / 2), with S the solution of X = SV + VS; along the
+    # arcs the curve has unit speed and solves the geodesic equation
+    # Vddot = 2 T V T, T the representer of its velocity at V(s)
     rng = np.random.default_rng(17)
     n = 3
-    Vs = np.array([random_spd(rng, n) for _ in range(4)])
-    Xs = np.array([random_sym(rng, n) for _ in range(4)])
-    speed2, acc = spd_base(n).jet(Vs.reshape(4, -1), Xs.reshape(4, -1))
-    assert speed2.shape == (4,) and acc.shape == (4, n * n)
-    for V, X, s2, a in zip(Vs, Xs, speed2, acc):
-        S = lyapunov_solve(V, X)
-        assert s2 == pytest.approx(0.5 * np.sum(S * X), rel=1e-14)
-        npt.assert_allclose(a, (2.0 * S @ V @ S).ravel(), rtol=1e-13, atol=1e-15)
-        one = spd_base(n).jet(V.ravel(), X.ravel())
-        assert one[0] == s2
-        assert np.array_equal(one[1], a)
+    V = random_spd(rng, n)
+    X = random_sym(rng, n)
+    S = lyapunov_solve(V, X)
+    base = spd_base(n)
+    speed = base.speed(V.ravel(), X.ravel())
+    assert speed**2 == pytest.approx(0.5 * np.sum(S * X), rel=1e-14)
+    s = np.array([0.0, 0.05, 0.1, 0.2])
+    q, u = base.exp(V.ravel(), X.ravel(), s)
+    assert q.shape == u.shape == (4, n * n)
+    assert np.array_equal(q[0], V.ravel())
+    npt.assert_allclose(u[0], X.ravel() / speed, rtol=1e-13, atol=1e-15)
+    Su = S / speed
+    for Vs, U in zip(q.reshape(4, n, n), u.reshape(4, n, n)):
+        T = lyapunov_solve(Vs, U)
+        assert 0.5 * np.sum(T * U) == pytest.approx(1.0, rel=1e-14)
+        npt.assert_allclose(2.0 * T @ Vs @ T, 2.0 * Su @ V @ Su, rtol=1e-13, atol=1e-15)
 
 
-def test_spd_base_jet_rejects_a_non_spd_point():
+def test_spd_base_exp_stops_at_the_boundary():
     with pytest.raises(SpdError) as exc:
-        spd_base(2).jet(np.array([1.0, 0.0, 0.0, -0.5]), np.zeros(4))
+        spd_base(2).speed(np.array([1.0, 0.0, 0.0, -0.5]), np.zeros(4))
     assert exc.value.details["min_eigenvalue"] == -0.5
-    # in a stack, the smallest eigenvalue of the first failing point
-    q = np.array([[1.0, 0.0, 0.0, 1.0], [-0.2, 0.0, 0.0, 1.0], [-3.0, 0.0, 0.0, 1.0]])
+    # X = diag(-2, 1) at V = I: S = diag(-1, 1/2) / |X| with |X|^2 = 5/4, so
+    # the arc s* = sqrt(5/4) makes C = I + s S singular; the first arc at or
+    # beyond it names its index and the smallest eigenvalue of its C
+    s = np.array([0.0, 0.5, 1.0, 1.2, 1.5])
     with pytest.raises(SpdError) as exc:
-        spd_base(2).jet(q, np.zeros((3, 4)))
-    assert exc.value.details["min_eigenvalue"] == -0.2
+        spd_base(2).exp(np.eye(2).ravel(), np.diag([-2.0, 1.0]).ravel(), s)
+    assert exc.value.details["step"] == 3
+    assert exc.value.details["min_eigenvalue"] == pytest.approx(1.0 - 1.2 / np.sqrt(1.25),
+                                                                rel=1e-14)
 
 
 # -- affine extension ---------------------------------------------------------
