@@ -46,8 +46,10 @@ def _is_finite(v):
 
 
 def _is_number_list(v):
+    # one type test per distinct element type, not two per element
     return (isinstance(v, list)
-            and all(isinstance(x, _NUMBER) and not isinstance(x, bool) for x in v)
+            and all(issubclass(t, _NUMBER) and not issubclass(t, bool)
+                    for t in set(map(type, v)))
             and all(map(math.isfinite, v)))
 
 

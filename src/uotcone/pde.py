@@ -12,6 +12,7 @@ d^2 m/dt^2 = H all hold to time-integrator accuracy rather than O(h^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -71,12 +72,6 @@ def _dplus(f, h):
 def _half(f):
     """Average onto half-points (value at i + 1/2)."""
     return 0.5 * periodic_edges(np.add, f)
-
-
-def grad_sq_nodes(g):
-    """|grad theta|^2 at nodes from the half-point gradient g = _dplus(theta,
-    h): mean of the two adjacent half-point squares."""
-    return 0.5 * periodic_edges(np.add, g ** 2, backward=True)
 
 
 def div_flux(rho, g, h):
@@ -156,50 +151,80 @@ def hamiltonian_wfr(state):
     return 0.5 * (kinetic_energy(state.grid, state.rho, state.theta) + reaction)
 
 
-def _raw_small_rhs(grid, rho, theta):
+def _neighbours(n):
+    """Indices (i + 1) mod n and (i - 1) mod n of the periodic grid."""
+    return np.roll(np.arange(n), -1), np.roll(np.arange(n), 1)
+
+
+def _transport_flow(h, up, down, y):
+    """Packed (-div(rho grad theta), -|grad theta|^2 / 2) of the packed
+    state y = (rho, theta), one state or a stack, with the neighbours taken
+    through ``up`` and ``down`` of _neighbours: the operations of _dplus,
+    _half and div_flux, and the node mean of |g|^2, in their order."""
+    n = len(up)
+    rho, theta = y[..., :n], y[..., n:]
+    g = (theta.take(up, axis=-1) - theta) / h
+    flux = 0.5 * (rho.take(up, axis=-1) + rho) * g
+    g *= g
+    out = np.empty(y.shape)
+    drho, dtheta = out[..., :n], out[..., n:]
+    np.negative((flux - flux.take(down, axis=-1)) / h, out=drho)
+    np.multiply(-0.5, 0.5 * (g + g.take(down, axis=-1)), out=dtheta)
+    return out, drho, dtheta
+
+
+def _small_flow(h, up, down, y):
     # RK4 stage states may dip negative; only the total mass must stay
-    # positive for the division defining xi.  m and xi stay numpy values, so
-    # that xi^2 overflows to inf instead of raising.  The sums reduce the
-    # last axis, so rho and theta may be stacks along a leading member axis.
-    h = grid.h
-    m = h * rho.sum(-1, keepdims=True)
-    if m.min() <= 0.0:
-        m = m[..., 0]
+    # positive for the division defining xi.  m and xi stay numpy values
+    # (scalars for one state, a column for a stack): xi^2 overflows to inf.
+    n = len(up)
+    rho, theta = y[..., :n], y[..., n:]
+    stack = y.ndim > 1
+    m = h * rho.sum(-1, keepdims=stack)
+    if (m.min() if stack else m) <= 0.0:
+        m = m.ravel()
         where = _first_member(m <= 0.0)
         raise MassError("total mass became nonpositive",
-                        m=float(m[where.get("member", ())]), **where)
-    xi = h * (theta * rho).sum(-1, keepdims=True) / m
-    g = _dplus(theta, h)
-    drho = -div_flux(rho, g, h) + xi * rho
-    dtheta = -0.5 * grad_sq_nodes(g) - xi * theta + 0.5 * xi**2
-    return drho, dtheta
+                        m=float(m[where.get("member", 0)]), **where)
+    xi = h * (theta * rho).sum(-1, keepdims=stack) / m
+    out, drho, dtheta = _transport_flow(h, up, down, y)
+    drho += xi * rho
+    dtheta -= xi * theta
+    dtheta += 0.5 * (xi * xi)
+    return out
 
 
-def _raw_wfr_rhs(grid, rho, theta):
-    h = grid.h
-    g = _dplus(theta, h)
-    drho = -div_flux(rho, g, h) + rho * theta
-    dtheta = -0.5 * grad_sq_nodes(g) - 0.5 * theta**2
-    return drho, dtheta
+def _wfr_flow(h, up, down, y):
+    n = len(up)
+    rho, theta = y[..., :n], y[..., n:]
+    out, drho, dtheta = _transport_flow(h, up, down, y)
+    drho += rho * theta
+    dtheta -= 0.5 * theta**2
+    return out
+
+
+def _halves(flow, state):
+    state = state.validate()
+    n = state.grid.n
+    d = flow(state.grid.h, *_neighbours(n), np.append(state.rho, state.theta))
+    return d[:n], d[n:]
 
 
 def small_rhs(state):
     """Conical-model flow: rhodot = -div(rho grad theta) + xi rho,
     thetadot = -|grad theta|^2 / 2 - xi theta + xi^2 / 2."""
-    state = state.validate()
-    return _raw_small_rhs(state.grid, state.rho, state.theta)
+    return _halves(_small_flow, state)
 
 
 def wfr_rhs(state):
     """Large-model flow: rhodot = -div(rho grad theta) + rho theta,
     thetadot = -|grad theta|^2 / 2 - theta^2 / 2."""
-    state = state.validate()
-    return _raw_wfr_rhs(state.grid, state.rho, state.theta)
+    return _halves(_wfr_flow, state)
 
 
 _MODELS = {
-    "small": (_raw_small_rhs, hamiltonian_small),
-    "wfr": (_raw_wfr_rhs, hamiltonian_wfr),
+    "small": (_small_flow, hamiltonian_small),
+    "wfr": (_wfr_flow, hamiltonian_wfr),
 }
 
 
@@ -248,8 +273,7 @@ def _evolve(initials, model, dt, steps, stacked):
                 dt=dt, bound=DT_GUARD_FACTOR * h * h / gmax, max_grad=gmax,
                 **({"member": i} if len(states) > 1 else {}))
 
-    def f(y):
-        return np.concatenate(rhs(grid, y[..., :n], y[..., n:]), axis=-1)
+    f = partial(rhs, h, *_neighbours(n))
 
     def post(y):
         rho = y[..., :n]

@@ -354,6 +354,8 @@ def bb_explicit_config(**overrides):
     gauss_config(xi=float("nan")),
     {"command": "pde-metric", "rho": [1.0] * 7 + [float("inf")],
      "rhodot": [0.0] * 8},
+    {"command": "pde-metric", "rho": [1.0] * 7 + [True], "rhodot": [0.0] * 8},
+    gauss_config(V=["1.0"]),
     {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
      "Sigma1": [1.0], "m1": 4.0, "max_iter": 50},
     {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
@@ -376,7 +378,8 @@ def bb_explicit_config(**overrides):
     {"command": "fr-geodesic", "rho0": [1.0] * 8, "rho1": [2.0] * 8,
      "num_times": MAX_TRACE_ENTRIES},
 ], ids=["grid-n4", "dt-zero", "dt-negative", "steps-zero", "num-times-1",
-        "nan", "inf-in-grid", "connect-max-iter", "connect-steps",
+        "nan", "inf-in-grid", "bool-in-grid", "str-in-floats",
+        "connect-max-iter", "connect-steps",
         "bb-one-time", "bb-n-mismatch", "bb-ragged-rows",
         "connect-dt-1e-300", "connect-dt-subnormal", "gauss-steps-1e9",
         "pde-steps", "cone-steps", "bb-steps", "fr-num-times"])

@@ -3,9 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from uotcone.cone import radial_mass_geodesic
+from uotcone.config import MIN_GRID
 from uotcone.errors import (MassError, NonFiniteError, PositivityError,
                             SingularSystemError, StepGuardError)
-from uotcone.pde import (Grid1D, PdeState, fisher_rao_cone_geodesic,
+from uotcone.pde import (_MODELS, Grid1D, PdeState, _dplus, _neighbours,
+                         div_flux, fisher_rao_cone_geodesic,
                          gdiv_metric_eval, hamiltonian_small, hamiltonian_wfr,
                          integrate_pde, integrate_pdes, periodic_edges,
                          small_metric_eval,
@@ -172,6 +174,42 @@ def test_wfr_rhs_uniform_and_sine():
         errs_theta.append(np.max(np.abs(dtheta + 0.5)))
     assert errs_rho[0] / errs_rho[1] == pytest.approx(4.0, rel=0.15)
     assert errs_theta[0] / errs_theta[1] == pytest.approx(4.0, rel=0.15)
+
+
+def slice_stencil_rhs(model, grid, rho, theta):
+    """The flows written from the slice-based stencils of periodic_edges:
+    forward difference, half-point flux, backward difference, and the node
+    mean of the two adjacent half-point squares |g|^2."""
+    h = grid.h
+    g = _dplus(theta, h)
+    grad_sq = 0.5 * periodic_edges(np.add, g ** 2, backward=True)
+    if model == "wfr":
+        return -div_flux(rho, g, h) + rho * theta, -0.5 * grad_sq - 0.5 * theta**2
+    m = h * np.sum(rho, axis=-1, keepdims=True)
+    xi = h * np.sum(theta * rho, axis=-1, keepdims=True) / m
+    return (-div_flux(rho, g, h) + xi * rho,
+            -0.5 * grad_sq - xi * theta + 0.5 * xi**2)
+
+
+@pytest.mark.parametrize("n", [MIN_GRID, 256])
+@pytest.mark.parametrize("model", ["small", "wfr"])
+def test_packed_rhs_equals_the_slice_stencils(model, n):
+    # the exact mass law and the energy conservation rest on the flow and
+    # the elliptic solve sharing one stencil, so the packed flow must equal
+    # the periodic_edges formula exactly, for one state and for a stack
+    rng = np.random.default_rng(37)
+    grid = Grid1D(n=n)
+    rho = 0.5 + rng.uniform(size=(3, n))
+    theta = rng.normal(size=(3, n))
+    rhs = small_rhs if model == "small" else wfr_rhs
+    for r, t in zip(rho, theta):
+        for got, want in zip(rhs(PdeState(grid, r, t)),
+                             slice_stencil_rhs(model, grid, r, t)):
+            npt.assert_array_equal(got, want)
+    flow = _MODELS[model][0]
+    packed = flow(grid.h, *_neighbours(n), np.concatenate([rho, theta], axis=-1))
+    npt.assert_array_equal(
+        packed, np.concatenate(slice_stencil_rhs(model, grid, rho, theta), axis=-1))
 
 
 # -- time integration ---------------------------------------------------------
