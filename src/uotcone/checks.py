@@ -81,23 +81,11 @@ def random_pde_state(rng, n=256):
 ORDER_BAND = (3.5, 4.5)
 
 
-def _flows_by_n(states, dt, steps):
-    """RK4 traces of the Gaussian flows, in the order of the states, from one
-    ``integrate_geodesics`` stack per matrix size n."""
-    traces = [None] * len(states)
-    for n in sorted({s.n for s in states}):
-        index = [i for i, s in enumerate(states) if s.n == n]
-        for i, trace in zip(index, integrate_geodesics([states[i] for i in index],
-                                                       dt, steps)):
-            traces[i] = trace
-    return traces
-
-
 def _ray_deviations(states, dt, steps):
     """RK4 traces of the Gaussian flows and the largest deviation of each
     from its closed-form ray, over every row and column, relative to
     max(1, |value|)."""
-    traces = _flows_by_n(states, dt, steps)
+    traces = integrate_geodesics(states, dt, steps)
     devs = []
     for state, trace in zip(states, traces):
         ray = geodesic_ray(state, dt=dt, steps=steps).data
@@ -146,7 +134,7 @@ def check_energy_conservation(rng, quick=False):
     """Relative Hamiltonian drift along integrated geodesics."""
     states = [random_gaussian_state(rng) for _ in range(2 if quick else 5)]
     worst_ode = max(map(relative_energy_drift,
-                        _flows_by_n(states, 1e-3, 250 if quick else 1000)))
+                        integrate_geodesics(states, 1e-3, 250 if quick else 1000)))
     worst_pde = 0.0
     for model in ("small", "wfr"):
         trace = integrate_pde(random_pde_state(rng), model,

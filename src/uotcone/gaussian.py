@@ -167,14 +167,16 @@ def hamiltonian(state):
     return H if np.ndim(H) else float(H)
 
 
-def _pack_state(state):
-    n = state.n
-    y = np.empty(2 * n * n + 2)
-    y[:n * n] = state.V.ravel()
-    y[n * n:2 * n * n] = state.P.ravel()
-    y[-2] = state.m
-    y[-1] = state.xi
-    return y
+def _pack_state(state, n):
+    """The packed state embedded in size n >= state.n as diag(V, I),
+    diag(P, 0): that block form is invariant under the canonical flow, and
+    its leading block follows the flow of the state itself."""
+    k = state.n
+    V = np.eye(n)
+    V[:k, :k] = state.V
+    P = np.zeros((n, n))
+    P[:k, :k] = state.P
+    return np.concatenate([V.ravel(), P.ravel(), [state.m, state.xi]])
 
 
 def _gauss_rhs(y, n):
@@ -196,7 +198,10 @@ def _gauss_rhs(y, n):
     out[..., :nn] = ((2.0 / mm) * (PV + PV.swapaxes(-1, -2))).reshape(flat)
     out[..., nn:2 * nn] = ((-2.0 / mm) * P2).reshape(flat)
     out[..., -2] = xi * m
-    out[..., -1] = (2.0 / m**2) * (V * P2).reshape(flat).sum(-1) - 0.5 * xi * xi
+    # tr(V P^2) summed in entry order: the pairwise .sum regroups the terms
+    # of more than 8 entries, so the zeros of a padded state (_pack_state)
+    # would change the rounding; a sequential sum only adds exact zeros
+    out[..., -1] = (2.0 / m**2) * (V * P2).reshape(flat).cumsum(-1)[..., -1] - 0.5 * xi * xi
     return out
 
 
@@ -207,7 +212,7 @@ def geodesic_rhs(state):
     dxi = (2/m^2) tr(V P^2) - xi^2 / 2.
     """
     state = state.validate()
-    dy = _gauss_rhs(_pack_state(state), state.n)
+    dy = _gauss_rhs(_pack_state(state, state.n), state.n)
     n = state.n
     nn = n * n
     return (symmetrize(dy[:nn].reshape(n, n)), float(dy[-2]),
@@ -258,26 +263,29 @@ def integrate_geodesic(initial, dt, steps):
 
 
 def integrate_geodesics(states, dt, steps):
-    """``integrate_geodesic`` for states of equal n, stepped as one stack.
+    """``integrate_geodesic`` for states of any sizes, stepped as one stack.
 
-    Returns one trace per state, equal entry for entry to its own
-    ``integrate_geodesic`` trace.  A failure aborts the whole stack and
-    carries, next to the step index, the index ``member`` of the first
-    failing state (in a stack of more than one).
+    Each state runs embedded in the largest size n of the stack as
+    diag(V, I), diag(P, 0) (``_pack_state``): off the leading block the flow
+    is exactly 0, tr(V P^2) is unchanged and the Cholesky check of diag(V, I)
+    fails exactly when that of V does.  Returns one trace per state, from its
+    own block, equal entry for entry to its own ``integrate_geodesic``
+    trace.  A failure aborts the whole stack and carries, next to the step
+    index, the index ``member`` of the first failing state (in a stack of
+    more than one).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     states = [s.validate() for s in states]
-    n = states[0].n
-    if any(s.n != n for s in states):
-        raise ValueError("stacked states must have equal n")
+    n = max(s.n for s in states)
     nn = n * n
     ys = np.empty((len(states), steps + 1, 2 * nn + 2))
-    ys[:, 0] = [_pack_state(s) for s in states]
+    ys[:, 0] = [_pack_state(s, n) for s in states]
     _rk4(lambda y: _gauss_rhs(y, n), lambda y: _project(y, n), ys.swapaxes(0, 1), dt)
     t = np.arange(steps + 1) * dt
-    return [_geodesic_trace(t, y[:, :nn].reshape(-1, n, n), y[:, -2],
-                            y[:, nn:2 * nn].reshape(-1, n, n), y[:, -1]) for y in ys]
+    return [_geodesic_trace(t, y[:, :nn].reshape(-1, n, n)[:, :s.n, :s.n], y[:, -2],
+                            y[:, nn:2 * nn].reshape(-1, n, n)[:, :s.n, :s.n], y[:, -1])
+            for s, y in zip(states, ys)]
 
 
 def _geodesic_trace(t, V, m, P, xi):

@@ -126,15 +126,23 @@ class PdeState:
         return PdeState(grid=self.grid, rho=rho, theta=theta)
 
 
+# The private forms below take the checked total mass m of the state, so
+# that a trace block is scanned for positivity once.
 def xi_of(state):
     """Logarithmic mass rate xi = (h sum theta rho) / m."""
-    m = total_mass(state.grid, state.rho)
+    return _xi(state, total_mass(state.grid, state.rho))
+
+
+def _xi(state, m):
     return _integral(state.grid.h, state.theta * state.rho) / m
 
 
 def hamiltonian_small(state):
     """H = (1/2) int |grad theta|^2 rho + (1/(2m)) (int theta rho)^2."""
-    m = total_mass(state.grid, state.rho)
+    return _hamiltonian_small(state, total_mass(state.grid, state.rho))
+
+
+def _hamiltonian_small(state, m):
     # a numpy square overflows to inf instead of raising OverflowError
     pairing = np.float64(_integral(state.grid.h, state.theta * state.rho))
     H = 0.5 * kinetic_energy(state.grid, state.rho, state.theta) \
@@ -146,7 +154,11 @@ def hamiltonian_small(state):
 
 def hamiltonian_wfr(state):
     """H = (1/2) int (|grad theta|^2 + theta^2) rho."""
-    total_mass(state.grid, state.rho)
+    return _hamiltonian_wfr(state, total_mass(state.grid, state.rho))
+
+
+def _hamiltonian_wfr(state, m):
+    # m, checked positive and finite, does not enter the energy
     reaction = _integral(state.grid.h, state.theta**2 * state.rho)
     return 0.5 * (kinetic_energy(state.grid, state.rho, state.theta) + reaction)
 
@@ -223,8 +235,8 @@ def wfr_rhs(state):
 
 
 _MODELS = {
-    "small": (_small_flow, hamiltonian_small),
-    "wfr": (_wfr_flow, hamiltonian_wfr),
+    "small": (_small_flow, _hamiltonian_small),
+    "wfr": (_wfr_flow, _hamiltonian_wfr),
 }
 
 
@@ -292,9 +304,9 @@ def _evolve(initials, model, dt, steps, stacked):
     for d in data:  # one member at a time keeps the temporaries small
         rows = PdeState(grid=grid, rho=d[:, 4:4 + n], theta=d[:, 4 + n:])
         d[:, 0] = np.arange(steps + 1) * dt
-        d[:, 1] = total_mass(grid, rows.rho)
-        d[:, 2] = xi_of(rows)
-        d[:, 3] = energy(rows)
+        d[:, 1] = m = total_mass(grid, rows.rho)
+        d[:, 2] = _xi(rows, m)
+        d[:, 3] = energy(rows, m)
     return [GeodesicTrace(columns=tuple(cols), data=d) for d in data]
 
 

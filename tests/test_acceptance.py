@@ -8,7 +8,9 @@ and the measured numbers for each criterion.  The same checks back the CLI
 import numpy as np
 import pytest
 
-from uotcone.checks import ALL_CHECKS
+from uotcone import cone, gaussian, pde
+from uotcone.checks import (ALL_CHECKS, check_constant_acceleration,
+                            check_energy_conservation)
 from uotcone.pde import Grid1D, small_metric_eval, gdiv_metric_eval
 
 SEED = 0
@@ -20,6 +22,25 @@ def test_criterion(check):
     result = check(rng, quick=False)
     print(("PASS " if result.passed else "FAIL ") + result.name + " - " + result.detail)
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+@pytest.mark.parametrize("check, loops", [
+    # the Gaussian flows at dt = 1e-3, 0.1 and 0.05, and the PDE stack
+    (check_constant_acceleration, {"gaussian": 3, "pde": 1}),
+    # one Gaussian stack, and one PDE flow per model
+    (check_energy_conservation, {"gaussian": 1, "pde": 2}),
+], ids=["constant-acceleration", "energy-conservation"])
+def test_one_rk4_loop_per_flow_family(monkeypatch, check, loops):
+    # the random Gaussian states of mixed sizes run as one stack, not one
+    # stack per size
+    calls = []
+    for module in (cone, gaussian, pde):
+        def counted(*args, rk4=module._rk4, name=module.__name__.rsplit(".", 1)[1]):
+            calls.append(name)
+            return rk4(*args)
+        monkeypatch.setattr(module, "_rk4", counted)
+    assert check(np.random.default_rng(SEED), quick=False).passed
+    assert {name: calls.count(name) for name in set(calls)} == loops
 
 
 @pytest.mark.xfail(

@@ -299,17 +299,37 @@ def test_stacked_flows_equal_the_single_flows(n):
                          ids=["spd-loss", "mass-loss"])
 def test_stacked_flow_failure_names_step_and_member(dt, error):
     # the failing state of test_integrate_post_step_failure_reports_step as
-    # member 2 of a stack of healthy ones fails at its own step
+    # member 2 of a stack of healthy ones fails at its own step, also when
+    # it runs padded to n = 3 next to n = 2 and n = 3 states
     bad = scalar_state(P=-1.0, xi=0.0)
     with pytest.raises(error) as exc:
         integrate_geodesic(bad, dt=dt, steps=400)
     step = exc.value.details["step"]
     assert "member" not in exc.value.details
-    stack = [scalar_state(P=0.1), scalar_state(P=0.0, xi=0.5), bad, scalar_state(P=0.2)]
-    with pytest.raises(error) as exc:
-        integrate_geodesics(stack, dt=dt, steps=400)
-    assert exc.value.details["step"] == step
-    assert exc.value.details["member"] == 2
+    scalars = [scalar_state(P=0.1), scalar_state(P=0.0, xi=0.5), bad, scalar_state(P=0.2)]
+    mixed = [GaussianCotangentState(V=np.eye(2), m=1.0, P=0.1 * np.eye(2), xi=0.0),
+             GaussianCotangentState(V=np.eye(3), m=1.0, P=np.zeros((3, 3)), xi=0.5),
+             bad,
+             GaussianCotangentState(V=np.eye(2), m=1.0, P=0.2 * np.eye(2), xi=0.0)]
+    for stack in (scalars, mixed):
+        with pytest.raises(error) as exc:
+            integrate_geodesics(stack, dt=dt, steps=400)
+        assert exc.value.details["step"] == step
+        assert exc.value.details["member"] == 2
+
+
+def test_padded_member_fails_only_through_its_own_block():
+    # the hook's Cholesky check of diag(V, I) fails exactly when that of V
+    # does: a non-SPD block is named as its member, and the padded identity
+    # of a healthy member never fails on its own
+    tiny = scalar_state(V=1e-300, P=0.0)  # SPD, far below its padded identity
+    broken = GaussianCotangentState(V=np.diag([1.0, -1.0]), m=1.0,
+                                    P=np.zeros((2, 2)), xi=0.0)
+    y = np.stack([gaussian._pack_state(s, 3) for s in (tiny, broken, scalar_state())])
+    with pytest.raises(SpdError) as exc:
+        gaussian._project(y.copy(), 3)
+    assert exc.value.details == {"member": 1}
+    gaussian._project(np.delete(y, 1, axis=0), 3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
@@ -321,10 +341,21 @@ def test_stacked_flow_non_finite_names_member():
     assert exc.value.details == {"member": 1, "step": 1}
 
 
-def test_stacked_flows_need_equal_sizes():
-    with pytest.raises(ValueError):
-        integrate_geodesics([scalar_state(), GaussianCotangentState(
-            V=np.eye(2), m=1.0, P=np.zeros((2, 2)), xi=0.0)], dt=1e-3, steps=10)
+def test_mixed_size_stack_equals_the_single_flows():
+    # each state runs padded to the largest n as diag(V, I), diag(P, 0);
+    # sizes up to 9 give rows of more than 8 entries, where a pairwise sum
+    # of tr(V P^2) would regroup its terms around the padded zeros
+    rng = np.random.default_rng(40)
+    sizes = [1, 9, 3, 2, 8, 4, 1, 5, 7, 6, 3, 9]
+    states = [GaussianCotangentState(V=random_spd(rng, n), m=rng.uniform(0.5, 2.0),
+                                     P=random_sym(rng, n, scale=0.2),
+                                     xi=rng.uniform(-0.8, 0.8)) for n in sizes]
+    traces = integrate_geodesics(states, dt=1e-3, steps=300)
+    assert len(traces) == len(states)
+    for state, trace in zip(states, traces):
+        single = integrate_geodesic(state, dt=1e-3, steps=300)
+        assert trace.columns == single.columns
+        assert np.array_equal(trace.data, single.data)
 
 
 def test_mass_is_quadratic_with_leading_coefficient_H_over_2():
