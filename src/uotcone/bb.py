@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuityError, PositivityError
-from .pde import Grid1D, periodic_edges
+from .pde import Grid1D, _dminus, _dplus, _half
 
 DEFAULT_CONTINUITY_TOL = 1e-5
 
@@ -63,12 +63,10 @@ def continuity_residual(path):
     The time derivative uses interval differences and w is averaged onto the
     interval midpoint; div at node i is (w_{i+1/2} - w_{i-1/2}) / h.
     """
-    h = path.grid.h
     dts = np.diff(path.times)[:, None]
     drho = (path.rhobar[1:] - path.rhobar[:-1]) / dts
     wbar = 0.5 * (path.w[1:] + path.w[:-1])
-    div = periodic_edges(np.subtract, wbar, backward=True) / h
-    return float(np.max(np.abs(drho + div)))
+    return float(np.max(np.abs(drho + _dminus(path.grid, wbar))))
 
 
 def bb_action(path, continuity_tol=DEFAULT_CONTINUITY_TOL):
@@ -82,9 +80,8 @@ def bb_action(path, continuity_tol=DEFAULT_CONTINUITY_TOL):
     if res > continuity_tol:
         raise ContinuityError("path violates the continuity constraint",
                               residual=res, tol=continuity_tol)
-    h = path.grid.h
-    rb_half = 0.5 * periodic_edges(np.add, path.rhobar)
-    transport_nodes = path.r**2 * h * np.sum(path.w**2 / rb_half, axis=1)
+    rb_half = _half(path.grid, path.rhobar)
+    transport_nodes = path.r**2 * path.grid.h * np.sum(path.w**2 / rb_half, axis=1)
     dts = np.diff(path.times)
     transport = float(np.sum(0.5 * (transport_nodes[1:] + transport_nodes[:-1]) * dts))
     rdot = np.diff(path.r) / dts
@@ -104,8 +101,7 @@ def from_small_trace(trace, grid):
     theta = trace.block("theta")
     m = trace.column("m")[:, None]
     rhobar = rho / m
-    w = (0.5 * periodic_edges(np.add, rhobar) * periodic_edges(np.subtract, theta)
-         / grid.h)
+    w = _half(grid, rhobar) * _dplus(grid, theta)
     r = np.sqrt(trace.column("m"))
     return BBPath(grid=grid, times=t, rhobar=rhobar, w=w, r=r).validate()
 

@@ -12,7 +12,7 @@ d^2 m/dt^2 = H all hold to time-integrator accuracy rather than O(h^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +30,8 @@ SOLVE_BACKWARD_ERROR_BOUND = 256.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Grid1D:
+    """Periodic grid of n nodes; the spacing and the neighbour indices are
+    computed on first use and live as long as the grid."""
     n: int
     length: float = 2.0 * np.pi
 
@@ -39,7 +41,7 @@ class Grid1D:
         if not (self.length > 0.0):
             raise ValueError("domain length must be positive")
 
-    @property
+    @cached_property
     def h(self):
         return self.length / self.n
 
@@ -47,37 +49,40 @@ class Grid1D:
     def x(self):
         return np.arange(self.n) * self.h
 
+    @cached_property
+    def up(self):
+        """Indices (i + 1) mod n."""
+        return (np.arange(self.n) + 1) % self.n
 
-def periodic_edges(op, f, backward=False):
-    """op(f_{i+1}, f_i) on every edge of the periodic last axis, from slices.
-
-    The edge between nodes i and i + 1 lands at index i (its half-point
-    i + 1/2), or with backward=True at index i + 1, so that node i holds its
-    left edge i - 1/2.
-    """
-    f = np.asarray(f, dtype=float)
-    out = np.empty(f.shape)
-    inner, wrap = ((out[..., 1:], out[..., :1]) if backward
-                   else (out[..., :-1], out[..., -1:]))
-    op(f[..., 1:], f[..., :-1], out=inner)
-    op(f[..., :1], f[..., -1:], out=wrap)
-    return out
+    @cached_property
+    def down(self):
+        """Indices (i - 1) mod n."""
+        return (np.arange(self.n) - 1) % self.n
 
 
-def _dplus(f, h):
-    """Forward difference (value at i + 1/2)."""
-    return periodic_edges(np.subtract, f) / h
+# The staggered stencil of the periodic last axis, one field or a stack of
+# them: node values go to the edges (the half-point i + 1/2 at index i) and
+# edge values come back to the nodes.  These four are the only place where a
+# neighbour is read.
+def _dplus(grid, f):
+    """Forward difference (f_{i+1} - f_i) / h, at i + 1/2."""
+    return (f.take(grid.up, axis=-1) - f) / grid.h
 
 
-def _half(f):
-    """Average onto half-points (value at i + 1/2)."""
-    return 0.5 * periodic_edges(np.add, f)
+def _half(grid, f):
+    """Average (f_{i+1} + f_i) / 2, at i + 1/2."""
+    return 0.5 * (f.take(grid.up, axis=-1) + f)
 
 
-def div_flux(rho, g, h):
-    """Conservative form of div(rho grad theta) from the half-point gradient
-    g = _dplus(theta, h): (F_{i+1/2} - F_{i-1/2}) / h, F = rho_{i+1/2} g."""
-    return periodic_edges(np.subtract, _half(rho) * g, backward=True) / h
+def _dminus(grid, F):
+    """Backward difference (F_{i+1/2} - F_{i-1/2}) / h of edge values, at
+    node i: the conservative divergence of a flux."""
+    return (F - F.take(grid.down, axis=-1)) / grid.h
+
+
+def _mean(grid, F):
+    """Mean (F_{i+1/2} + F_{i-1/2}) / 2 of edge values, at node i."""
+    return 0.5 * (F + F.take(grid.down, axis=-1))
 
 
 # The grid integrals below reduce the last axis, so they take one field or
@@ -90,7 +95,8 @@ def _integral(h, f):
 def kinetic_energy(grid, rho, theta):
     """h * sum of rho_{i+1/2} ((theta_{i+1} - theta_i)/h)^2, the discrete
     integral of |grad theta|^2 rho."""
-    return _integral(grid.h, _half(rho) * _dplus(theta, grid.h) ** 2)
+    rho, theta = np.asarray(rho, dtype=float), np.asarray(theta, dtype=float)
+    return _integral(grid.h, _half(grid, rho) * _dplus(grid, theta) ** 2)
 
 
 def total_mass(grid, rho):
@@ -126,25 +132,24 @@ class PdeState:
         return PdeState(grid=self.grid, rho=rho, theta=theta)
 
 
-# The private forms below take the checked total mass m of the state, so
-# that a trace block is scanned for positivity once.
+# The private energies below take the checked total mass m of the state and
+# its pairing h sum theta rho, which _evolve computes once per trace block
+# for both the xi and the H column.
 def xi_of(state):
     """Logarithmic mass rate xi = (h sum theta rho) / m."""
-    return _xi(state, total_mass(state.grid, state.rho))
-
-
-def _xi(state, m):
+    m = total_mass(state.grid, state.rho)
     return _integral(state.grid.h, state.theta * state.rho) / m
 
 
 def hamiltonian_small(state):
     """H = (1/2) int |grad theta|^2 rho + (1/(2m)) (int theta rho)^2."""
-    return _hamiltonian_small(state, total_mass(state.grid, state.rho))
+    m = total_mass(state.grid, state.rho)
+    return _hamiltonian_small(state, m, _integral(state.grid.h, state.theta * state.rho))
 
 
-def _hamiltonian_small(state, m):
+def _hamiltonian_small(state, m, pairing):
     # a numpy square overflows to inf instead of raising OverflowError
-    pairing = np.float64(_integral(state.grid.h, state.theta * state.rho))
+    pairing = np.float64(pairing)
     H = 0.5 * kinetic_energy(state.grid, state.rho, state.theta) \
         + 0.5 * pairing**2 / m
     if not np.all(np.isfinite(H)):
@@ -154,42 +159,37 @@ def _hamiltonian_small(state, m):
 
 def hamiltonian_wfr(state):
     """H = (1/2) int (|grad theta|^2 + theta^2) rho."""
-    return _hamiltonian_wfr(state, total_mass(state.grid, state.rho))
+    total_mass(state.grid, state.rho)  # checks the density
+    return _hamiltonian_wfr(state)
 
 
-def _hamiltonian_wfr(state, m):
-    # m, checked positive and finite, does not enter the energy
+def _hamiltonian_wfr(state, *_):
+    # the mass and the pairing do not enter this energy
     reaction = _integral(state.grid.h, state.theta**2 * state.rho)
     return 0.5 * (kinetic_energy(state.grid, state.rho, state.theta) + reaction)
 
 
-def _neighbours(n):
-    """Indices (i + 1) mod n and (i - 1) mod n of the periodic grid."""
-    return np.roll(np.arange(n), -1), np.roll(np.arange(n), 1)
-
-
-def _transport_flow(h, up, down, y):
+def _transport_flow(grid, y):
     """Packed (-div(rho grad theta), -|grad theta|^2 / 2) of the packed
-    state y = (rho, theta), one state or a stack, with the neighbours taken
-    through ``up`` and ``down`` of _neighbours: the operations of _dplus,
-    _half and div_flux, and the node mean of |g|^2, in their order."""
-    n = len(up)
+    state y = (rho, theta), one state or a stack, written into one new
+    array."""
+    n = grid.n
     rho, theta = y[..., :n], y[..., n:]
-    g = (theta.take(up, axis=-1) - theta) / h
-    flux = 0.5 * (rho.take(up, axis=-1) + rho) * g
+    g = _dplus(grid, theta)
+    flux = _half(grid, rho) * g
     g *= g
     out = np.empty(y.shape)
     drho, dtheta = out[..., :n], out[..., n:]
-    np.negative((flux - flux.take(down, axis=-1)) / h, out=drho)
-    np.multiply(-0.5, 0.5 * (g + g.take(down, axis=-1)), out=dtheta)
+    np.negative(_dminus(grid, flux), out=drho)
+    np.multiply(-0.5, _mean(grid, g), out=dtheta)
     return out, drho, dtheta
 
 
-def _small_flow(h, up, down, y):
+def _small_flow(grid, y):
     # RK4 stage states may dip negative; only the total mass must stay
     # positive for the division defining xi.  m and xi stay numpy values
     # (scalars for one state, a column for a stack): xi^2 overflows to inf.
-    n = len(up)
+    n, h = grid.n, grid.h
     rho, theta = y[..., :n], y[..., n:]
     stack = y.ndim > 1
     m = h * rho.sum(-1, keepdims=stack)
@@ -199,17 +199,17 @@ def _small_flow(h, up, down, y):
         raise MassError("total mass became nonpositive",
                         m=float(m[where.get("member", 0)]), **where)
     xi = h * (theta * rho).sum(-1, keepdims=stack) / m
-    out, drho, dtheta = _transport_flow(h, up, down, y)
+    out, drho, dtheta = _transport_flow(grid, y)
     drho += xi * rho
     dtheta -= xi * theta
     dtheta += 0.5 * (xi * xi)
     return out
 
 
-def _wfr_flow(h, up, down, y):
-    n = len(up)
+def _wfr_flow(grid, y):
+    n = grid.n
     rho, theta = y[..., :n], y[..., n:]
-    out, drho, dtheta = _transport_flow(h, up, down, y)
+    out, drho, dtheta = _transport_flow(grid, y)
     drho += rho * theta
     dtheta -= 0.5 * theta**2
     return out
@@ -218,7 +218,7 @@ def _wfr_flow(h, up, down, y):
 def _halves(flow, state):
     state = state.validate()
     n = state.grid.n
-    d = flow(state.grid.h, *_neighbours(n), np.append(state.rho, state.theta))
+    d = flow(state.grid, np.append(state.rho, state.theta))
     return d[:n], d[n:]
 
 
@@ -278,14 +278,12 @@ def _evolve(initials, model, dt, steps, stacked):
     n = grid.n
     h = grid.h
     for i, state in enumerate(states):
-        gmax = float(np.max(np.abs(_dplus(state.theta, h))))
+        gmax = float(np.max(np.abs(_dplus(grid, state.theta))))
         if gmax > 0.0 and dt > DT_GUARD_FACTOR * h * h / gmax:
             raise StepGuardError(
                 "time step exceeds the stability guard",
                 dt=dt, bound=DT_GUARD_FACTOR * h * h / gmax, max_grad=gmax,
                 **({"member": i} if len(states) > 1 else {}))
-
-    f = partial(rhs, h, *_neighbours(n))
 
     def post(y):
         rho = y[..., :n]
@@ -300,13 +298,15 @@ def _evolve(initials, model, dt, steps, stacked):
     data = np.empty((len(states), steps + 1, len(cols)))
     data[:, 0, 4:4 + n] = [s.rho for s in states]
     data[:, 0, 4 + n:] = [s.theta for s in states]
-    _rk4(f, post, data[:, :, 4:].swapaxes(0, 1) if stacked else data[0, :, 4:], dt)
+    ys = data[:, :, 4:].swapaxes(0, 1) if stacked else data[0, :, 4:]
+    _rk4(lambda y: rhs(grid, y), post, ys, dt)
     for d in data:  # one member at a time keeps the temporaries small
         rows = PdeState(grid=grid, rho=d[:, 4:4 + n], theta=d[:, 4 + n:])
         d[:, 0] = np.arange(steps + 1) * dt
         d[:, 1] = m = total_mass(grid, rows.rho)
-        d[:, 2] = _xi(rows, m)
-        d[:, 3] = energy(rows, m)
+        pairing = _integral(h, rows.theta * rows.rho)
+        d[:, 2] = pairing / m
+        d[:, 3] = energy(rows, m, pairing)
     return [GeodesicTrace(columns=tuple(cols), data=d) for d in data]
 
 
@@ -335,7 +335,7 @@ def solve_potential(grid, rho, rhodot):
     # periodic flux can produce; project it out
     b = rhodot - xi * rho
     b -= np.mean(b)
-    rh = _half(rho)  # rho_{i+1/2}
+    rh = _half(grid, rho)  # rho_{i+1/2}
     run = h * np.cumsum(b)
     F = float(np.sum(run / rh) / np.sum(1.0 / rh)) - run
     theta = np.zeros_like(b)
@@ -343,10 +343,11 @@ def solve_potential(grid, rho, rhodot):
     theta -= np.mean(theta)
     if not np.all(np.isfinite(theta)):
         raise SingularSystemError("elliptic solve produced non-finite values")
-    residual = float(np.max(np.abs(-div_flux(rho, _dplus(theta, h), h) - b)))
+    residual = float(np.max(np.abs(-_dminus(grid, rh * _dplus(grid, theta)) - b)))
     # row i of A holds -rho_{i-1/2}, rho_{i-1/2} + rho_{i+1/2}, -rho_{i+1/2}
-    # over h^2 (numpy scalars: h^2 may under- or overflow on extreme grids)
-    norm_A = 2.0 * np.max(periodic_edges(np.add, rh, backward=True)) / np.square(h)
+    # over h^2, so its absolute sum is 4 _mean(rh)_i / h^2 (numpy scalars:
+    # h^2 may under- or overflow on extreme grids)
+    norm_A = 4.0 * np.max(_mean(grid, rh)) / np.square(h)
     scale = float(norm_A * np.max(np.abs(theta)) + np.max(np.abs(b)))
     if not residual <= SOLVE_BACKWARD_ERROR_BOUND * scale:  # a NaN fails too
         raise SingularSystemError("elliptic solve failed the backward-error check",

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,11 +9,10 @@ from uotcone.cone import radial_mass_geodesic
 from uotcone.config import MIN_GRID
 from uotcone.errors import (MassError, NonFiniteError, PositivityError,
                             SingularSystemError, StepGuardError)
-from uotcone.pde import (_MODELS, Grid1D, PdeState, _dplus, _neighbours,
-                         div_flux, fisher_rao_cone_geodesic,
+from uotcone.pde import (_MODELS, Grid1D, PdeState, _dminus, _dplus, _half,
+                         _mean, fisher_rao_cone_geodesic,
                          gdiv_metric_eval, hamiltonian_small, hamiltonian_wfr,
-                         integrate_pde, integrate_pdes, periodic_edges,
-                         small_metric_eval,
+                         integrate_pde, integrate_pdes, small_metric_eval,
                          small_rhs, solve_potential, state_from_velocity,
                          total_mass, wfr_rhs, xi_of)
 from uotcone.trace import mass_acceleration, mass_quadratic_fit, \
@@ -177,18 +179,19 @@ def test_wfr_rhs_uniform_and_sine():
 
 
 def slice_stencil_rhs(model, grid, rho, theta):
-    """The flows written from the slice-based stencils of periodic_edges:
-    forward difference, half-point flux, backward difference, and the node
-    mean of the two adjacent half-point squares |g|^2."""
+    """The flows written with np.roll (a copy from two slices): forward
+    difference, half-point flux, backward difference, and the node mean of
+    the two adjacent half-point squares |g|^2."""
     h = grid.h
-    g = _dplus(theta, h)
-    grad_sq = 0.5 * periodic_edges(np.add, g ** 2, backward=True)
+    g = (np.roll(theta, -1, axis=-1) - theta) / h
+    flux = 0.5 * (np.roll(rho, -1, axis=-1) + rho) * g
+    div = (flux - np.roll(flux, 1, axis=-1)) / h
+    grad_sq = 0.5 * (g**2 + np.roll(g**2, 1, axis=-1))
     if model == "wfr":
-        return -div_flux(rho, g, h) + rho * theta, -0.5 * grad_sq - 0.5 * theta**2
+        return -div + rho * theta, -0.5 * grad_sq - 0.5 * theta**2
     m = h * np.sum(rho, axis=-1, keepdims=True)
     xi = h * np.sum(theta * rho, axis=-1, keepdims=True) / m
-    return (-div_flux(rho, g, h) + xi * rho,
-            -0.5 * grad_sq - xi * theta + 0.5 * xi**2)
+    return -div + xi * rho, -0.5 * grad_sq - xi * theta + 0.5 * xi**2
 
 
 @pytest.mark.parametrize("n", [MIN_GRID, 256])
@@ -196,7 +199,7 @@ def slice_stencil_rhs(model, grid, rho, theta):
 def test_packed_rhs_equals_the_slice_stencils(model, n):
     # the exact mass law and the energy conservation rest on the flow and
     # the elliptic solve sharing one stencil, so the packed flow must equal
-    # the periodic_edges formula exactly, for one state and for a stack
+    # the np.roll formula exactly, for one state and for a stack
     rng = np.random.default_rng(37)
     grid = Grid1D(n=n)
     rho = 0.5 + rng.uniform(size=(3, n))
@@ -207,7 +210,7 @@ def test_packed_rhs_equals_the_slice_stencils(model, n):
                              slice_stencil_rhs(model, grid, r, t)):
             npt.assert_array_equal(got, want)
     flow = _MODELS[model][0]
-    packed = flow(grid.h, *_neighbours(n), np.concatenate([rho, theta], axis=-1))
+    packed = flow(grid, np.concatenate([rho, theta], axis=-1))
     npt.assert_array_equal(
         packed, np.concatenate(slice_stencil_rhs(model, grid, rho, theta), axis=-1))
 
@@ -436,15 +439,31 @@ def test_solve_potential_matches_dense_reference():
                             atol=1e-12 * np.max(np.abs(reference)))
 
 
-def test_periodic_edges_match_np_roll():
+def test_stencil_primitives_match_np_roll():
     rng = np.random.default_rng(29)
-    for f in (rng.normal(size=9), rng.normal(size=(4, 9))):
-        up = np.roll(f, -1, axis=-1)
-        down = np.roll(f, 1, axis=-1)
-        npt.assert_array_equal(periodic_edges(np.subtract, f), up - f)
-        npt.assert_array_equal(periodic_edges(np.add, f), f + up)
-        npt.assert_array_equal(periodic_edges(np.subtract, f, backward=True), f - down)
-        npt.assert_array_equal(periodic_edges(np.add, f, backward=True), f + down)
+    for n in (8, 9):
+        grid = Grid1D(n=n, length=float(rng.uniform(0.5, 10.0)))
+        for f in (rng.normal(size=n), rng.normal(size=(4, n))):
+            up = np.roll(f, -1, axis=-1)
+            down = np.roll(f, 1, axis=-1)
+            npt.assert_array_equal(_dplus(grid, f), (up - f) / grid.h)
+            npt.assert_array_equal(_half(grid, f), 0.5 * (up + f))
+            npt.assert_array_equal(_dminus(grid, f), (f - down) / grid.h)
+            npt.assert_array_equal(_mean(grid, f), 0.5 * (f + down))
+
+
+def test_grid_frees_its_neighbour_indices():
+    # the index arrays are built once per grid and live exactly as long as
+    # it, so the arrays of a fine grid do not outlive its computation
+    grid = Grid1D(n=65536)
+    assert grid.up is grid.up and grid.down is grid.down
+    npt.assert_array_equal(grid.up[[0, -1]], [1, 0])
+    npt.assert_array_equal(grid.down[[0, -1]], [65535, 65534])
+    assert grid == Grid1D(n=65536) and hash(grid) == hash(Grid1D(n=65536))
+    refs = [weakref.ref(grid.up), weakref.ref(grid.down)]
+    del grid
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_solve_potential_is_scale_free():
@@ -497,6 +516,7 @@ def test_small_metric_sine_discrete_and_continuum():
     for n in (512, 1024):
         grid = Grid1D(n=n)
         value = small_metric_eval(grid, np.ones(n), np.sin(grid.x))
+        assert small_metric_eval(grid, [1.0] * n, list(np.sin(grid.x))) == value
         exact_discrete = np.pi * ((grid.h / 2.0) / np.sin(grid.h / 2.0)) ** 2
         assert value == pytest.approx(exact_discrete, abs=1e-10)
         errs.append(abs(value - np.pi))
