@@ -16,9 +16,9 @@ import numpy as np
 
 from .bb import antiderivative_half, bb_action, from_small_trace, BBPath
 from .cone import ConeProblem, ConeState, circle_base, cone_line, integrate_cone
-from .gaussian import (GaussianCotangentState, geodesic_ray, hamiltonian,
-                       integrate_geodesics, lyapunov_solve, mccann_geodesic,
-                       shoot_bvp, submersion_consistency, symmetrize)
+from .gaussian import (AffineGaussian, GaussianCotangentState, connect_affine, geodesic_ray,
+                       hamiltonian, integrate_geodesics, lyapunov_solve, mccann_geodesic,
+                       submersion_consistency, symmetrize)
 from .pde import (Grid1D, PdeState, gdiv_metric_eval, hamiltonian_small,
                   integrate_pde, integrate_pdes, small_metric_eval, small_rhs,
                   total_mass, xi_of)
@@ -195,18 +195,19 @@ def check_flat_cone_oracle(rng, quick=False):
                        f"max deviation from the straight line {dev:.2e} (tol 1e-06)")
 
 
-def _solved_start(S0, m0, S1, m1):
-    """The solved initial data of the two-point problem, as a state whose
-    unit-time RK4 flow at dt = 1e-3 is an oracle independent of the closed
-    form the solver samples."""
-    P0, xi0, _ = shoot_bvp(S0, m0, S1, m1, tol=1e-8)
-    return GaussianCotangentState(V=S0, m=m0, P=P0, xi=xi0)
+def _solved_start(S0, m0, S1, m1, tol=1e-8):
+    """The solved initial data of the zero-mean two-point problem, as a state
+    whose unit-time RK4 flow at dt = 1e-3 is an oracle independent of the
+    closed form the solver evaluates."""
+    zero = np.zeros(S0.shape[0])
+    conn = connect_affine(AffineGaussian(S0, zero, m0), AffineGaussian(S1, zero, m1), tol)
+    return GaussianCotangentState(V=S0, m=m0, P=conn.P0, xi=conn.xi0)
 
 
 def check_shooting(rng, quick=False):
     one = np.array([[1.0]])
-    P0, xi0, _ = shoot_bvp(one, 1.0, one, 4.0, tol=1e-10)
-    scaling_err = max(abs(xi0 - 2.0), abs(P0[0, 0]))
+    start = _solved_start(one, 1.0, one, 4.0, tol=1e-10)
+    scaling_err = max(abs(start.xi - 2.0), abs(start.P[0, 0]))
 
     # (S0, S1, m0, m1) in the draw order; the last pair is the equal-mass dip
     pairs = [(random_spd(rng, 2), random_spd(rng, 2), float(rng.uniform(0.5, 2.0)),

@@ -5,10 +5,10 @@ itself lives inside the config (``"command": "pde-evolve"`` etc.); without
 ``--config`` the invariant suite (``check``) runs with defaults.  Outputs are
 deterministic: identical configs and seeds give byte-identical files.
 
-Exit codes: 0 success, 1 configuration/schema error (also an output
-directory or file that cannot be written), 2 numerical failure (the JSON
-summary then carries a machine-readable reason; any other exception is
-reported there as kind ``internal``).
+Exit codes: 0 success, 1 configuration/schema error (also a usage error and
+an output directory or file that cannot be written), 2 numerical failure
+(the JSON summary then carries a machine-readable reason; any other
+exception is reported there as kind ``internal``).
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def _cone_base(cfg):
     if cfg["base"] == "flat":
         return flat_base(q.size)
     n = int(round(np.sqrt(q.size)))
-    if n * n != q.size:
+    if n < 1 or n * n != q.size:
         raise ConfigError("spd base expects a flattened square matrix",
                           got=int(q.size))
     # the SPD base symmetrizes q and q_dot, so an initial point that is no
@@ -351,8 +351,13 @@ def _fail(cfg, outdir, reason, what):
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error: exit 1
+        raise ConfigError(f"usage: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uotcone",
         description="Conical unbalanced-transport geodesics: run a JSON-configured "
                     "computation or the invariant suite.")
@@ -363,9 +368,11 @@ def main(argv=None):
                         help="output directory (default: ./out)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized property suites")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise ConfigError("--seed must be a non-negative integer", seed=args.seed)
         if args.config is None:
             doc = {"command": "check"}
         else:

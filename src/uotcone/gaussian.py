@@ -406,49 +406,21 @@ def _two_point(Sigma0, m0, Sigma1, m1, shift2=0.0):
     return D, theta, s1, xi0
 
 
-def _require_landing(miss, tol, theta):
-    """Endpoint check of the ray from the solved initial data: the norm of
-    the stacked endpoint mismatches (Frobenius for matrices) must not exceed
-    tol."""
-    residual = float(np.linalg.norm(miss))
-    if residual > tol:
-        raise ShootingError("the ray from the solved initial data misses the endpoint",
-                            residual=residual, tol=tol, theta=theta)
-
-
 def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     """Solve the two-point geodesic problem on (covariance, mass) in closed form.
 
-    The model is the Euclidean cone over the covariances with the balanced
-    metric scaled by 1/4, so the geodesic is a straight line in a flat 2D
-    picture with angle theta = W2(Sigma0, Sigma1) / 2 (``cone.cone_line``).
-    The initial data are P0 = (T - I) / s1, with T the balanced transport
-    map, and xi0 = 2 (sqrt(m0 m1) cos theta - m0) / m0, evaluated in a form
-    that does not cancel when m0 ~ m1 and theta is small.  The geodesic from
-    (Sigma0, m0, P0, xi0) is then the ray ``cone.cone_ray`` of the flat
-    picture, built from those initial data alone (``geodesic_ray``), and
-    sampled over unit time every dt (round(1 / dt) steps).  Its last sample
-    must land on (Sigma1, m1) within tol in the combined
-    Frobenius/absolute-mass norm, else ShootingError; this checks the
-    two-point formulas independently.  theta >= pi raises ApexCrossingError.
-    Returns P0, xi0 and the trace of the ray, with the columns of
-    ``integrate_geodesic``; no RK4 step runs.
+    The zero-mean case of ``connect_affine``, which validates the endpoints,
+    solves the initial data (P0, xi0) and checks that the ray from them
+    lands on (Sigma1, m1) within tol, else ShootingError; theta >= pi raises
+    ApexCrossingError.  Returns P0, xi0 and the trace of that ray
+    (``geodesic_ray``), sampled over unit time every dt (round(1 / dt)
+    steps), with the columns of ``integrate_geodesic``; no RK4 step runs.
     """
-    Sigma0 = require_spd(Sigma0, "Sigma0")
-    Sigma1 = require_spd(Sigma1, "Sigma1")
-    if m0 <= 0.0 or m1 <= 0.0:
-        raise MassError("endpoint masses must be positive", m0=float(m0), m1=float(m1))
-    n = Sigma0.shape[0]
-    if Sigma1.shape != (n, n):
-        raise ValueError("endpoint covariances must have equal shapes")
-    D, theta, s1, xi0 = _two_point(Sigma0, m0, Sigma1, m1)
-    P0 = D / s1
+    zero = np.zeros(np.shape(Sigma0)[:1])
+    c = connect_affine(AffineGaussian(Sigma0, zero, m0), AffineGaussian(Sigma1, zero, m1), tol)
     steps = max(1, round(1.0 / dt))
-    trace = geodesic_ray(GaussianCotangentState(V=Sigma0, m=m0, P=P0, xi=xi0),
-                         1.0 / steps, steps)
-    end = trace.data[-1]
-    _require_landing(np.append(end[4:4 + n * n] - Sigma1.ravel(), end[1] - m1), tol, theta)
-    return P0, xi0, trace
+    start = GaussianCotangentState(V=c.g0.Sigma, m=c.g0.m, P=c.P0, xi=c.xi0)
+    return c.P0, c.xi0, geodesic_ray(start, 1.0 / steps, steps)
 
 
 @dataclass(frozen=True)
@@ -457,27 +429,16 @@ class AffineGaussian:
     mean: np.ndarray
     m: float
 
-    def validate(self):
-        Sigma = require_spd(self.Sigma, "Sigma")
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (Sigma.shape[0],):
-            raise ValueError("mean length must match the covariance size")
-        if self.m <= 0.0:
-            raise MassError("mass must be positive", m=float(self.m))
-        return AffineGaussian(Sigma=Sigma, mean=mean, m=float(self.m))
-
 
 @dataclass(frozen=True)
 class AffineConnection:
     """Solved two-point problem between Gaussians with means.
 
-    The path is the line ``cone.cone_line`` of the flat picture over the
-    product base (covariances x means): the mass is m(t), and the base point
-    moves along the base geodesic at the rate of the cone angle, by the
-    base-arc fraction s(t).  So Sigma(t) = C Sigma0 C with
-    C = I + s(t) (T - I), T the balanced transport map, and the mean is
-    b0 + s(t) (b1 - b0), as the conserved mean momentum pb0 of the
-    canonical flow gives it (bdot = pb0 / m).
+    The path is the ray of the flat picture from the solved initial data
+    (P0, pb0, xi0) at g0 (``_ray``): the mass is m(t), the covariance runs
+    along the balanced curve Sigma(t) = C Sigma0 C with C = I + sigma(t) S0,
+    S0 = 2 P0 / m0, and the mean is b0 + sigma(t) pb0 / m0, as the conserved
+    mean momentum pb0 of the canonical flow gives it (bdot = pb0 / m).
     """
 
     g0: AffineGaussian
@@ -486,50 +447,56 @@ class AffineConnection:
     pb0: np.ndarray
     xi0: float
 
-    def _line(self, t):
-        g0, g1 = self.g0, self.g1
-        db = g1.mean - g0.mean
-        D, theta, _, _ = _two_point(g0.Sigma, g0.m, g1.Sigma, g1.m, db @ db)
-        m, s = cone_line(g0.m, g1.m, theta, t)
-        return D, db, m, s
+    def _ray_at(self, t):
+        return _ray(self.g0.Sigma, self.g0.m, self.P0, self.xi0, t, self.pb0)
 
     def at(self, t):
-        D, db, m, s = self._line(t)
-        C = np.eye(D.shape[0]) + s * D
-        return AffineGaussian(Sigma=symmetrize(C @ self.g0.Sigma @ C),
-                              mean=self.g0.mean + s * db, m=float(m))
+        m, _, sigma, V, _ = self._ray_at(np.array([t], dtype=float))
+        mean = self.g0.mean + sigma[0] * self.pb0 / self.g0.m
+        return AffineGaussian(Sigma=V[0], mean=mean, m=float(m[0]))
 
     def mass_path(self, num=101):
         ts = np.linspace(0.0, 1.0, num)
-        return ts, self._line(ts)[2]
+        return ts, self._ray_at(ts)[0]
 
 
 def connect_affine(g0, g1, tol=1e-8):
-    """Solve the two-point problem for Gaussians with means (zero-mean reference).
+    """Solve the two-point problem for Gaussians with means in closed form.
 
-    The base is the product of the covariances and the means, so the cone
-    angle is theta = sqrt(W2^2 + |b1 - b0|^2) / 2 and the closed form of
-    ``shoot_bvp`` carries over, with the conserved mean momentum
-    pb0 = 2 (b1 - b0) / s1.  The ray of the flat picture from
-    (P0, xi0, pb0) alone, with the mean b(t) = b0 + sigma(t) pb0 / m0, must
-    land on the covariance, mean and mass endpoints at t = 1 within tol,
-    else ShootingError; theta >= pi raises ApexCrossingError.  No RK4 step
+    The model is the Euclidean cone over the covariances (balanced metric
+    scaled by 1/4) times the means, so the geodesic is a straight line in a
+    flat 2D picture (``cone.cone_line``) with angle
+    theta = sqrt(W2(Sigma0, Sigma1)^2 + |b1 - b0|^2) / 2.  ``_two_point``
+    gives the initial data P0 = (T - I) / s1 (T the balanced transport map),
+    pb0 = 2 (b1 - b0) / s1 and xi0.  The ray from those data alone (``_ray``)
+    must land on the endpoints at t = 1 within tol in the combined
+    Frobenius/absolute norm, else ShootingError: an independent check of the
+    two-point formulas.  theta >= pi raises ApexCrossingError.  No RK4 step
     runs.
     """
-    g0 = g0.validate()
-    g1 = g1.validate()
-    n = g0.Sigma.shape[0]
-    if g1.Sigma.shape != (n, n):
+    Sigma0 = require_spd(g0.Sigma, "Sigma0")
+    Sigma1 = require_spd(g1.Sigma, "Sigma1")
+    if g0.m <= 0.0 or g1.m <= 0.0:
+        raise MassError("endpoint masses must be positive", m0=float(g0.m), m1=float(g1.m))
+    n = Sigma0.shape[0]
+    if Sigma1.shape != (n, n):
         raise ValueError("endpoint covariances must have equal shapes")
-    db = g1.mean - g0.mean
-    D, theta, s1, xi0 = _two_point(g0.Sigma, g0.m, g1.Sigma, g1.m, db @ db)
-    P0 = D / s1
-    pb0 = 2.0 * db / s1
-    m, _, sigma, V, _ = _ray(g0.Sigma, g0.m, P0, xi0, np.ones(1), pb0)
-    _require_landing(np.concatenate([V[0].ravel() - g1.Sigma.ravel(),
-                                     g0.mean + sigma[0] * pb0 / g0.m - g1.mean,
-                                     m - g1.m]), tol, theta)
-    return AffineConnection(g0=g0, g1=g1, P0=P0, pb0=pb0, xi0=xi0)
+    b0 = np.asarray(g0.mean, dtype=float)
+    b1 = np.asarray(g1.mean, dtype=float)
+    if b0.shape != (n,) or b1.shape != (n,):
+        raise ValueError("mean length must match the covariance size")
+    g0 = AffineGaussian(Sigma=Sigma0, mean=b0, m=float(g0.m))
+    g1 = AffineGaussian(Sigma=Sigma1, mean=b1, m=float(g1.m))
+    db = b1 - b0
+    D, theta, s1, xi0 = _two_point(Sigma0, g0.m, Sigma1, g1.m, db @ db)
+    conn = AffineConnection(g0=g0, g1=g1, P0=D / s1, pb0=2.0 * db / s1, xi0=xi0)
+    end = conn.at(1.0)
+    residual = float(np.linalg.norm(np.concatenate(
+        [end.Sigma.ravel() - Sigma1.ravel(), end.mean - b1, [end.m - g1.m]])))
+    if residual > tol:
+        raise ShootingError("the ray from the solved initial data misses the endpoint",
+                            residual=residual, tol=tol, theta=theta)
+    return conn
 
 
 def affine_geodesic(g0, g1, t, tol=1e-8):

@@ -121,15 +121,17 @@ class PdeState:
     rho: np.ndarray
     theta: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
+        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
+
     def validate(self):
-        rho = np.asarray(self.rho, dtype=float)
-        theta = np.asarray(self.theta, dtype=float)
-        if rho.shape != (self.grid.n,) or theta.shape != (self.grid.n,):
+        if self.rho.shape != (self.grid.n,) or self.theta.shape != (self.grid.n,):
             raise ValueError("fields must match the grid size")
-        if not np.all(np.isfinite(theta)) or not np.all(np.isfinite(rho)):
+        if not np.all(np.isfinite(self.theta)) or not np.all(np.isfinite(self.rho)):
             raise NonFiniteError("fields must be finite")
-        total_mass(self.grid, rho)
-        return PdeState(grid=self.grid, rho=rho, theta=theta)
+        total_mass(self.grid, self.rho)
+        return self
 
 
 # The private energies below take the checked total mass m of the state and

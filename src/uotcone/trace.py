@@ -178,10 +178,13 @@ def mass_quadratic_fit(trace):
 
     Returns a dict with the fitted coefficients (highest power first) and the
     rms residual.  Along geodesics of the conical metrics m(t) is a parabola
-    with leading coefficient H/2.
+    with leading coefficient H/2.  Fewer than 3 samples do not determine a
+    parabola: SingularSystemError, as for a fit that fails.
     """
     t = trace.t
     m = trace.column("m")
+    if t.size < 3:
+        raise SingularSystemError("a quadratic fit of m(t) needs 3 samples", samples=t.size)
     try:
         coeffs = np.polyfit(t, m, 2)
     except np.linalg.LinAlgError:

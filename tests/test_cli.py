@@ -377,12 +377,15 @@ def bb_explicit_config(**overrides):
      "theta": [0.0] * 8, "steps": MAX_TRACE_ENTRIES},
     {"command": "fr-geodesic", "rho0": [1.0] * 8, "rho1": [2.0] * 8,
      "num_times": MAX_TRACE_ENTRIES},
+    # an empty matrix is no point of the SPD base
+    {"command": "cone-geodesic", "base": "spd", "q": [], "q_dot": [],
+     "alpha": 1.0, "alpha_dot": 0.0},
 ], ids=["grid-n4", "dt-zero", "dt-negative", "steps-zero", "num-times-1",
         "nan", "inf-in-grid", "bool-in-grid", "str-in-floats",
         "connect-max-iter", "connect-steps",
         "bb-one-time", "bb-n-mismatch", "bb-ragged-rows",
         "connect-dt-1e-300", "connect-dt-subnormal", "gauss-steps-1e9",
-        "pde-steps", "cone-steps", "bb-steps", "fr-num-times"])
+        "pde-steps", "cone-steps", "bb-steps", "fr-num-times", "cone-spd-empty"])
 def test_config_rejected_before_any_computation(tmp_path, capsys, cfg):
     code, out = run_cli(tmp_path, cfg)
     assert code == 1
@@ -390,6 +393,37 @@ def test_config_rejected_before_any_computation(tmp_path, capsys, cfg):
     assert "Traceback" not in err
     assert json.loads(err)["kind"] == "config"
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed", "abc"], ["--bogus"]],
+                         ids=["seed-negative", "seed-not-integer", "unknown-flag"])
+def test_usage_errors_are_config_errors(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["kind"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: uotcone")
+
+
+@pytest.mark.filterwarnings("error")  # no RankWarning from a fit of 2 rows
+@pytest.mark.parametrize("cfg", [
+    gauss_config(V=[1.0], m=1.0, P=[0.1], xi=0.1, steps=1),
+    {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
+     "Sigma1": [1.0], "m1": 4.0, "dt": 0.7},
+], ids=["geodesic-one-step", "connect-dt-0.7"])
+def test_mass_fit_of_two_rows_is_a_singular_system(tmp_path, cfg):
+    # a parabola through 2 samples is not determined: no mass fit is reported
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == "singular-system"
+    assert reason["samples"] == 2
 
 
 def test_trace_size_limit_is_inclusive():
@@ -610,6 +644,18 @@ def test_check_outputs_are_deterministic(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
+                                         if p.name != "check.json"))
+def test_shipped_configs_are_deterministic(tmp_path, name):
+    # check.json runs in test_check_outputs_are_deterministic
+    trees = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["--config", str(CONFIGS / name), "--out", str(out)]) == 0
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert trees[0] and trees[0] == trees[1]
+
+
 def test_cli_import_loads_numpy_only():
     # a fresh interpreter: numpy is the only third-party runtime dependency
     src = str(Path(uotcone.__file__).resolve().parents[1])
@@ -688,6 +734,8 @@ def fuzz_configs(draw):
 @example(cfg=gauss_config(V=[2.2e177], m=2.2e177, P=[7.5], xi=7.5, steps=20))
 @example(cfg={"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
               "Sigma1": [1.0], "m1": 4.0, "dt": 1e-300})
+@example(cfg={"command": "cone-geodesic", "base": "spd", "q": [], "q_dot": [],
+              "alpha": 1.0, "alpha_dot": 0.0, "steps": 20})
 def test_fuzzed_configs_exit_typed(cfg):
     # no exception may escape main; exit 2 always comes with a reason, and
     # exit 0 with finite numbers only

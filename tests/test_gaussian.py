@@ -482,6 +482,21 @@ def test_shoot_random_n2_endpoints():
         assert err <= 1e-6
 
 
+def test_shoot_is_the_zero_mean_connection():
+    # the zero means add exact zeros to the two-point solve and the ray, so
+    # the initial data keep their bits
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3):
+        S0, S1 = random_spd(rng, n), random_spd(rng, n)
+        m0, m1 = rng.uniform(0.5, 2.0, size=2)
+        P0, xi0, _ = shoot_bvp(S0, m0, S1, m1)
+        conn = connect_affine(AffineGaussian(Sigma=S0, mean=np.zeros(n), m=m0),
+                              AffineGaussian(Sigma=S1, mean=np.zeros(n), m=m1))
+        npt.assert_array_equal(P0, conn.P0)
+        assert xi0 == conn.xi0
+        npt.assert_array_equal(conn.pb0, 0.0)
+
+
 def test_shoot_trace_rows_lie_on_the_cone_line():
     # every row of the solver's trace is the two-point path: mass m(t) and
     # covariance on the balanced curve at the base-arc fraction s(t)
@@ -791,13 +806,16 @@ def test_affine_at_matches_the_recorded_flow():
 
 
 def test_affine_mass_path_runs_no_flow(monkeypatch):
+    # at() and mass_path() read the ray of the solved data: neither an RK4
+    # flow nor a second two-point solve runs
     g0, g1 = roadmap_pair()
     conn = connect_affine(g0, g1)
 
-    def no_flow(*args):
-        raise AssertionError("an RK4 flow ran")
+    def forbidden(*args):
+        raise AssertionError("an RK4 flow or a two-point solve ran")
 
-    monkeypatch.setattr(gaussian, "_rk4", no_flow)
+    for name in ("_rk4", "_two_point", "_mccann_map"):
+        monkeypatch.setattr(gaussian, name, forbidden)
     ts, m = conn.mass_path(101)
     assert ts.shape == m.shape == (101,)
     gap = np.sqrt(bures_sq(g0.Sigma, g1.Sigma) + 1.25)

@@ -76,6 +76,17 @@ def test_xi_constant_theta():
     assert xi_of(state) == pytest.approx(1.7, abs=1e-14)
 
 
+def test_list_fields_read_as_the_validated_state():
+    # the fields become float arrays when the state is made, so every reader
+    # sees plain lists as the validated state's arrays
+    state = PdeState(Grid1D(8), [1.0] * 8, [0.5] * 8)
+    valid = state.validate()
+    for energy in (xi_of, hamiltonian_small, hamiltonian_wfr):
+        assert energy(state) == energy(valid)
+    assert hamiltonian_small(state) == 0.7853981633974483
+    assert xi_of(state) == 0.5
+
+
 def test_xi_sine_theta_is_zero():
     grid = Grid1D(n=64)
     state = PdeState(grid, np.ones(64), np.sin(grid.x))
