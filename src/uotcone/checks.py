@@ -9,8 +9,11 @@ the ones the acceptance gate is scored at.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .gaussian import (AffineGaussian, GaussianCotangentState, connect_affine, g
 from .pde import (Grid1D, PdeState, gdiv_metric_eval, hamiltonian_small,
                   integrate_pde, integrate_pdes, small_metric_eval, small_rhs,
                   total_mass, xi_of)
-from .trace import mass_quadratic_fit, relative_energy_drift
+from .trace import _cores, _forked, mass_quadratic_fit, relative_energy_drift
 
 TWO_PI = 2.0 * np.pi
 
@@ -368,9 +371,51 @@ ALL_CHECKS = (
 
 def run_all(seed=0, quick=False):
     """Run every check on its own generator of the seed, yielding each
-    CheckResult with the wall-clock seconds its check took."""
-    for check in ALL_CHECKS:
-        rng = np.random.default_rng(seed)
-        start = time.perf_counter()
-        result = check(rng, quick=quick)
-        yield result, time.perf_counter() - start
+    CheckResult with the wall-clock seconds its check took, in ALL_CHECKS
+    order.
+
+    The checks run on every available core: this process and one forked
+    worker per further core (``trace._forked``) claim check indices from one
+    ticket pipe until it is empty, and the workers send back what they ran.
+    So nothing is yielded before every check has run, and the seconds are
+    each check's own, on contended cores.  On one core nothing is forked.
+    A check that raised is run again here at its turn, so it raises after
+    the same results as in a serial run; a worker that died raises
+    RuntimeError.
+    """
+    checks = ALL_CHECKS
+    tickets, w = os.pipe()
+    os.write(w, bytes(range(len(checks))))
+    os.close(w)
+    try:
+        claim = partial(_claim, checks, tickets, seed, quick)
+        jobs = [lambda: pickle.dumps(claim())] * (min(_cores(), len(checks)) - 1)
+        with _forked(jobs, "running checks") as pipes:
+            done = claim()
+            sent = [b"".join(iter(partial(os.read, fd, 1 << 16), b"")) for fd in pipes]
+    finally:
+        os.close(tickets)
+    for data in sent:
+        done.update(pickle.loads(data))
+    for i, check in enumerate(checks):
+        yield done[i] if i in done else _timed(check, seed, quick)
+
+
+def _claim(checks, tickets, seed, quick):
+    """Run the checks whose indices this process reads, one byte at a time,
+    from the ticket pipe, until it is empty: {index: (CheckResult,
+    seconds)}.  A check that raises an Exception is left out."""
+    done = {}
+    while ticket := os.read(tickets, 1):
+        try:
+            done[ticket[0]] = _timed(checks[ticket[0]], seed, quick)
+        except Exception:
+            pass  # run_all runs it again at its turn and raises there
+    return done
+
+
+def _timed(check, seed, quick):
+    rng = np.random.default_rng(seed)
+    start = time.perf_counter()
+    result = check(rng, quick=quick)
+    return result, time.perf_counter() - start

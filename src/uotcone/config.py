@@ -85,7 +85,7 @@ _SCHEMAS = {
     "gauss-connect": {
         "n": ("count", True), "Sigma0": ("floats", True), "m0": ("float", True),
         "Sigma1": ("floats", True), "m1": ("float", True),
-        "tol": ("float", False), "dt": ("positive", False),
+        "tol": ("positive", False), "dt": ("positive", False),
     },
     "pde-evolve": {
         "model": ("str", False), "n": ("gridsize", False),
@@ -111,7 +111,7 @@ _SCHEMAS = {
     },
     "bb-action": {
         "n": ("gridsize", False), "length": ("positive", False),
-        "source": ("str", True), "continuity_tol": ("float", False),
+        "source": ("str", True), "continuity_tol": ("positive", False),
         # explicit paths
         "times": ("floats", False), "rhobar": ("grids", False),
         "w": ("grids", False), "r": ("floats", False),

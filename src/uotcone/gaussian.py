@@ -31,17 +31,17 @@ def symmetrize(M):
 
 
 def require_symmetric(M, what="matrix", tol=_SYM_TOL):
-    """Validate finite entries and symmetry up to tol (relative to the matrix
-    scale), return the symmetrized copy."""
+    """Validate finite entries and symmetry up to tol relative to max |M|,
+    at every scale (an all-zero matrix passes), return the symmetrized
+    copy."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise SymmetryError(f"{what} must be square", shape=list(M.shape))
     if not np.all(np.isfinite(M)):
         raise NonFiniteError(f"{what} has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-    if float(np.max(np.abs(M - M.T))) > tol * scale:
-        raise SymmetryError(f"{what} is not symmetric",
-                            asymmetry=float(np.max(np.abs(M - M.T))))
+    asymmetry = float(np.max(np.abs(M - M.T), initial=0.0))
+    if asymmetry > tol * float(np.max(np.abs(M), initial=0.0)):
+        raise SymmetryError(f"{what} is not symmetric", asymmetry=asymmetry)
     return symmetrize(M)
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import os
 import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,39 +48,22 @@ class GeodesicTrace:
         """Write the header and the rows, split into contiguous blocks, one
         per available core.
 
-        A forked worker formats each block after the first and sends its
-        bytes through a pipe, while this process formats block 0 row by row
-        and then copies the workers' bytes in block order, so the file is
-        the same whatever the block count.  An OSError from the file stays
-        an OSError, and kills the workers at once; a worker that fails
-        raises RuntimeError.  No worker outlives the call.
+        A forked worker (``_forked``) formats each block after the first,
+        while this process formats block 0 row by row and then copies the
+        workers' bytes in block order, so the file is the same whatever the
+        block count.  An OSError from the file stays an OSError, and kills
+        the workers at once; a worker that fails raises RuntimeError.
         """
         blocks = np.array_split(self.data, _block_count(self.data))
         with open(path, "wb") as f:
             f.write((",".join(self.columns) + "\n").encode())
-            workers = []  # (pid, read end of its pipe)
-            try:
-                for rows in blocks[1:]:
-                    workers.append(_fork_formatter(rows, [fd for _, fd in workers]))
+            with _forked([partial(_csv_block, rows) for rows in blocks[1:]],
+                         f"formatting {path}") as pipes:
                 for row in blocks[0]:
                     f.write(_csv_row(row))
-                for _, fd in workers:
+                for fd in pipes:
                     while chunk := os.read(fd, 1 << 20):
                         f.write(chunk)
-            except BaseException:
-                # a file that failed midway waits for no worker to finish
-                # formatting its block
-                for pid, _ in workers:
-                    os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                for _, fd in workers:
-                    os.close(fd)
-                statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
-        codes = [os.waitstatus_to_exitcode(s) for s in statuses]
-        if any(codes):
-            # a negative code is the signal that killed the worker
-            raise RuntimeError(f"a worker formatting {path} failed: exit codes {codes}")
 
 
 # Formatting one entry takes 0.9-1.1 us, and a fork, one pipe write and the
@@ -92,20 +77,66 @@ def _csv_row(row):
     return (",".join(map(repr, row.tolist())) + "\n").encode()
 
 
+def _csv_block(rows):
+    """The CSV lines of ``rows``, as one bytearray."""
+    text = bytearray()
+    for row in rows:
+        text += _csv_row(row)
+    return text
+
+
+def _cores():
+    """The number of cores this process may run on, or 1 where
+    os.sched_getaffinity is missing (macOS, Windows)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _block_count(data):
     """One block per available core, each of at least _BLOCK_ENTRIES
-    entries and one row.  Where os.sched_getaffinity is missing (macOS,
-    Windows) there is one block, and nothing is forked."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cores, len(data), data.size // _BLOCK_ENTRIES))
+    entries and one row."""
+    return max(1, min(_cores(), len(data), data.size // _BLOCK_ENTRIES))
 
 
-def _fork_formatter(rows, inherited):
-    """Fork a worker that writes the CSV lines of ``rows`` into a pipe, and
-    return (pid, read end).  ``inherited`` are the read ends of the earlier
-    workers, which the new one closes.  The worker only formats, writes and
-    exits: it calls no BLAS, imports nothing and takes no lock, because
-    the fork copies no thread but this one."""
+@contextmanager
+def _forked(jobs, what):
+    """Fork one worker per job and yield the read ends of their pipes, in
+    job order.  A worker calls its job, writes the bytes it returns into its
+    pipe and exits 0; a job that raises exits 1.  An empty ``jobs`` forks
+    nothing.
+
+    A BaseException in the body kills the workers at once, so a failed
+    caller waits for none of them.  On the way out the pipes are closed and
+    every worker is reaped, so none outlives the block; then a worker that
+    exited nonzero or was killed raises RuntimeError, naming ``what``.
+
+    The fork copies no thread but this one.  A job may still call
+    BLAS/LAPACK: numpy's OpenBLAS (verified with 0.3.31) shuts its thread
+    pool down across fork through pthread_atfork, and each side starts it
+    again on first use.
+    """
+    workers = []  # (pid, read end of its pipe)
+    try:
+        for job in jobs:
+            workers.append(_fork(job, [fd for _, fd in workers]))
+        yield [fd for _, fd in workers]
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, fd in workers:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    codes = [os.waitstatus_to_exitcode(s) for s in statuses]
+    if any(codes):
+        # a negative code is the signal that killed the worker
+        raise RuntimeError(f"a worker {what} failed: exit codes {codes}")
+
+
+def _fork(job, inherited):
+    """Fork a worker that writes what ``job()`` returns into a pipe and
+    exits, and return (pid, read end).  ``inherited`` are the read ends of
+    the earlier workers, which the new one closes."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -118,10 +149,7 @@ def _fork_formatter(rows, inherited):
         try:
             for fd in (r, *inherited):
                 os.close(fd)
-            text = bytearray()
-            for row in rows:
-                text += _csv_row(row)
-            out = memoryview(text)
+            out = memoryview(job())
             while out:
                 out = out[os.write(w, out):]
             code = 0

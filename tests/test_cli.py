@@ -2,9 +2,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import uotcone
-from uotcone import cli, gaussian
+from test_trace import cores, no_child_left  # noqa: F401 (a fixture)
+from uotcone import checks, cli, gaussian
 from uotcone.cli import main
+from uotcone.checks import CheckResult
 from uotcone.config import _CHOICES, _SCHEMAS, MAX_TRACE_ENTRIES, validate_run
-from uotcone.errors import ConfigError
+from uotcone.errors import ConfigError, NonFiniteError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -380,12 +384,17 @@ def bb_explicit_config(**overrides):
     # an empty matrix is no point of the SPD base
     {"command": "cone-geodesic", "base": "spd", "q": [], "q_dot": [],
      "alpha": 1.0, "alpha_dot": 0.0},
+    # no residual is below a negative tolerance
+    {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
+     "Sigma1": [1.0], "m1": 4.0, "tol": -1.0},
+    bb_explicit_config(continuity_tol=-1.0),
 ], ids=["grid-n4", "dt-zero", "dt-negative", "steps-zero", "num-times-1",
         "nan", "inf-in-grid", "bool-in-grid", "str-in-floats",
         "connect-max-iter", "connect-steps",
         "bb-one-time", "bb-n-mismatch", "bb-ragged-rows",
         "connect-dt-1e-300", "connect-dt-subnormal", "gauss-steps-1e9",
-        "pde-steps", "cone-steps", "bb-steps", "fr-num-times", "cone-spd-empty"])
+        "pde-steps", "cone-steps", "bb-steps", "fr-num-times", "cone-spd-empty",
+        "connect-tol-negative", "bb-continuity-tol-negative"])
 def test_config_rejected_before_any_computation(tmp_path, capsys, cfg):
     code, out = run_cli(tmp_path, cfg)
     assert code == 1
@@ -642,6 +651,104 @@ def test_check_outputs_are_deterministic(tmp_path):
     code2, out2 = run_cli(tmp_path, {"command": "check", "quick": True}, out="c2")
     assert code1 == 0 and code2 == 0
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+def run_check(tmp_path, capsys, out):
+    """The exit code, stdout, summary.json bytes and stderr check names of a
+    quick check run, and the stderr lines that are no timing."""
+    code, outdir = run_cli(tmp_path, {"command": "check", "quick": True}, out=out)
+    captured = capsys.readouterr()
+    timed = re.compile(r"^(\S+) \d+\.\d{3}$")
+    lines = captured.err.splitlines()
+    names = [m[1] for m in map(timed.match, lines) if m]
+    rest = [line for line in lines if not timed.match(line)]
+    return code, captured.out, (outdir / "summary.json").read_bytes(), names, rest
+
+
+def test_check_suite_is_the_same_on_any_core_count(tmp_path, capsys, cores, monkeypatch):
+    fork = os.fork
+    runs = []
+    for k in (1, 2, 3):
+        cores(k)
+        monkeypatch.setattr(os, "fork", fork if k > 1 else
+                            lambda: pytest.fail("forked on one core"))
+        runs.append(run_check(tmp_path, capsys, f"c{k}"))
+        no_child_left()
+    assert runs[0][0] == 0
+    assert runs[0][3] == [r["name"] for r in json.loads(runs[0][2])["results"]]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def stub(i, delay_in=None):
+    """A check that passes at once, or after 0.2 s in the process named by
+    ``delay_in`` (a predicate on the pid), which then claims few tickets."""
+    def check(rng, quick=False):
+        if delay_in is not None and delay_in(os.getpid()):
+            time.sleep(0.2)
+        return CheckResult(f"stub-{i}", True, f"draw {rng.integers(10**6)}")
+    return check
+
+
+@pytest.mark.parametrize("exc", [NonFiniteError("stub overflow", step=3),
+                                 ValueError("stub bug")], ids=["numerics", "internal"])
+@pytest.mark.parametrize("claimant", ["parent", "worker"])
+def test_failing_check_fails_as_in_a_serial_run(tmp_path, capsys, cores, monkeypatch,
+                                                exc, claimant):
+    # the last check raises, and the parent runs it again at its turn
+    parent = os.getpid()
+    attempts = tmp_path / "attempts"
+
+    def failing(rng, quick=False):
+        with open(attempts, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        raise exc
+
+    def run(k, slow=None):
+        cores(k)
+        monkeypatch.setattr(checks, "ALL_CHECKS",
+                            (*(stub(i, slow) for i in range(9)), failing))
+        attempts.unlink(missing_ok=True)
+        result = run_check(tmp_path, capsys, f"c{k}")
+        no_child_left()
+        return result, [int(line) for line in attempts.read_text(encoding="utf-8").split()]
+
+    serial, pids = run(1)
+    assert serial[0] == 2 and serial[1].count("PASS") == 9
+    assert pids == [parent, parent]
+    # stubs that are slow in the other process steer the ticket to the
+    # claimant; a race may still hand it over, so up to 5 runs
+    slow = (lambda pid: pid != parent) if claimant == "parent" else (lambda pid: pid == parent)
+    for _ in range(5):
+        result, pids = run(2, slow)
+        assert result == serial
+        assert len(pids) == 2 and pids[1] == parent
+        if (pids[0] == parent) == (claimant == "parent"):
+            break
+    else:
+        pytest.fail(f"the {claimant} claimed the failing check in none of 5 runs")
+
+
+def test_killed_check_worker_is_an_internal_reason(tmp_path, capsys, cores, monkeypatch):
+    cores(2)
+    parent = os.getpid()
+
+    def killed(check):
+        def run(rng, quick=False):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return check(rng, quick=quick)
+        return run
+
+    # every check kills a worker that claims it, and the parent takes long
+    # enough over its first that the worker claims one
+    monkeypatch.setattr(checks, "ALL_CHECKS", tuple(map(killed, checks.ALL_CHECKS)))
+    code, out = run_cli(tmp_path, {"command": "check", "quick": True})
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == "internal"
+    assert reason["message"].endswith(f"failed: exit codes [{-signal.SIGKILL}]")
+    no_child_left()
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")

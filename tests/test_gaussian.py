@@ -97,6 +97,17 @@ def test_lyapunov_rejects_bad_inputs():
         lyapunov_solve(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-12, 13, 3))
+def test_symmetry_check_is_scale_free(scale):
+    M = scale * np.array([[2.0, 1.0], [1.0, 3.0]])
+    np.testing.assert_array_equal(gaussian.require_symmetric(M), M)
+    with pytest.raises(SymmetryError):
+        gaussian.require_symmetric(M + [[0.0, 3e-10 * scale], [0.0, 0.0]])
+    with pytest.raises(SymmetryError):
+        gaussian.require_symmetric(scale * np.array([[1.0, 0.0], [1.0, 1.0]]))
+    np.testing.assert_array_equal(gaussian.require_symmetric(0.0 * M), 0.0)
+
+
 # -- metric evaluations -------------------------------------------------------
 
 def test_group_metric_zero_vector():
