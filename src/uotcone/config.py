@@ -17,7 +17,7 @@ DEFAULTS = {
     "length": 2.0 * math.pi,
     "dt": 1e-3,        # integrator step; sampling step of the gauss-connect trace
     "steps": 1000,
-    "tol": 1e-8,       # gauss-connect: landing tolerance of the closed-form ray
+    "tol": 1e-8,       # gauss-connect: relative landing tolerance of the closed-form ray
     "continuity_tol": 1e-5,
     "num_times": 11,   # samples of closed-form interpolations
     "p": 1.0,          # cone exponent

@@ -2,8 +2,9 @@
 diagnostics.
 
 Column order is fixed: ``t, m, xi, H`` followed by the flattened state of the
-particular model.  CSV output uses shortest round-trip decimal formatting so
-identical runs produce byte-identical files.
+particular model.  CSV output writes each entry as ``repr`` does, the
+shortest round-trip decimal, so identical runs produce byte-identical files;
+numpy makes those bytes for thousands of entries at a time (``_csv_chunk``).
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .errors import NonFiniteError, NumericsError, SingularSystemError
 @dataclass(frozen=True)
 class GeodesicTrace:
     columns: tuple
-    data: np.ndarray  # shape (rows, len(columns)), strictly increasing t
+    data: np.ndarray  # float64, shape (rows, len(columns)), strictly increasing t
 
     def __post_init__(self):
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
         if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
             raise ValueError("trace data shape does not match columns")
         if not np.all(np.isfinite(self.data)):
@@ -49,40 +51,246 @@ class GeodesicTrace:
         per available core.
 
         A forked worker (``_forked``) formats each block after the first,
-        while this process formats block 0 row by row and then copies the
-        workers' bytes in block order, so the file is the same whatever the
-        block count.  An OSError from the file stays an OSError, and kills
-        the workers at once; a worker that fails raises RuntimeError.
+        while this process formats block 0 a chunk at a time (``_csv_chunks``)
+        and writes each chunk as soon as it is made, then copies the workers'
+        bytes in block order, so the file is the same whatever the block
+        count.  An OSError from the file stays an OSError, and kills the
+        workers at once; a worker that fails raises RuntimeError.
         """
         blocks = np.array_split(self.data, _block_count(self.data))
         with open(path, "wb") as f:
             f.write((",".join(self.columns) + "\n").encode())
             with _forked([partial(_csv_block, rows) for rows in blocks[1:]],
                          f"formatting {path}") as pipes:
-                for row in blocks[0]:
-                    f.write(_csv_row(row))
+                for chunk in _csv_chunks(blocks[0]):
+                    f.write(chunk)
                 for fd in pipes:
                     while chunk := os.read(fd, 1 << 20):
                         f.write(chunk)
 
 
-# Formatting one entry takes 0.9-1.1 us, and a fork, one pipe write and the
-# wait take 1.5-1.9 ms at 83 MB RSS (2-core Xeon, CPython 3.11.7): a block
-# of 2**14 entries, 15-18 ms of work, is the least worth a worker.
-_BLOCK_ENTRIES = 2**14
+# Writing one entry takes about 0.4 us, and a worker costs its fork, its
+# copy-on-write faults, the copy through its pipe and its reaping.  Timed
+# in one process at 80 MB RSS (2-core Xeon, CPython 3.11.7, numpy 2.4),
+# interleaved, a trace split into two blocks was faster than one block in
+# 4 of 30 pairs at 36k entries, 17 of 40 at 41k, 33 of 40 at 49k (-11%)
+# and 38 of 40 at 82k (-20%): a block of 2**15 entries is the least worth
+# a worker.
+_BLOCK_ENTRIES = 2**15
 
-
-def _csv_row(row):
-    """One CSV line of shortest round-trip floats, as bytes."""
-    return (",".join(map(repr, row.tolist())) + "\n").encode()
+# A chunk of this many entries (or one row, if longer) is formatted at a
+# time: the peak of its temporaries is 1.1 MB, where a 36k-entry trace at
+# once would take 9 MB.  Chunks of 2048 entries were 14% slower on 36-column
+# rows, and of 8192 no faster there and 9% faster on 516-column rows.
+_CHUNK_ENTRIES = 4096
 
 
 def _csv_block(rows):
     """The CSV lines of ``rows``, as one bytearray."""
     text = bytearray()
-    for row in rows:
-        text += _csv_row(row)
+    for chunk in _csv_chunks(rows):
+        text += chunk.data
     return text
+
+
+def _csv_chunks(rows):
+    """The CSV lines of ``rows``, a few rows at a time (``_csv_chunk``)."""
+    step = max(1, _CHUNK_ENTRIES // rows.shape[1])
+    for start in range(0, len(rows), step):
+        yield _csv_chunk(rows[start:start + step])
+
+
+# ------------------------------------------------ shortest round-trip decimals
+#
+# _csv_chunk writes the bytes that repr writes for each float64 entry: the
+# shortest decimal that reads back as the same double, the closest such one,
+# ties to even digits (_decimal), laid out as Python's 'r' format does.
+# _decimal is Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+# 2020, figure 7, with rop from section 9), computed on whole arrays in
+# uint64 arithmetic.  Two changes from the Java reference make its digits
+# Python's: the smallest subnormals are not rescaled by 10, and the
+# multiples of 10^(k+1) are tried from two digits on, not three (Java prints
+# 4.9E-324 and 7.9E-323 where repr prints 5e-324 and 8e-323).
+
+_U = np.uint64
+_K_MIN = -324  # the decimal exponents k of the table, K_MIN .. 292
+
+
+def _flog2pow10(e):
+    """floor(log2(10^e)), exact for the exponents of the table."""
+    return (e * 913_124_641_741) >> 38
+
+
+def _pow10_table():
+    """One column per k = _K_MIN .. 292 of g = floor(10^-k / 2^r) + 1, the
+    126-bit overestimate of 10^-k (r = floor(log2(10^-k)) - 125), built
+    exactly from Python ints: g1 = g >> 63, then the low and high 32-bit
+    halves of g1 and of g0 = g mod 2^63."""
+    tens = [1]
+    for _ in range(-_K_MIN):
+        tens.append(10 * tens[-1])
+    g = []
+    for k in range(_K_MIN, 293):
+        r = _flog2pow10(-k) - 125
+        if k <= 0:
+            g.append((tens[-k] >> r if r >= 0 else tens[-k] << -r) + 1)
+        else:
+            g.append((1 << -r) // tens[k] + 1)
+    g1, g0 = np.array([[v >> 63 for v in g], [v & (2**63 - 1) for v in g]], dtype=_U)
+    low = _U(2**32 - 1)
+    return np.stack([g1, g1 & low, g1 >> _U(32), g0 & low, g0 >> _U(32)])
+
+
+def _quads():
+    """The four ASCII digits of each of 0000 .. 9999, as one uint32."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        quads[..., place] = digit.reshape((10,) + (1,) * (3 - place))
+    return quads.view(np.uint32).ravel()
+
+
+_G = _pow10_table()
+_POW10 = 10 ** np.arange(18, dtype=_U)
+_QUADS = _quads()
+# Each entry is one column of these characters, of which a mask keeps those
+# that repr writes: sign, "0.000" before small numbers, 17 digits with a
+# "." among them (the body), "e+000" and the separator.
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 18 + b"e+000,", np.uint8)
+_SLOT = np.arange(18, dtype=np.int16)[:, None]  # body position
+_PLACE = np.arange(1, 18, dtype=np.uint8)[:, None]  # digit number
+_PREFIX = np.array([0, 0, 1, 2, 3], dtype=np.int16)[:, None]
+
+
+def _mulhi(a0, a1, b0, b1):
+    """High 64 bits of (a1 2^32 + a0) (b1 2^32 + b0), for 32-bit a0, b0,
+    a1 < 2^31 and b1 < 2^27, elementwise."""
+    out = a0 * b0
+    out >>= _U(32)
+    tmp = a1 * b0
+    out += tmp
+    np.multiply(a0, b1, out=tmp)
+    out += tmp
+    out >>= _U(32)
+    np.multiply(a1, b1, out=tmp)
+    out += tmp
+    return out
+
+
+def _decimal(x):
+    """The significands f (uint64, 0 for zeros) and exponents k of the
+    shortest closest decimals |x| = f 10^k of finite float64 entries x."""
+    bits = x.view(_U)
+    bq = (bits >> _U(52)).astype(np.int64) & 0x7FF
+    t = bits & _U(2**52 - 1)
+    normal = np.minimum(bq, 1)
+    c = t | normal.astype(_U) << _U(52)  # |x| = c 2^q
+    q = bq - normal - 1074
+    # a power of two has a closer lower neighbour: an irregular interval
+    irregular = (t == 0) & (bq > 1)
+    # floor(log10(2^q)), or floor(log10(3/4 2^q)) for irregular ones
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = q + _flog2pow10(-k) + 2
+    g1, g1l, g1h, g0l, g0h = _G.take(k - _K_MIN, axis=1, mode="clip")
+    # 4c and the ends of its rounding interval, times 2^h
+    cp = np.empty((3, x.size), _U)
+    np.left_shift(c, _U(2), out=cp[0])
+    cp[1] = cp[0] - _U(2) + irregular
+    cp[2] = cp[0] + _U(2)
+    cp <<= h.astype(_U)
+    # vb, vbl, vbr = rop(g cp): g cp / 2^127 rounded to odd, all three at once
+    c0 = cp & _U(0xFFFFFFFF)
+    c1 = cp >> _U(32)
+    z = np.multiply(g1, cp, out=cp)
+    z >>= _U(1)
+    z += _mulhi(g0l, g0h, c0, c1)
+    v = _mulhi(g1l, g1h, c0, c1)
+    v += z >> _U(63)
+    z &= _U(2**63 - 1)
+    z += _U(2**63 - 1)
+    z >>= _U(63)
+    v |= z
+    vb, vbl, vbr = v
+    # an even c keeps the ends of its interval
+    vbl += c & _U(1)
+    vbr -= c & _U(1)
+    s = vb >> _U(2)
+    # one digit fewer: u' and w' = u' + 10, the multiples of 10^(k+1) around
+    sp = s // _U(10) * _U(10)
+    upin = vbl <= sp << _U(2)
+    wpin = (sp << _U(2)) + _U(40) <= vbr
+    shorter = (upin != wpin) & (s >= _U(10))
+    # else s or s + 1: the one in the interval, or the closer, ties to even
+    uin = vbl <= s << _U(2)
+    win = (s << _U(2)) + _U(4) <= vbr
+    above_half = (vb & _U(3)) + (s & _U(1)) > _U(2)
+    f = s + (win & (~uin | above_half))
+    sp += _U(10) * wpin  # the one of u', w' in the interval
+    sp -= f
+    f += sp * shorter
+    f *= c != 0
+    return f, k
+
+
+def _csv_chunk(rows):
+    """The CSV lines of a float64 block, as a uint8 array: each entry as
+    repr writes it, "," between entries and "\\n" after each row."""
+    x = rows.ravel()
+    m = x.size
+    f, k = _decimal(x)
+    size = np.searchsorted(_POW10, f, side="right")  # digits of f
+    f *= _POW10[17 - size]
+    p = (size + k).astype(np.int16)  # |x| = 0.d1d2...d17 10^p
+    # the 17 digits, in rows 1-17 of 19: rows 0 and 18 are "0"s
+    digits = np.empty((19, m), np.uint8)
+    digits[[0, 18]] = ord("0")
+    lead = f // _U(10**16)
+    digits[1] = lead + _U(ord("0"))
+    quads = np.empty((4, m), _U)  # the other 16 digits, four at a time
+    np.floor_divide(f, _U(10**12), out=quads[0])
+    np.floor_divide(f, _U(10**4), out=quads[2])
+    quads[1] = quads[2] // _U(10**4)
+    quads[3] = f - quads[2] * _U(10**4)
+    quads[2] -= quads[1] * _U(10**4)
+    quads[1] -= quads[0] * _U(10**4)
+    quads[0] -= lead * _U(10**4)
+    packed = _QUADS.take(quads, mode="clip").view(np.uint8)
+    digits[2:18].reshape(4, 4, m)[:] = packed.reshape(4, m, 4).transpose(0, 2, 1)
+    n = ((digits[1:18] != ord("0")) * _PLACE).max(axis=0).astype(np.int16)
+    zero = f == 0
+    n[zero] = 1
+    p[zero] = 1
+    positional = (p + 3).view(np.uint16) <= 19  # -4 < p <= 16
+    has_dot = positional & (p >= 1) | ~positional & (n > 1)
+    # the body position of the dot, beyond the body if there is none
+    dot = (p - 1) * positional + 1
+    dot += ~has_dot * np.int16(99)
+    length = n + has_dot * (np.maximum(n, dot + 1) + 1 - n)
+
+    chars = np.empty((_TEMPLATE.size, m), np.uint8)
+    chars[:] = _TEMPLATE[:, None]
+    keep = np.empty(chars.shape, bool)
+    np.signbit(x, out=keep[0])
+    np.greater_equal(np.where(positional, -p, -1), _PREFIX, out=keep[1:6])
+    # the body: the digits, each after the dot one place right, and the dot,
+    # blended in uint8 arithmetic (np.where on uint8 is far slower)
+    body = chars[6:24]
+    shift = np.subtract(digits[0:18], digits[1:19])
+    shift *= _SLOT > dot
+    np.add(digits[1:19], shift, out=body)
+    shift = np.subtract(ord("."), body, dtype=np.uint8)
+    shift *= _SLOT == dot
+    body += shift
+    np.less(_SLOT, length, out=keep[6:24])
+    e = p - 1
+    ae = np.abs(e)
+    np.add((e < 0) * np.uint8(2), ord("+"), out=chars[25])
+    chars[26:29] = _QUADS.take(ae).view(np.uint8).reshape(m, 4)[:, 1:].T
+    keep[24:29] = ~positional
+    keep[26] &= ae >= 100
+    chars[29, rows.shape[1] - 1::rows.shape[1]] = ord("\n")
+    keep[29] = True
+    return chars.T[keep.T]
 
 
 def _cores():

@@ -245,7 +245,7 @@ def test_full_disk_is_a_config_error(tmp_path, capsys, monkeypatch):
     # a header shorter than the file buffer, so the first failing write comes
     # after the fork
     cfg = {"command": "fr-geodesic", "rho0": [1.0] * 512, "rho1": [2.0] * 512,
-           "num_times": 101}
+           "num_times": 201}
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())

@@ -5,7 +5,7 @@ import pytest
 from uotcone import gaussian
 from uotcone.cone import (ConeProblem, ConeState, cone_line, cone_ray,
                           integrate_cone, scaled_base)
-from uotcone.errors import (ApexCrossingError, MassError, NonFiniteError,
+from uotcone.errors import (ApexCrossingError, MassError, NonFiniteError, ShootingError,
                             SingularSystemError, SpdError, SymmetryError)
 from uotcone.gaussian import (AffineGaussian, GaussianCotangentState,
                               base_metric_eval, connect_affine, geodesic_ray,
@@ -785,6 +785,40 @@ def affine_rhs(y, n):
 def roadmap_pair():
     return (AffineGaussian(Sigma=np.eye(2), mean=np.zeros(2), m=1.0),
             AffineGaussian(Sigma=2.0 * np.eye(2), mean=np.array([1.0, 0.5]), m=3.0))
+
+
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-12, 13, 3))
+def test_landing_check_is_scale_free(scale, monkeypatch):
+    # covariances and masses times scale, means times sqrt(scale): the exact
+    # pair lands at every scale, and a landing that misses by a relative
+    # 1e-6 in any one part is refused at every scale.  The cone angle grows
+    # as sqrt(scale), so the endpoints differ by a relative 1e-6 (theta 0.4
+    # at scale 1e12).
+    Sigma0 = np.array([[2.0, 0.3], [0.3, 1.0]])
+    g0 = AffineGaussian(Sigma=scale * Sigma0, mean=np.zeros(2), m=scale)
+    g1 = AffineGaussian(Sigma=scale * (Sigma0 + [[0.0, 0.0], [0.0, 1e-6]]),
+                        mean=np.sqrt(scale) * np.array([1e-6, -5e-7]), m=1.5 * scale)
+    connect_affine(g0, g1, tol=1e-8)
+    at = gaussian.AffineConnection.at
+    mean_scale = np.sqrt(np.linalg.norm(g1.Sigma)) + np.linalg.norm(g1.mean)
+    misses = [lambda end: (end.Sigma * (1.0 + 1e-6), end.mean, end.m),
+              lambda end: (end.Sigma, end.mean + [1e-6 * mean_scale, 0.0], end.m),
+              lambda end: (end.Sigma, end.mean, end.m * (1.0 + 1e-6))]
+    for miss in misses:
+        monkeypatch.setattr(gaussian.AffineConnection, "at",
+                            lambda self, t, miss=miss: AffineGaussian(*miss(at(self, t))))
+        with pytest.raises(ShootingError) as exc:
+            connect_affine(g0, g1, tol=1e-8)
+        assert exc.value.details["residual"] == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_landing_check_is_relative_at_large_entries():
+    # entries near 1e8 land about 7e-8 off in absolute terms, 4e-16 of
+    # |Sigma1|: within the relative tol
+    Sigma0 = np.array([[2e8, 3e7], [3e7, 1e8]])
+    Sigma1 = np.array([[2e8, 3e7], [3e7, 1.0000000001e8]])
+    P0, xi0, trace = shoot_bvp(Sigma0, 1.0, Sigma1, 1.5, tol=1e-8)
+    npt.assert_allclose(trace.data[-1, 4:8].reshape(2, 2), Sigma1, rtol=1e-12)
 
 
 def test_affine_at_matches_the_recorded_flow():

@@ -2,10 +2,15 @@ import errno
 import json
 import os
 import signal
+import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uotcone import trace as trace_module
 from uotcone.cli import main
@@ -104,17 +109,38 @@ def cores(monkeypatch):
     return pretend
 
 
+def repr_csv(trace):
+    """The CSV text of a trace by the formula the writer must match."""
+    return ",".join(trace.columns) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in trace.data)
+
+
+def shortest_digit_cases():
+    """Entries where shortest-digit algorithms are known to differ: the
+    smallest subnormals, powers of two (an irregular rounding interval) and
+    their lower neighbours, powers of ten and their neighbours where repr
+    switches between positional and exponent form, integers around 2^53,
+    short decimals and signed zeros."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in (-6, -5, -4, -3, 15, 16, 17, 18)])
+    values = np.concatenate([
+        [5e-324, 1e-323, 2.0**-1070, 0.0, -0.0, 1.0 / 3.0, 2.5e17, -7.0],
+        powers, np.nextafter(powers, 0.0), -powers, -np.nextafter(powers, 0.0),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.arange(2.0**53 - 8, 2.0**53 + 9), np.arange(2001) * 1e-3])
+    return np.resize(values, (-(-values.size // 3), 3))  # 3 entries a row beside t
+
+
 def test_write_csv_streams_shortest_round_trip_rows(tmp_path, cores, monkeypatch):
-    # far above one block (2**14 entries): written on the available cores,
+    # three blocks and more (2**15 entries each): written on the available cores,
     # on one (which forks nothing) and on three, the bytes are those of the
-    # serial formula
-    special = np.array([[0.0, 1.0, -0.0, 1.0 / 3.0],
-                        [0.1, 1e-300, 2.5e17, -7.0]])
-    data = big_trace(20000, 4).data
-    data[:2] = special
+    # serial formula, also for the entries where shortest-digit algorithms
+    # differ
+    special = shortest_digit_cases()
+    data = big_trace(3 * trace_module._BLOCK_ENTRIES // 4 + len(special), 4).data
+    data[:len(special), 1:] = special
     trace = GeodesicTrace(columns=("t", "m", "xi", "H"), data=data)
-    expected = "t,m,xi,H\n" + "".join(
-        ",".join(repr(float(v)) for v in row) + "\n" for row in data)
+    expected = repr_csv(trace)
     fork = os.fork
     for k in (None, 1, 3):
         if k is not None:
@@ -122,6 +148,42 @@ def test_write_csv_streams_shortest_round_trip_rows(tmp_path, cores, monkeypatch
         monkeypatch.setattr(os, "fork", fork if k != 1 else None)
         trace.write_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == expected.encode("utf-8")
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_write_csv_bytes_are_repr(values):
+    trace = GeodesicTrace(columns=tuple(f"c{i}" for i in range(values.shape[1] + 1)),
+                          data=np.column_stack([np.arange(len(values)), values]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        trace.write_csv(path)
+        with open(path, "rb") as f:
+            assert f.read() == repr_csv(trace).encode("utf-8")
+
+
+def test_trace_data_is_float64(tmp_path):
+    trace = GeodesicTrace(("t", "m"), np.array([[0, 1], [1, 2]]))
+    assert trace.data.dtype == np.float64
+    trace.write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == "t,m\n0.0,1.0\n1.0,2.0\n"
+
+
+def test_formatting_memory_is_bounded():
+    # a 1001 x 36 trace (gauss-geodesic at n = 4) is formatted a chunk at a
+    # time: the peak of the temporaries, 1.08 MB with numpy 2.4, stays near
+    # one chunk's, not the 0.8 MB of text and the 9.3 MB of temporaries of
+    # the whole trace at once
+    trace = big_trace(1001, 36)
+    tracemalloc.start()
+    try:
+        size = sum(chunk.size for chunk in trace_module._csv_chunks(trace.data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 700_000
+    assert peak < 1_500_000
 
 
 def no_child_left():
@@ -135,19 +197,19 @@ def test_worker_failure_is_an_internal_reason(tmp_path, cores, monkeypatch, how)
     # no hang and no child left behind
     cores(2)
     parent = os.getpid()
-    row = trace_module._csv_row
+    chunk = trace_module._csv_chunk
 
-    def failing(values):
+    def failing(rows):
         if os.getpid() != parent:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise ValueError("worker failure")
-        return row(values)
+        return chunk(rows)
 
-    monkeypatch.setattr(trace_module, "_csv_row", failing)
+    monkeypatch.setattr(trace_module, "_csv_chunk", failing)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "fr-geodesic", "rho0": [1.0] * 4096,
-                               "rho1": [2.0] * 4096}), encoding="utf-8")
+    cfg.write_text(json.dumps({"command": "fr-geodesic", "rho0": [1.0] * 8192,
+                               "rho1": [2.0] * 8192}), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     reason = json.loads((out / "summary.json").read_text(encoding="utf-8"))["reason"]
@@ -185,19 +247,20 @@ def test_write_csv_to_a_full_disk_raises_and_leaves_no_child(cores):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_disk_does_not_wait_for_the_workers(cores, monkeypatch):
-    # workers that would take about 7 s to format their blocks: the file
-    # fails at its first flush, and the workers are killed, not awaited
+    # workers that would take about 7 s to format their blocks (22 chunks
+    # of 16 rows each): the file fails at its first flush, and the workers
+    # are killed, not awaited
     cores(3)
     trace = big_trace(1024, 256)
     parent = os.getpid()
-    row = trace_module._csv_row
+    chunk = trace_module._csv_chunk
 
-    def slow(values):
+    def slow(rows):
         if os.getpid() != parent:
-            time.sleep(0.02)
-        return row(values)
+            time.sleep(0.3)
+        return chunk(rows)
 
-    monkeypatch.setattr(trace_module, "_csv_row", slow)
+    monkeypatch.setattr(trace_module, "_csv_chunk", slow)
     start = time.monotonic()
     with pytest.raises(OSError) as exc:
         trace.write_csv("/dev/full")
