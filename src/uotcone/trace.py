@@ -78,7 +78,7 @@ class GeodesicTrace:
 # a worker.
 _BLOCK_ENTRIES = 2**15
 
-# A chunk of this many entries (or one row, if longer) is formatted at a
+# A chunk of this many entries, rows or parts of rows, is formatted at a
 # time: the peak of its temporaries is 1.1 MB, where a 36k-entry trace at
 # once would take 9 MB.  Chunks of 2048 entries were 14% slower on 36-column
 # rows, and of 8192 no faster there and 9% faster on 516-column rows.
@@ -94,10 +94,11 @@ def _csv_block(rows):
 
 
 def _csv_chunks(rows):
-    """The CSV lines of ``rows``, a few rows at a time (``_csv_chunk``)."""
-    step = max(1, _CHUNK_ENTRIES // rows.shape[1])
-    for start in range(0, len(rows), step):
-        yield _csv_chunk(rows[start:start + step])
+    """The CSV lines of ``rows``, _CHUNK_ENTRIES entries at a time
+    (``_csv_chunk``)."""
+    x = rows.ravel()
+    for start in range(0, x.size, _CHUNK_ENTRIES):
+        yield _csv_chunk(x[start:start + _CHUNK_ENTRIES], rows.shape[1], start)
 
 
 # ------------------------------------------------ shortest round-trip decimals
@@ -232,10 +233,10 @@ def _decimal(x):
     return f, k
 
 
-def _csv_chunk(rows):
-    """The CSV lines of a float64 block, as a uint8 array: each entry as
-    repr writes it, "," between entries and "\\n" after each row."""
-    x = rows.ravel()
+def _csv_chunk(x, cols, start):
+    """The CSV text of float64 entries x, entries start, start + 1, ... of
+    rows of cols entries, as a uint8 array: each entry as repr writes it,
+    then "\\n" after the last entry of a row and "," after the others."""
     m = x.size
     f, k = _decimal(x)
     size = np.searchsorted(_POW10, f, side="right")  # digits of f
@@ -288,7 +289,7 @@ def _csv_chunk(rows):
     chars[26:29] = _QUADS.take(ae).view(np.uint8).reshape(m, 4)[:, 1:].T
     keep[24:29] = ~positional
     keep[26] &= ae >= 100
-    chars[29, rows.shape[1] - 1::rows.shape[1]] = ord("\n")
+    chars[29, (cols - 1 - start) % cols::cols] = ord("\n")
     keep[29] = True
     return chars.T[keep.T]
 

@@ -170,20 +170,29 @@ def test_trace_data_is_float64(tmp_path):
     assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == "t,m\n0.0,1.0\n1.0,2.0\n"
 
 
-def test_formatting_memory_is_bounded():
-    # a 1001 x 36 trace (gauss-geodesic at n = 4) is formatted a chunk at a
+@pytest.mark.parametrize("rows, cols", [(1001, 36), (11, 16388)])
+def test_formatting_memory_is_bounded(rows, cols):
+    # a 1001 x 36 trace (gauss-geodesic at n = 4) and one of rows longer
+    # than a chunk (fr-geodesic at n = 16384) are formatted a chunk at a
     # time: the peak of the temporaries, 1.08 MB with numpy 2.4, stays near
     # one chunk's, not the 0.8 MB of text and the 9.3 MB of temporaries of
-    # the whole trace at once
-    trace = big_trace(1001, 36)
+    # the 1001 x 36 trace at once
+    trace = big_trace(rows, cols)
     tracemalloc.start()
     try:
         size = sum(chunk.size for chunk in trace_module._csv_chunks(trace.data))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert size > 700_000
+    assert size > 18 * rows * cols
     assert peak < 1_500_000
+
+
+def test_rows_longer_than_a_chunk(tmp_path):
+    # chunks end inside rows, at a different place in each row
+    trace = big_trace(7, 3 * trace_module._CHUNK_ENTRIES // 2 + 1)
+    trace.write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == repr_csv(trace).encode("utf-8")
 
 
 def no_child_left():
@@ -199,12 +208,12 @@ def test_worker_failure_is_an_internal_reason(tmp_path, cores, monkeypatch, how)
     parent = os.getpid()
     chunk = trace_module._csv_chunk
 
-    def failing(rows):
+    def failing(*args):
         if os.getpid() != parent:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise ValueError("worker failure")
-        return chunk(rows)
+        return chunk(*args)
 
     monkeypatch.setattr(trace_module, "_csv_chunk", failing)
     cfg = tmp_path / "cfg.json"
@@ -248,17 +257,17 @@ def test_write_csv_to_a_full_disk_raises_and_leaves_no_child(cores):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_disk_does_not_wait_for_the_workers(cores, monkeypatch):
     # workers that would take about 7 s to format their blocks (22 chunks
-    # of 16 rows each): the file fails at its first flush, and the workers
-    # are killed, not awaited
+    # of 4096 entries each): the file fails at its first flush, and the
+    # workers are killed, not awaited
     cores(3)
     trace = big_trace(1024, 256)
     parent = os.getpid()
     chunk = trace_module._csv_chunk
 
-    def slow(rows):
+    def slow(*args):
         if os.getpid() != parent:
             time.sleep(0.3)
-        return chunk(rows)
+        return chunk(*args)
 
     monkeypatch.setattr(trace_module, "_csv_chunk", slow)
     start = time.monotonic()
