@@ -133,12 +133,9 @@ def _handle_gauss_connect(cfg, outdir, seed):
     n = cfg["n"]
     Sigma0 = _matrix(cfg, "Sigma0", n)
     Sigma1 = _matrix(cfg, "Sigma1", n)
-    P0, xi0, trace = shoot_bvp(Sigma0, float(cfg["m0"]), Sigma1, float(cfg["m1"]),
-                               tol=cfg["tol"], dt=cfg["dt"])
+    P0, xi0, trace, residual = shoot_bvp(Sigma0, float(cfg["m0"]), Sigma1,
+                                         float(cfg["m1"]), tol=cfg["tol"], dt=cfg["dt"])
     _write_output(outdir / "trace.csv", trace)
-    V1 = trace.data[-1, 4:4 + n * n].reshape(n, n)
-    residual = float(np.linalg.norm(V1 - Sigma1)
-                     + abs(trace.column("m")[-1] - float(cfg["m1"])))
     summary = {"command": cfg["command"], **_trace_summary(trace)}
     summary.update({
         "P0": P0.ravel().tolist(),

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ApexCrossingError, MassError, NonFiniteError, NumericsError
+from .errors import ApexCrossingError, NonFiniteError, NumericsError
 from .trace import GeodesicTrace, _rk4
 
 
@@ -226,14 +226,3 @@ def cone_ray(m0, xi0, omega0, t):
     m = m0 * (x * x + y * y)
     sigma = phi / omega0 if omega0 > 0.0 else t / x
     return m, sigma
-
-
-def radial_mass_geodesic(m0, m1, t):
-    """Pure-scaling geodesic of total mass: ((1-t) sqrt(m0) + t sqrt(m1))^2.
-
-    sqrt(m) is the flat radial coordinate, so it is affine in t and the mass
-    itself is a quadratic in t: the theta = 0 case of ``cone_line``.
-    """
-    if m0 <= 0.0 or m1 <= 0.0:
-        raise MassError("masses must be positive", m0=float(m0), m1=float(m1))
-    return cone_line(m0, m1, 0.0, t)[0]

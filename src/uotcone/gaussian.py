@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def _spd_eigh(M, what="matrix"):
     return lam, Q
 
 
-def spd_power(M, exponent, what="matrix"):
+def _spd_power(M, exponent, what="matrix"):
     """M^exponent through the symmetric eigendecomposition."""
     lam, Q = _spd_eigh(M, what)
     return symmetrize((Q * lam**exponent) @ Q.T)
@@ -120,13 +121,6 @@ def base_metric_eval(V, m, X, xi):
         raise MassError("mass must be positive", m=float(m))
     S = lyapunov_solve(V, X)
     return _finite(m * (np.sum((V @ S) * S) + np.float64(xi) ** 2))
-
-
-def legendre_momentum(V, m, X):
-    """Momentum dual to the covariance velocity X: P = m S / 2."""
-    if m <= 0.0:
-        raise MassError("mass must be positive", m=float(m))
-    return 0.5 * m * lyapunov_solve(V, X)
 
 
 @dataclass(frozen=True)
@@ -203,20 +197,6 @@ def _gauss_rhs(y, n):
     # would change the rounding; a sequential sum only adds exact zeros
     out[..., -1] = (2.0 / m**2) * (V * P2).reshape(flat).cumsum(-1)[..., -1] - 0.5 * xi * xi
     return out
-
-
-def geodesic_rhs(state):
-    """Canonical equations of the Hamiltonian: returns (dV, dm, dP, dxi).
-
-    dV = (2/m)(PV + VP), dm = xi m, dP = -(2/m) P^2,
-    dxi = (2/m^2) tr(V P^2) - xi^2 / 2.
-    """
-    state = state.validate()
-    dy = _gauss_rhs(_pack_state(state, state.n), state.n)
-    n = state.n
-    nn = n * n
-    return (symmetrize(dy[:nn].reshape(n, n)), float(dy[-2]),
-            symmetrize(dy[nn:2 * nn].reshape(n, n)), float(dy[-1]))
 
 
 def _project(y, n):
@@ -367,8 +347,8 @@ def geodesic_ray(initial, dt, steps):
 def _mccann_map(Sigma0, Sigma1):
     """Balanced transport map T with T Sigma0 T = Sigma1:
     T = Sigma1^{1/2} (Sigma1^{1/2} Sigma0 Sigma1^{1/2})^{-1/2} Sigma1^{1/2}."""
-    Uh = spd_power(Sigma1, 0.5, "Sigma1")
-    mid = spd_power(Uh @ Sigma0 @ Uh, -0.5, "Sigma1^(1/2) Sigma0 Sigma1^(1/2)")
+    Uh = _spd_power(Sigma1, 0.5, "Sigma1")
+    mid = _spd_power(Uh @ Sigma0 @ Uh, -0.5, "Sigma1^(1/2) Sigma0 Sigma1^(1/2)")
     return symmetrize(Uh @ mid @ Uh)
 
 
@@ -412,15 +392,16 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     The zero-mean case of ``connect_affine``, which validates the endpoints,
     solves the initial data (P0, xi0) and checks that the ray from them
     lands on (Sigma1, m1) within the relative tol, else ShootingError; theta >= pi raises
-    ApexCrossingError.  Returns P0, xi0 and the trace of that ray
+    ApexCrossingError.  Returns P0, xi0, the trace of that ray
     (``geodesic_ray``), sampled over unit time every dt (round(1 / dt)
-    steps), with the columns of ``integrate_geodesic``; no RK4 step runs.
+    steps), with the columns of ``integrate_geodesic``, and the relative
+    landing miss (``AffineConnection.residual``); no RK4 step runs.
     """
     zero = np.zeros(np.shape(Sigma0)[:1])
     c = connect_affine(AffineGaussian(Sigma0, zero, m0), AffineGaussian(Sigma1, zero, m1), tol)
     steps = max(1, round(1.0 / dt))
     start = GaussianCotangentState(V=c.g0.Sigma, m=c.g0.m, P=c.P0, xi=c.xi0)
-    return c.P0, c.xi0, geodesic_ray(start, 1.0 / steps, steps)
+    return c.P0, c.xi0, geodesic_ray(start, 1.0 / steps, steps), c.residual
 
 
 @dataclass(frozen=True)
@@ -459,6 +440,19 @@ class AffineConnection:
         ts = np.linspace(0.0, 1.0, num)
         return ts, self._ray_at(ts)[0]
 
+    @cached_property
+    def residual(self):
+        """The relative miss of the path's end at t = 1 from g1: each part
+        against its own endpoint data, the covariance against |Sigma1|
+        (Frobenius), the mass against m1 and the mean against
+        sqrt(|Sigma1|) + |b1|, so it reads the same at any scale."""
+        end, g1 = self.at(1.0), self.g1
+        scale = np.linalg.norm(g1.Sigma)
+        b1 = g1.mean
+        return float(max(np.linalg.norm(end.Sigma - g1.Sigma) / scale,
+                         np.linalg.norm(end.mean - b1) / (np.sqrt(scale) + np.linalg.norm(b1)),
+                         abs(end.m - g1.m) / g1.m))
+
 
 def connect_affine(g0, g1, tol=1e-8):
     """Solve the two-point problem for Gaussians with means in closed form.
@@ -469,13 +463,10 @@ def connect_affine(g0, g1, tol=1e-8):
     theta = sqrt(W2(Sigma0, Sigma1)^2 + |b1 - b0|^2) / 2.  ``_two_point``
     gives the initial data P0 = (T - I) / s1 (T the balanced transport map),
     pb0 = 2 (b1 - b0) / s1 and xi0.  The ray from those data alone (``_ray``)
-    must land on the endpoints at t = 1 within the relative tol, else
-    ShootingError: an independent check of the two-point formulas.  Each
-    part of the miss is measured against its own endpoint data: the
-    covariance against |Sigma1| (Frobenius), the mass against m1 and the
-    mean against sqrt(|Sigma1|) + |b1|, so the check reads the same at any
-    scale of the data.  theta >= pi raises ApexCrossingError.  No RK4 step
-    runs.
+    must land on the endpoints at t = 1 within the relative tol
+    (``AffineConnection.residual``), else ShootingError: an independent
+    check of the two-point formulas.  theta >= pi raises ApexCrossingError.
+    No RK4 step runs.
     """
     Sigma0 = require_spd(g0.Sigma, "Sigma0")
     Sigma1 = require_spd(g1.Sigma, "Sigma1")
@@ -493,24 +484,10 @@ def connect_affine(g0, g1, tol=1e-8):
     db = b1 - b0
     D, theta, s1, xi0 = _two_point(Sigma0, g0.m, Sigma1, g1.m, db @ db)
     conn = AffineConnection(g0=g0, g1=g1, P0=D / s1, pb0=2.0 * db / s1, xi0=xi0)
-    end = conn.at(1.0)
-    scale = np.linalg.norm(Sigma1)
-    residual = float(max(np.linalg.norm(end.Sigma - Sigma1) / scale,
-                         np.linalg.norm(end.mean - b1) / (np.sqrt(scale) + np.linalg.norm(b1)),
-                         abs(end.m - g1.m) / g1.m))
-    if residual > tol:
+    if conn.residual > tol:
         raise ShootingError("the ray from the solved initial data misses the endpoint",
-                            residual=residual, tol=tol, theta=theta)
+                            residual=conn.residual, tol=tol, theta=theta)
     return conn
-
-
-def affine_geodesic(g0, g1, t, tol=1e-8):
-    """Interpolate Gaussians with means along the closed-form two-point path.
-
-    Solves the two-point problem on each call; reuse ``connect_affine`` when
-    evaluating many parameter values of the same endpoint pair.
-    """
-    return connect_affine(g0, g1, tol=tol).at(t)
 
 
 def submersion_consistency(A, m, thetaS, xi, Sigma):

@@ -217,23 +217,13 @@ def _wfr_flow(grid, y):
     return out
 
 
-def _halves(flow, state):
-    state = state.validate()
-    n = state.grid.n
-    d = flow(state.grid, np.append(state.rho, state.theta))
-    return d[:n], d[n:]
-
-
 def small_rhs(state):
     """Conical-model flow: rhodot = -div(rho grad theta) + xi rho,
     thetadot = -|grad theta|^2 / 2 - xi theta + xi^2 / 2."""
-    return _halves(_small_flow, state)
-
-
-def wfr_rhs(state):
-    """Large-model flow: rhodot = -div(rho grad theta) + rho theta,
-    thetadot = -|grad theta|^2 / 2 - theta^2 / 2."""
-    return _halves(_wfr_flow, state)
+    state = state.validate()
+    n = state.grid.n
+    d = _small_flow(state.grid, np.append(state.rho, state.theta))
+    return d[:n], d[n:]
 
 
 _MODELS = {
@@ -265,7 +255,11 @@ def integrate_pdes(states, model, dt, steps):
 
 
 def _evolve(initials, model, dt, steps, stacked):
-    # a single state runs on the 1-D layout, with no member axis
+    # a single state runs on the 1-D layout, with no member axis: a stack of
+    # one gives the same bytes, but the small flow's m and xi become
+    # per-member columns, and it was 19-20% slower (n = 256, 1000 steps,
+    # medians of 30 interleaved pairs on one Xeon core: 0.232-0.246 s
+    # against 0.194-0.204 s; wfr within 4%)
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected 'small' or 'wfr'")
     if dt <= 0.0:
@@ -356,15 +350,6 @@ def solve_potential(grid, rho, rhodot):
                                   backward_error=residual / scale,
                                   bound=SOLVE_BACKWARD_ERROR_BOUND)
     return theta, xi
-
-
-def state_from_velocity(grid, rho, rhodot):
-    """Horizontal lift of a density velocity: the state whose flow reproduces
-    rhodot, with the additive constant of theta fixed by the mass pairing."""
-    theta, xi = solve_potential(grid, rho, rhodot)
-    m = total_mass(grid, rho)
-    c = xi - float(grid.h * np.sum(theta * rho) / m)
-    return PdeState(grid=grid, rho=rho, theta=theta + c)
 
 
 def small_metric_eval(grid, rho, rhodot):

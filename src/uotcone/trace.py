@@ -435,11 +435,3 @@ def mass_quadratic_fit(trace):
         "constant": float(coeffs[2]),
         "rms_residual": float(np.sqrt(np.mean(resid**2))),
     }
-
-
-def mass_acceleration(trace):
-    """Centered second differences of m(t), one value per interior sample."""
-    t = trace.t
-    m = trace.column("m")
-    dt = t[1] - t[0]
-    return (m[2:] - 2.0 * m[1:-1] + m[:-2]) / dt**2

@@ -128,6 +128,19 @@ def test_gauss_connect_scaling_case(tmp_path):
     assert summary["endpoint_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-24], ids=["1e12", "1e-12"])
+def test_gauss_connect_residual_is_relative(tmp_path, scale):
+    # the same pair at covariance scales 1e12 and 1e-12 reads the same
+    # roundoff-level residual, relative to the endpoint: an absolute
+    # |V(1) - Sigma1| + |m(1) - m1| once read 1.0e-3 at 1e12
+    sigma = np.array([2e12, 3e11, 3e11, 1e12]) * scale
+    cfg = {"command": "gauss-connect", "n": 2, "Sigma0": sigma.tolist(), "m0": 1.0,
+           "Sigma1": (sigma + [0.0, 0.0, 0.0, 1e6 * scale]).tolist(), "m1": 1.5}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert load_summary(out)["endpoint_residual"] <= 1e-12
+
+
 def test_gauss_connect_apex_crossing_is_structured(tmp_path):
     cfg = {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
            "Sigma1": [(1.0 + TWO_PI) ** 2], "m1": 1.0}
@@ -324,7 +337,7 @@ def test_gauss_connect_tiny_masses_solve(tmp_path):
            "Sigma1": [1.15e-34], "m1": 2.3e-248}
     code, out = run_cli(tmp_path, cfg)
     assert code == 0
-    assert load_summary(out)["endpoint_residual"] <= 1e-12 * 1.15e-34
+    assert load_summary(out)["endpoint_residual"] <= 1e-12
     rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
     assert rows[-1, 4] == pytest.approx(1.15e-34, rel=1e-12)
     assert rows[-1, 1] == pytest.approx(2.3e-248, rel=1e-12)

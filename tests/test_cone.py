@@ -8,8 +8,8 @@ import pytest
 from uotcone import gaussian
 from uotcone.cone import (BaseManifold, ConeProblem, ConeState, _clairaut_rhs,
                           circle_base, cone_line, cone_ray, flat_base, integrate_cone,
-                          radial_mass_geodesic, scaled_base)
-from uotcone.errors import ApexCrossingError, MassError, NonFiniteError, SpdError
+                          scaled_base)
+from uotcone.errors import ApexCrossingError, NonFiniteError, SpdError
 from uotcone.trace import relative_energy_drift
 
 
@@ -257,39 +257,32 @@ def test_spd_cone_flow_calls_no_public_lyapunov_solve(monkeypatch):
     assert relative_energy_drift(trace) <= 1e-8
 
 
-# -- radial_mass_geodesic -----------------------------------------------------
+# -- the pure-scaling line: cone_line at theta = 0 --------------------------
 
 def test_radial_constant():
     for t in np.linspace(0.0, 1.0, 7):
-        assert radial_mass_geodesic(3.0, 3.0, t) == pytest.approx(3.0)
+        assert cone_line(3.0, 3.0, 0.0, t)[0] == pytest.approx(3.0)
 
 
 def test_radial_midpoint():
     # sqrt(m) is affine: r(1/2) = 1.5 so m = 2.25
-    assert radial_mass_geodesic(1.0, 4.0, 0.5) == pytest.approx(2.25)
+    assert cone_line(1.0, 4.0, 0.0, 0.5)[0] == pytest.approx(2.25)
 
 
 def test_radial_reversal():
     for t in np.linspace(0.0, 1.0, 9):
-        assert radial_mass_geodesic(4.0, 1.0, t) == pytest.approx(
-            radial_mass_geodesic(1.0, 4.0, 1.0 - t))
+        assert cone_line(4.0, 1.0, 0.0, t)[0] == pytest.approx(
+            cone_line(1.0, 4.0, 0.0, 1.0 - t)[0])
 
 
 def test_radial_is_quadratic_with_affine_sqrt():
     ts = np.linspace(0.0, 1.0, 21)
-    m = np.array([radial_mass_geodesic(2.0, 5.0, t) for t in ts])
+    m = np.array([cone_line(2.0, 5.0, 0.0, t)[0] for t in ts])
     root = np.sqrt(m)
     second = root[2:] - 2.0 * root[1:-1] + root[:-2]
     npt.assert_allclose(second, 0.0, atol=1e-12)
     coeffs = np.polyfit(ts, m, 2)
     npt.assert_allclose(m, np.polyval(coeffs, ts), atol=1e-12)
-
-
-def test_radial_rejects_nonpositive_mass():
-    with pytest.raises(MassError):
-        radial_mass_geodesic(0.0, 1.0, 0.5)
-    with pytest.raises(MassError):
-        radial_mass_geodesic(1.0, -2.0, 0.5)
 
 
 # -- cone_line ----------------------------------------------------------------

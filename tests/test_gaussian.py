@@ -7,15 +7,13 @@ from uotcone.cone import (ConeProblem, ConeState, cone_line, cone_ray,
                           integrate_cone, scaled_base)
 from uotcone.errors import (ApexCrossingError, MassError, NonFiniteError, ShootingError,
                             SingularSystemError, SpdError, SymmetryError)
-from uotcone.gaussian import (AffineGaussian, GaussianCotangentState,
-                              base_metric_eval, connect_affine, geodesic_ray,
-                              geodesic_rhs, group_metric_eval, hamiltonian,
+from uotcone.gaussian import (AffineGaussian, GaussianCotangentState, _gauss_rhs,
+                              _pack_state, base_metric_eval, connect_affine,
+                              geodesic_ray, group_metric_eval, hamiltonian,
                               integrate_geodesic, integrate_geodesics,
-                              legendre_momentum,
                               lyapunov_solve, mccann_geodesic, shoot_bvp,
                               spd_base, submersion_consistency, symmetrize)
-from uotcone.trace import _rk4, mass_acceleration, mass_quadratic_fit, \
-    relative_energy_drift
+from uotcone.trace import _rk4, mass_quadratic_fit, relative_energy_drift
 
 
 def random_spd(rng, n, lam_min=0.5, lam_max=2.0):
@@ -144,10 +142,15 @@ def test_base_metric_examples():
 
 
 def test_legendre_momentum_examples():
+    # the momentum dual to the covariance velocity X is P = m S / 2, with
+    # X = S V + V S
+    def momentum(V, m, X):
+        return 0.5 * m * lyapunov_solve(V, X)
+
     one = np.array([[1.0]])
-    npt.assert_allclose(legendre_momentum(one, 2.0, np.zeros((1, 1))), 0.0)
-    npt.assert_allclose(legendre_momentum(one, 2.0, np.array([[2.0]])), [[1.0]])
-    npt.assert_allclose(legendre_momentum(np.eye(2), 2.0, 2.0 * np.eye(2)),
+    npt.assert_allclose(momentum(one, 2.0, np.zeros((1, 1))), 0.0)
+    npt.assert_allclose(momentum(one, 2.0, np.array([[2.0]])), [[1.0]])
+    npt.assert_allclose(momentum(np.eye(2), 2.0, 2.0 * np.eye(2)),
                         np.eye(2), atol=1e-14)
 
 
@@ -189,6 +192,13 @@ def test_hamiltonian_lower_bound_and_equality():
     zero_p = GaussianCotangentState(V=random_spd(rng, 3), m=1.3,
                                     P=np.zeros((3, 3)), xi=0.7)
     assert hamiltonian(zero_p) == 0.5 * 1.3 * 0.7**2
+
+
+def geodesic_rhs(state):
+    """(dV, dm, dP, dxi) of the canonical equations at one state."""
+    n = state.n
+    dy = _gauss_rhs(_pack_state(state, n), n)
+    return (dy[:n * n].reshape(n, n), dy[-2], dy[n * n:2 * n * n].reshape(n, n), dy[-1])
 
 
 def test_geodesic_rhs_trivial_and_radial():
@@ -378,7 +388,8 @@ def test_mass_is_quadratic_with_leading_coefficient_H_over_2():
     H0 = trace.column("H")[0]
     assert abs(fit["leading"] - 0.5 * H0) <= 1e-8
     assert fit["rms_residual"] <= 1e-8
-    acc = mass_acceleration(trace)
+    m = trace.column("m")
+    acc = (m[2:] - 2.0 * m[1:-1] + m[:-2]) / 1e-3**2
     assert np.max(np.abs(acc - H0)) <= 1e-6
 
 
@@ -435,14 +446,14 @@ def test_mccann_stays_spd():
 def test_shoot_equal_endpoints_trivial():
     rng = np.random.default_rng(13)
     V = random_spd(rng, 2)
-    P0, xi0, _ = shoot_bvp(V, 1.5, V, 1.5, tol=1e-8)
+    P0, xi0, _, _ = shoot_bvp(V, 1.5, V, 1.5, tol=1e-8)
     npt.assert_allclose(P0, 0.0, atol=1e-8)
     assert abs(xi0) <= 1e-8
 
 
 def test_shoot_pure_scaling_case():
     one = np.array([[1.0]])
-    P0, xi0, _ = shoot_bvp(one, 1.0, one, 4.0, tol=1e-10)
+    P0, xi0, _, _ = shoot_bvp(one, 1.0, one, 4.0, tol=1e-10)
     assert abs(xi0 - 2.0) <= 1e-8
     assert abs(P0[0, 0]) <= 1e-8
 
@@ -452,7 +463,7 @@ def test_shoot_scalar_closed_form_oracle():
     # plane; compare the solver's trace (dt = 1e-3) against the exact chord
     one = np.array([[1.0]])
     four = np.array([[4.0]])
-    _, _, trace = shoot_bvp(one, 1.0, four, 1.0, tol=1e-10)
+    _, _, trace, _ = shoot_bvp(one, 1.0, four, 1.0, tol=1e-10)
     t = trace.t
     assert t.size == 1001 and t[-1] == pytest.approx(1.0, abs=1e-12)
     m_exact = polar_mass_curve(1.0, 1.0, np.sqrt(4.0) - np.sqrt(1.0), t)
@@ -485,7 +496,7 @@ def test_shoot_random_n2_endpoints():
         S1 = random_spd(rng, 2)
         m0 = rng.uniform(0.5, 2.0)
         m1 = rng.uniform(0.5, 2.0)
-        P0, xi0, trace = shoot_bvp(S0, m0, S1, m1, tol=1e-8)
+        P0, xi0, trace, _ = shoot_bvp(S0, m0, S1, m1, tol=1e-8)
         npt.assert_array_equal(trace.data[0, 2], xi0)
         npt.assert_array_equal(trace.block("P_")[0], P0.ravel())
         V1 = trace.data[-1, 4:8].reshape(2, 2)
@@ -500,11 +511,12 @@ def test_shoot_is_the_zero_mean_connection():
     for n in (1, 2, 3):
         S0, S1 = random_spd(rng, n), random_spd(rng, n)
         m0, m1 = rng.uniform(0.5, 2.0, size=2)
-        P0, xi0, _ = shoot_bvp(S0, m0, S1, m1)
+        P0, xi0, _, residual = shoot_bvp(S0, m0, S1, m1)
         conn = connect_affine(AffineGaussian(Sigma=S0, mean=np.zeros(n), m=m0),
                               AffineGaussian(Sigma=S1, mean=np.zeros(n), m=m1))
         npt.assert_array_equal(P0, conn.P0)
         assert xi0 == conn.xi0
+        assert residual == conn.residual
         npt.assert_array_equal(conn.pb0, 0.0)
 
 
@@ -515,7 +527,7 @@ def test_shoot_trace_rows_lie_on_the_cone_line():
     S0 = random_spd(rng, 2)
     S1 = random_spd(rng, 2)
     m0, m1 = rng.uniform(0.5, 2.0, size=2)
-    _, _, trace = shoot_bvp(S0, m0, S1, m1)
+    _, _, trace, _ = shoot_bvp(S0, m0, S1, m1)
     m, s = cone_line(m0, m1, 0.5 * np.sqrt(bures_sq(S0, S1)), trace.t)
     V = np.array([mccann_geodesic(S1, S0, sk).ravel() for sk in s])
     npt.assert_allclose(trace.block("V_"), V, rtol=0.0, atol=1e-10)
@@ -580,7 +592,7 @@ def test_shoot_equal_mass_dip():
     rng = np.random.default_rng(15)
     S0 = random_spd(rng, 2)
     S1 = random_spd(rng, 2)
-    _, _, trace = shoot_bvp(S0, 1.0, S1, 1.0, tol=1e-8)
+    _, _, trace, _ = shoot_bvp(S0, 1.0, S1, 1.0, tol=1e-8)
     assert np.min(trace.column("m")) < 1.0
 
 
@@ -604,7 +616,7 @@ def test_covariance_path_lies_on_mccann_curve():
     # of the conical geodesic reproduces the balanced interpolation curve
     one = np.array([[1.0]])
     four = np.array([[4.0]])
-    _, _, trace = shoot_bvp(one, 1.0, four, 1.0, tol=1e-10)
+    _, _, trace, _ = shoot_bvp(one, 1.0, four, 1.0, tol=1e-10)
     V = trace.column("V_0_0")
     # arc length in the balanced metric: |d sqrt(V)| for scalars
     s = np.abs(np.sqrt(V) - 1.0) / abs(np.sqrt(V[-1]) - 1.0)
@@ -817,7 +829,7 @@ def test_landing_check_is_relative_at_large_entries():
     # |Sigma1|: within the relative tol
     Sigma0 = np.array([[2e8, 3e7], [3e7, 1e8]])
     Sigma1 = np.array([[2e8, 3e7], [3e7, 1.0000000001e8]])
-    P0, xi0, trace = shoot_bvp(Sigma0, 1.0, Sigma1, 1.5, tol=1e-8)
+    P0, xi0, trace, _ = shoot_bvp(Sigma0, 1.0, Sigma1, 1.5, tol=1e-8)
     npt.assert_allclose(trace.data[-1, 4:8].reshape(2, 2), Sigma1, rtol=1e-12)
 
 
@@ -915,15 +927,3 @@ def test_vertical_perturbations_increase_group_value_only():
         X = (S + Z) @ Vbase + Vbase @ (S + Z).T
         npt.assert_allclose(X, S @ Vbase + Vbase @ S, atol=1e-10)
         assert perturbed > group_value + 1e-10
-
-
-def test_affine_geodesic_wrapper_matches_connection():
-    from uotcone.gaussian import affine_geodesic
-    g0 = AffineGaussian(Sigma=np.eye(2), mean=np.zeros(2), m=1.0)
-    g1 = AffineGaussian(Sigma=np.eye(2), mean=np.array([0.5, 0.0]), m=1.0)
-    conn = connect_affine(g0, g1, tol=1e-8)
-    direct = affine_geodesic(g0, g1, 0.5, tol=1e-8)
-    expected = conn.at(0.5)
-    npt.assert_allclose(direct.Sigma, expected.Sigma, atol=1e-10)
-    npt.assert_allclose(direct.mean, expected.mean, atol=1e-14)
-    assert direct.m == pytest.approx(expected.m, abs=1e-10)

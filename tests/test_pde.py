@@ -5,18 +5,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from uotcone.cone import radial_mass_geodesic
+from uotcone.cone import cone_line
 from uotcone.config import MIN_GRID
 from uotcone.errors import (MassError, NonFiniteError, PositivityError,
                             SingularSystemError, StepGuardError)
 from uotcone.pde import (_MODELS, Grid1D, PdeState, _dminus, _dplus, _half,
-                         _mean, fisher_rao_cone_geodesic,
+                         _mean, _wfr_flow, fisher_rao_cone_geodesic,
                          gdiv_metric_eval, hamiltonian_small, hamiltonian_wfr,
                          integrate_pde, integrate_pdes, small_metric_eval,
-                         small_rhs, solve_potential, state_from_velocity,
-                         total_mass, wfr_rhs, xi_of)
-from uotcone.trace import mass_acceleration, mass_quadratic_fit, \
-    relative_energy_drift
+                         small_rhs, solve_potential, total_mass, xi_of)
+from uotcone.trace import mass_quadratic_fit, relative_energy_drift
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,6 +121,15 @@ def test_hamiltonian_wfr_values():
 
 
 # -- right-hand sides ---------------------------------------------------------
+
+def wfr_rhs(state):
+    """(rhodot, thetadot) of the large-model flow at one state:
+    rhodot = -div(rho grad theta) + rho theta,
+    thetadot = -|grad theta|^2 / 2 - theta^2 / 2."""
+    n = state.grid.n
+    d = _wfr_flow(state.grid, np.append(state.rho, state.theta))
+    return d[:n], d[n:]
+
 
 def test_small_rhs_zero_theta():
     drho, dtheta = small_rhs(uniform_state())
@@ -256,7 +263,7 @@ def test_integrate_small_pure_scaling_matches_radial_law():
     state = uniform_state(n=n, theta_value=1.0)
     trace = integrate_pde(state, "small", dt=1e-3, steps=1000)
     t = trace.t
-    m_exact = np.array([radial_mass_geodesic(TWO_PI, TWO_PI * 2.25, ti)
+    m_exact = np.array([cone_line(TWO_PI, TWO_PI * 2.25, 0.0, ti)[0]
                         for ti in t])  # endpoint (1 + 1/2)^2 = 2.25 at t=1
     npt.assert_allclose(trace.column("m"), TWO_PI * (1.0 + 0.5 * t) ** 2, atol=1e-6)
     npt.assert_allclose(trace.column("m"), m_exact, atol=1e-6)
@@ -273,7 +280,8 @@ def test_integrate_small_energy_conserved_and_mass_quadratic():
     H0 = trace.column("H")[0]
     assert abs(fit["leading"] - 0.5 * H0) <= 1e-4
     assert fit["rms_residual"] <= 1e-4
-    acc = mass_acceleration(trace)
+    m = trace.column("m")
+    acc = (m[2:] - 2.0 * m[1:-1] + m[:-2]) / 1e-3**2
     assert np.max(np.abs(acc - H0)) <= 1e-4
 
 
@@ -572,7 +580,11 @@ def test_state_from_velocity_roundtrip():
     grid = Grid1D(n=128)
     rho = np.abs(1.0 + 0.3 * np.cos(grid.x)) + 0.2
     rhodot = 0.4 * np.sin(2.0 * grid.x) + 0.1
-    state = state_from_velocity(grid, rho, rhodot)
+    # the horizontal lift of rhodot: the solved potential, with the additive
+    # constant that makes the mass pairing give the solved xi
+    theta, xi = solve_potential(grid, rho, rhodot)
+    theta += xi - grid.h * np.sum(theta * rho) / total_mass(grid, rho)
+    state = PdeState(grid, rho, theta)
     drho, _ = small_rhs(state)
     npt.assert_allclose(drho, rhodot, atol=1e-10)
     assert xi_of(state) == pytest.approx(
@@ -619,7 +631,7 @@ def test_fisher_rao_mass_matches_radial_for_proportional_fields():
     m1 = total_mass(grid, rho1)
     for t in np.linspace(0.0, 1.0, 7):
         mt = total_mass(grid, fisher_rao_cone_geodesic(rho0, rho1, t))
-        assert mt == pytest.approx(radial_mass_geodesic(m0, m1, t), rel=1e-13)
+        assert mt == pytest.approx(cone_line(m0, m1, 0.0, t)[0], rel=1e-13)
 
 
 def test_fisher_rao_broadcasts_over_times():
