@@ -428,17 +428,11 @@ class AffineConnection:
     pb0: np.ndarray
     xi0: float
 
-    def _ray_at(self, t):
-        return _ray(self.g0.Sigma, self.g0.m, self.P0, self.xi0, t, self.pb0)
-
     def at(self, t):
-        m, _, sigma, V, _ = self._ray_at(np.array([t], dtype=float))
+        m, _, sigma, V, _ = _ray(self.g0.Sigma, self.g0.m, self.P0, self.xi0,
+                                 np.array([t], dtype=float), self.pb0)
         mean = self.g0.mean + sigma[0] * self.pb0 / self.g0.m
         return AffineGaussian(Sigma=V[0], mean=mean, m=float(m[0]))
-
-    def mass_path(self, num=101):
-        ts = np.linspace(0.0, 1.0, num)
-        return ts, self._ray_at(ts)[0]
 
     @cached_property
     def residual(self):

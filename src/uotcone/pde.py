@@ -59,11 +59,40 @@ class Grid1D:
         """Indices (i - 1) mod n."""
         return (np.arange(self.n) - 1) % self.n
 
+    # The rows of the packed stencil pass, over the last axis of a packed
+    # state (rho | theta) of length 2n; only the flows build them.
+    @cached_property
+    def up2(self):
+        """Indices of (rho_{i+1} | theta_{i+1}) in (rho | theta)."""
+        return np.concatenate([self.up, self.up + self.n])
+
+    @cached_property
+    def down2(self):
+        """Indices of (F_{i-1/2} | G_{i-1/2}) in (F | G)."""
+        return np.concatenate([self.down, self.down + self.n])
+
+    @cached_property
+    def sign2(self):
+        """(+1 | -1)."""
+        return np.repeat([1.0, -1.0], self.n)
+
+    @cached_property
+    def edge_div2(self):
+        """(2 | h): (f_{i+1} + f_i) / 2 and (f_{i+1} - f_i) / h."""
+        return np.repeat([2.0, self.h], self.n)
+
+    @cached_property
+    def node_div2(self):
+        """(-h | -4): -(F_{i+1/2} - F_{i-1/2}) / h and
+        -(G_{i+1/2} + G_{i-1/2}) / 4."""
+        return np.repeat([-self.h, -4.0], self.n)
+
 
 # The staggered stencil of the periodic last axis, one field or a stack of
 # them: node values go to the edges (the half-point i + 1/2 at index i) and
-# edge values come back to the nodes.  These four are the only place where a
-# neighbour is read.
+# edge values come back to the nodes.  These four, and the packed pass of
+# the flows (_transport_flow), which gives their values bit for bit, are the
+# only places where a neighbour is read.
 def _dplus(grid, f):
     """Forward difference (f_{i+1} - f_i) / h, at i + 1/2."""
     return (f.take(grid.up, axis=-1) - f) / grid.h
@@ -173,18 +202,25 @@ def _hamiltonian_wfr(state, *_):
 
 def _transport_flow(grid, y):
     """Packed (-div(rho grad theta), -|grad theta|^2 / 2) of the packed
-    state y = (rho, theta), one state or a stack, written into one new
-    array."""
+    state y = (rho, theta), one state or a stack, in one pass over the last
+    axis; returns the new array and its two halves.
+
+    Each entry is the value the four primitives give, rounded the same
+    way, signed zeros included: x / 2 is 0.5 x, (a - b) / -h is
+    -((a - b) / h), and x / -4 is -0.5 (0.5 x).
+    """
     n = grid.n
-    rho, theta = y[..., :n], y[..., n:]
-    g = _dplus(grid, theta)
-    flux = _half(grid, rho) * g
-    g *= g
-    out = np.empty(y.shape)
-    drho, dtheta = out[..., :n], out[..., n:]
-    np.negative(_dminus(grid, flux), out=drho)
-    np.multiply(-0.5, _mean(grid, g), out=dtheta)
-    return out, drho, dtheta
+    sign = grid.sign2
+    e = y.take(grid.up2, axis=-1)
+    e += sign * y
+    e /= grid.edge_div2               # (rho_{i+1/2} | g = D+ theta)
+    e[..., :n] *= e[..., n:]          # (F = rho_{i+1/2} g | g)
+    e[..., n:] *= e[..., n:]          # (F | G = g^2)
+    out = e.take(grid.down2, axis=-1)
+    out *= sign
+    np.subtract(e, out, out=out)      # (F - F_{i-1/2} | G + G_{i-1/2})
+    out /= grid.node_div2
+    return out, out[..., :n], out[..., n:]
 
 
 def _small_flow(grid, y):
@@ -194,13 +230,13 @@ def _small_flow(grid, y):
     n, h = grid.n, grid.h
     rho, theta = y[..., :n], y[..., n:]
     stack = y.ndim > 1
-    m = h * rho.sum(-1, keepdims=stack)
+    m = h * np.add.reduce(rho, -1, keepdims=stack)
     if (m.min() if stack else m) <= 0.0:
         m = m.ravel()
         where = _first_member(m <= 0.0)
         raise MassError("total mass became nonpositive",
                         m=float(m[where.get("member", 0)]), **where)
-    xi = h * (theta * rho).sum(-1, keepdims=stack) / m
+    xi = h * np.add.reduce(theta * rho, -1, keepdims=stack) / m
     out, drho, dtheta = _transport_flow(grid, y)
     drho += xi * rho
     dtheta -= xi * theta
@@ -256,10 +292,9 @@ def integrate_pdes(states, model, dt, steps):
 
 def _evolve(initials, model, dt, steps, stacked):
     # a single state runs on the 1-D layout, with no member axis: a stack of
-    # one gives the same bytes, but the small flow's m and xi become
-    # per-member columns, and it was 19-20% slower (n = 256, 1000 steps,
-    # medians of 30 interleaved pairs on one Xeon core: 0.232-0.246 s
-    # against 0.194-0.204 s; wfr within 4%)
+    # one gives the same bytes but is slower (n = 256, 1000 steps, 30
+    # interleaved pairs on one Xeon core: medians small 0.161 s against
+    # 0.125 s, the median pair +31%; wfr 0.122 s against 0.107 s, +18%)
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected 'small' or 'wfr'")
     if dt <= 0.0:

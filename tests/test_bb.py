@@ -3,7 +3,7 @@ import pytest
 
 from uotcone.bb import BBPath, antiderivative_half, bb_action, from_small_trace
 from uotcone.errors import ContinuityError, PositivityError
-from uotcone.pde import Grid1D, PdeState, integrate_pde
+from uotcone.pde import Grid1D, PdeState, _dminus, integrate_pde
 
 TWO_PI = 2.0 * np.pi
 
@@ -103,3 +103,19 @@ def test_path_validation_rejects_nonpositive():
         make_path(grid, times, -good, np.zeros((3, 16)), np.ones(3))
     with pytest.raises(PositivityError):
         make_path(grid, times, good, np.zeros((3, 16)), np.array([1.0, -0.1, 1.0]))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_antiderivative_zero_sum_is_judged_at_any_scale(scale):
+    # the zero-sum check is relative to max |s|: a zero-mean cosine closes
+    # up at every scale and a one-node spike, whose sum is all of its size,
+    # is refused at every scale
+    grid = Grid1D(n=16)
+    s = scale * np.cos(3.0 * grid.x + 0.7)
+    S = antiderivative_half(grid, s)
+    np.testing.assert_allclose(_dminus(grid, S), s, rtol=0.0, atol=1e-13 * scale)
+    spike = np.zeros(16)
+    spike[0] = scale
+    with pytest.raises(ValueError, match="zero sum"):
+        antiderivative_half(grid, spike)
+    assert np.array_equal(antiderivative_half(grid, np.zeros(16)), np.zeros(16))

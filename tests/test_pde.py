@@ -212,25 +212,38 @@ def slice_stencil_rhs(model, grid, rho, theta):
     return -div + xi * rho, -0.5 * grad_sq - xi * theta + 0.5 * xi**2
 
 
-@pytest.mark.parametrize("n", [MIN_GRID, 256])
+def assert_same_bits(got, want):
+    npt.assert_array_equal(np.ascontiguousarray(got).view(np.int64),
+                           np.ascontiguousarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("n", [MIN_GRID, 9, 256])
 @pytest.mark.parametrize("model", ["small", "wfr"])
 def test_packed_rhs_equals_the_slice_stencils(model, n):
     # the exact mass law and the energy conservation rest on the flow and
     # the elliptic solve sharing one stencil, so the packed flow must equal
-    # the np.roll formula exactly, for one state and for a stack
+    # the np.roll formula bit for bit, for one state and for a stack, on
+    # odd grids and lengths other than 2 pi, and for a theta whose squared
+    # gradients are subnormal, where the scalings by (2 | h) and (-h | -4)
+    # round most delicately
     rng = np.random.default_rng(37)
-    grid = Grid1D(n=n)
-    rho = 0.5 + rng.uniform(size=(3, n))
-    theta = rng.normal(size=(3, n))
     rhs = small_rhs if model == "small" else wfr_rhs
-    for r, t in zip(rho, theta):
-        for got, want in zip(rhs(PdeState(grid, r, t)),
-                             slice_stencil_rhs(model, grid, r, t)):
-            npt.assert_array_equal(got, want)
     flow = _MODELS[model][0]
-    packed = flow(grid, np.concatenate([rho, theta], axis=-1))
-    npt.assert_array_equal(
-        packed, np.concatenate(slice_stencil_rhs(model, grid, rho, theta), axis=-1))
+    for length in (TWO_PI, 0.5, 10.0):
+        grid = Grid1D(n=n, length=length)
+        rho = 0.5 + rng.uniform(size=(3, n))
+        for amplitude in (1.0, 1e-160):
+            theta = amplitude * rng.normal(size=(3, n))
+            for r, t in zip(rho, theta):
+                for got, want in zip(rhs(PdeState(grid, r, t)),
+                                     slice_stencil_rhs(model, grid, r, t)):
+                    assert_same_bits(got, want)
+            packed = flow(grid, np.concatenate([rho, theta], axis=-1))
+            assert_same_bits(packed, np.concatenate(
+                slice_stencil_rhs(model, grid, rho, theta), axis=-1))
+            if amplitude < 1.0:
+                dtheta = np.abs(packed[:, n:])
+                assert 0.0 < dtheta.min() and dtheta.max() < np.finfo(float).tiny
 
 
 # -- time integration ---------------------------------------------------------
@@ -472,15 +485,27 @@ def test_stencil_primitives_match_np_roll():
 
 
 def test_grid_frees_its_neighbour_indices():
-    # the index arrays are built once per grid and live exactly as long as
-    # it, so the arrays of a fine grid do not outlive its computation
+    # the index arrays and the packed rows of the flows are built once per
+    # grid and live exactly as long as it, so the arrays of a fine grid do
+    # not outlive its computation; a grid that only solves for a potential
+    # never builds the packed rows
     grid = Grid1D(n=65536)
+    rho = 1.0 + 0.3 * np.cos(grid.x)
+    solve_potential(grid, rho, np.sin(2.0 * grid.x))
+    packed = ("up2", "down2", "sign2", "edge_div2", "node_div2")
+    assert not any(name in vars(grid) for name in packed)
     assert grid.up is grid.up and grid.down is grid.down
     npt.assert_array_equal(grid.up[[0, -1]], [1, 0])
     npt.assert_array_equal(grid.down[[0, -1]], [65535, 65534])
+    small_rhs(PdeState(grid, rho, np.sin(grid.x)))
+    rows = [getattr(grid, name) for name in packed]
+    small_rhs(PdeState(grid, rho, np.cos(grid.x)))
+    assert all(getattr(grid, name) is row for name, row in zip(packed, rows))
+    npt.assert_array_equal(grid.up2[[0, 65535, 65536, -1]], [1, 0, 65537, 65536])
+    npt.assert_array_equal(grid.down2[[0, 65535, 65536, -1]], [65535, 65534, 131071, 131070])
     assert grid == Grid1D(n=65536) and hash(grid) == hash(Grid1D(n=65536))
-    refs = [weakref.ref(grid.up), weakref.ref(grid.down)]
-    del grid
+    refs = [weakref.ref(a) for a in (grid.up, grid.down, *rows)]
+    del grid, rows
     gc.collect()
     assert all(ref() is None for ref in refs)
 
