@@ -110,11 +110,13 @@ def antiderivative_half(grid, s):
     """Half-point field whose flux divergence is the zero-mean node field s.
 
     Solves (S_{i+1/2} - S_{i-1/2}) / h = s_i by cumulative summation; the
-    input must sum to zero for the periodic problem to close up, which is
-    judged against max |s| alone, so at any scale of s.
+    input must be finite and sum to zero for the periodic problem to close
+    up, which is judged against max |s| alone, so at any scale of s.
     """
     s = np.asarray(s, dtype=float)
-    if abs(float(np.sum(s))) > 1e-12 * float(np.max(np.abs(s))):
-        raise ValueError("source must have zero sum on the periodic grid")
+    bound = 1e-12 * float(np.max(np.abs(s)))
+    # a NaN fails the comparison, an infinity the finite bound
+    if not abs(float(np.sum(s))) <= bound < np.inf:
+        raise ValueError("source must be finite and have zero sum on the periodic grid")
     S = grid.h * np.cumsum(s)
     return S - np.mean(S)

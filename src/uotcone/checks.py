@@ -43,19 +43,18 @@ def random_spd(rng, n, lam_min=0.5, lam_max=2.0):
     return symmetrize(Q @ np.diag(lam) @ Q.T)
 
 
-def random_sym(rng, n, scale=1.0):
-    return symmetrize(rng.normal(scale=scale, size=(n, n)))
+def random_sym(rng, n):
+    return symmetrize(rng.normal(size=(n, n)))
 
 
-def random_gaussian_state(rng, n=None, s_norm=0.4):
+def random_gaussian_state(rng, s_norm=0.4):
     """Random cotangent state whose unit-time flow stays inside the SPD cone.
 
     The momentum is drawn through S = 2P/m with spectral norm bounded by
     s_norm; larger momenta can drive the covariance into the boundary in
     finite time (the space is geodesically incomplete).
     """
-    if n is None:
-        n = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 5))
     m = float(rng.uniform(0.5, 2.0))
     S = random_sym(rng, n)
     norm = float(np.linalg.norm(S, 2))
@@ -66,9 +65,9 @@ def random_gaussian_state(rng, n=None, s_norm=0.4):
                                   xi=float(rng.uniform(-0.8, 0.8)))
 
 
-def random_pde_state(rng, n=256):
+def random_pde_state(rng):
     """Smooth random fields whose gradient respects the dt = 1e-3 step guard."""
-    grid = Grid1D(n=n)
+    grid = Grid1D(n=256)
     rho = 1.0 + rng.uniform(0.1, 0.3) * np.cos(
         rng.integers(1, 4) * grid.x + rng.uniform(0.0, TWO_PI))
     j = int(rng.integers(1, 4))

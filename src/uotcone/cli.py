@@ -34,33 +34,22 @@ from .pde import (Grid1D, PdeState, fisher_rao_cone_geodesic, gdiv_metric_eval,
 from .trace import GeodesicTrace, mass_quadratic_fit, relative_energy_drift
 
 
-def _jsonable(value):
+def _jsonable(value, bad, key=""):
+    """A strict-JSON copy of a summary or a reason: numpy values become
+    Python values, and each non-finite number its str ("nan", "inf"), whose
+    key path ("mass_fit.rms_residual", "P0[2]") and str are appended to bad."""
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return {k: _jsonable(v, bad, f"{key}.{k}" if key else k) for k, v in value.items()}
     if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v, bad, f"{key}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        value = str(value)
+        bad.append((key, value))
     return value
-
-
-def _non_finite(value, key=""):
-    """(path, value) of the first non-finite number in a JSON-ready summary,
-    or None."""
-    if isinstance(value, dict):
-        items = ((f"{key}.{k}" if key else k, v) for k, v in value.items())
-    elif isinstance(value, list):
-        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
-    else:
-        bad = isinstance(value, float) and not math.isfinite(value)
-        return (key, value) if bad else None
-    for k, v in items:
-        found = _non_finite(v, k)
-        if found is not None:
-            return found
-    return None
 
 
 def _write_output(path, content):
@@ -83,28 +72,21 @@ def _write_summary(outdir, summary):
                   json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
-def _matrix(cfg, key, n):
-    flat = np.asarray(cfg[key], dtype=float)
-    if flat.size != n * n:
-        raise ConfigError(f"key {key!r} must hold {n * n} row-major entries",
-                          got=int(flat.size))
-    return flat.reshape(n, n)
-
-
-def _field(cfg, key, n=None):
+def _field(cfg, key, *shape):
+    """cfg[key] as an array of the given shape, a matrix from its row-major
+    entries."""
     values = np.asarray(cfg[key], dtype=float)
-    if n is not None and values.size != n:
-        raise ConfigError(f"key {key!r} must hold {n} values", got=int(values.size))
-    return values
+    if values.size != math.prod(shape):
+        raise ConfigError(f"key {key!r} must hold {math.prod(shape)} values",
+                          got=int(values.size))
+    return values.reshape(shape)
 
 
-def _field_n(cfg, *keys):
+def _fields(cfg, *keys):
+    """n (by default the length of the first key) and the grid fields of
+    keys, each of n values."""
     n = cfg.get("n", len(cfg[keys[0]]))
-    for key in keys:
-        if len(cfg[key]) != n:
-            raise ConfigError(f"key {key!r} must hold {n} values",
-                              got=len(cfg[key]))
-    return n
+    return n, *(_field(cfg, key, n) for key in keys)
 
 
 def _trace_summary(trace):
@@ -120,8 +102,8 @@ def _trace_summary(trace):
 
 def _handle_gauss_geodesic(cfg, outdir, seed):
     n = cfg["n"]
-    state = GaussianCotangentState(V=_matrix(cfg, "V", n), m=float(cfg["m"]),
-                                   P=_matrix(cfg, "P", n), xi=float(cfg["xi"]))
+    state = GaussianCotangentState(V=_field(cfg, "V", n, n), m=float(cfg["m"]),
+                                   P=_field(cfg, "P", n, n), xi=float(cfg["xi"]))
     trace = geodesic_ray(state, dt=cfg["dt"], steps=cfg["steps"])
     _write_output(outdir / "trace.csv", trace)
     summary = {"command": cfg["command"], **_trace_summary(trace)}
@@ -131,8 +113,8 @@ def _handle_gauss_geodesic(cfg, outdir, seed):
 
 def _handle_gauss_connect(cfg, outdir, seed):
     n = cfg["n"]
-    Sigma0 = _matrix(cfg, "Sigma0", n)
-    Sigma1 = _matrix(cfg, "Sigma1", n)
+    Sigma0 = _field(cfg, "Sigma0", n, n)
+    Sigma1 = _field(cfg, "Sigma1", n, n)
     P0, xi0, trace, residual = shoot_bvp(Sigma0, float(cfg["m0"]), Sigma1,
                                          float(cfg["m1"]), tol=cfg["tol"], dt=cfg["dt"])
     _write_output(outdir / "trace.csv", trace)
@@ -147,9 +129,8 @@ def _handle_gauss_connect(cfg, outdir, seed):
 
 
 def _handle_pde_evolve(cfg, outdir, seed):
-    n = _field_n(cfg, "rho", "theta")
-    grid = Grid1D(n=n, length=float(cfg["length"]))
-    state = PdeState(grid, _field(cfg, "rho", n), _field(cfg, "theta", n))
+    n, rho, theta = _fields(cfg, "rho", "theta")
+    state = PdeState(Grid1D(n=n, length=float(cfg["length"])), rho, theta)
     trace = integrate_pde(state, cfg["model"], dt=cfg["dt"], steps=cfg["steps"])
     _write_output(outdir / "trace.csv", trace)
     summary = {"command": cfg["command"], "model": cfg["model"],
@@ -160,25 +141,19 @@ def _handle_pde_evolve(cfg, outdir, seed):
 
 
 def _handle_pde_metric(cfg, outdir, seed):
-    n = _field_n(cfg, "rho", "rhodot")
+    n, rho, rhodot = _fields(cfg, "rho", "rhodot")
     grid = Grid1D(n=n, length=float(cfg["length"]))
-    rho = _field(cfg, "rho", n)
-    rhodot = _field(cfg, "rhodot", n)
     evaluate = small_metric_eval if cfg["metric"] == "small" else gdiv_metric_eval
     value = evaluate(grid, rho, rhodot)
-    if not np.isfinite(value):
-        raise NonFiniteError("the metric value overflows", value=str(value))
     rate = float(grid.h * np.sum(rhodot) / total_mass(grid, rho))
     _write_output(outdir / "result.csv", f"value,rate\n{value!r},{rate!r}\n")
     return {"command": cfg["command"], "metric": cfg["metric"],
-            "value": float(value), "rate": rate}, 0
+            "value": value, "rate": rate}, 0
 
 
 def _handle_fr_geodesic(cfg, outdir, seed):
-    n = _field_n(cfg, "rho0", "rho1")
+    n, rho0, rho1 = _fields(cfg, "rho0", "rho1")
     grid = Grid1D(n=n, length=float(cfg["length"]))
-    rho0 = _field(cfg, "rho0", n)
-    rho1 = _field(cfg, "rho1", n)
     t = np.linspace(0.0, 1.0, cfg["num_times"])[:, None]
     rho_t = fisher_rao_cone_geodesic(rho0, rho1, t)
     m_t = total_mass(grid, rho_t)
@@ -216,7 +191,7 @@ def _cone_base(cfg):
     # SPD matrix, or a velocity that is not symmetric, is refused here,
     # before any step
     require_spd(q.reshape(n, n), "q")
-    require_symmetric(_field(cfg, "q_dot", q.size).reshape(n, n), "q_dot")
+    require_symmetric(_field(cfg, "q_dot", n, n), "q_dot")
     return spd_base(n)
 
 
@@ -241,10 +216,11 @@ def _handle_cone_geodesic(cfg, outdir, seed):
 
 
 def _handle_bb_action(cfg, outdir, seed):
-    if cfg["source"] == "explicit":
-        for key in ("times", "rhobar", "w", "r"):
-            if key not in cfg:
-                raise ConfigError(f"explicit bb-action needs key {key!r}")
+    explicit = cfg["source"] == "explicit"
+    for key in ("times", "rhobar", "w", "r") if explicit else ("rho", "theta"):
+        if key not in cfg:
+            raise ConfigError(f"{cfg['source']} bb-action needs key {key!r}")
+    if explicit:
         # ragged rows, a single time sample and shapes that disagree with
         # each other or with n are config errors, not numerical ones
         try:
@@ -259,12 +235,9 @@ def _handle_bb_action(cfg, outdir, seed):
             raise ConfigError(f"explicit bb-action path: {exc}") from None
         energy_integral = None
     else:
-        for key in ("rho", "theta"):
-            if key not in cfg:
-                raise ConfigError(f"small-run bb-action needs key {key!r}")
-        n = _field_n(cfg, "rho", "theta")
+        n, rho, theta = _fields(cfg, "rho", "theta")
         grid = Grid1D(n=n, length=float(cfg["length"]))
-        state = PdeState(grid, _field(cfg, "rho", n), _field(cfg, "theta", n))
+        state = PdeState(grid, rho, theta)
         trace = integrate_pde(state, "small", dt=cfg["dt"], steps=cfg["steps"])
         path = from_small_trace(trace, grid)
         energy_integral = float(np.trapezoid(2.0 * trace.column("H"), trace.t))
@@ -319,12 +292,13 @@ def _run_one(cfg, outdir, seed):
     try:
         summary, code = _HANDLERS[cfg["command"]](cfg, outdir, seed)
         summary.setdefault("status", "ok" if code == 0 else "failed")
-        summary = _jsonable(summary)
-        found = _non_finite(summary)
-        if found is not None:
+        bad = []
+        summary = _jsonable(summary, bad)
+        if bad:
             # an overflowed diagnostic is no result to report as success
-            raise NonFiniteError(f"summary value {found[0]!r} is not finite",
-                                 key=found[0], value=str(found[1]))
+            key, value = bad[0]
+            raise NonFiniteError(f"summary value {key!r} is not finite",
+                                 key=key, value=value)
     except NumericsError as exc:
         return _fail(cfg, outdir, exc.to_json(), f"numerical failure in {cfg['command']}")
     except ConfigError:
@@ -343,9 +317,15 @@ def _run_one(cfg, outdir, seed):
 def _fail(cfg, outdir, reason, what):
     """Write the summary of a failed run and return exit code 2."""
     _write_summary(outdir, _jsonable({"command": cfg["command"], "status": "error",
-                                      "reason": reason}))
+                                      "reason": reason}, []))
     print(f"{what}: {reason['message']}", file=sys.stderr)
     return 2
+
+
+def _config_fail(exc):
+    """Print a config error as one JSON line on stderr; exit code 1."""
+    print(json.dumps(_jsonable(exc.to_json(), []), sort_keys=True), file=sys.stderr)
+    return 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,8 +364,7 @@ def main(argv=None):
         if len(set(names)) != len(names):
             raise ConfigError("run names must be unique", names=names)
     except ConfigError as exc:
-        print(json.dumps(_jsonable(exc.to_json()), sort_keys=True), file=sys.stderr)
-        return 1
+        return _config_fail(exc)
 
     codes = []
     for run, name in zip(runs, names):
@@ -393,9 +372,7 @@ def main(argv=None):
         try:
             codes.append(_run_one(run, outdir, args.seed))
         except ConfigError as exc:
-            print(json.dumps(_jsonable(exc.to_json()), sort_keys=True),
-                  file=sys.stderr)
-            codes.append(1)
+            codes.append(_config_fail(exc))
     return max(codes)
 
 

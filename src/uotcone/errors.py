@@ -1,17 +1,15 @@
 """Exception taxonomy shared by the numerical modules and the CLI.
 
-Every numerical failure carries a short machine-readable ``kind`` and a
-``details`` dict so the CLI can emit a structured JSON reason instead of a
-bare traceback.
+Every failure, numerical or of configuration, carries a short
+machine-readable ``kind`` and a ``details`` dict so the CLI can emit a
+structured JSON reason instead of a bare traceback.
 """
 
 from __future__ import annotations
 
 
-class NumericsError(Exception):
-    """Base class for numerical failures (CLI exit code 2)."""
-
-    kind = "numerical"
+class UotconeError(Exception):
+    """A failure with a ``kind`` and keyword ``details`` (``to_json``)."""
 
     def __init__(self, message, **details):
         super().__init__(message)
@@ -19,6 +17,12 @@ class NumericsError(Exception):
 
     def to_json(self):
         return {"kind": self.kind, "message": str(self), **self.details}
+
+
+class NumericsError(UotconeError):
+    """Base class for numerical failures (CLI exit code 2)."""
+
+    kind = "numerical"
 
 
 class SymmetryError(NumericsError):
@@ -61,12 +65,7 @@ class ContinuityError(NumericsError):
     kind = "continuity-violation"
 
 
-class ConfigError(Exception):
+class ConfigError(UotconeError):
     """Invalid run configuration (CLI exit code 1)."""
 
-    def __init__(self, message, **details):
-        super().__init__(message)
-        self.details = details
-
-    def to_json(self):
-        return {"kind": "config", "message": str(self), **self.details}
+    kind = "config"

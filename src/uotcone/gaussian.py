@@ -21,7 +21,7 @@ import numpy as np
 from .cone import BaseManifold, cone_line, cone_ray
 from .errors import (MassError, NonFiniteError, ShootingError, SingularSystemError,
                      SpdError, SymmetryError)
-from .trace import GeodesicTrace, _first_member, _rk4
+from .trace import GeodesicTrace, _finite, _first_member, _rk4
 
 _SYM_TOL = 1e-12
 
@@ -31,19 +31,20 @@ def symmetrize(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def require_symmetric(M, what="matrix", tol=_SYM_TOL):
-    """Validate finite entries and symmetry up to tol relative to max |M|,
-    at every scale (an all-zero matrix passes), return the symmetrized
-    copy."""
+def require_symmetric(M, what="matrix"):
+    """Validate symmetry up to _SYM_TOL relative to max |M|, at every scale
+    (an all-zero matrix passes), and return the symmetrized copy, whose
+    entries must be finite: M + M^T overflows from entries near 1e308 on."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise SymmetryError(f"{what} must be square", shape=list(M.shape))
-    if not np.all(np.isfinite(M)):
-        raise NonFiniteError(f"{what} has non-finite entries")
+    S = symmetrize(M)
+    if not np.all(np.isfinite(S)):
+        raise NonFiniteError(f"{what} has non-finite entries or overflows")
     asymmetry = float(np.max(np.abs(M - M.T), initial=0.0))
-    if asymmetry > tol * float(np.max(np.abs(M), initial=0.0)):
+    if asymmetry > _SYM_TOL * float(np.max(np.abs(M), initial=0.0)):
         raise SymmetryError(f"{what} is not symmetric", asymmetry=asymmetry)
-    return symmetrize(M)
+    return S
 
 
 def require_spd(M, what="matrix"):
@@ -88,13 +89,6 @@ def _lyapunov_eig(lam, Q, X):
     X~_ij / (lam_i + lam_j).  No validation."""
     St = (Q.T @ X @ Q) / (lam[:, None] + lam[None, :])
     return symmetrize(Q @ St @ Q.T)
-
-
-def _finite(value):
-    # numpy scalar squares overflow to inf instead of raising OverflowError
-    if not np.isfinite(value):
-        raise NonFiniteError("the metric value overflows", value=str(value))
-    return float(value)
 
 
 def group_metric_eval(A, m, Adot, mdot, Sigma):
@@ -346,7 +340,16 @@ def geodesic_ray(initial, dt, steps):
 
 def _mccann_map(Sigma0, Sigma1):
     """Balanced transport map T with T Sigma0 T = Sigma1:
-    T = Sigma1^{1/2} (Sigma1^{1/2} Sigma0 Sigma1^{1/2})^{-1/2} Sigma1^{1/2}."""
+    T = Sigma1^{1/2} (Sigma1^{1/2} Sigma0 Sigma1^{1/2})^{-1/2} Sigma1^{1/2}.
+
+    T is unchanged by a common scaling of Sigma0 and Sigma1: where the
+    middle product, of the order max|Sigma0| max|Sigma1| = 2^(e-2) .. 2^e,
+    may underflow, both are scaled by 2^(-e/2) first, exactly.  (Beyond
+    1e154, where it overflows, the cone angle W2 / 2 passes pi anyway.)
+    """
+    e = np.frexp(np.max(np.abs(Sigma0)))[1] + np.frexp(np.max(np.abs(Sigma1)))[1]
+    if e - 2 < -1022:
+        Sigma0, Sigma1 = np.ldexp(Sigma0, -e // 2), np.ldexp(Sigma1, -e // 2)
     Uh = _spd_power(Sigma1, 0.5, "Sigma1")
     mid = _spd_power(Uh @ Sigma0 @ Uh, -0.5, "Sigma1^(1/2) Sigma0 Sigma1^(1/2)")
     return symmetrize(Uh @ mid @ Uh)
@@ -377,8 +380,11 @@ def _two_point(Sigma0, m0, Sigma1, m1, shift2=0.0):
     cone_line(m0, m1, theta, 1.0)
     r0, r1 = math.sqrt(m0), math.sqrt(m1)
     g = r0 * r1  # m0 m1 itself may under- or overflow
-    # a numpy division: g sin(theta) may underflow to 0, giving s1 = inf
-    s1 = 2.0 * theta / np.float64(g * math.sin(theta)) if theta > 0.0 else 2.0 / g
+    # 2 theta / (g sin(theta)) through g = frac 2^k, exactly: g sin(theta)
+    # underflows for tiny masses at a tiny angle; s1 = inf where 2 / g
+    # overflows, and elsewhere it has the bits of the direct formula
+    frac, k = math.frexp(g)
+    s1 = np.ldexp(2.0 * theta / (frac * math.sin(theta)), -k) if theta > 0.0 else 2.0 / g
     # xi0 = 2 (r1 cos(theta) - r0) / r0, written without the cancellation of
     # r1 cos(theta) against r0 when m0 ~ m1 and theta is small:
     # r1 cos(theta) - r0 = (m1 - m0) / (r0 + r1) - 2 r1 sin^2(theta / 2)
@@ -441,11 +447,18 @@ class AffineConnection:
         (Frobenius), the mass against m1 and the mean against
         sqrt(|Sigma1|) + |b1|, so it reads the same at any scale."""
         end, g1 = self.at(1.0), self.g1
-        scale = np.linalg.norm(g1.Sigma)
+        scale = _norm(g1.Sigma)
         b1 = g1.mean
-        return float(max(np.linalg.norm(end.Sigma - g1.Sigma) / scale,
-                         np.linalg.norm(end.mean - b1) / (np.sqrt(scale) + np.linalg.norm(b1)),
+        return float(max(_norm(end.Sigma - g1.Sigma) / scale,
+                         _norm(end.mean - b1) / (np.sqrt(scale) + _norm(b1)),
                          abs(end.m - g1.m) / g1.m))
+
+
+def _norm(x):
+    """np.linalg.norm(x) without under- or overflow, through the exact
+    scaling of x by 2^-e, e the exponent of max|x|."""
+    e = np.frexp(np.max(np.abs(x), initial=0.0))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
 
 
 def connect_affine(g0, g1, tol=1e-8):
@@ -478,6 +491,10 @@ def connect_affine(g0, g1, tol=1e-8):
     db = b1 - b0
     D, theta, s1, xi0 = _two_point(Sigma0, g0.m, Sigma1, g1.m, db @ db)
     conn = AffineConnection(g0=g0, g1=g1, P0=D / s1, pb0=2.0 * db / s1, xi0=xi0)
+    if not np.isfinite(conn.residual):
+        # the ray itself overflows: 2 / m0 for the tiniest masses
+        raise NonFiniteError("the ray from the solved initial data is not finite",
+                             residual=conn.residual, theta=theta)
     if conn.residual > tol:
         raise ShootingError("the ray from the solved initial data misses the endpoint",
                             residual=conn.residual, tol=tol, theta=theta)

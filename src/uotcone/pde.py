@@ -19,7 +19,7 @@ import numpy as np
 from .cone import cone_line
 from .errors import (MassError, NonFiniteError, PositivityError,
                      SingularSystemError, StepGuardError)
-from .trace import GeodesicTrace, _first_member, _rk4
+from .trace import GeodesicTrace, _finite, _first_member, _rk4
 
 DT_GUARD_FACTOR = 0.2
 
@@ -275,7 +275,7 @@ def integrate_pde(state, model, dt, steps):
     aborts with the step index when the density loses positivity.  The trace
     columns are t, m, xi, H followed by rho and theta node values.
     """
-    return _evolve([state], model, dt, steps, stacked=False)[0]
+    return integrate_pdes([state], model, dt, steps)[0]
 
 
 def integrate_pdes(states, model, dt, steps):
@@ -287,21 +287,13 @@ def integrate_pdes(states, model, dt, steps):
     the index ``member`` of the first failing state (in a stack of more than
     one).
     """
-    return _evolve(states, model, dt, steps, stacked=True)
-
-
-def _evolve(initials, model, dt, steps, stacked):
-    # a single state runs on the 1-D layout, with no member axis: a stack of
-    # one gives the same bytes but is slower (n = 256, 1000 steps, 30
-    # interleaved pairs on one Xeon core: medians small 0.161 s against
-    # 0.125 s, the median pair +31%; wfr 0.122 s against 0.107 s, +18%)
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected 'small' or 'wfr'")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be a positive integer")
-    states = [s.validate() for s in initials]
+    states = [s.validate() for s in states]
     grid = states[0].grid
     if any(s.grid != grid for s in states):
         raise ValueError("stacked states must share one grid")
@@ -329,7 +321,11 @@ def _evolve(initials, model, dt, steps, stacked):
     data = np.empty((len(states), steps + 1, len(cols)))
     data[:, 0, 4:4 + n] = [s.rho for s in states]
     data[:, 0, 4 + n:] = [s.theta for s in states]
-    ys = data[:, :, 4:].swapaxes(0, 1) if stacked else data[0, :, 4:]
+    # a stack of one runs on the 1-D layout, with no member axis: the
+    # member axis gives the same bytes but is slower (n = 256, 1000 steps,
+    # 30 interleaved pairs on one Xeon core: medians small 0.161 s against
+    # 0.125 s, the median pair +31%; wfr 0.122 s against 0.107 s, +18%)
+    ys = data[:, :, 4:].swapaxes(0, 1) if len(states) > 1 else data[0, :, 4:]
     _rk4(lambda y: rhs(grid, y), post, ys, dt)
     for d in data:  # one member at a time keeps the temporaries small
         rows = PdeState(grid=grid, rho=d[:, 4:4 + n], theta=d[:, 4 + n:])
@@ -392,8 +388,7 @@ def small_metric_eval(grid, rho, rhodot):
     int |grad theta|^2 rho + m xi^2 for the solved potential."""
     theta, xi = solve_potential(grid, rho, rhodot)
     m = total_mass(grid, rho)
-    # a numpy scalar square overflows to inf instead of raising
-    return float(kinetic_energy(grid, rho, theta) + m * np.float64(xi) ** 2)
+    return _finite(kinetic_energy(grid, rho, theta) + m * np.float64(xi) ** 2)
 
 
 def gdiv_metric_eval(grid, rho, rhodot):
@@ -403,7 +398,7 @@ def gdiv_metric_eval(grid, rho, rhodot):
     rho = np.asarray(rho, dtype=float)
     rhodot = np.asarray(rhodot, dtype=float)
     fisher_rao = float(grid.h * np.sum(rhodot**2 / rho))
-    return kinetic_energy(grid, rho, S) + fisher_rao
+    return _finite(kinetic_energy(grid, rho, S) + fisher_rao)
 
 
 def fisher_rao_cone_geodesic(rho0, rho1, t):

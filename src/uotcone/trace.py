@@ -403,9 +403,17 @@ def _first_member(bad):
     return {"member": int(np.flatnonzero(bad)[0])} if np.size(bad) > 1 else {}
 
 
-def relative_energy_drift(trace, column="H"):
+def _finite(value):
+    """A metric value as a float, or NonFiniteError: numpy scalar squares
+    overflow to inf instead of raising OverflowError."""
+    if not np.isfinite(value):
+        raise NonFiniteError("the metric value overflows", value=str(value))
+    return float(value)
+
+
+def relative_energy_drift(trace):
     """max |H(t) - H(0)| / max(|H(0)|, eps) over the trace."""
-    e = trace.column(column)
+    e = trace.column("H")
     scale = max(abs(e[0]), np.finfo(float).tiny)
     return float(np.max(np.abs(e - e[0])) / scale)
 

@@ -119,3 +119,14 @@ def test_antiderivative_zero_sum_is_judged_at_any_scale(scale):
     with pytest.raises(ValueError, match="zero sum"):
         antiderivative_half(grid, spike)
     assert np.array_equal(antiderivative_half(grid, np.zeros(16)), np.zeros(16))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_antiderivative_refuses_a_non_finite_source(bad):
+    # one NaN or infinity among the cosine's nodes: its sum is no number
+    # the zero-sum bound can judge, and S would be NaN
+    grid = Grid1D(n=16)
+    s = np.cos(grid.x)
+    s[5] = bad
+    with pytest.raises(ValueError, match="finite and have zero sum"):
+        antiderivative_half(grid, s)

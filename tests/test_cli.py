@@ -20,7 +20,7 @@ from uotcone import checks, cli, gaussian
 from uotcone.cli import main
 from uotcone.checks import CheckResult
 from uotcone.config import _CHOICES, _SCHEMAS, MAX_TRACE_ENTRIES, validate_run
-from uotcone.errors import ConfigError, NonFiniteError
+from uotcone.errors import ConfigError, NonFiniteError, NumericsError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -35,8 +35,13 @@ def run_cli(tmp_path, config, name="cfg.json", out="out", seed=0):
     return code, outdir
 
 
+def strict_json(text):
+    """Parse text as strict JSON: NaN, Infinity and -Infinity fail the test."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text!r}"))
+
+
 def load_summary(outdir):
-    return json.loads((outdir / "summary.json").read_text(encoding="utf-8"))
+    return strict_json((outdir / "summary.json").read_text(encoding="utf-8"))
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -128,14 +133,35 @@ def test_gauss_connect_scaling_case(tmp_path):
     assert summary["endpoint_residual"] <= 1e-8
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-24], ids=["1e12", "1e-12"])
+@pytest.mark.parametrize("scale", [1.0, 1e-24, 1e-212, 1e-312],
+                         ids=["1e12", "1e-12", "1e-200", "1e-300"])
 def test_gauss_connect_residual_is_relative(tmp_path, scale):
-    # the same pair at covariance scales 1e12 and 1e-12 reads the same
+    # the same pair at covariance scales 1e12 down to 1e-300 reads the same
     # roundoff-level residual, relative to the endpoint: an absolute
-    # |V(1) - Sigma1| + |m(1) - m1| once read 1.0e-3 at 1e12
+    # |V(1) - Sigma1| + |m(1) - m1| once read 1.0e-3 at 1e12.  Below 1e-154
+    # the squares of the entries and Sigma1^(1/2) Sigma0 Sigma1^(1/2)
+    # underflow
     sigma = np.array([2e12, 3e11, 3e11, 1e12]) * scale
     cfg = {"command": "gauss-connect", "n": 2, "Sigma0": sigma.tolist(), "m0": 1.0,
            "Sigma1": (sigma + [0.0, 0.0, 0.0, 1e6 * scale]).tolist(), "m1": 1.5}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert load_summary(out)["endpoint_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("n, Sigma0, Sigma1", [
+    (1, [2e-200], [1.5e-200]),
+    (2, [2e-200, 3e-201, 3e-201, 1e-200], [1.5e-200, -2e-201, -2e-201, 7e-201]),
+    (2, [1e-150, 0.0, 0.0, 1e-150], [1e-150, 0.0, 0.0, 1e-150]),
+    (2, [1e150, 0.0, 0.0, 1e150], [1e150, 0.0, 0.0, 1e150]),
+], ids=["n1-1e-200", "n2-1e-200", "equal-1e-150", "equal-1e150"])
+def test_gauss_connect_solves_at_extreme_covariance_scales(tmp_path, n, Sigma0, Sigma1):
+    # Sigma1^(1/2) Sigma0 Sigma1^(1/2) scales as the square of the
+    # covariances: at 1e-200 it underflows to a singular matrix unless both
+    # are rescaled first, which the map T does not see
+    m1 = 1.0 if Sigma0 == Sigma1 else 1.5
+    cfg = {"command": "gauss-connect", "n": n, "Sigma0": Sigma0, "m0": 1.0,
+           "Sigma1": Sigma1, "m1": m1}
     code, out = run_cli(tmp_path, cfg)
     assert code == 0
     assert load_summary(out)["endpoint_residual"] <= 1e-12
@@ -224,13 +250,46 @@ def test_internal_failure_is_structured(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_non_finite_reason_details_are_strict_json(tmp_path, monkeypatch, capsys):
+    # a reason's non-finite details are written as their str, so
+    # summary.json stays strict JSON
+    def overflows(cfg, outdir, seed):
+        raise NumericsError("x", value=float("nan"), bound=float("inf"))
+
+    monkeypatch.setitem(cli._HANDLERS, "gauss-geodesic", overflows)
+    code, out = run_cli(tmp_path, gauss_config())
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert (reason["kind"], reason["value"], reason["bound"]) == ("numerical", "nan", "inf")
+    assert capsys.readouterr().err == "numerical failure in gauss-geodesic: x\n"
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], None], ids=["setup", "handler"])
+def test_config_error_line_is_strict_json(tmp_path, monkeypatch, capsys, argv):
+    # a config error found before the runs and one raised by a run print
+    # the same strict JSON line
+    def refuses(cfg, outdir, seed):
+        raise ConfigError("refused", bound=float("-inf"))
+
+    monkeypatch.setitem(cli._HANDLERS, "gauss-geodesic", refuses)
+    if argv is None:
+        code, _ = run_cli(tmp_path, gauss_config())
+    else:
+        code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    line = strict_json(capsys.readouterr().err)
+    assert line["kind"] == "config"
+    if argv is None:
+        assert line["bound"] == "-inf"
+
+
 def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
     (tmp_path / "file").write_text("", encoding="utf-8")
     code, _ = run_cli(tmp_path, gauss_config(), out="file/out")
     assert code == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert json.loads(err)["kind"] == "config"
+    assert strict_json(err)["kind"] == "config"
 
 
 @pytest.mark.parametrize("name", ["summary.json", "trace.csv"])
@@ -242,7 +301,7 @@ def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, name):
     assert code == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    reason = json.loads(err)
+    reason = strict_json(err)
     assert reason["kind"] == "config"
     assert reason["path"] == str(tmp_path / "out" / name)
     assert name in reason["message"]
@@ -265,7 +324,7 @@ def test_full_disk_is_a_config_error(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(tmp_path, cfg)
     assert forks == [1]
     assert code == 1
-    reason = json.loads(capsys.readouterr().err)
+    reason = strict_json(capsys.readouterr().err)
     assert reason["kind"] == "config"
     assert reason["path"] == str(tmp_path / "out" / "trace.csv")
     assert "No space left on device" in reason["message"]
@@ -280,7 +339,7 @@ def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli._HANDLERS, "gauss-geodesic", refuses)
     code, out = run_cli(tmp_path, gauss_config())
     assert code == 1
-    assert json.loads(capsys.readouterr().err)["kind"] == "config"
+    assert strict_json(capsys.readouterr().err)["kind"] == "config"
     assert not (out / "summary.json").exists()
 
 
@@ -310,7 +369,10 @@ def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
     # the product of the masses with sin(theta) underflows
     ({"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1e-310,
       "Sigma1": [1.000000000000001], "m1": 1e-310}, "non-finite"),
-    # Sigma1^(1/2) Sigma0 Sigma1^(1/2) overflows before its eigendecomposition
+    # Sigma1^(1/2) Sigma0 Sigma1^(1/2), or its symmetrization, overflows
+    # before its eigendecomposition
+    ({"command": "gauss-connect", "n": 2, "Sigma0": [1e154, 0.0, 0.0, 1e154], "m0": 1.0,
+      "Sigma1": [1e154, 0.0, 0.0, 1e154], "m1": 1.0}, "non-finite"),
     ({"command": "gauss-connect", "n": 3, "m0": 1.37, "m1": 1.0, "dt": 0.05,
       "Sigma0": [7.444680261402063, 0.36891467162913055, 1.6159451695627658,
                  0.36891467162913055, 1.6732950748369885e218, 1.1064513145290602,
@@ -320,7 +382,7 @@ def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
                  1.6159451695627658]}, "non-finite"),
 ], ids=["fr-mass", "pde-metric-mass", "pde-metric-h2", "pde-metric-xi2",
         "pde-evolve-xi2", "cone-rhs", "cone-mass", "gauss-fit",
-        "connect-tiny-angle", "connect-eigh"])
+        "connect-tiny-angle", "connect-symmetrize", "connect-eigh"])
 def test_overflow_is_a_typed_failure(tmp_path, capsys, cfg, kind):
     # finite, schema-valid inputs whose intermediate values leave the range
     # of doubles
@@ -413,7 +475,7 @@ def test_config_rejected_before_any_computation(tmp_path, capsys, cfg):
     assert code == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert json.loads(err)["kind"] == "config"
+    assert strict_json(err)["kind"] == "config"
     assert not (out / "summary.json").exists()
 
 
@@ -422,7 +484,7 @@ def test_config_rejected_before_any_computation(tmp_path, capsys, cfg):
 def test_usage_errors_are_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert json.loads(err)["kind"] == "config"
+    assert strict_json(err)["kind"] == "config"
     assert not (tmp_path / "out").exists()
 
 
@@ -856,19 +918,26 @@ def fuzz_configs(draw):
               "Sigma1": [1.0], "m1": 4.0, "dt": 1e-300})
 @example(cfg={"command": "cone-geodesic", "base": "spd", "q": [], "q_dot": [],
               "alpha": 1.0, "alpha_dot": 0.0, "steps": 20})
+# the symmetrization of Sigma1^(1/2) Sigma0 Sigma1^(1/2) overflows: its NaN
+# once reached an apex-crossing reason with NaN details
+@example(cfg={"command": "gauss-connect", "n": 2, "Sigma0": [1e154, 0.0, 0.0, 1e154],
+              "m0": 1.0, "Sigma1": [1e154, 0.0, 0.0, 1e154], "m1": 1.0})
+# the ray overflows, and the reason holds a NaN residual
+@example(cfg={"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1e-310,
+              "Sigma1": [1.000000000000001], "m1": 1e-310})
 def test_fuzzed_configs_exit_typed(cfg):
     # no exception may escape main; exit 2 always comes with a reason, and
-    # exit 0 with finite numbers only
+    # every summary.json is strict JSON, so exit 0 has finite numbers only
     with tempfile.TemporaryDirectory() as tmp:
         code, out = run_cli(Path(tmp), cfg)
         assert code in (0, 1, 2)
         if cfg["command"] == "gauss-connect" and cfg.get("dt", 1.0) < 1e-3:
             assert code == 1
+        if code == 1:
+            return
+        summary = load_summary(out)
         if code == 2:
             # the last-resort handler must not hide a bug from the fuzz
-            assert load_summary(out)["reason"]["kind"] not in ("", "internal")
-        elif code == 0:
-            text = (out / "summary.json").read_text(encoding="utf-8")
-            summary = json.loads(text, parse_constant=lambda name: pytest.fail(
-                f"exit 0 with {name} in summary.json"))
+            assert summary["reason"]["kind"] not in ("", "internal")
+        else:
             assert summary["status"] == "ok"

@@ -799,20 +799,21 @@ def roadmap_pair():
             AffineGaussian(Sigma=2.0 * np.eye(2), mean=np.array([1.0, 0.5]), m=3.0))
 
 
-@pytest.mark.parametrize("scale", 10.0 ** np.arange(-12, 13, 3))
+@pytest.mark.parametrize("scale", [*10.0 ** np.arange(-12, 13, 3), 1e-200])
 def test_landing_check_is_scale_free(scale, monkeypatch):
     # covariances and masses times scale, means times sqrt(scale): the exact
     # pair lands at every scale, and a landing that misses by a relative
     # 1e-6 in any one part is refused at every scale.  The cone angle grows
     # as sqrt(scale), so the endpoints differ by a relative 1e-6 (theta 0.4
-    # at scale 1e12).
+    # at scale 1e12).  At 1e-200 the squares of the entries underflow.
     Sigma0 = np.array([[2.0, 0.3], [0.3, 1.0]])
+    Sigma1 = Sigma0 + [[0.0, 0.0], [0.0, 1e-6]]
+    b1 = np.array([1e-6, -5e-7])
     g0 = AffineGaussian(Sigma=scale * Sigma0, mean=np.zeros(2), m=scale)
-    g1 = AffineGaussian(Sigma=scale * (Sigma0 + [[0.0, 0.0], [0.0, 1e-6]]),
-                        mean=np.sqrt(scale) * np.array([1e-6, -5e-7]), m=1.5 * scale)
+    g1 = AffineGaussian(Sigma=scale * Sigma1, mean=np.sqrt(scale) * b1, m=1.5 * scale)
     connect_affine(g0, g1, tol=1e-8)
     at = gaussian.AffineConnection.at
-    mean_scale = np.sqrt(np.linalg.norm(g1.Sigma)) + np.linalg.norm(g1.mean)
+    mean_scale = np.sqrt(scale) * (np.sqrt(np.linalg.norm(Sigma1)) + np.linalg.norm(b1))
     misses = [lambda end: (end.Sigma * (1.0 + 1e-6), end.mean, end.m),
               lambda end: (end.Sigma, end.mean + [1e-6 * mean_scale, 0.0], end.m),
               lambda end: (end.Sigma, end.mean, end.m * (1.0 + 1e-6))]
@@ -822,6 +823,29 @@ def test_landing_check_is_scale_free(scale, monkeypatch):
         with pytest.raises(ShootingError) as exc:
             connect_affine(g0, g1, tol=1e-8)
         assert exc.value.details["residual"] == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_non_finite_landing_is_refused(monkeypatch):
+    # a ray end that is not finite reads a NaN residual, which compares
+    # false with tol either way: it is refused as non-finite
+    at = gaussian.AffineConnection.at
+    monkeypatch.setattr(gaussian.AffineConnection, "at", lambda self, t: AffineGaussian(
+        Sigma=np.full((2, 2), np.nan), mean=at(self, t).mean, m=at(self, t).m))
+    with pytest.raises(NonFiniteError) as exc:
+        connect_affine(*roadmap_pair())
+    assert np.isnan(exc.value.details["residual"])
+
+
+@pytest.mark.parametrize("scale", [1e-250, 1e-300])
+def test_zero_mean_pair_lands_at_tiny_masses_and_angle(scale):
+    # covariances and masses times scale: the cone angle, about 6e-157 at
+    # 1e-300, times sqrt(m0 m1) underflows, and s1 = 2 theta / (sqrt(m0 m1)
+    # sin(theta)) must not read inf
+    Sigma0 = np.array([[2.0, 0.3], [0.3, 1.0]])
+    Sigma1 = Sigma0 + [[0.0, 0.0], [0.0, 1e-6]]
+    P0, xi0, trace, residual = shoot_bvp(scale * Sigma0, scale, scale * Sigma1, 1.5 * scale)
+    assert residual <= 1e-12
+    assert np.all(P0 != 0.0)
 
 
 def test_landing_check_is_relative_at_large_entries():

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from uotcone import pde
 from uotcone.cone import cone_line
 from uotcone.config import MIN_GRID
 from uotcone.errors import (MassError, NonFiniteError, PositivityError,
@@ -420,6 +421,21 @@ def test_stacked_step_guard_names_member():
 def test_stacked_flows_need_one_grid():
     with pytest.raises(ValueError):
         integrate_pdes([uniform_state(16), uniform_state(32)], "small", dt=1e-3, steps=5)
+
+
+def test_layout_follows_the_stack_size(monkeypatch):
+    # a stack of one steps on the faster 1-D layout, whichever entry point
+    # it came through, and gives the bytes of the single flow
+    ndims = []
+    rk4 = pde._rk4
+    monkeypatch.setattr(pde, "_rk4", lambda rhs, post, ys, dt: ndims.append(ys.ndim)
+                        or rk4(rhs, post, ys, dt))
+    state = smooth_state(Grid1D(n=16), 0.3)
+    single = integrate_pde(state, "small", dt=1e-3, steps=20)
+    stack_of_one, = integrate_pdes([state], "small", dt=1e-3, steps=20)
+    integrate_pdes([state, state], "small", dt=1e-3, steps=20)
+    assert ndims == [2, 2, 3]
+    assert single.data.tobytes() == stack_of_one.data.tobytes()
 
 
 # -- elliptic solves and metric evaluations -----------------------------------

@@ -1,8 +1,10 @@
-"""The public surface: every exported name has a caller, and the README
-library example runs."""
+"""The public surface: every exported name, and every public method and
+property of an exported class, has a caller, and the README library example
+runs."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import uotcone
@@ -10,8 +12,9 @@ import uotcone
 PACKAGE = Path(uotcone.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# exports that no other module of the package references, each with the
-# reason it stays public
+# exports that no other module of the package references, and methods
+# ("Class.name") that the package reads nowhere outside their own body, each
+# with the reason it stays public
 KEEP = {
     "AffineConnection": "the type connect_affine returns",
     "BBResult": "the type bb_action returns",
@@ -32,26 +35,51 @@ def exports():
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def references():
-    """{module: names it reads} over the package's modules, __init__ aside."""
-    refs = {}
-    for path in PACKAGE.glob("*.py"):
-        if path.stem == "__init__":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        refs[path.stem] = ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-                           | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
-    return refs
+def modules():
+    """{module: syntax tree} of the package's modules, __init__ aside."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+
+
+def reads(node):
+    """How often each name, or attribute name, is read within node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def methods(trees):
+    """{"Class.name": def node} of the public methods and properties of
+    every exported class, in the module that defines it."""
+    exported = exports()
+    return {f"{cls.name}.{node.name}": node
+            for module, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and exported.get(cls.name) == module
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
 
 def test_every_export_has_a_caller():
     # a public name stays when code outside its own module calls it (cli and
     # checks are such modules for every export) or when KEEP gives a reason;
     # a KEEP entry that gains a caller, or names no export, is stale
-    refs = references()
+    refs = {module: reads(tree) for module, tree in modules().items()}
     uncalled = {name for name, module in exports().items()
                 if not any(name in names for m, names in refs.items() if m != module)}
-    assert uncalled == set(KEEP)
+    assert uncalled == {name for name in KEEP if "." not in name}
+
+
+def test_every_public_method_has_a_caller():
+    # a public method or property of an exported class stays when the
+    # package reads its name outside its own body, or when KEEP gives a
+    # reason; names are matched, not types, so one read of "validate"
+    # serves every class that defines it
+    trees = modules()
+    found = methods(trees)
+    assert {"Grid1D.h", "GeodesicTrace.column"} <= set(found)  # properties, methods
+    package = sum(map(reads, trees.values()), Counter())
+    uncalled = {key for key, node in found.items()
+                if package[node.name] == reads(node)[node.name]}
+    assert uncalled == {name for name in KEEP if "." in name}
 
 
 def test_readme_library_example_runs():
