@@ -24,7 +24,8 @@ import numpy as np
 
 from . import checks
 from .bb import BBPath, bb_action, from_small_trace
-from .cone import ConeProblem, ConeState, circle_base, flat_base, integrate_cone
+from .cone import (ConeProblem, ConeState, circle_base, cone_geodesic_ray, flat_base,
+                   integrate_cone)
 from .config import validate_config
 from .errors import ConfigError, NonFiniteError, NumericsError
 from .gaussian import (GaussianCotangentState, geodesic_ray, require_spd,
@@ -201,7 +202,11 @@ def _handle_cone_geodesic(cfg, outdir, seed):
                       q_dot=_field(cfg, "q_dot", base.dim),
                       alpha=float(cfg["alpha"]), alpha_dot=float(cfg["alpha_dot"]))
     problem = ConeProblem(p=float(cfg["p"]), dt=cfg["dt"], steps=cfg["steps"])
-    trace = integrate_cone(state, problem, base)
+    if problem.p == 1.0:
+        # the geodesic is a ray of the flat picture, in closed form
+        engine, trace = "closed-form", cone_geodesic_ray(state, problem, base)
+    else:
+        engine, trace = "rk4", integrate_cone(state, problem, base)
     _write_output(outdir / "trace.csv", trace)
     mass_fit = mass_quadratic_fit(trace)
     if problem.p == 1.0:
@@ -212,7 +217,8 @@ def _handle_cone_geodesic(cfg, outdir, seed):
             "mass_fit": mass_fit,
             "final": {"t": float(trace.t[-1]),
                       "alpha": float(trace.column("alpha")[-1]),
-                      "H": float(trace.column("H")[-1])}}, 0
+                      "H": float(trace.column("H")[-1])},
+            "diagnostics": {"engine": engine}}, 0
 
 
 def _handle_bb_action(cfg, outdir, seed):

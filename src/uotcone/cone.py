@@ -128,16 +128,16 @@ def _clairaut_rhs(y, p, alpha0, speed):
 
 
 def integrate_cone(initial, problem, base):
-    """Fixed-step RK4 integration of the cone geodesic flow.
+    """Fixed-step RK4 integration of the cone geodesic flow, for any p.
 
     Returns a trace with columns t, m (= alpha^2), xi (= 2 alphadot/alpha),
     H (the cone energy alphadot^2 + alpha^{2p} sdot^2), then q, qdot, alpha,
     alphadot.  ``trace._rk4`` steps the reduced state (alpha, alphadot, s)
-    through ``_clairaut_rhs``, and one call of the base's ``exp`` over the
-    arc column gives q and the direction of qdot = sdot u.  Aborts with the
-    step index on apex crossing (alpha <= 0), non-finite values, or an arc
-    beyond the base's boundary (not-spd on the SPD base), whichever comes
-    first.
+    through ``_clairaut_rhs``, and ``_cone_trace`` makes the columns.  Aborts
+    with the step index on apex crossing (alpha <= 0), non-finite values, or
+    an arc beyond the base's boundary (not-spd on the SPD base), whichever
+    comes first.  For p = 1, ``cone_geodesic_ray`` gives the same trace in
+    closed form.
     """
     problem.validate()
     initial.validate(base.dim)
@@ -157,7 +157,47 @@ def integrate_cone(initial, problem, base):
         # an arc past the base's boundary before that step fails first
         base.exp(initial.q, initial.q_dot, ys[:exc.details["step"], 2])
         raise
-    alpha, alphadot, s = ys.T
+    return _cone_trace(initial, problem, base, speed, *ys.T)
+
+
+def cone_geodesic_ray(initial, problem, base):
+    """The closed form of ``integrate_cone`` for p = 1: the same trace
+    columns on the same time grid, with no RK4 step.
+
+    p = 1 is the standard cone, whose flat picture is the plane in polar
+    coordinates (alpha, s): the geodesic is the ray of ``cone_ray`` with
+    xi0 = 2 alphadot0 / alpha0 and omega0 = |qdot0|_g, in units of alpha0,
+    and its angle is the base arc s.  The radius alpha0 |(x, y)| is taken
+    with hypot, not from the mass of ``cone_ray``, so a start next to the
+    apex, where (alpha / alpha0)^2 overflows, stays finite; alpha0 and
+    alphadot0 enter only as factors: scaling both by a power of two scales
+    alpha, alphadot exactly and leaves the base path bit for bit.  A radial
+    collapse is the ApexCrossingError of ``cone_ray``, at the first sample
+    at or past the apex; a radial ray leaves the base point where it is, so
+    no base boundary comes before it.  Any other p raises ValueError.
+    """
+    if problem.p != 1.0:
+        raise ValueError("the cone geodesic has a closed form only for p = 1")
+    problem.validate()
+    initial.validate(base.dim)
+    speed = base.speed(initial.q, initial.q_dot)
+    t = np.arange(problem.steps + 1) * problem.dt
+    a0, adot0 = initial.alpha, initial.alpha_dot
+    x, y, s = _ray_picture(2.0 * (adot0 / a0), speed, t)
+    r = np.hypot(x, y)
+    alpha = a0 * r
+    alphadot = adot0 * (x / r) + (a0 * speed) * (y / r)
+    return _cone_trace(initial, problem, base, speed, alpha, alphadot, s)
+
+
+def _cone_trace(initial, problem, base, speed, alpha, alphadot, s):
+    """The trace of a cone geodesic from its reduced state along the time
+    grid: one call of the base's ``exp`` over the arc column s gives q and
+    the direction u of qdot = sdot u, with sdot = |qdot0|_g
+    (alpha0 / alpha)^{2p} from Clairaut's integral, and
+    H = alphadot^2 + alpha^{2p} sdot^2.  The first row with a non-finite
+    entry raises NonFiniteError with its index as ``step``."""
+    p = problem.p
     q, u = base.exp(initial.q, initial.q_dot, s)
     sdot = speed * (initial.alpha / alpha) ** (2.0 * p)
     data = np.column_stack([np.arange(problem.steps + 1) * problem.dt, alpha ** 2,
@@ -217,12 +257,19 @@ def cone_ray(m0, xi0, omega0, t):
     the apex at t = -2 / xi0, where its angle jumps to pi: ApexCrossingError
     for any t from there on, whose ``step`` is the index of the first such t.
     """
+    x, y, phi = _ray_picture(xi0, omega0, t)
+    m = m0 * (x * x + y * y)
+    sigma = phi / omega0 if omega0 > 0.0 else t / x
+    return m, sigma
+
+
+def _ray_picture(xi0, omega0, t):
+    """The ray of ``cone_ray`` in units of |a|: its coordinates (x, y) in
+    the frame of a and the angle phi it has swept, or ApexCrossingError."""
     x = 1.0 + 0.5 * xi0 * t
     y = omega0 * t
     phi = np.arctan2(y, x) if omega0 > 0.0 else np.where(x > 0.0, 0.0, np.pi)
     # phi <= pi, so the first maximum is the first t at the apex, if any
     _require_off_apex(np.max(phi), xi0=float(xi0), omega0=float(omega0),
                       step=int(np.argmax(phi)))
-    m = m0 * (x * x + y * y)
-    sigma = phi / omega0 if omega0 > 0.0 else t / x
-    return m, sigma
+    return x, y, phi

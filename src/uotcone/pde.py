@@ -179,10 +179,17 @@ def hamiltonian_small(state):
 
 
 def _hamiltonian_small(state, m, pairing):
-    # a numpy square overflows to inf instead of raising OverflowError
+    # a numpy square overflows to inf instead of raising OverflowError, and
+    # underflows: only where the square of the pairing leaves the normal
+    # range (beyond 1.3e154 or below 1.5e-154), pairing (pairing / m) gives
+    # the term, so every other value keeps its bits
     pairing = np.float64(pairing)
-    H = 0.5 * kinetic_energy(state.grid, state.rho, state.theta) \
-        + 0.5 * pairing**2 / m
+    square = pairing**2
+    term = 0.5 * square / m
+    normal = (square >= np.finfo(float).tiny) & (square <= np.finfo(float).max)
+    if not np.all(normal):
+        term = np.where(normal, term, 0.5 * pairing * (pairing / m))
+    H = 0.5 * kinetic_energy(state.grid, state.rho, state.theta) + term
     if not np.all(np.isfinite(H)):
         raise NonFiniteError("the Hamiltonian overflows")
     return H if np.ndim(H) else float(H)

@@ -430,6 +430,12 @@ def mass_quadratic_fit(trace):
     m = trace.column("m")
     if t.size < 3:
         raise SingularSystemError("a quadratic fit of m(t) needs 3 samples", samples=t.size)
+    # the fit is linear in m, so it runs in units of the power of two of
+    # max |m|, exactly: no residual over- or underflows when squared, and
+    # LAPACK rescales no mass beyond 1e+-292 by a factor that is not a power
+    # of two; in between, every value has the bits of the fit in plain units
+    e = np.frexp(np.max(np.abs(m)))[1]
+    m = np.ldexp(m, -e)
     try:
         coeffs = np.polyfit(t, m, 2)
     except np.linalg.LinAlgError:
@@ -437,9 +443,10 @@ def mass_quadratic_fit(trace):
         raise SingularSystemError("least-squares fit of m(t) failed",
                                   t_end=float(t[-1])) from None
     resid = m - np.polyval(coeffs, t)
+    leading, linear, constant = np.ldexp(coeffs, e)
     return {
-        "leading": float(coeffs[0]),
-        "linear": float(coeffs[1]),
-        "constant": float(coeffs[2]),
-        "rms_residual": float(np.sqrt(np.mean(resid**2))),
+        "leading": float(leading),
+        "linear": float(linear),
+        "constant": float(constant),
+        "rms_residual": float(np.ldexp(np.sqrt(np.mean(resid**2)), e)),
     }

@@ -222,14 +222,24 @@ def test_gauss_commands_run_no_flow(tmp_path, monkeypatch, config, summary_holds
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
 def test_non_finite_summary_is_a_typed_failure(tmp_path):
-    # every trace entry is finite, but the squared residuals of the mass fit
-    # (m ~ 1e177) overflow
-    code, out = run_cli(tmp_path, gauss_config(V=[2.2e177], m=2.2e177, P=[7.5],
-                                               xi=7.5, steps=20))
+    # every trace entry is finite, but m ~ 1e300 moves by single ulps over a
+    # time span of 2e-14, which the fit reads as a curvature beyond 1e308
+    code, out = run_cli(tmp_path, gauss_config(m=1e300, xi=1e-2, dt=1e-15, steps=20))
     assert code == 2
     reason = load_summary(out)["reason"]
     assert reason["kind"] == "non-finite"
-    assert reason["key"] == "mass_fit.rms_residual"
+    assert reason["key"] == "mass_fit.leading"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
+def test_non_finite_top_level_summary_is_a_typed_failure(tmp_path):
+    # every entry of the path is finite, but its action, with |w|^2 ~ 1e400,
+    # is not
+    code, out = run_cli(tmp_path, bb_explicit_config(w=[[1e200] * 8] * 2))
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == "non-finite"
+    assert reason["key"] == "action"
 
 
 def test_internal_failure_is_structured(tmp_path, monkeypatch, capsys):
@@ -658,6 +668,68 @@ def test_cone_geodesic_spd_input_is_validated(tmp_path, q, q_dot, kind, key):
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("p, engine", [(1.0, "closed-form"), (0.0, "rk4"), (0.5, "rk4")])
+def test_cone_geodesic_diagnostics_name_the_engine(tmp_path, p, engine):
+    cfg = {"command": "cone-geodesic", "base": "circle", "q": [0.0], "q_dot": [1.0],
+           "alpha": 1.0, "alpha_dot": 0.1, "p": p, "dt": 1e-3, "steps": 200}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert load_summary(out)["diagnostics"] == {"engine": engine}
+
+
+def dilated(cfg, keys, scale):
+    """cfg with the values of keys multiplied by scale."""
+    return {**cfg, **{k: ([scale * v for v in cfg[k]] if isinstance(cfg[k], list)
+                          else scale * cfg[k]) for k in keys}}
+
+
+@pytest.mark.parametrize("cfg, keys, lam", [
+    # alpha -> 2^e alpha multiplies the mass by 4^e
+    ({"command": "cone-geodesic", "base": "circle", "q": [0.0], "q_dot": [1.0],
+      "alpha": 1.0, "alpha_dot": 0.1, "p": 1.0}, ("alpha", "alpha_dot"), 2.0**300),
+    ({"command": "cone-geodesic", "base": "circle", "q": [0.0], "q_dot": [1.0],
+      "alpha": 1.0, "alpha_dot": 0.1, "p": 1.0}, ("alpha", "alpha_dot"), 2.0**-300),
+    (gauss_config(m=1.0, P=[0.1], xi=0.0), ("m", "P"), 2.0**600),
+    (gauss_config(m=1.0, P=[0.1], xi=0.0), ("m", "P"), 2.0**-600),
+    (gauss_config(m=1.0, P=[0.1], xi=0.0), ("m", "P"), 2.0**1000),
+    (gauss_config(m=1.0, P=[0.1], xi=0.0), ("m", "P"), 2.0**-1000),
+], ids=["cone-2^600", "cone-2^-600", "gauss-2^600", "gauss-2^-600", "gauss-2^1000",
+        "gauss-2^-1000"])
+def test_mass_fit_scales_with_the_mass(tmp_path, cfg, keys, lam):
+    # the residuals of a mass of 1e180 once overflowed when squared (exit 2,
+    # non-finite rms_residual), and those of 1e-180 underflowed to 0; at
+    # 1e+-301 LAPACK rescaled the masses, and the roundoff-level residuals
+    # read 0.42 of the scaled ones
+    code, out = run_cli(tmp_path, cfg, out="unit")
+    assert code == 0
+    unit = load_summary(out)["mass_fit"]
+    code, out = run_cli(tmp_path, dilated(cfg, keys, lam), out="scaled")
+    assert code == 0
+    m_scale = lam * lam if cfg["command"] == "cone-geodesic" else lam
+    fit = load_summary(out)["mass_fit"]
+    for key in ("leading", "linear", "constant", "rms_residual"):
+        assert fit[key] == pytest.approx(m_scale * unit[key], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the plain square
+@pytest.mark.parametrize("lam", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+def test_pde_evolve_hamiltonian_scales_with_the_density(tmp_path, lam):
+    # H = int |grad theta|^2 rho / 2 + (int theta rho)^2 / (2m) is 1-homogeneous
+    # in rho; the square of the pairing once overflowed from 2^512 on (exit 2,
+    # "the Hamiltonian overflows") and underflowed below 2^-512 (H lost the
+    # second term)
+    x = np.arange(32) * TWO_PI / 32
+    cfg = {"command": "pde-evolve", "model": "small", "rho": list(1.0 + 0.3 * np.cos(x)),
+           "theta": list(0.2 + 0.05 * np.sin(x)), "steps": 10}
+    code, out = run_cli(tmp_path, cfg, out="unit")
+    assert code == 0
+    unit = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)[:, 3]
+    code, out = run_cli(tmp_path, dilated(cfg, ("rho",), lam), out="scaled")
+    assert code == 0
+    H = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)[:, 3]
+    np.testing.assert_allclose(H, lam * unit, rtol=1e-15, atol=0.0)
+
+
 def test_cone_geodesic_apex_failure(tmp_path):
     cfg = {"command": "cone-geodesic", "base": "circle", "q": [0.0],
            "q_dot": [0.0], "alpha": 0.05, "alpha_dot": -1.0,
@@ -918,6 +990,11 @@ def fuzz_configs(draw):
               "Sigma1": [1.0], "m1": 4.0, "dt": 1e-300})
 @example(cfg={"command": "cone-geodesic", "base": "spd", "q": [], "q_dot": [],
               "alpha": 1.0, "alpha_dot": 0.0, "steps": 20})
+# a start next to the apex that runs off at once, in closed form and by RK4
+@example(cfg={"command": "cone-geodesic", "base": "circle", "q": [0.0], "q_dot": [1.0],
+              "alpha": 1e-300, "alpha_dot": 1e300, "p": 1.0, "steps": 20})
+@example(cfg={"command": "cone-geodesic", "base": "circle", "q": [0.0], "q_dot": [1.0],
+              "alpha": 1e-300, "alpha_dot": 1e300, "p": 0.0, "steps": 20})
 # the symmetrization of Sigma1^(1/2) Sigma0 Sigma1^(1/2) overflows: its NaN
 # once reached an apex-crossing reason with NaN details
 @example(cfg={"command": "gauss-connect", "n": 2, "Sigma0": [1e154, 0.0, 0.0, 1e154],

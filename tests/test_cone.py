@@ -5,10 +5,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from uotcone import gaussian
+from uotcone import checks, cone, gaussian
 from uotcone.cone import (BaseManifold, ConeProblem, ConeState, _clairaut_rhs,
-                          circle_base, cone_line, cone_ray, flat_base, integrate_cone,
-                          scaled_base)
+                          circle_base, cone_geodesic_ray, cone_line, cone_ray, flat_base,
+                          integrate_cone, scaled_base)
 from uotcone.errors import ApexCrossingError, NonFiniteError, SpdError
 from uotcone.trace import relative_energy_drift
 
@@ -183,7 +183,7 @@ def test_non_finite_base_reported():
 ], ids=["circle", "spd"])
 def test_cone_flow_calls_exp_once_per_trace(base, q, q_dot):
     # the base's exponential map runs over the whole arc column at once, so
-    # no per-step base call creeps back into the flow
+    # no per-step base call creeps back into the flow or its closed form
     calls = []
 
     def exp(*args):
@@ -193,11 +193,12 @@ def test_cone_flow_calls_exp_once_per_trace(base, q, q_dot):
     counted = dataclasses.replace(base, exp=exp)
     state = ConeState(q=np.array(q), q_dot=np.array(q_dot), alpha=1.1, alpha_dot=0.1)
     counts = []
-    for steps in (10, 1000):
-        calls.clear()
-        integrate_cone(state, ConeProblem(p=1.0, dt=1e-3, steps=steps), counted)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == 1
+    for flow in (integrate_cone, cone_geodesic_ray):
+        for steps in (10, 1000):
+            calls.clear()
+            flow(state, ConeProblem(p=1.0, dt=1e-3, steps=steps), counted)
+            counts.append(len(calls))
+    assert counts == [1] * 4
 
 
 def test_recorded_energy_column():
@@ -255,6 +256,98 @@ def test_spd_cone_flow_calls_no_public_lyapunov_solve(monkeypatch):
     trace = integrate_cone(state, ConeProblem(p=1.0, dt=1e-2, steps=10),
                            gaussian.spd_base(2))
     assert relative_energy_drift(trace) <= 1e-8
+
+
+# -- cone_geodesic_ray: the closed form for p = 1 ----------------------------
+
+BASES = [
+    (circle_base(), [0.4], [1.3]),
+    (flat_base(3), [0.4, -1.0, 2.5], [0.3, -0.7, 0.2]),
+    (gaussian.spd_base(2), [1.2, 0.3, 0.3, 0.8], [0.1, -0.05, -0.05, 0.2]),
+]
+BASE_IDS = ["circle", "flat", "spd"]
+
+
+@pytest.mark.parametrize("alpha_dot", [0.2, -0.3])
+@pytest.mark.parametrize("base, q, q_dot", BASES, ids=BASE_IDS)
+def test_closed_form_cone_agrees_with_rk4(base, q, q_dot, alpha_dot):
+    # every column, relative to its own largest entry: xi and alphadot pass
+    # through 0 on the way in
+    state = ConeState(q=np.array(q), q_dot=np.array(q_dot), alpha=1.1, alpha_dot=alpha_dot)
+    problem = ConeProblem(p=1.0, dt=1e-3, steps=1000)
+    rk4 = integrate_cone(state, problem, base)
+    ray = cone_geodesic_ray(state, problem, base)
+    assert ray.columns == rk4.columns
+    scale = np.max(np.abs(rk4.data), axis=0)
+    assert np.all(np.abs(ray.data - rk4.data) <= 1e-11 * scale)
+    assert np.array_equal(ray.data[0, 4:], rk4.data[0, 4:])  # the start exactly
+
+
+@pytest.mark.parametrize("k", [500, -500])
+@pytest.mark.parametrize("base, q, q_dot", BASES, ids=BASE_IDS)
+def test_closed_form_cone_scales_exactly(base, q, q_dot, k):
+    # alpha -> 2^k alpha maps cone geodesics to cone geodesics: the mass is
+    # exactly 4^k times, the base path the same
+    problem = ConeProblem(p=1.0, dt=1e-3, steps=1000)
+
+    def trace(scale):
+        return cone_geodesic_ray(ConeState(q=np.array(q), q_dot=np.array(q_dot),
+                                           alpha=scale * 1.1, alpha_dot=scale * -0.3),
+                                 problem, base)
+
+    unit, scaled = trace(1.0), trace(2.0**k)
+    assert np.array_equal(scaled.column("m"), 4.0**k * unit.column("m"))
+    assert np.array_equal(scaled.block("q"), unit.block("q"))
+    assert np.array_equal(scaled.column("alpha"), 2.0**k * unit.column("alpha"))
+
+
+def test_closed_form_cone_starts_next_to_the_apex():
+    # from alpha0 = 1e-160 the radius grows 1e160-fold, and (alpha / alpha0)^2
+    # would overflow: the ray z(t) = (alpha0 + t, alpha0 t) sweeps the angle
+    # atan2(alpha0 t, alpha0 + t) ~ alpha0 (RK4 steps it to 1.7e-4)
+    state = ConeState(q=np.zeros(1), q_dot=np.ones(1), alpha=1e-160, alpha_dot=1.0)
+    trace = cone_geodesic_ray(state, ConeProblem(p=1.0, dt=1e-3, steps=1000), circle_base())
+    t = trace.t
+    npt.assert_allclose(trace.column("alpha"), 1e-160 + t, rtol=1e-15)
+    npt.assert_allclose(trace.column("q0")[1:], 1e-160 * t[1:] / (1e-160 + t[1:]),
+                        rtol=1e-15)
+    npt.assert_allclose(trace.column("H"), 1.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("alpha, alpha_dot, dt, step", [
+    (0.107, -1.0, 1e-2, 11), (1.0, -0.37, 1e-3, 2703)])
+def test_closed_form_cone_apex_step_is_the_rk4_step(alpha, alpha_dot, dt, step):
+    # a radial collapse reaches the apex at t = -alpha / alphadot: the same
+    # kind and step from both engines
+    state = ConeState(q=np.zeros(1), q_dot=np.zeros(1), alpha=alpha, alpha_dot=alpha_dot)
+    problem = ConeProblem(p=1.0, dt=dt, steps=5000)
+    for flow in (integrate_cone, cone_geodesic_ray):
+        with pytest.raises(ApexCrossingError) as exc:
+            flow(state, problem, circle_base())
+        assert exc.value.details["step"] == step
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_closed_form_cone_refuses_other_cones(p):
+    with pytest.raises(ValueError):
+        cone_geodesic_ray(circle_state(), ConeProblem(p=p, dt=1e-3, steps=10),
+                          circle_base())
+
+
+def test_flat_cone_oracle_still_steps_rk4(monkeypatch):
+    # the check compares the RK4 integrator that every p other than 1
+    # depends on against the straight line: it must not run the closed form
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[2]) - 1)
+        return cone_rk4(*args)
+
+    cone_rk4 = cone._rk4
+    monkeypatch.setattr(cone, "_rk4", counted)
+    result = checks.check_flat_cone_oracle(np.random.default_rng(0))
+    assert result.passed
+    assert calls == [1000]
 
 
 # -- the pure-scaling line: cone_line at theta = 0 --------------------------
