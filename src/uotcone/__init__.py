@@ -2,8 +2,8 @@
 
 from .bb import BBPath, BBResult, bb_action, from_small_trace
 from .cone import (BaseManifold, ConeProblem, ConeState, circle_base,
-                   cone_geodesic_ray, cone_line, cone_ray, flat_base, integrate_cone,
-                   scaled_base)
+                   cone_geodesic_ray, cone_line, cone_line_start, cone_ray, flat_base,
+                   integrate_cone, scaled_base)
 from .gaussian import (AffineConnection, AffineGaussian, GaussianCotangentState,
                        base_metric_eval, connect_affine, geodesic_ray,
                        group_metric_eval, hamiltonian, integrate_geodesic,

@@ -85,7 +85,13 @@ def bb_action(path, continuity_tol=DEFAULT_CONTINUITY_TOL):
     dts = np.diff(path.times)
     transport = float(np.sum(0.5 * (transport_nodes[1:] + transport_nodes[:-1]) * dts))
     rdot = np.diff(path.r) / dts
-    radial = float(np.sum(4.0 * rdot**2 * dts))
+    # 4 rdot (rdot dt) only where rdot^2 leaves the normal range (on times
+    # 1e-300 apart it overflows, the action need not), so every other term
+    # keeps its bits
+    with np.errstate(over="ignore"):
+        square = rdot**2
+    normal = (square >= np.finfo(float).tiny) & (square <= np.finfo(float).max)
+    radial = float(np.sum(np.where(normal, 4.0 * square * dts, 4.0 * rdot * (rdot * dts))))
     return BBResult(action=transport + radial, transport_part=transport,
                     radial_part=radial, continuity_residual=res)
 

@@ -15,13 +15,14 @@ interchangeably.  p = 1 is the standard cone, p = 0 the product cylinder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ApexCrossingError, NonFiniteError, NumericsError
-from .trace import GeodesicTrace, _rk4
+from .trace import GeodesicTrace, _norm, _rk4
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class ConeProblem:
 
 
 def _euclidean_speed(q0, qdot0):
-    return np.sqrt(np.vecdot(qdot0, qdot0))
+    return _norm(qdot0)  # |qdot0|^2 overflows from 1.3e154 on
 
 
 def _euclidean_exp(q0, qdot0, s):
@@ -195,8 +196,8 @@ def _cone_trace(initial, problem, base, speed, alpha, alphadot, s):
     grid: one call of the base's ``exp`` over the arc column s gives q and
     the direction u of qdot = sdot u, with sdot = |qdot0|_g
     (alpha0 / alpha)^{2p} from Clairaut's integral, and
-    H = alphadot^2 + alpha^{2p} sdot^2.  The first row with a non-finite
-    entry raises NonFiniteError with its index as ``step``."""
+    H = alphadot^2 + alpha^{2p} sdot^2.  A non-finite entry raises the
+    NonFiniteError of ``GeodesicTrace``, which names its row as ``step``."""
     p = problem.p
     q, u = base.exp(initial.q, initial.q_dot, s)
     sdot = speed * (initial.alpha / alpha) ** (2.0 * p)
@@ -206,9 +207,6 @@ def _cone_trace(initial, problem, base, speed, alpha, alphadot, s):
                             q, sdot[:, None] * u, alpha, alphadot])
     cols = (["t", "m", "xi", "H"] + [f"q{i}" for i in range(base.dim)]
             + [f"qdot{i}" for i in range(base.dim)] + ["alpha", "alphadot"])
-    bad = ~np.isfinite(data).all(axis=1)
-    if bad.any():
-        raise NonFiniteError("non-finite cone trace", step=int(np.argmax(bad)))
     return GeodesicTrace(columns=tuple(cols), data=data)
 
 
@@ -241,6 +239,22 @@ def cone_line(m0, m1, theta, t):
     m = x * x + y * y
     s = np.arctan2(y, x) / theta if theta > 0.0 else t * r1 / np.sqrt(m)
     return m, s
+
+
+def cone_line_start(m0, m1, theta):
+    """The initial data of ``cone_line(m0, m1, theta, t)``: xi0 = mdot(0) / m0
+    and the rate sdot0 = sqrt(m1) sin(theta) / (sqrt(m0) theta) of its
+    base-arc fraction s (sqrt(m1) / sqrt(m0) at theta = 0), so the line is
+    the ray ``cone_ray(m0, xi0, theta sdot0, t)``, whose angle reaches
+    1 / sdot0 at t = 1.  For theta >= pi: ApexCrossingError."""
+    _require_off_apex(theta)
+    r0, r1 = math.sqrt(m0), math.sqrt(m1)
+    # xi0 = 2 (r1 cos(theta) - r0) / r0, written without the cancellation of
+    # r1 cos(theta) against r0 when m0 ~ m1 and theta is small:
+    # r1 cos(theta) - r0 = (m1 - m0) / (r0 + r1) - 2 r1 sin^2(theta / 2)
+    xi0 = 2.0 * ((m1 - m0) / (r0 + r1) - 2.0 * r1 * math.sin(0.5 * theta) ** 2) / r0
+    sdot0 = r1 / r0 * (math.sin(theta) / theta if theta > 0.0 else 1.0)
+    return xi0, sdot0
 
 
 def cone_ray(m0, xi0, omega0, t):

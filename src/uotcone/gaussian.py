@@ -18,10 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone import BaseManifold, cone_line, cone_ray
+from .cone import BaseManifold, cone_line_start, cone_ray
 from .errors import (MassError, NonFiniteError, ShootingError, SingularSystemError,
                      SpdError, SymmetryError)
-from .trace import GeodesicTrace, _finite, _first_member, _rk4
+from .trace import GeodesicTrace, _finite, _first_member, _norm, _rk4
 
 _SYM_TOL = 1e-12
 
@@ -300,12 +300,12 @@ def _balanced_factor(S, sigma):
     return lam, Q, c, np.eye(lam.size) + sigma[:, None, None] * S
 
 
-def _ray(V0, m0, P0, xi0, t, pb0=None):
+def _ray(V0, m0, P0, xi0, t, v0=None):
     """The geodesic from (V0, m0, P0, xi0) at the times t >= 0, in closed form.
 
     In the cone's flat picture it is the ray ``cone_ray(m0, xi0, omega0, t)``
-    with S0 = 2 P0 / m0 and omega0^2 = tr(V0 S0^2) / 4 (plus
-    |pb0|^2 / (4 m0^2) with a mean momentum pb0), both H0 / (2 m0) - xi0^2 / 4.
+    with S0 = 2 P0 / m0 and omega0^2 = tr(V0 S0^2) / 4 (plus |v0|^2 / 4 with
+    a mean velocity v0), both H0 / (2 m0) - xi0^2 / 4.
     The covariance runs along the balanced curve by the cone angle sigma(t)
     (Takatsu, Osaka J. Math. 2011): V = C V0 C and P = P0 C^{-1} with
     C = I + sigma S0; the mass rate is mdot = m0 xi0 + H0 t.  Returns m, xi,
@@ -315,8 +315,8 @@ def _ray(V0, m0, P0, xi0, t, pb0=None):
     """
     S0 = (2.0 / m0) * P0
     omega2 = 0.25 * np.sum((V0 @ S0) * S0)
-    if pb0 is not None:
-        omega2 = omega2 + 0.25 * (pb0 @ pb0) / m0 / m0
+    if v0 is not None:
+        omega2 = omega2 + 0.25 * (v0 @ v0)
     m, sigma = cone_ray(m0, xi0, np.sqrt(omega2), t)
     xi = (m0 / m) * (xi0 + (0.5 * xi0 * xi0 + 2.0 * omega2) * t)
     lam, Q, c, C = _balanced_factor(S0, sigma)
@@ -368,30 +368,6 @@ def mccann_geodesic(U, V, t):
     return symmetrize(C @ V @ C.T)
 
 
-def _two_point(Sigma0, m0, Sigma1, m1, shift2=0.0):
-    """D = T - I (T the balanced transport map), the cone angle
-    theta = sqrt(W2^2 + shift2) / 2 (W2^2 = tr(D Sigma0 D), shift2 =
-    |b1 - b0|^2 with means), and the initial data of the line
-    ``cone_line(m0, m1, theta, t)``, which raises ApexCrossingError for
-    theta >= pi: s1 = int_0^1 2/m dt (so int_0^t 2/m = s1 s(t)) and
-    xi0 = mdot(0) / m0."""
-    D = _mccann_map(Sigma0, Sigma1) - np.eye(Sigma0.shape[0])
-    theta = 0.5 * math.sqrt(max(np.sum((D @ Sigma0) * D), 0.0) + shift2)
-    cone_line(m0, m1, theta, 1.0)
-    r0, r1 = math.sqrt(m0), math.sqrt(m1)
-    g = r0 * r1  # m0 m1 itself may under- or overflow
-    # 2 theta / (g sin(theta)) through g = frac 2^k, exactly: g sin(theta)
-    # underflows for tiny masses at a tiny angle; s1 = inf where 2 / g
-    # overflows, and elsewhere it has the bits of the direct formula
-    frac, k = math.frexp(g)
-    s1 = np.ldexp(2.0 * theta / (frac * math.sin(theta)), -k) if theta > 0.0 else 2.0 / g
-    # xi0 = 2 (r1 cos(theta) - r0) / r0, written without the cancellation of
-    # r1 cos(theta) against r0 when m0 ~ m1 and theta is small:
-    # r1 cos(theta) - r0 = (m1 - m0) / (r0 + r1) - 2 r1 sin^2(theta / 2)
-    xi0 = 2.0 * ((m1 - m0) / (r0 + r1) - 2.0 * r1 * math.sin(0.5 * theta) ** 2) / r0
-    return D, theta, s1, xi0
-
-
 def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     """Solve the two-point geodesic problem on (covariance, mass) in closed form.
 
@@ -422,22 +398,22 @@ class AffineConnection:
     """Solved two-point problem between Gaussians with means.
 
     The path is the ray of the flat picture from the solved initial data
-    (P0, pb0, xi0) at g0 (``_ray``): the mass is m(t), the covariance runs
+    (P0, v0, xi0) at g0 (``_ray``): the mass is m(t), the covariance runs
     along the balanced curve Sigma(t) = C Sigma0 C with C = I + sigma(t) S0,
-    S0 = 2 P0 / m0, and the mean is b0 + sigma(t) pb0 / m0, as the conserved
-    mean momentum pb0 of the canonical flow gives it (bdot = pb0 / m).
+    S0 = 2 P0 / m0, and the mean is b0 + sigma(t) v0, as the conserved mean
+    momentum m bdot = m0 v0 of the canonical flow gives it.
     """
 
     g0: AffineGaussian
     g1: AffineGaussian
     P0: np.ndarray
-    pb0: np.ndarray
+    v0: np.ndarray
     xi0: float
 
     def at(self, t):
         m, _, sigma, V, _ = _ray(self.g0.Sigma, self.g0.m, self.P0, self.xi0,
-                                 np.array([t], dtype=float), self.pb0)
-        mean = self.g0.mean + sigma[0] * self.pb0 / self.g0.m
+                                 np.array([t], dtype=float), self.v0)
+        mean = self.g0.mean + sigma[0] * self.v0
         return AffineGaussian(Sigma=V[0], mean=mean, m=float(m[0]))
 
     @cached_property
@@ -454,26 +430,20 @@ class AffineConnection:
                          abs(end.m - g1.m) / g1.m))
 
 
-def _norm(x):
-    """np.linalg.norm(x) without under- or overflow, through the exact
-    scaling of x by 2^-e, e the exponent of max|x|."""
-    e = np.frexp(np.max(np.abs(x), initial=0.0))[1]
-    return np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
-
-
 def connect_affine(g0, g1, tol=1e-8):
     """Solve the two-point problem for Gaussians with means in closed form.
 
     The model is the Euclidean cone over the covariances (balanced metric
     scaled by 1/4) times the means, so the geodesic is a straight line in a
     flat 2D picture (``cone.cone_line``) with angle
-    theta = sqrt(W2(Sigma0, Sigma1)^2 + |b1 - b0|^2) / 2.  ``_two_point``
-    gives the initial data P0 = (T - I) / s1 (T the balanced transport map),
-    pb0 = 2 (b1 - b0) / s1 and xi0.  The ray from those data alone (``_ray``)
-    must land on the endpoints at t = 1 within the relative tol
-    (``AffineConnection.residual``), else ShootingError: an independent
-    check of the two-point formulas.  theta >= pi raises ApexCrossingError.
-    No RK4 step runs.
+    theta = sqrt(W2(Sigma0, Sigma1)^2 + |b1 - b0|^2) / 2.  Its initial
+    velocity is the base displacement (T - I, b1 - b0), T the balanced
+    transport map, times the rate sdot0 of ``cone.cone_line_start``:
+    S0 = 2 P0 / m0 = sdot0 (T - I) and v0 = sdot0 (b1 - b0).  The ray from
+    those data and xi0 alone (``_ray``) must land on the endpoints at t = 1
+    within the relative tol (``AffineConnection.residual``), else
+    ShootingError: an independent check of the two-point formulas.
+    theta >= pi raises ApexCrossingError.  No RK4 step runs.
     """
     Sigma0 = require_spd(g0.Sigma, "Sigma0")
     Sigma1 = require_spd(g1.Sigma, "Sigma1")
@@ -489,8 +459,10 @@ def connect_affine(g0, g1, tol=1e-8):
     g0 = AffineGaussian(Sigma=Sigma0, mean=b0, m=float(g0.m))
     g1 = AffineGaussian(Sigma=Sigma1, mean=b1, m=float(g1.m))
     db = b1 - b0
-    D, theta, s1, xi0 = _two_point(Sigma0, g0.m, Sigma1, g1.m, db @ db)
-    conn = AffineConnection(g0=g0, g1=g1, P0=D / s1, pb0=2.0 * db / s1, xi0=xi0)
+    D = _mccann_map(Sigma0, Sigma1) - np.eye(n)
+    theta = 0.5 * math.sqrt(max(np.sum((D @ Sigma0) * D), 0.0) + db @ db)
+    xi0, sdot0 = cone_line_start(g0.m, g1.m, theta)
+    conn = AffineConnection(g0, g1, P0=(0.5 * g0.m * sdot0) * D, v0=sdot0 * db, xi0=xi0)
     if not np.isfinite(conn.residual):
         # the ray itself overflows: 2 / m0 for the tiniest masses
         raise NonFiniteError("the ray from the solved initial data is not finite",

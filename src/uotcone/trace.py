@@ -29,8 +29,9 @@ class GeodesicTrace:
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
         if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
             raise ValueError("trace data shape does not match columns")
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError("trace entries must be finite")
+        bad = ~np.isfinite(self.data).all(axis=1)
+        if bad.any():
+            raise NonFiniteError("trace entries must be finite", step=int(np.argmax(bad)))
         if self.data.shape[0] > 1 and np.any(np.diff(self.data[:, 0]) <= 0.0):
             raise ValueError("trace times must be strictly increasing")
 
@@ -411,6 +412,13 @@ def _finite(value):
     return float(value)
 
 
+def _norm(x):
+    """np.linalg.norm(x) without under- or overflow, through the exact
+    scaling of x by 2^-e, e the exponent of max|x|."""
+    e = np.frexp(np.max(np.abs(x), initial=0.0))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
+
+
 def relative_energy_drift(trace):
     """max |H(t) - H(0)| / max(|H(0)|, eps) over the trace."""
     e = trace.column("H")
@@ -436,12 +444,13 @@ def mass_quadratic_fit(trace):
     # of two; in between, every value has the bits of the fit in plain units
     e = np.frexp(np.max(np.abs(m)))[1]
     m = np.ldexp(m, -e)
-    try:
-        coeffs = np.polyfit(t, m, 2)
-    except np.linalg.LinAlgError:
-        # t^2 underflows on the tiniest time steps
-        raise SingularSystemError("least-squares fit of m(t) failed",
-                                  t_end=float(t[-1])) from None
+    # polyfit divides the t^2 column by its norm sqrt(sum t^4), which under-
+    # or overflows on the tiniest or largest times: LAPACK would get NaN
+    with np.errstate(over="ignore"):
+        t4 = np.sum((t * t) ** 2)
+    if not 0.0 < t4 < np.inf:
+        raise SingularSystemError("least-squares fit of m(t) failed", t_end=float(t[-1]))
+    coeffs = np.polyfit(t, m, 2)
     resid = m - np.polyval(coeffs, t)
     leading, linear, constant = np.ldexp(coeffs, e)
     return {

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -376,7 +377,7 @@ def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
       "alpha": 1.3407807929942597e154, "alpha_dot": 0.0}, "non-finite"),
     # t^2 underflows in the least-squares fit of m(t)
     (gauss_config(dt=5e-324), "singular-system"),
-    # the product of the masses with sin(theta) underflows
+    # 2 / m0 overflows at a subnormal mass
     ({"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1e-310,
       "Sigma1": [1.000000000000001], "m1": 1e-310}, "non-finite"),
     # Sigma1^(1/2) Sigma0 Sigma1^(1/2), or its symmetrization, overflows
@@ -518,6 +519,27 @@ def test_mass_fit_of_two_rows_is_a_singular_system(tmp_path, cfg):
     reason = load_summary(out)["reason"]
     assert reason["kind"] == "singular-system"
     assert reason["samples"] == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    {"m": 1e300, "xi": 1e4, "dt": 1e-160},
+    {"m": 1e-300, "xi": 1.0, "dt": 1e80},
+], ids=["t4-underflows", "t4-overflows"])
+def test_mass_fit_refuses_quietly_where_t4_leaves_the_range(tmp_path, capfd, overrides):
+    # polyfit divides the t^2 column by sqrt(sum t^4): where that is 0 or
+    # inf, LAPACK got NaN and wrote to stdout, or the fit lost its t^2 term,
+    # with numpy warnings on stderr; the fit is refused before it runs
+    cfg = gauss_config(steps=20, **overrides)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == "singular-system"
+    assert reason["t_end"] == 20 * overrides["dt"]
+    assert caught == []
+    assert capfd.readouterr() == (
+        "", "numerical failure in gauss-geodesic: least-squares fit of m(t) failed\n")
 
 
 def test_trace_size_limit_is_inclusive():
@@ -751,6 +773,38 @@ def test_bb_action_explicit_scaling_path(tmp_path):
     assert code == 0
     summary = load_summary(out)
     assert summary["action"] == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected
+def test_non_finite_trace_names_its_step(tmp_path):
+    # H0 = 2 V P^2 / m = 5e308 overflows in the first row of the trace
+    code, out = run_cli(tmp_path, gauss_config(V=[1e307], m=1.0, P=[5.0], xi=0.0))
+    assert code == 2
+    reason = load_summary(out)["reason"]
+    assert reason["kind"] == "non-finite"
+    assert reason["step"] == 0
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning on the way
+def test_cone_base_speed_beyond_the_square_range(tmp_path):
+    # |qdot0| = 1e160 squares beyond the largest double, but the cone
+    # energy alpha^2 |qdot0|^2 = 1e20 does not
+    cfg = {"command": "cone-geodesic", "base": "flat", "q": [0.0, 0.0],
+           "q_dot": [1e160, 0.0], "alpha": 1e-150, "alpha_dot": 0.0}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert load_summary(out)["final"]["H"] == pytest.approx(1e20, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning on the way
+def test_bb_action_radial_part_of_a_tiny_time_step(tmp_path):
+    # r from 1 to 2 over 1e-300: rdot^2 = 1e600 overflows, the action
+    # 4 rdot^2 dt = 4e300 does not
+    code, out = run_cli(tmp_path, bb_explicit_config(times=[0.0, 1e-300]))
+    assert code == 0
+    summary = load_summary(out)
+    assert summary["radial_part"] == pytest.approx(4e300, rel=1e-15)
+    assert summary["action"] == summary["radial_part"]
 
 
 def test_bb_action_from_small_run(tmp_path):

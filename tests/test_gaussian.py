@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from uotcone import gaussian
-from uotcone.cone import (ConeProblem, ConeState, cone_line, cone_ray,
+from uotcone.cone import (ConeProblem, ConeState, cone_line, cone_line_start, cone_ray,
                           integrate_cone, scaled_base)
 from uotcone.errors import (ApexCrossingError, MassError, NonFiniteError, ShootingError,
                             SingularSystemError, SpdError, SymmetryError)
@@ -517,7 +517,7 @@ def test_shoot_is_the_zero_mean_connection():
         npt.assert_array_equal(P0, conn.P0)
         assert xi0 == conn.xi0
         assert residual == conn.residual
-        npt.assert_array_equal(conn.pb0, 0.0)
+        npt.assert_array_equal(conn.v0, 0.0)
 
 
 def test_shoot_trace_rows_lie_on_the_cone_line():
@@ -558,33 +558,37 @@ def test_geodesic_ray_spd_loss_reports_the_first_time():
 
 def test_ray_of_the_two_point_data_is_the_cone_line():
     # the ray from (P0, xi0) alone runs along the line of the two-point
-    # solve: the same mass, and sigma(t) / sigma(1) is the base-arc fraction
+    # solve: the same mass, sigma(t) / sigma(1) is the base-arc fraction,
+    # and sigma(1) = 1 / sdot0
     rng = np.random.default_rng(25)
     t = np.linspace(0.0, 1.0, 101)
     for n in (1, 2, 3):
         S0, S1 = random_spd(rng, n), random_spd(rng, n)
         m0, m1 = rng.uniform(0.5, 2.0, size=2)
-        D, theta, s1, xi0 = gaussian._two_point(S0, m0, S1, m1)
-        S = 2.0 * D / (s1 * m0)
+        P0, xi0, _, _ = shoot_bvp(S0, m0, S1, m1)
+        theta = 0.5 * np.sqrt(bures_sq(S0, S1))
+        xi0_line, sdot0 = cone_line_start(m0, m1, theta)
+        assert xi0 == pytest.approx(xi0_line, rel=1e-12)
+        S = 2.0 * P0 / m0
         m_ray, sigma = cone_ray(m0, xi0, 0.5 * np.sqrt(np.sum((S0 @ S) * S)), t)
         m_line, s = cone_line(m0, m1, theta, t)
         npt.assert_allclose(m_ray, m_line, rtol=1e-13, atol=0.0)
         npt.assert_allclose(sigma / sigma[-1], s, rtol=0.0, atol=1e-13)
-        assert sigma[-1] == pytest.approx(0.5 * m0 * s1, rel=1e-13)
+        assert sigma[-1] == pytest.approx(1.0 / sdot0, rel=1e-13)
 
 
 def test_affine_mean_is_the_ray_mean():
-    # with means the ray's angular speed includes |pb0|^2 / (4 m0^2), and
-    # the mean b0 + sigma(t) pb0 / m0 is the mean of the closed-form path
+    # with means the ray's angular speed includes |v0|^2 / 4, and the mean
+    # b0 + sigma(t) v0 is the mean of the closed-form path
     g0, g1 = roadmap_pair()
     conn = connect_affine(g0, g1)
     S = 2.0 * conn.P0 / g0.m
-    omega0 = 0.5 * np.sqrt(np.sum((g0.Sigma @ S) * S) + conn.pb0 @ conn.pb0 / g0.m**2)
+    omega0 = 0.5 * np.sqrt(np.sum((g0.Sigma @ S) * S) + conn.v0 @ conn.v0)
     ts = np.linspace(0.0, 1.0, 11)
     m, sigma = cone_ray(g0.m, conn.xi0, omega0, ts)
     for t, mk, sk in zip(ts, m, sigma):
         out = conn.at(t)
-        npt.assert_allclose(out.mean, g0.mean + sk * conn.pb0 / g0.m, rtol=0.0, atol=1e-13)
+        npt.assert_allclose(out.mean, g0.mean + sk * conn.v0, rtol=0.0, atol=1e-13)
         assert out.m == pytest.approx(mk, rel=1e-13)
 
 
@@ -624,16 +628,14 @@ def test_covariance_path_lies_on_mccann_curve():
     assert np.max(np.abs(V - expected)) <= 1e-5
 
 
-@pytest.mark.parametrize("Sigma0, Sigma1, m", [
-    (1.0, (1.0 + 2e-8) ** 2, 2.0),       # theta ~ 1e-8
-    (2.3e-248, 1.15e-34, 2.3e-248),      # theta ~ 5.4e-18 between tiny masses
+@pytest.mark.parametrize("theta, m", [
+    (1e-8, 2.0),              # the angle of covariances 1 -> (1 + 2e-8)^2
+    (5.4e-18, 2.3e-248),      # of 2.3e-248 -> 1.15e-34, between tiny masses
 ], ids=["small-angle", "tiny-masses"])
-def test_two_point_xi0_keeps_its_relative_accuracy(Sigma0, Sigma1, m):
+def test_two_point_xi0_keeps_its_relative_accuracy(theta, m):
     # with m0 = m1 = m, xi0 = 2 (cos(theta) - 1) = -4 sin^2(theta / 2), which
     # the form 2 (sqrt(m0 m1) cos(theta) - m0) / m0 loses to cancellation
-    _, theta, _, xi0 = gaussian._two_point(np.array([[Sigma0]]), m,
-                                           np.array([[Sigma1]]), m)
-    assert 0.0 < theta < 1e-7
+    xi0, _ = cone_line_start(m, m, theta)
     assert xi0 == pytest.approx(-4.0 * np.sin(0.5 * theta) ** 2, rel=1e-14, abs=0.0)
 
 
@@ -799,13 +801,15 @@ def roadmap_pair():
             AffineGaussian(Sigma=2.0 * np.eye(2), mean=np.array([1.0, 0.5]), m=3.0))
 
 
-@pytest.mark.parametrize("scale", [*10.0 ** np.arange(-12, 13, 3), 1e-200])
+@pytest.mark.parametrize("scale", [*10.0 ** np.arange(-12, 13, 3), 1e-200, 1e-250, 1e-300])
 def test_landing_check_is_scale_free(scale, monkeypatch):
     # covariances and masses times scale, means times sqrt(scale): the exact
     # pair lands at every scale, and a landing that misses by a relative
     # 1e-6 in any one part is refused at every scale.  The cone angle grows
     # as sqrt(scale), so the endpoints differ by a relative 1e-6 (theta 0.4
-    # at scale 1e12).  At 1e-200 the squares of the entries underflow.
+    # at scale 1e12).  At 1e-200 the squares of the entries underflow.  The
+    # mean velocity sdot0 (b1 - b0) carries no power of the mass, so the
+    # means land at 1e-300 too.
     Sigma0 = np.array([[2.0, 0.3], [0.3, 1.0]])
     Sigma1 = Sigma0 + [[0.0, 0.0], [0.0, 1e-6]]
     b1 = np.array([1e-6, -5e-7])
@@ -839,8 +843,8 @@ def test_non_finite_landing_is_refused(monkeypatch):
 @pytest.mark.parametrize("scale", [1e-250, 1e-300])
 def test_zero_mean_pair_lands_at_tiny_masses_and_angle(scale):
     # covariances and masses times scale: the cone angle, about 6e-157 at
-    # 1e-300, times sqrt(m0 m1) underflows, and s1 = 2 theta / (sqrt(m0 m1)
-    # sin(theta)) must not read inf
+    # 1e-300, times sqrt(m0 m1) underflows, so the solve must not form that
+    # product
     Sigma0 = np.array([[2.0, 0.3], [0.3, 1.0]])
     Sigma1 = Sigma0 + [[0.0, 0.0], [0.0, 1e-6]]
     P0, xi0, trace, residual = shoot_bvp(scale * Sigma0, scale, scale * Sigma1, 1.5 * scale)
@@ -873,7 +877,7 @@ def test_affine_at_matches_the_recorded_flow():
         nn = n * n
         states = np.empty((1001, 2 * nn + 2 * n + 2))
         states[0] = np.concatenate([g0.Sigma.ravel(), conn.P0.ravel(), g0.mean,
-                                    conn.pb0, [g0.m, conn.xi0]])
+                                    g0.m * conn.v0, [g0.m, conn.xi0]])
         _rk4(lambda y: affine_rhs(y, n),
              lambda y: gaussian._project(y, n), states, 1e-3)
         for k in range(0, 1001, 50):
@@ -895,7 +899,7 @@ def test_affine_at_runs_no_flow(monkeypatch):
     def forbidden(*args):
         raise AssertionError("an RK4 flow or a two-point solve ran")
 
-    for name in ("_rk4", "_two_point", "_mccann_map"):
+    for name in ("_rk4", "cone_line_start", "_mccann_map"):
         monkeypatch.setattr(gaussian, name, forbidden)
     ts = np.linspace(0.0, 1.0, 101)
     m = [conn.at(t).m for t in ts]

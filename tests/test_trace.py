@@ -163,6 +163,15 @@ def test_write_csv_bytes_are_repr(values):
             assert f.read() == repr_csv(trace).encode("utf-8")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_trace_names_its_first_row(bad):
+    data = np.column_stack([np.arange(5.0), np.ones(5)])
+    data[[2, 4], 1] = bad
+    with pytest.raises(NonFiniteError) as exc:
+        GeodesicTrace(columns=("t", "m"), data=data)
+    assert exc.value.details["step"] == 2
+
+
 def test_trace_data_is_float64(tmp_path):
     trace = GeodesicTrace(("t", "m"), np.array([[0, 1], [1, 2]]))
     assert trace.data.dtype == np.float64
