@@ -300,12 +300,15 @@ def _balanced_factor(S, sigma):
     return lam, Q, c, np.eye(lam.size) + sigma[:, None, None] * S
 
 
-def _ray(V0, m0, P0, xi0, t, v0=None):
+def _ray(V0, m0, P0, xi0, t, v0=None, S0=None):
     """The geodesic from (V0, m0, P0, xi0) at the times t >= 0, in closed form.
 
     In the cone's flat picture it is the ray ``cone_ray(m0, xi0, omega0, t)``
     with S0 = 2 P0 / m0 and omega0^2 = tr(V0 S0^2) / 4 (plus |v0|^2 / 4 with
-    a mean velocity v0), both H0 / (2 m0) - xi0^2 / 4.
+    a mean velocity v0), both H0 / (2 m0) - xi0^2 / 4.  A caller that holds
+    S0 passes it, and it is used where 2 / m0 leaves the normal range (it
+    overflows at a subnormal m0), so every other ray keeps the bits of
+    2 P0 / m0.
     The covariance runs along the balanced curve by the cone angle sigma(t)
     (Takatsu, Osaka J. Math. 2011): V = C V0 C and P = P0 C^{-1} with
     C = I + sigma S0; the mass rate is mdot = m0 xi0 + H0 t.  Returns m, xi,
@@ -313,7 +316,9 @@ def _ray(V0, m0, P0, xi0, t, v0=None):
     singular C (the covariance leaves the SPD cone) raises SpdError with the
     index of the first such time (``_balanced_factor``).
     """
-    S0 = (2.0 / m0) * P0
+    rate = 2.0 / m0
+    if S0 is None or np.finfo(float).tiny <= rate <= np.finfo(float).max:
+        S0 = rate * P0
     omega2 = 0.25 * np.sum((V0 @ S0) * S0)
     if v0 is not None:
         omega2 = omega2 + 0.25 * (v0 @ v0)
@@ -382,8 +387,9 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     zero = np.zeros(np.shape(Sigma0)[:1])
     c = connect_affine(AffineGaussian(Sigma0, zero, m0), AffineGaussian(Sigma1, zero, m1), tol)
     steps = max(1, round(1.0 / dt))
-    start = GaussianCotangentState(V=c.g0.Sigma, m=c.g0.m, P=c.P0, xi=c.xi0)
-    return c.P0, c.xi0, geodesic_ray(start, 1.0 / steps, steps), c.residual
+    t = np.arange(steps + 1) * (1.0 / steps)
+    m, xi, _, V, P = _ray(c.g0.Sigma, c.g0.m, c.P0, c.xi0, t, S0=c.S0)
+    return c.P0, c.xi0, _geodesic_trace(t, V, m, P, xi), c.residual
 
 
 @dataclass(frozen=True)
@@ -407,12 +413,13 @@ class AffineConnection:
     g0: AffineGaussian
     g1: AffineGaussian
     P0: np.ndarray
+    S0: np.ndarray  # 2 P0 / m0 = sdot0 (T - I), for the ray where 2 / m0 overflows
     v0: np.ndarray
     xi0: float
 
     def at(self, t):
         m, _, sigma, V, _ = _ray(self.g0.Sigma, self.g0.m, self.P0, self.xi0,
-                                 np.array([t], dtype=float), self.v0)
+                                 np.array([t], dtype=float), self.v0, self.S0)
         mean = self.g0.mean + sigma[0] * self.v0
         return AffineGaussian(Sigma=V[0], mean=mean, m=float(m[0]))
 
@@ -462,9 +469,9 @@ def connect_affine(g0, g1, tol=1e-8):
     D = _mccann_map(Sigma0, Sigma1) - np.eye(n)
     theta = 0.5 * math.sqrt(max(np.sum((D @ Sigma0) * D), 0.0) + db @ db)
     xi0, sdot0 = cone_line_start(g0.m, g1.m, theta)
-    conn = AffineConnection(g0, g1, P0=(0.5 * g0.m * sdot0) * D, v0=sdot0 * db, xi0=xi0)
+    conn = AffineConnection(g0, g1, P0=(0.5 * g0.m * sdot0) * D, S0=sdot0 * D,
+                            v0=sdot0 * db, xi0=xi0)
     if not np.isfinite(conn.residual):
-        # the ray itself overflows: 2 / m0 for the tiniest masses
         raise NonFiniteError("the ray from the solved initial data is not finite",
                              residual=conn.residual, theta=theta)
     if conn.residual > tol:

@@ -80,7 +80,7 @@ class GeodesicTrace:
 _BLOCK_ENTRIES = 2**15
 
 # A chunk of this many entries, rows or parts of rows, is formatted at a
-# time: the peak of its temporaries is 1.1 MB, where a 36k-entry trace at
+# time: the peak of its temporaries is 1.0 MB, where a 36k-entry trace at
 # once would take 9 MB.  Chunks of 2048 entries were 14% slower on 36-column
 # rows, and of 8192 no faster there and 9% faster on 516-column rows.
 _CHUNK_ENTRIES = 4096
@@ -112,10 +112,20 @@ def _csv_chunks(rows):
 # uint64 arithmetic.  Two changes from the Java reference make its digits
 # Python's: the smallest subnormals are not rescaled by 10, and the
 # multiples of 10^(k+1) are tried from two digits on, not three (Java prints
-# 4.9E-324 and 7.9E-323 where repr prints 5e-324 and 8e-323).
+# 4.9E-324 and 7.9E-323 where repr prints 5e-324 and 8e-323).  A third
+# makes it cheaper: Schubfach multiplies g by the centre 4c 2^h of the
+# rounding interval and by both of its ends, three 64 x 126-bit products;
+# here the centre's product is formed exactly, and the ends are it plus and
+# minus g 2^(h+1), a table entry, in limb additions (after Dragonbox:
+# J. Jeon, "Dragonbox: A New Floating-Point Binary-to-Decimal Conversion
+# Algorithm", 2020, which needs one product as well).  Rounding each of the
+# three exact 190-bit sums down to a multiple of 2^64 leaves the value that
+# rop rounds to odd within Schubfach's bounds, so the digits do not change.
 
 _U = np.uint64
-_K_MIN = -324  # the decimal exponents k of the table, K_MIN .. 292
+_M32 = _U(2**32 - 1)
+_M63 = _U(2**63 - 1)
+_K_MIN = -324  # the decimal exponents k of the powers of ten, K_MIN .. 292
 
 
 def _flog2pow10(e):
@@ -124,10 +134,9 @@ def _flog2pow10(e):
 
 
 def _pow10_table():
-    """One column per k = _K_MIN .. 292 of g = floor(10^-k / 2^r) + 1, the
-    126-bit overestimate of 10^-k (r = floor(log2(10^-k)) - 125), built
-    exactly from Python ints: g1 = g >> 63, then the low and high 32-bit
-    halves of g1 and of g0 = g mod 2^63."""
+    """g = floor(10^-k / 2^r) + 1 for k = _K_MIN .. 292, the 126-bit
+    overestimate of 10^-k (r = floor(log2(10^-k)) - 125), built exactly
+    from Python ints, as the uint64 rows g >> 63 and g mod 2^63."""
     tens = [1]
     for _ in range(-_K_MIN):
         tens.append(10 * tens[-1])
@@ -138,9 +147,54 @@ def _pow10_table():
             g.append((tens[-k] >> r if r >= 0 else tens[-k] << -r) + 1)
         else:
             g.append((1 << -r) // tens[k] + 1)
-    g1, g0 = np.array([[v >> 63 for v in g], [v & (2**63 - 1) for v in g]], dtype=_U)
-    low = _U(2**32 - 1)
-    return np.stack([g1, g1 & low, g1 >> _U(32), g0 & low, g0 >> _U(32)])
+    return np.array([[v >> 63 for v in g], [v & (2**63 - 1) for v in g]], dtype=_U)
+
+
+def _limbs(g1, g0, e):
+    """g 2^e for g = g1 2^63 + g0 and 1 <= e <= 6, as the rows of its parts
+    above 2^127, from 2^64 to 2^127 (63 bits) and below 2^64."""
+    e = e.astype(_U)
+    return np.stack([g1 >> (_U(64) - e), (g1 << (e - _U(1))) & _M63 | g0 >> (_U(64) - e),
+                     g0 << e])
+
+
+def _exponent_tables():
+    """What _decimal reads for an entry with biased exponent bq, in column
+    j = bq, or j = 4095 - bq where the significand bits t are 0: a power of
+    two has a closer lower neighbour (an irregular interval), except at
+    bq <= 1.  Arrays of at most two rows, so that no gather of 4096
+    entries outgrows malloc's mmap threshold:
+    - k, with |x| = c 2^q, k = floor(log10(2^q)) (of 3/4 2^q if irregular);
+    - h + 2 and the implicit bit 2^(52 + h + 2) (0 for subnormals), with
+      h = q + floor(log2(10^-k)) + 2;
+    - the limbs g >> 63 and g mod 2^63 of the power of ten of k;
+    - the limbs of the distances g 2^(h+1) from the centre of the rounding
+      interval to its upper end and, negated modulo 2^191, g 2^(h+1) or,
+      if irregular, g 2^h to its lower end: the parts above 2^127, then
+      from 2^64 to 2^127, then below 2^64, complemented; both are 0 in
+      column 4095, where t = bq = 0, so zeros come out as f = 0."""
+    j = np.arange(4096)
+    bq = np.where(j < 2048, j, 4095 - j)
+    irregular = (j >= 2048) & (bq > 1)
+    q = np.maximum(bq, 1) - 1075
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = q + _flog2pow10(-k) + 2
+    g1, g0 = _pow10_table()[:, k - _K_MIN]
+    sh = h.astype(_U) + _U(2)
+    up = _limbs(g1, g0, h + 1)
+    down = _limbs(g1, g0, h + 1 - irregular)
+    # -down = ~down + 1, the 1 carried up while the lower limbs are 0
+    down = ~down
+    down[1] &= _M63
+    down[2] += _U(1)
+    down[1] += down[2] == 0
+    down[0] += down[1] >> _U(63)
+    down[1] &= _M63
+    ends = np.stack([up, down], axis=1)
+    ends[:, :, 4095] = 0  # x = 0: P = 0 and vb = vbl = vbr = 0
+    ends[2] = ~ends[2]
+    return (k, np.stack([sh, (bq >= 1).astype(_U) << (_U(52) + sh)]), np.stack([g1, g0]),
+            *ends)
 
 
 def _quads():
@@ -152,7 +206,7 @@ def _quads():
     return quads.view(np.uint32).ravel()
 
 
-_G = _pow10_table()
+_EXP_K, _EXP_SHIFT, _EXP_G, _EXP_TOP, _EXP_MID, _EXP_LOW = _exponent_tables()
 _POW10 = 10 ** np.arange(18, dtype=_U)
 _QUADS = _quads()
 # Each entry is one column of these characters, of which a mask keeps those
@@ -164,9 +218,11 @@ _PLACE = np.arange(1, 18, dtype=np.uint8)[:, None]  # digit number
 _PREFIX = np.array([0, 0, 1, 2, 3], dtype=np.int16)[:, None]
 
 
-def _mulhi(a0, a1, b0, b1):
-    """High 64 bits of (a1 2^32 + a0) (b1 2^32 + b0), for 32-bit a0, b0,
-    a1 < 2^31 and b1 < 2^27, elementwise."""
+def _mulhi(a, b0, b1):
+    """High 64 bits of a (b1 2^32 + b0), for a < 2^63, 32-bit b0 and
+    b1 < 2^28, elementwise."""
+    a0 = a & _M32
+    a1 = a >> _U(32)
     out = a0 * b0
     out >>= _U(32)
     tmp = a1 * b0
@@ -183,55 +239,67 @@ def _decimal(x):
     """The significands f (uint64, 0 for zeros) and exponents k of the
     shortest closest decimals |x| = f 10^k of finite float64 entries x."""
     bits = x.view(_U)
-    bq = (bits >> _U(52)).astype(np.int64) & 0x7FF
     t = bits & _U(2**52 - 1)
-    normal = np.minimum(bq, 1)
-    c = t | normal.astype(_U) << _U(52)  # |x| = c 2^q
-    q = bq - normal - 1074
-    # a power of two has a closer lower neighbour: an irregular interval
-    irregular = (t == 0) & (bq > 1)
-    # floor(log10(2^q)), or floor(log10(3/4 2^q)) for irregular ones
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = q + _flog2pow10(-k) + 2
-    g1, g1l, g1h, g0l, g0h = _G.take(k - _K_MIN, axis=1, mode="clip")
-    # 4c and the ends of its rounding interval, times 2^h
-    cp = np.empty((3, x.size), _U)
-    np.left_shift(c, _U(2), out=cp[0])
-    cp[1] = cp[0] - _U(2) + irregular
-    cp[2] = cp[0] + _U(2)
-    cp <<= h.astype(_U)
-    # vb, vbl, vbr = rop(g cp): g cp / 2^127 rounded to odd, all three at once
-    c0 = cp & _U(0xFFFFFFFF)
-    c1 = cp >> _U(32)
-    z = np.multiply(g1, cp, out=cp)
-    z >>= _U(1)
-    z += _mulhi(g0l, g0h, c0, c1)
-    v = _mulhi(g1l, g1h, c0, c1)
-    v += z >> _U(63)
-    z &= _U(2**63 - 1)
-    z += _U(2**63 - 1)
-    z >>= _U(63)
-    v |= z
-    vb, vbl, vbr = v
-    # an even c keeps the ends of its interval
-    vbl += c & _U(1)
-    vbr -= c & _U(1)
+    j = bits >> _U(52)
+    j &= _U(0x7FF)
+    j ^= (t - _U(1)) >> _U(52)  # 4095 - bq where t = 0
+    j = j.view(np.intp)
+    sh, cb = _EXP_SHIFT.take(j, axis=1)
+    # the centre 4c 2^h of the rounding interval, and its product with g,
+    # P = H1 2^127 + L1 2^63 + H0 2^64 + L0
+    cb |= t << sh
+    c0 = np.bitwise_and(cb, _M32, out=sh)
+    c1 = cb >> _U(32)
+    G = _EXP_G.take(j, axis=1)
+    H1, H0 = _mulhi(G, c0, c1)
+    L1, L0 = np.multiply(G, cb, out=G)
+    # P = (A 2^63 + fh) 2^64 + lo, with 63-bit fh
+    L1_63 = np.left_shift(L1, _U(63), out=c0)
+    lo = L0 + L1_63
+    L0 &= L1_63
+    L0 >>= _U(63)  # the carry out of lo
+    L1 >>= _U(1)
+    L1 += H0
+    L1 += L0
+    A = np.right_shift(L1, _U(63), out=H0)
+    A += H1
+    fh = np.bitwise_and(L1, _M63, out=L1)
+    # vb and (vbr, vbl): rop of the centre P and of its ends P + D (D
+    # negative for the lower end), each first rounded down to a multiple of
+    # 2^64: the bits above 2^127, and 1 where any of the 63 below is set
+    vb = np.minimum(fh, _U(1), out=H1)
+    vb |= A
+    ends = _EXP_TOP.take(j, axis=1)
+    ends += A
+    mid = _EXP_MID.take(j, axis=1)
+    mid += fh
+    mid += lo > _EXP_LOW.take(j, axis=1)  # the carry out of the lowest limbs
+    ends += mid >> _U(63)
+    mid <<= _U(1)
+    ends |= np.minimum(mid, _U(1), out=mid)
+    # the digits d with 4d in the interval, a .. b, where an even c keeps
+    # its ends
+    b, a = ends
+    c = np.bitwise_and(t, _U(1), out=t)
+    b -= c
+    a += c
+    a += _U(3)
+    ends >>= _U(2)
+    # s or s + 1: the closer of the two in a .. b, ties to even
     s = vb >> _U(2)
-    # one digit fewer: u' and w' = u' + 10, the multiples of 10^(k+1) around
-    sp = s // _U(10) * _U(10)
-    upin = vbl <= sp << _U(2)
-    wpin = (sp << _U(2)) + _U(40) <= vbr
-    shorter = (upin != wpin) & (s >= _U(10))
-    # else s or s + 1: the one in the interval, or the closer, ties to even
-    uin = vbl <= s << _U(2)
-    win = (s << _U(2)) + _U(4) <= vbr
-    above_half = (vb & _U(3)) + (s & _U(1)) > _U(2)
-    f = s + (win & (~uin | above_half))
-    sp += _U(10) * wpin  # the one of u', w' in the interval
-    sp -= f
-    f += sp * shorter
-    f *= c != 0
-    return f, k
+    f = s & _U(1)
+    f += vb
+    f += _U(1)
+    f >>= _U(2)
+    np.maximum(f, a, out=f)
+    np.minimum(f, b, out=f)
+    # one digit fewer: the multiple of 10 in a .. b (fewer than 10 wide, so
+    # it holds at most one), if there is one and s has two digits
+    tens = b // _U(10)
+    tens *= _U(10)
+    shorter = tens >= a
+    shorter &= s >= _U(10)
+    return np.where(shorter, tens, f), _EXP_K.take(j)
 
 
 def _csv_chunk(x, cols, start):

@@ -377,9 +377,6 @@ def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
       "alpha": 1.3407807929942597e154, "alpha_dot": 0.0}, "non-finite"),
     # t^2 underflows in the least-squares fit of m(t)
     (gauss_config(dt=5e-324), "singular-system"),
-    # 2 / m0 overflows at a subnormal mass
-    ({"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1e-310,
-      "Sigma1": [1.000000000000001], "m1": 1e-310}, "non-finite"),
     # Sigma1^(1/2) Sigma0 Sigma1^(1/2), or its symmetrization, overflows
     # before its eigendecomposition
     ({"command": "gauss-connect", "n": 2, "Sigma0": [1e154, 0.0, 0.0, 1e154], "m0": 1.0,
@@ -393,7 +390,7 @@ def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
                  1.6159451695627658]}, "non-finite"),
 ], ids=["fr-mass", "pde-metric-mass", "pde-metric-h2", "pde-metric-xi2",
         "pde-evolve-xi2", "cone-rhs", "cone-mass", "gauss-fit",
-        "connect-tiny-angle", "connect-symmetrize", "connect-eigh"])
+        "connect-symmetrize", "connect-eigh"])
 def test_overflow_is_a_typed_failure(tmp_path, capsys, cfg, kind):
     # finite, schema-valid inputs whose intermediate values leave the range
     # of doubles
@@ -425,6 +422,20 @@ def test_gauss_connect_tiny_masses_solve(tmp_path):
     assert summary["xi0"] == pytest.approx(-4.0 * half_sin2, rel=1e-12, abs=0.0)
     H = summary["final"]["H"]
     assert H == pytest.approx(8.0 * 2.3e-248 * half_sin2, rel=1e-12, abs=0.0)
+
+
+def test_gauss_connect_lands_at_subnormal_masses(tmp_path):
+    # 2 / m0 overflows at m0 = 1e-310, but the ray takes its covariance rate
+    # sdot0 (T - I) from the two-point solve, not 2 P0 / m0
+    cfg = {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1e-310,
+           "Sigma1": [1.000000000000001], "m1": 1e-310}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    summary = load_summary(out)
+    assert summary["endpoint_residual"] <= 1e-8
+    rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+    np.testing.assert_allclose(rows[:, 1], 1e-310, rtol=1e-12, atol=0.0)
+    assert rows[-1, 4] == pytest.approx(1.000000000000001, rel=1e-15, abs=0.0)
 
 
 def bb_explicit_config(**overrides):
@@ -805,6 +816,18 @@ def test_bb_action_radial_part_of_a_tiny_time_step(tmp_path):
     summary = load_summary(out)
     assert summary["radial_part"] == pytest.approx(4e300, rel=1e-15)
     assert summary["action"] == summary["radial_part"]
+
+
+@pytest.mark.parametrize("w, r, action", [(1e160, 1e-100, 1e120), (1e-170, 1e100, 1e-140)],
+                         ids=["square-overflows", "square-underflows"])
+def test_bb_action_transport_part_of_an_extreme_flux(tmp_path, w, r, action):
+    # w^2 = 1e320 overflows and w^2 = 1e-340 underflows, but the transport
+    # action r^2 h sum w^2 / rhobar = 2 pi (r w)^2 does not
+    code, out = run_cli(tmp_path, bb_explicit_config(w=[[w] * 8] * 2, r=[r] * 2))
+    assert code == 0
+    summary = load_summary(out)
+    assert summary["transport_part"] == pytest.approx(TWO_PI * action, rel=1e-15, abs=0.0)
+    assert summary["action"] == summary["transport_part"]
 
 
 def test_bb_action_from_small_run(tmp_path):

@@ -179,11 +179,31 @@ def test_trace_data_is_float64(tmp_path):
     assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == "t,m\n0.0,1.0\n1.0,2.0\n"
 
 
+def test_write_csv_bytes_are_repr_on_random_bit_patterns(tmp_path):
+    # 2^16 random finite doubles, 32 at each biased exponent 0 .. 2046 (so
+    # subnormals too) with random sign and significand bits, then the edges
+    # of the rounding intervals: c = 2^52 at every binary exponent (an
+    # irregular interval from 2^-1021 on) with both neighbours, and the two
+    # smallest subnormals
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64 - 1, 2**16, dtype=np.uint64, endpoint=True)
+    exponent = (np.arange(bits.size) % 2047).astype(np.uint64)
+    bits = bits & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+    powers = np.ldexp(1.0, np.arange(-1022, 1024))
+    values = np.concatenate([bits.view(np.float64), powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf), [5e-324, 1e-323]])
+    values = np.resize(values, (-(-values.size // 15), 15))
+    trace = GeodesicTrace(columns=tuple(f"c{i}" for i in range(16)),
+                          data=np.column_stack([np.arange(len(values)), values]))
+    trace.write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == repr_csv(trace).encode("utf-8")
+
+
 @pytest.mark.parametrize("rows, cols", [(1001, 36), (11, 16388)])
 def test_formatting_memory_is_bounded(rows, cols):
     # a 1001 x 36 trace (gauss-geodesic at n = 4) and one of rows longer
     # than a chunk (fr-geodesic at n = 16384) are formatted a chunk at a
-    # time: the peak of the temporaries, 1.08 MB with numpy 2.4, stays near
+    # time: the peak of the temporaries, 0.99 MB with numpy 2.4, stays near
     # one chunk's, not the 0.8 MB of text and the 9.3 MB of temporaries of
     # the 1001 x 36 trace at once
     trace = big_trace(rows, cols)
