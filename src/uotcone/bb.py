@@ -80,39 +80,22 @@ def bb_action(path, continuity_tol=DEFAULT_CONTINUITY_TOL):
     if res > continuity_tol:
         raise ContinuityError("path violates the continuity constraint",
                               residual=res, tol=continuity_tol)
+    # the transport integrand h sum (r w)^2 / rhobar, formed in place: the
+    # radius scales the flux before the square, so a flux of 1e160 on radii
+    # of 1e-100 gives the action it carries, not an overflow
     rb_half = _half(path.grid, path.rhobar)
-    h = path.grid.h
-    with np.errstate(over="ignore", invalid="ignore"):
-        r2, w2 = path.r**2, path.w**2
-        transport_nodes = r2 * h * np.sum(w2 / rb_half, axis=1)
-    # h sum (r w)^2 / rhobar only at the times where r^2 or a nonzero w^2
-    # leaves the normal range (a flux of 1e160 on radii of 1e-100 overflows
-    # w^2, the action need not), so every other time keeps its bits: an
-    # overflow shows in the plain sum, and only times with a square below
-    # the normal range are searched for a nonzero flux
-    low = np.min(w2, axis=1) < np.finfo(float).tiny
-    low[low] = np.any((w2[low] < np.finfo(float).tiny) & (path.w[low] != 0.0), axis=1)
-    extreme = ~np.isfinite(transport_nodes) | ~_normal(r2) | low
-    if extreme.any():
-        rw = path.r[extreme, None] * path.w[extreme]
-        transport_nodes[extreme] = h * np.sum(rw**2 / rb_half[extreme], axis=1)
+    rw = path.r[:, None] * path.w
+    rw *= rw
+    rw /= rb_half
+    transport_nodes = path.grid.h * np.sum(rw, axis=1)
     dts = np.diff(path.times)
     transport = float(np.sum(0.5 * (transport_nodes[1:] + transport_nodes[:-1]) * dts))
+    # 4 rdot (rdot dt): on times 1e-300 apart rdot^2 overflows, the action
+    # need not
     rdot = np.diff(path.r) / dts
-    # 4 rdot (rdot dt) only where rdot^2 leaves the normal range (on times
-    # 1e-300 apart it overflows, the action need not), so every other term
-    # keeps its bits
-    with np.errstate(over="ignore"):
-        square = rdot**2
-    radial = float(np.sum(np.where(_normal(square), 4.0 * square * dts,
-                                   4.0 * rdot * (rdot * dts))))
+    radial = float(np.sum(4.0 * rdot * (rdot * dts)))
     return BBResult(action=transport + radial, transport_part=transport,
                     radial_part=radial, continuity_residual=res)
-
-
-def _normal(x):
-    """Where x lies in the normal range of doubles, tiny .. max."""
-    return (x >= np.finfo(float).tiny) & (x <= np.finfo(float).max)
 
 
 def from_small_trace(trace, grid):

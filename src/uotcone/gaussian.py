@@ -96,7 +96,8 @@ def group_metric_eval(A, m, Adot, mdot, Sigma):
 
     The Gaussian integral of |Adot x|^2 against the reference density with
     covariance Sigma evaluates in closed form to tr(Sigma Adot^T Adot), so the
-    value is m tr(Sigma Adot^T Adot) + mdot^2 / m.
+    value is m tr(Sigma Adot^T Adot) + mdot (mdot / m), with the mass divided
+    out before the square.
     """
     if m <= 0.0:
         raise MassError("mass must be positive", m=float(m))
@@ -106,7 +107,7 @@ def group_metric_eval(A, m, Adot, mdot, Sigma):
         raise SingularSystemError("A must be invertible")
     Sigma = require_spd(Sigma, "Sigma")
     Adot = np.asarray(Adot, dtype=float)
-    return _finite(m * np.trace(Sigma @ (Adot.T @ Adot)) + np.float64(mdot) ** 2 / m)
+    return _finite(m * np.trace(Sigma @ (Adot.T @ Adot)) + mdot * (mdot / m))
 
 
 def base_metric_eval(V, m, X, xi):
@@ -170,7 +171,11 @@ def _pack_state(state, n):
 def _gauss_rhs(y, n):
     """The canonical equations on packed states: one state (2n^2 + 2 entries)
     or a stack of them along a leading member axis, with the matrix products
-    broadcast over the stack."""
+    broadcast over the stack.
+
+    They are written in S = P / m, which carries no mass: Vdot = 2 (SV + VS),
+    Pdot = -2 P S and xidot = 2 tr(V P S) / m - xi^2 / 2, so no product
+    holds a power of the mass above one."""
     nn = n * n
     lead = y.shape[:-1]
     mat = (*lead, n, n)
@@ -179,17 +184,17 @@ def _gauss_rhs(y, n):
     P = y[..., nn:2 * nn].reshape(mat)
     m = y[..., -2]
     xi = y[..., -1]
-    mm = m[..., None, None]
-    PV = P @ V
-    P2 = P @ P
+    S = P / m[..., None, None]
+    SV = S @ V
+    PS = P @ S
     out = np.empty_like(y)
-    out[..., :nn] = ((2.0 / mm) * (PV + PV.swapaxes(-1, -2))).reshape(flat)
-    out[..., nn:2 * nn] = ((-2.0 / mm) * P2).reshape(flat)
+    out[..., :nn] = (2.0 * (SV + SV.swapaxes(-1, -2))).reshape(flat)
+    out[..., nn:2 * nn] = (-2.0 * PS).reshape(flat)
     out[..., -2] = xi * m
-    # tr(V P^2) summed in entry order: the pairwise .sum regroups the terms
+    # tr(V P S) summed in entry order: the pairwise .sum regroups the terms
     # of more than 8 entries, so the zeros of a padded state (_pack_state)
     # would change the rounding; a sequential sum only adds exact zeros
-    out[..., -1] = (2.0 / m**2) * (V * P2).reshape(flat).cumsum(-1)[..., -1] - 0.5 * xi * xi
+    out[..., -1] = 2.0 * (V * PS).reshape(flat).cumsum(-1)[..., -1] / m - 0.5 * xi * xi
     return out
 
 
@@ -300,15 +305,15 @@ def _balanced_factor(S, sigma):
     return lam, Q, c, np.eye(lam.size) + sigma[:, None, None] * S
 
 
-def _ray(V0, m0, P0, xi0, t, v0=None, S0=None):
+def _ray(V0, m0, P0, S0, xi0, t, v0=None):
     """The geodesic from (V0, m0, P0, xi0) at the times t >= 0, in closed form.
 
     In the cone's flat picture it is the ray ``cone_ray(m0, xi0, omega0, t)``
-    with S0 = 2 P0 / m0 and omega0^2 = tr(V0 S0^2) / 4 (plus |v0|^2 / 4 with
-    a mean velocity v0), both H0 / (2 m0) - xi0^2 / 4.  A caller that holds
-    S0 passes it, and it is used where 2 / m0 leaves the normal range (it
-    overflows at a subnormal m0), so every other ray keeps the bits of
-    2 P0 / m0.
+    with omega0^2 = tr(V0 S0^2) / 4 (plus |v0|^2 / 4 with a mean velocity
+    v0), both H0 / (2 m0) - xi0^2 / 4.  S0 = 2 P0 / m0 carries no mass, and
+    the caller forms it: ``geodesic_ray`` as (2 / m0) P0, ``connect_affine``
+    as sdot0 (T - I), which stays representable at a subnormal m0, where
+    2 / m0 overflows.
     The covariance runs along the balanced curve by the cone angle sigma(t)
     (Takatsu, Osaka J. Math. 2011): V = C V0 C and P = P0 C^{-1} with
     C = I + sigma S0; the mass rate is mdot = m0 xi0 + H0 t.  Returns m, xi,
@@ -316,9 +321,6 @@ def _ray(V0, m0, P0, xi0, t, v0=None, S0=None):
     singular C (the covariance leaves the SPD cone) raises SpdError with the
     index of the first such time (``_balanced_factor``).
     """
-    rate = 2.0 / m0
-    if S0 is None or np.finfo(float).tiny <= rate <= np.finfo(float).max:
-        S0 = rate * P0
     omega2 = 0.25 * np.sum((V0 @ S0) * S0)
     if v0 is not None:
         omega2 = omega2 + 0.25 * (v0 @ v0)
@@ -339,7 +341,8 @@ def geodesic_ray(initial, dt, steps):
         raise ValueError("dt must be positive")
     state = initial.validate()
     t = np.arange(steps + 1) * dt
-    m, xi, _, V, P = _ray(state.V, state.m, state.P, state.xi, t)
+    S0 = (2.0 / state.m) * state.P
+    m, xi, _, V, P = _ray(state.V, state.m, state.P, S0, state.xi, t)
     return _geodesic_trace(t, V, m, P, xi)
 
 
@@ -388,7 +391,7 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     c = connect_affine(AffineGaussian(Sigma0, zero, m0), AffineGaussian(Sigma1, zero, m1), tol)
     steps = max(1, round(1.0 / dt))
     t = np.arange(steps + 1) * (1.0 / steps)
-    m, xi, _, V, P = _ray(c.g0.Sigma, c.g0.m, c.P0, c.xi0, t, S0=c.S0)
+    m, xi, _, V, P = _ray(c.g0.Sigma, c.g0.m, c.P0, c.S0, c.xi0, t)
     return c.P0, c.xi0, _geodesic_trace(t, V, m, P, xi), c.residual
 
 
@@ -406,20 +409,20 @@ class AffineConnection:
     The path is the ray of the flat picture from the solved initial data
     (P0, v0, xi0) at g0 (``_ray``): the mass is m(t), the covariance runs
     along the balanced curve Sigma(t) = C Sigma0 C with C = I + sigma(t) S0,
-    S0 = 2 P0 / m0, and the mean is b0 + sigma(t) v0, as the conserved mean
-    momentum m bdot = m0 v0 of the canonical flow gives it.
+    S0 = 2 P0 / m0 = sdot0 (T - I), and the mean is b0 + sigma(t) v0, as the
+    conserved mean momentum m bdot = m0 v0 of the canonical flow gives it.
     """
 
     g0: AffineGaussian
     g1: AffineGaussian
     P0: np.ndarray
-    S0: np.ndarray  # 2 P0 / m0 = sdot0 (T - I), for the ray where 2 / m0 overflows
+    S0: np.ndarray  # sdot0 (T - I) = 2 P0 / m0
     v0: np.ndarray
     xi0: float
 
     def at(self, t):
-        m, _, sigma, V, _ = _ray(self.g0.Sigma, self.g0.m, self.P0, self.xi0,
-                                 np.array([t], dtype=float), self.v0, self.S0)
+        m, _, sigma, V, _ = _ray(self.g0.Sigma, self.g0.m, self.P0, self.S0, self.xi0,
+                                 np.array([t], dtype=float), self.v0)
         mean = self.g0.mean + sigma[0] * self.v0
         return AffineGaussian(Sigma=V[0], mean=mean, m=float(m[0]))
 

@@ -179,16 +179,10 @@ def hamiltonian_small(state):
 
 
 def _hamiltonian_small(state, m, pairing):
-    # a numpy square overflows to inf instead of raising OverflowError, and
-    # underflows: only where the square of the pairing leaves the normal
-    # range (beyond 1.3e154 or below 1.5e-154), pairing (pairing / m) gives
-    # the term, so every other value keeps its bits
-    pairing = np.float64(pairing)
-    square = pairing**2
-    term = 0.5 * square / m
-    normal = (square >= np.finfo(float).tiny) & (square <= np.finfo(float).max)
-    if not np.all(normal):
-        term = np.where(normal, term, 0.5 * pairing * (pairing / m))
+    # pairing (pairing / m): the quotient carries no mass, so the term is
+    # lam times as large for a density lam times as large, wherever it is
+    # representable (the square of the pairing overflows from 1.3e154 on)
+    term = 0.5 * pairing * (pairing / m)
     H = 0.5 * kinetic_energy(state.grid, state.rho, state.theta) + term
     if not np.all(np.isfinite(H)):
         raise NonFiniteError("the Hamiltonian overflows")
@@ -404,7 +398,7 @@ def gdiv_metric_eval(grid, rho, rhodot):
     S, _ = solve_potential(grid, rho, rhodot)
     rho = np.asarray(rho, dtype=float)
     rhodot = np.asarray(rhodot, dtype=float)
-    fisher_rao = float(grid.h * np.sum(rhodot**2 / rho))
+    fisher_rao = float(grid.h * np.sum(rhodot * (rhodot / rho)))
     return _finite(kinetic_energy(grid, rho, S) + fisher_rao)
 
 

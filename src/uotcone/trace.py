@@ -70,13 +70,14 @@ class GeodesicTrace:
                         f.write(chunk)
 
 
-# Writing one entry takes about 0.4 us, and a worker costs its fork, its
-# copy-on-write faults, the copy through its pipe and its reaping.  Timed
-# in one process at 80 MB RSS (2-core Xeon, CPython 3.11.7, numpy 2.4),
-# interleaved, a trace split into two blocks was faster than one block in
-# 4 of 30 pairs at 36k entries, 17 of 40 at 41k, 33 of 40 at 49k (-11%)
-# and 38 of 40 at 82k (-20%): a block of 2**15 entries is the least worth
-# a worker.
+# Writing one entry takes 0.26-0.35 us on one block, and a worker costs
+# its fork, its copy-on-write faults, the copy through its pipe and its
+# reaping.  Timed in one process at 80 MB RSS (2-core Xeon, CPython 3.11.7,
+# numpy 2.4.6) on gauss-geodesic n = 4 traces, in two runs of 40
+# interleaved pairs, a trace split into two blocks was faster than one
+# block in 0-1 pairs at 18k entries, 12-21 at 36k, 31-32 at 41k (-5 to
+# -8%), 31-33 at 49k (-13%) and 32-34 at 82k (-16 to -21%): the break-even
+# lies near 38k entries, and a block of 2**15 entries pays for its worker.
 _BLOCK_ENTRIES = 2**15
 
 # A chunk of this many entries, rows or parts of rows, is formatted at a
