@@ -1,12 +1,13 @@
 """Finite-dimensional conical model on Gaussian densities.
 
-Points are (covariance, total mass) pairs on Sym_+(n) x R_+.  Velocities of
-the covariance are encoded through the continuous Lyapunov equation
-X = SV + VS, the momentum dual to Xdot is P = m S / 2, and the Hamiltonian
+Points are (covariance, total mass) pairs on Sym_+(n) x R_+.  The velocity
+is the mass-free pair (S, xi): the covariance moves by Vdot = SV + VS (the
+continuous Lyapunov equation) and the mass by mdot = xi m.  The momentum
+P = m S / 2 is only its Legendre dual: every formula divides P by the mass
+first and works in S = 2 P / m, and the Hamiltonian is the kinetic energy
 
-    H = (2/m) tr(V P^2) + m xi^2 / 2
+    H = m (tr(V S^2) + xi^2) / 2.
 
-is the Legendre transform of the kinetic energy m (tr(V S S) + xi^2) / 2.
 Along the canonical flow the total mass satisfies d^2 m / dt^2 = H exactly.
 """
 
@@ -140,19 +141,13 @@ class GaussianCotangentState:
 
 
 def hamiltonian(state):
-    """H = (2/m) tr(V P^2) + m xi^2 / 2; equals half the metric energy of the
-    velocity reconstructed from P.  A state of stacked V, P (leading axis)
-    and arrays m, xi gives an array."""
+    """H = m (tr(V S^2) + xi^2) / 2 with S = 2 P / m: half the metric energy
+    of the velocity reconstructed from P.  A state of stacked V, P (leading
+    axis) and arrays m, xi gives an array."""
     if np.any(state.m <= 0.0):
         raise MassError("mass must be positive", m=float(np.min(state.m)))
-    # 2 tr(V P^2) / m with P scaled by a power of two near 1 / m: tr(V P^2)
-    # underflows for tiny masses, whose momenta are tiny too, and the exact
-    # scaling gives the bits of the direct formula wherever that formula
-    # stays clear of the subnormal range
-    frac, e = np.frexp(state.m)
-    Ps = np.ldexp(state.P, -np.expand_dims(e, (-2, -1)))
-    kinetic = np.sum((state.V @ Ps) * Ps, axis=(-2, -1))
-    H = np.ldexp(2.0 * kinetic / frac, e) + 0.5 * state.m * state.xi**2
+    S = 2.0 * (state.P / np.expand_dims(state.m, (-2, -1)))
+    H = 0.5 * state.m * (np.sum((state.V @ S) * S, axis=(-2, -1)) + state.xi**2)
     return H if np.ndim(H) else float(H)
 
 
@@ -173,9 +168,9 @@ def _gauss_rhs(y, n):
     or a stack of them along a leading member axis, with the matrix products
     broadcast over the stack.
 
-    They are written in S = P / m, which carries no mass: Vdot = 2 (SV + VS),
-    Pdot = -2 P S and xidot = 2 tr(V P S) / m - xi^2 / 2, so no product
-    holds a power of the mass above one."""
+    They are written in the velocity S = 2 P / m, which carries no mass:
+    Vdot = SV + VS, Pdot = -P S and xidot = tr(V P S) / m - xi^2 / 2, so no
+    product holds a power of the mass above one."""
     nn = n * n
     lead = y.shape[:-1]
     mat = (*lead, n, n)
@@ -184,17 +179,17 @@ def _gauss_rhs(y, n):
     P = y[..., nn:2 * nn].reshape(mat)
     m = y[..., -2]
     xi = y[..., -1]
-    S = P / m[..., None, None]
+    S = 2.0 * (P / m[..., None, None])
     SV = S @ V
     PS = P @ S
     out = np.empty_like(y)
-    out[..., :nn] = (2.0 * (SV + SV.swapaxes(-1, -2))).reshape(flat)
-    out[..., nn:2 * nn] = (-2.0 * PS).reshape(flat)
+    out[..., :nn] = (SV + SV.swapaxes(-1, -2)).reshape(flat)
+    out[..., nn:2 * nn] = (-PS).reshape(flat)
     out[..., -2] = xi * m
     # tr(V P S) summed in entry order: the pairwise .sum regroups the terms
     # of more than 8 entries, so the zeros of a padded state (_pack_state)
     # would change the rounding; a sequential sum only adds exact zeros
-    out[..., -1] = 2.0 * (V * PS).reshape(flat).cumsum(-1)[..., -1] / m - 0.5 * xi * xi
+    out[..., -1] = (V * PS).reshape(flat).cumsum(-1)[..., -1] / m - 0.5 * xi * xi
     return out
 
 
@@ -305,15 +300,16 @@ def _balanced_factor(S, sigma):
     return lam, Q, c, np.eye(lam.size) + sigma[:, None, None] * S
 
 
-def _ray(V0, m0, P0, S0, xi0, t, v0=None):
-    """The geodesic from (V0, m0, P0, xi0) at the times t >= 0, in closed form.
+def _ray(V0, m0, P0, S0, xi0, v0, t):
+    """The geodesic from (V0, m0, P0, xi0) with the mean velocity v0 at the
+    times t >= 0, in closed form.
 
     In the cone's flat picture it is the ray ``cone_ray(m0, xi0, omega0, t)``
-    with omega0^2 = tr(V0 S0^2) / 4 (plus |v0|^2 / 4 with a mean velocity
-    v0), both H0 / (2 m0) - xi0^2 / 4.  S0 = 2 P0 / m0 carries no mass, and
-    the caller forms it: ``geodesic_ray`` as (2 / m0) P0, ``connect_affine``
-    as sdot0 (T - I), which stays representable at a subnormal m0, where
-    2 / m0 overflows.
+    with omega0^2 = (tr(V0 S0^2) + |v0|^2) / 4 = H0 / (2 m0) - xi0^2 / 4.
+    S0 = 2 P0 / m0 carries no mass, and the caller forms it by dividing by
+    the mass first: ``geodesic_ray`` as 2 (P0 / m0) with v0 = 0,
+    ``connect_affine`` as sdot0 (T - I); both stay representable at a
+    subnormal m0.
     The covariance runs along the balanced curve by the cone angle sigma(t)
     (Takatsu, Osaka J. Math. 2011): V = C V0 C and P = P0 C^{-1} with
     C = I + sigma S0; the mass rate is mdot = m0 xi0 + H0 t.  Returns m, xi,
@@ -321,9 +317,7 @@ def _ray(V0, m0, P0, S0, xi0, t, v0=None):
     singular C (the covariance leaves the SPD cone) raises SpdError with the
     index of the first such time (``_balanced_factor``).
     """
-    omega2 = 0.25 * np.sum((V0 @ S0) * S0)
-    if v0 is not None:
-        omega2 = omega2 + 0.25 * (v0 @ v0)
+    omega2 = 0.25 * (np.sum((V0 @ S0) * S0) + v0 @ v0)
     m, sigma = cone_ray(m0, xi0, np.sqrt(omega2), t)
     xi = (m0 / m) * (xi0 + (0.5 * xi0 * xi0 + 2.0 * omega2) * t)
     lam, Q, c, C = _balanced_factor(S0, sigma)
@@ -341,8 +335,8 @@ def geodesic_ray(initial, dt, steps):
         raise ValueError("dt must be positive")
     state = initial.validate()
     t = np.arange(steps + 1) * dt
-    S0 = (2.0 / state.m) * state.P
-    m, xi, _, V, P = _ray(state.V, state.m, state.P, S0, state.xi, t)
+    S0 = 2.0 * (state.P / state.m)
+    m, xi, _, V, P = _ray(state.V, state.m, state.P, S0, state.xi, np.zeros(state.n), t)
     return _geodesic_trace(t, V, m, P, xi)
 
 
@@ -391,7 +385,7 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     c = connect_affine(AffineGaussian(Sigma0, zero, m0), AffineGaussian(Sigma1, zero, m1), tol)
     steps = max(1, round(1.0 / dt))
     t = np.arange(steps + 1) * (1.0 / steps)
-    m, xi, _, V, P = _ray(c.g0.Sigma, c.g0.m, c.P0, c.S0, c.xi0, t)
+    m, xi, _, V, P = _ray(c.g0.Sigma, c.g0.m, c.P0, c.S0, c.xi0, c.v0, t)
     return c.P0, c.xi0, _geodesic_trace(t, V, m, P, xi), c.residual
 
 
@@ -422,7 +416,7 @@ class AffineConnection:
 
     def at(self, t):
         m, _, sigma, V, _ = _ray(self.g0.Sigma, self.g0.m, self.P0, self.S0, self.xi0,
-                                 np.array([t], dtype=float), self.v0)
+                                 self.v0, np.array([t], dtype=float))
         mean = self.g0.mean + sigma[0] * self.v0
         return AffineGaussian(Sigma=V[0], mean=mean, m=float(m[0]))
 

@@ -365,7 +365,11 @@ def solve_potential(grid, rho, rhodot):
     b -= np.mean(b)
     rh = _half(grid, rho)  # rho_{i+1/2}
     run = h * np.cumsum(b)
-    F = float(np.sum(run / rh) / np.sum(1.0 / rh)) - run
+    # the loop weights 1 / rho_{i+1/2} in units of the power of two of
+    # max rho_{i+1/2}, exactly: their common scale cancels, and 1 / rho
+    # overflows for densities below about 1e-308
+    rh_unit = np.ldexp(rh, -np.frexp(np.max(rh))[1])
+    F = float(np.sum(run / rh_unit) / np.sum(1.0 / rh_unit)) - run
     theta = np.zeros_like(b)
     np.cumsum(h * F[:-1] / rh[:-1], out=theta[1:])
     theta -= np.mean(theta)

@@ -987,6 +987,32 @@ def test_shipped_configs_are_deterministic(tmp_path, name):
     assert trees[0] and trees[0] == trees[1]
 
 
+def subnormal_pde_metric(metric):
+    # 1 / rho overflows below about 1e-308, the solved potential does not
+    x = np.arange(16) * (TWO_PI / 16)
+    return {"command": "pde-metric", "metric": metric,
+            "rho": (1e-308 * (1.0 + 0.3 * np.cos(x))).tolist(),
+            "rhodot": (1e-308 * np.sin(2.0 * x)).tolist()}
+
+
+WARNING_FREE_RUNS = {
+    **{p.stem: json.loads(p.read_text(encoding="utf-8"))
+       for p in sorted(CONFIGS.glob("*.json"))},
+    "gauss-geodesic-subnormal-mass": gauss_config(V=[1.0], m=1e-310, P=[1e-311], xi=0.1,
+                                                  dt=0.1, steps=10),
+    "pde-metric-subnormal-small": subnormal_pde_metric("small"),
+    "pde-metric-subnormal-gdiv": subnormal_pde_metric("gdiv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARNING_FREE_RUNS))
+def test_successful_runs_print_no_runtime_warning(tmp_path, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _ = run_cli(tmp_path, WARNING_FREE_RUNS[name])
+    assert code == 0
+
+
 def test_cli_import_loads_numpy_only():
     # a fresh interpreter: numpy is the only third-party runtime dependency
     src = str(Path(uotcone.__file__).resolve().parents[1])

@@ -154,6 +154,21 @@ def test_gauss_geodesic_scales_exactly(tmp_path, k):
     assert_scaled(tmp_path, gauss_geodesic, 4.0 ** k, TRACE_MASS_KEYS)
 
 
+def test_gauss_geodesic_at_subnormal_masses(tmp_path):
+    # S0 = 2 (P0 / m0) stays representable where 2 / m0 overflows
+    cfg = {"command": "gauss-geodesic", "n": 1, "V": [1.0], "m": 1e-310, "P": [1e-311],
+           "xi": 0.1, "dt": 0.1, "steps": 10}
+    run(tmp_path, cfg, "repro")
+    # lam = 4^-520 ~ 8e-314 leaves m0 and P0 subnormal with 30 to 34
+    # significant bits, so their rounding moves the outputs by up to about
+    # 2^-30 ~ 1e-9 relative: the dilation holds to that, not bit for bit
+    lam = 4.0 ** -520
+    ref, _, _ = run(tmp_path, gauss_geodesic(), "ref")
+    summary, _, _ = run(tmp_path, gauss_geodesic(lam), "scaled")
+    for key in ("final.m", "final.H"):
+        assert summary[key] == pytest.approx(lam * ref[key], rel=1e-9, abs=0.0), key
+
+
 def fr_geodesic(lam):
     x = np.arange(16) * (2.0 * np.pi / 16)
     return {"command": "fr-geodesic", "num_times": 21,
@@ -227,6 +242,18 @@ def pde_metric(metric):
 @pytest.mark.parametrize("k", CLI_KS)
 def test_pde_metric_scales_exactly(tmp_path, metric, k):
     assert_scaled(tmp_path, pde_metric(metric), 4.0 ** k, {"value"})
+
+
+@pytest.mark.parametrize("metric", ["small", "gdiv"])
+def test_pde_metric_below_the_reciprocal_range(tmp_path, metric):
+    # lam = 4^-511 ~ 2.2e-308: the sum of the loop weights 1 / rho_{i+1/2}
+    # overflows unless their common scale is taken out; the entries of
+    # rhodot that fall below 2^-1022 keep fewer bits, so the value holds to
+    # a few ulps, not bit for bit
+    lam = 4.0 ** -511
+    ref, _, _ = run(tmp_path, pde_metric(metric)(1.0), "ref")
+    summary, _, _ = run(tmp_path, pde_metric(metric)(lam), "scaled")
+    assert summary["value"] == pytest.approx(lam * ref["value"], rel=1e-14, abs=0.0)
 
 
 def cone_geodesic(base, a=1.0, c=1.0, p=1.0):
