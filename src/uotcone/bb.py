@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import ContinuityError, PositivityError
 from .pde import Grid1D, _dminus, _dplus, _half
-
-DEFAULT_CONTINUITY_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ def continuity_residual(path):
     return float(np.max(np.abs(drho + _dminus(path.grid, wbar))))
 
 
-def bb_action(path, continuity_tol=DEFAULT_CONTINUITY_TOL):
+def bb_action(path, continuity_tol=DEFAULTS["continuity_tol"]):
     """Trapezoidal action of an admissible path; raises on constraint violation.
 
     Returns the action together with its transport and radial parts and the

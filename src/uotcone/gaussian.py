@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .cone import BaseManifold, cone_line_start, cone_ray
+from .config import DEFAULTS
 from .errors import (MassError, NonFiniteError, ShootingError, SingularSystemError,
                      SpdError, SymmetryError)
 from .trace import GeodesicTrace, _finite, _first_member, _norm, _rk4
@@ -370,7 +371,7 @@ def mccann_geodesic(U, V, t):
     return symmetrize(C @ V @ C.T)
 
 
-def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
+def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=DEFAULTS["tol"], dt=DEFAULTS["dt"]):
     """Solve the two-point geodesic problem on (covariance, mass) in closed form.
 
     The zero-mean case of ``connect_affine``, which validates the endpoints,
@@ -384,7 +385,7 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=1e-8, dt=1e-3):
     zero = np.zeros(np.shape(Sigma0)[:1])
     c = connect_affine(AffineGaussian(Sigma0, zero, m0), AffineGaussian(Sigma1, zero, m1), tol)
     steps = max(1, round(1.0 / dt))
-    t = np.arange(steps + 1) * (1.0 / steps)
+    t = np.linspace(0.0, 1.0, steps + 1)
     m, xi, _, V, P = _ray(c.g0.Sigma, c.g0.m, c.P0, c.S0, c.xi0, c.v0, t)
     return c.P0, c.xi0, _geodesic_trace(t, V, m, P, xi), c.residual
 
@@ -434,7 +435,7 @@ class AffineConnection:
                          abs(end.m - g1.m) / g1.m))
 
 
-def connect_affine(g0, g1, tol=1e-8):
+def connect_affine(g0, g1, tol=DEFAULTS["tol"]):
     """Solve the two-point problem for Gaussians with means in closed form.
 
     The model is the Euclidean cone over the covariances (balanced metric

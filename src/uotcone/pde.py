@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .cone import cone_line
+from .config import MIN_GRID
 from .errors import (MassError, NonFiniteError, PositivityError,
                      SingularSystemError, StepGuardError)
 from .trace import GeodesicTrace, _finite, _first_member, _rk4
@@ -36,8 +37,8 @@ class Grid1D:
     length: float = 2.0 * np.pi
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ValueError("grid needs at least 8 points")
+        if self.n < MIN_GRID:
+            raise ValueError(f"grid needs at least {MIN_GRID} points")
         if not (self.length > 0.0):
             raise ValueError("domain length must be positive")
 

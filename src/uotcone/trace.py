@@ -341,6 +341,7 @@ def _csv_chunk(x, cols, start):
     chars = np.empty((_TEMPLATE.size, m), np.uint8)
     chars[:] = _TEMPLATE[:, None]
     keep = np.empty(chars.shape, bool)
+    # one contiguous row of keep per character: numpy 2.4.6 fills a strided bool out= wrongly
     np.signbit(x, out=keep[0])
     np.greater_equal(np.where(positional, -p, -1), _PREFIX, out=keep[1:6])
     # the body: the digits, each after the dot one place right, and the dot,

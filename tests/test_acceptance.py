@@ -5,12 +5,16 @@ and the measured numbers for each criterion.  The same checks back the CLI
 ``check`` command.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from uotcone import cone, gaussian, pde
-from uotcone.checks import (ALL_CHECKS, check_constant_acceleration,
-                            check_energy_conservation)
+from uotcone import checks, cone, gaussian, pde
+from uotcone.checks import (ALL_CHECKS, _Below, _result, check_constant_acceleration,
+                            check_elliptic_closed_forms, check_energy_conservation,
+                            check_energy_lower_bound)
 from uotcone.pde import Grid1D, small_metric_eval, gdiv_metric_eval
 
 SEED = 0
@@ -22,6 +26,59 @@ def test_criterion(check):
     result = check(rng, quick=False)
     print(("PASS " if result.passed else "FAIL ") + result.name + " - " + result.detail)
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_result_judges_each_value_against_its_bound():
+    nan = float("nan")
+    for bound in (1.0, (0.0, 1.0), True, _Below(1.0)):
+        assert not _result("x", ("v", nan, bound)).passed
+    assert _result("x", ("low", 3.6, (3.6, 4.4)), ("high", 4.4, (3.6, 4.4)),
+                   ("at the upper bound", 1e-6, 1e-6), ("flag", np.True_, True),
+                   ("below", 0.999, _Below(1.0))).passed
+    assert not _result("x", ("v", 1.0, _Below(1.0))).passed
+    assert not _result("x", ("v", np.False_, True)).passed
+    assert not _result("x", ("v", 1, True)).passed  # a flag is a bool
+    r = _result("x", ("dev", 2e-6, 1e-6), ("order", 4.02, (3.5, 4.5)),
+                ("flag", True, True), ("dip", 0.976317, _Below(1.0)))
+    assert (r.name, r.passed) == ("x", False)
+    assert r.detail == ("dev 2e-06 (<= 1e-06) FAILED; order 4.02 (in [3.5, 4.5]); "
+                        "flag True (must hold); dip 0.976 (< 1)")
+
+
+def test_elliptic_detail_shows_a_nan_constant_case(monkeypatch):
+    # max(const_small, nan) is const_small: the NaN must show on its own
+    gdiv = checks.gdiv_metric_eval
+
+    def nan_on_constants(grid, rho, drho):
+        return float("nan") if np.all(drho == drho[0]) else gdiv(grid, rho, drho)
+    monkeypatch.setattr(checks, "gdiv_metric_eval", nan_on_constants)
+    result = check_elliptic_closed_forms(np.random.default_rng(SEED), quick=True)
+    assert not result.passed
+    assert "constant case gdiv nan (<= 1e-06) FAILED" in result.detail
+
+
+def test_energy_lower_bound_detail_shows_the_broken_inequality(monkeypatch):
+    # H below m xi^2 / 2 on every state with momentum; P = 0 stays exact
+    hamiltonian = checks.hamiltonian
+    monkeypatch.setattr(checks, "hamiltonian",
+                        lambda s: hamiltonian(s) - (1.0 if s.P.any() else 0.0))
+    result = check_energy_lower_bound(np.random.default_rng(SEED), quick=True)
+    assert not result.passed
+    assert "on 100 random Gaussian states False (must hold) FAILED" in result.detail
+    assert "on 100 random density states True (must hold);" in result.detail
+
+
+def test_benchmark_counts_every_check():
+    # bench/workloads.py accepts a check run only with NUM_CHECKS results;
+    # read without importing it, as the benchmark is no package
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    counts = [ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "NUM_CHECKS" for t in node.targets)]
+    assert counts == [len(ALL_CHECKS)], (
+        f"bench/workloads.py expects NUM_CHECKS = {counts} checks but checks.ALL_CHECKS "
+        f"has {len(ALL_CHECKS)}: a change that adds or removes a check needs a benchmark "
+        "change that updates NUM_CHECKS first")
 
 
 @pytest.mark.parametrize("check, loops", [

@@ -458,6 +458,18 @@ def test_shoot_pure_scaling_case():
     assert abs(P0[0, 0]) <= 1e-8
 
 
+def test_shoot_trace_ends_at_the_landing_time():
+    # at dt = 1/49, 49 * (1/49) rounds to 0.9999999999999999: the last row
+    # is the t = 1 endpoint that the landing residual measures
+    one = np.array([[1.0]])
+    four = np.array([[4.0]])
+    _, _, trace, _ = shoot_bvp(one, 1.0, four, 2.0, dt=1.0 / 49)
+    end = connect_affine(AffineGaussian(one, np.zeros(1), 1.0),
+                         AffineGaussian(four, np.zeros(1), 2.0)).at(1.0)
+    assert trace.t.size == 50 and trace.t[-1] == 1.0
+    assert trace.column("m")[-1] == end.m
+
+
 def test_shoot_scalar_closed_form_oracle():
     # equal masses, covariance 1 -> 4: the (sqrt(V), m) pair moves on a flat
     # plane; compare the solver's trace (dt = 1e-3) against the exact chord
