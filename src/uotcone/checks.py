@@ -44,23 +44,26 @@ class _Below:
 
 
 def _result(name, *measured):
-    """The CheckResult of ``(label, value, bound)`` measurements.  A bound is
-    an upper bound, a strict one (``_Below``), a closed ``(low, high)`` band,
-    or True for a flag that must hold.  The check passes when every value
-    keeps its bound, and a NaN keeps none; the detail shows each value next
-    to its bound and marks each one that fails."""
+    """The CheckResult of ``(label, value, bound)`` measurements, which passes
+    when every value keeps its bound.  A value is a number or all its draws
+    (a list or an array).  A bound is an upper bound or a strict one
+    (``_Below``), which judge the largest draw, a closed ``(low, high)`` band
+    of one value, or True for a flag, which must hold on every draw.  A NaN
+    keeps no bound, and one NaN draw makes the largest draw NaN.  The detail
+    shows each value next to its bound and marks each one that fails."""
     passed, parts = True, []
     for label, value, bound in measured:
         if bound is True:
-            ok, shown = isinstance(value, (bool, np.bool_)) and value, "must hold"
+            ok = value = np.asarray(value).dtype == bool and bool(np.all(value))
+            shown = "must hold"
         elif isinstance(bound, _Below):
-            ok, shown = value < bound.limit, f"< {bound.limit:g}"
+            ok, shown = np.max(value) < bound.limit, f"< {bound.limit:g}"
         elif isinstance(bound, tuple):
             ok, shown = bound[0] <= value <= bound[1], f"in [{bound[0]:g}, {bound[1]:g}]"
         else:
-            ok, shown = value <= bound, f"<= {bound:g}"
+            ok, shown = np.max(value) <= bound, f"<= {bound:g}"
         passed = passed and bool(ok)
-        value = value if bound is True else f"{value:.3g}"
+        value = value if bound is True else f"{np.max(value):.3g}"
         parts.append(f"{label} {value} ({shown})" + ("" if ok else " FAILED"))
     return CheckResult(name, passed, "; ".join(parts))
 
@@ -124,10 +127,11 @@ def _ray_deviations(states, dt, steps):
     return traces, devs
 
 
-def _mass_law_deviation(trace):
-    """How far m(t) is from a parabola with leading coefficient H(0)/2."""
+def _mass_law_deviations(trace):
+    """How far m(t) is from a parabola with leading coefficient H(0)/2, as
+    that coefficient's error and the fit's rms residual."""
     fit = mass_quadratic_fit(trace)
-    return max(abs(fit["leading"] - 0.5 * trace.column("H")[0]), fit["rms_residual"])
+    return abs(fit["leading"] - 0.5 * trace.column("H")[0]), fit["rms_residual"]
 
 
 def check_constant_acceleration(rng, quick=False):
@@ -138,65 +142,60 @@ def check_constant_acceleration(rng, quick=False):
     states = [random_gaussian_state(rng) for _ in range(4 if quick else 20)]
     pde_states = [random_pde_state(rng) for _ in range(2 if quick else 5)]
     traces, devs = _ray_deviations(states, 1e-3, 250 if quick else 1000)
-    worst_ode = max(map(_mass_law_deviation, traces))
+    ode_devs = [_mass_law_deviations(trace) for trace in traces]
     # the largest deviations at dt = 0.1 and 0.05
-    order = math.log2(max(_ray_deviations(states, 0.1, 10)[1])
-                      / max(_ray_deviations(states, 0.05, 20)[1]))
-    worst_pde = max(map(_mass_law_deviation, integrate_pdes(
-        pde_states, "small", dt=1e-3, steps=200 if quick else 500)))
+    order = math.log2(np.max(_ray_deviations(states, 0.1, 10)[1])
+                      / np.max(_ray_deviations(states, 0.05, 20)[1]))
+    pde_devs = [_mass_law_deviations(trace) for trace in integrate_pdes(
+        pde_states, "small", dt=1e-3, steps=200 if quick else 500)]
     # a flag, not the seconds, so the detail stays reproducible
     in_budget = time.perf_counter() - start < 10.0
     return _result("constant-acceleration",
-                   ("ode dev", worst_ode, 1e-6),
-                   ("ray dev", max(devs), 1e-10),
+                   ("ode dev", ode_devs, 1e-6),
+                   ("ray dev", devs, 1e-10),
                    ("order under dt halving", order, ORDER_BAND),
-                   ("pde dev", worst_pde, 1e-4),
+                   ("pde dev", pde_devs, 1e-4),
                    ("within the 10s budget", in_budget, True))
 
 
 def check_energy_conservation(rng, quick=False):
     """Relative Hamiltonian drift along integrated geodesics."""
     states = [random_gaussian_state(rng) for _ in range(2 if quick else 5)]
-    worst_ode = max(map(relative_energy_drift,
-                        integrate_geodesics(states, 1e-3, 250 if quick else 1000)))
-    worst_pde = 0.0
-    for model in ("small", "wfr"):
-        trace = integrate_pde(random_pde_state(rng), model,
-                              dt=1e-3, steps=200 if quick else 500)
-        worst_pde = max(worst_pde, relative_energy_drift(trace))
+    ode_drifts = [relative_energy_drift(trace) for trace in
+                  integrate_geodesics(states, 1e-3, 250 if quick else 1000)]
+    pde_drifts = [relative_energy_drift(integrate_pde(random_pde_state(rng), model, dt=1e-3,
+                                                      steps=200 if quick else 500))
+                  for model in ("small", "wfr")]
     return _result("energy-conservation",
-                   ("ode drift", worst_ode, 1e-8),
-                   ("pde drift", worst_pde, 1e-6))
+                   ("ode drift", ode_drifts, 1e-8),
+                   ("pde drift", pde_drifts, 1e-6))
 
 
 def check_lyapunov_residual(rng, quick=False):
-    worst = 0.0
+    residuals = []
     for _ in range(20 if quick else 100):
         n = int(rng.integers(1, 9))
         V = random_spd(rng, n, lam_min=0.3, lam_max=3.0)
         X = random_sym(rng, n)
         S = lyapunov_solve(V, X)
-        rel = np.linalg.norm(S @ V + V @ S - X) / max(np.linalg.norm(X), 1e-300)
-        worst = max(worst, rel)
-    return _result("lyapunov-residual", ("max relative residual", worst, 1e-12))
+        residuals.append(np.linalg.norm(S @ V + V @ S - X) / max(np.linalg.norm(X), 1e-300))
+    return _result("lyapunov-residual", ("max relative residual", residuals, 1e-12))
 
 
 def check_mccann_oracle(rng, quick=False):
-    worst_end = worst_rev = 0.0
+    ends, reversals = [], []
     for _ in range(5 if quick else 20):
         n = int(rng.integers(1, 5))
         U = random_spd(rng, n)
         V = random_spd(rng, n)
-        worst_end = max(worst_end,
-                        float(np.linalg.norm(mccann_geodesic(U, V, 1.0) - U)),
-                        float(np.linalg.norm(mccann_geodesic(U, V, 0.0) - V)))
-        for t in (0.25, 0.5, 0.75):
-            worst_rev = max(worst_rev, float(np.linalg.norm(
-                mccann_geodesic(V, U, 1.0 - t) - mccann_geodesic(U, V, t))))
+        ends += [np.linalg.norm(mccann_geodesic(U, V, 1.0) - U),
+                 np.linalg.norm(mccann_geodesic(U, V, 0.0) - V)]
+        reversals += [np.linalg.norm(mccann_geodesic(V, U, 1.0 - t) - mccann_geodesic(U, V, t))
+                      for t in (0.25, 0.5, 0.75)]
     mid = mccann_geodesic(np.array([[1.0]]), np.array([[4.0]]), 0.5)[0, 0]
     return _result("mccann-oracle",
-                   ("endpoint", worst_end, 1e-12),
-                   ("reversal", worst_rev, 1e-12),
+                   ("endpoint", ends, 1e-12),
+                   ("reversal", reversals, 1e-12),
                    ("midpoint |W(1/2)-2.25|", abs(mid - 2.25), 1e-12))
 
 
@@ -206,9 +205,9 @@ def check_flat_cone_oracle(rng, quick=False):
                            circle_base())
     # the line (1, t) runs from mass 1 to mass 2 through the angle pi/4
     m, s = cone_line(1.0, 2.0, 0.25 * np.pi, trace.t)
-    dev = max(float(np.max(np.abs(trace.column("alpha") - np.sqrt(m)))),
-              float(np.max(np.abs(trace.column("q0") - 0.25 * np.pi * s))))
-    return _result("flat-cone-oracle", ("max deviation from the straight line", dev, 1e-6))
+    devs = [np.abs(trace.column("alpha") - np.sqrt(m)),
+            np.abs(trace.column("q0") - 0.25 * np.pi * s)]
+    return _result("flat-cone-oracle", ("max deviation from the straight line", devs, 1e-6))
 
 
 def _solved_start(S0, m0, S1, m1, tol=1e-8):
@@ -223,7 +222,7 @@ def _solved_start(S0, m0, S1, m1, tol=1e-8):
 def check_shooting(rng, quick=False):
     one = np.array([[1.0]])
     start = _solved_start(one, 1.0, one, 4.0, tol=1e-10)
-    scaling_err = max(abs(start.xi - 2.0), abs(start.P[0, 0]))
+    scaling_errs = [abs(start.xi - 2.0), abs(start.P[0, 0])]
 
     # (S0, S1, m0, m1) in the draw order; the last pair is the equal-mass dip
     pairs = [(random_spd(rng, 2), random_spd(rng, 2), float(rng.uniform(0.5, 2.0)),
@@ -231,18 +230,18 @@ def check_shooting(rng, quick=False):
     pairs.append((random_spd(rng, 2), random_spd(rng, 2), 1.0, 1.0))
     traces = integrate_geodesics([_solved_start(S0, m0, S1, m1)
                                   for S0, S1, m0, m1 in pairs], dt=1e-3, steps=1000)
-    worst_endpoint = max(float(np.linalg.norm(trace.data[-1, 4:8].reshape(2, 2) - S1))
-                         + abs(trace.column("m")[-1] - m1)
-                         for (_, S1, _, m1), trace in zip(pairs[:-1], traces))
+    endpoint_errs = [np.linalg.norm(trace.data[-1, 4:8].reshape(2, 2) - S1)
+                     + abs(trace.column("m")[-1] - m1)
+                     for (_, S1, _, m1), trace in zip(pairs[:-1], traces)]
     return _result("shooting-bvp",
-                   ("scaling case |(P0, xi0) - (0, 2)|", scaling_err, 1e-8),
-                   ("endpoint error", worst_endpoint, 1e-6),
+                   ("scaling case |(P0, xi0) - (0, 2)|", scaling_errs, 1e-8),
+                   ("endpoint error", endpoint_errs, 1e-6),
                    ("equal-mass dip min m", float(np.min(traces[-1].column("m"))),
                     _Below(1.0)))
 
 
 def check_submersion_consistency(rng, quick=False):
-    worst_matrix = 0.0
+    matrix_errs = []
     for _ in range(10 if quick else 25):
         n = int(rng.integers(1, 5))
         A = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
@@ -250,23 +249,23 @@ def check_submersion_consistency(rng, quick=False):
                                       random_sym(rng, n),
                                       float(rng.uniform(-1.0, 1.0)),
                                       random_spd(rng, n))
-        worst_matrix = max(worst_matrix, abs(g - b) / max(1.0, abs(g)))
-    worst_density = 0.0
+        matrix_errs.append(abs(g - b) / max(1.0, abs(g)))
+    density_errs = []
     for _ in range(2 if quick else 5):
         state = random_pde_state(rng)
         drho, _ = small_rhs(state)
         value = small_metric_eval(state.grid, state.rho, drho)
         target = 2.0 * hamiltonian_small(state)
-        worst_density = max(worst_density, abs(value - target) / max(1.0, abs(target)))
+        density_errs.append(abs(value - target) / max(1.0, abs(target)))
     return _result("submersion-consistency",
-                   ("matrix level", worst_matrix, 1e-10),
-                   ("density level", worst_density, 1e-6))
+                   ("matrix level", matrix_errs, 1e-10),
+                   ("density level", density_errs, 1e-6))
 
 
 def check_energy_lower_bound(rng, quick=False):
     count = 100 if quick else 1000
     gaussians = [random_gaussian_state(rng, s_norm=2.0) for _ in range(count)]
-    above_matrix = not any(hamiltonian(s) < 0.5 * s.m * s.xi**2 for s in gaussians)
+    above_matrix = [hamiltonian(s) >= 0.5 * s.m * s.xi**2 for s in gaussians]
     zero_p = GaussianCotangentState(V=random_spd(rng, 3), m=1.4,
                                     P=np.zeros((3, 3)), xi=0.6)
 
@@ -275,7 +274,7 @@ def check_energy_lower_bound(rng, quick=False):
     draws = rng.normal(size=(count, 2, 64))
     states = PdeState(grid, np.abs(1.0 + 0.5 * draws[:, 0]) + 0.1, draws[:, 1])
     m = total_mass(grid, states.rho)
-    above_density = not np.any(hamiltonian_small(states) < 0.5 * m * xi_of(states) ** 2)
+    above_density = hamiltonian_small(states) >= 0.5 * m * xi_of(states) ** 2
     flat = PdeState(grid, np.abs(1.0 + 0.2 * np.sin(grid.x)), np.full(64, 0.9))
     m = total_mass(grid, flat.rho)
     return _result("energy-lower-bound",
@@ -302,14 +301,13 @@ def check_elliptic_closed_forms(rng, quick=False):
 
     vs1, vg1, d1 = sine_values(512)
     vs2, vg2, d2 = sine_values(1024)
-    solver_err = max(abs(vs1 - d1), abs(vg1 - d1 - np.pi),
-                     abs(vs2 - d2), abs(vg2 - d2 - np.pi))
+    solver_errs = [abs(vs1 - d1), abs(vg1 - d1 - np.pi), abs(vs2 - d2), abs(vg2 - d2 - np.pi)]
     ratio_small = abs(vs1 - np.pi) / abs(vs2 - np.pi)
     ratio_gdiv = abs(vg1 - 2.0 * np.pi) / abs(vg2 - 2.0 * np.pi)
     return _result("elliptic-closed-forms",
                    ("constant case small", const_small, 1e-6),
                    ("constant case gdiv", const_gdiv, 1e-6),
-                   ("sine cases vs discrete closed form", solver_err, 1e-9),
+                   ("sine cases vs discrete closed form", solver_errs, 1e-9),
                    ("continuum gap ratio under doubling, small", ratio_small, (3.6, 4.4)),
                    ("continuum gap ratio under doubling, gdiv", ratio_gdiv, (3.6, 4.4)))
 
@@ -366,7 +364,7 @@ ALL_CHECKS = (
 
 
 def run_all(seed=0, quick=False):
-    """Run every check on its own generator of the seed, yielding each
+    """Run every check on a fresh generator of the seed, yielding each
     CheckResult with the wall-clock seconds its check took, in ALL_CHECKS
     order.
 

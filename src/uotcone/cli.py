@@ -363,7 +363,7 @@ def main(argv=None):
                 doc = json.loads(args.config.read_text(encoding="utf-8"))
             except FileNotFoundError:
                 raise ConfigError(f"config file not found: {args.config}")
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also a file not in UTF-8, or an overlong integer
                 raise ConfigError(f"config is not valid JSON: {exc}")
         runs = validate_config(doc)
         names = [run.get("name", f"run_{i:03d}") for i, run in enumerate(runs)]

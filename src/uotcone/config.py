@@ -40,17 +40,28 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _float(v):
+    """A JSON number as a float; an integer beyond the float range is infinite."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 # json.loads accepts NaN and Infinity, so every number is checked for finiteness
 def _is_finite(v):
-    return isinstance(v, _NUMBER) and not isinstance(v, bool) and math.isfinite(v)
+    return isinstance(v, _NUMBER) and not isinstance(v, bool) and math.isfinite(_float(v))
 
 
 def _is_number_list(v):
     # one type test per distinct element type, not two per element
-    return (isinstance(v, list)
-            and all(issubclass(t, _NUMBER) and not issubclass(t, bool)
-                    for t in set(map(type, v)))
-            and all(map(math.isfinite, v)))
+    try:
+        return (isinstance(v, list)
+                and all(issubclass(t, _NUMBER) and not issubclass(t, bool)
+                        for t in set(map(type, v)))
+                and all(map(math.isfinite, v)))
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _is_grid(v):
@@ -152,10 +163,10 @@ def _require_trace_size(cfg):
     anything is allocated."""
     if cfg["command"] not in _TRACE_SHAPES:
         return
-    rows, columns = _TRACE_SHAPES[cfg["command"]](cfg)
+    rows, columns = map(_float, _TRACE_SHAPES[cfg["command"]](cfg))
     if rows * columns > MAX_TRACE_ENTRIES:
         raise ConfigError(
-            f"the trace would hold {rows:.4g} rows x {columns} columns, more "
+            f"the trace would hold {rows:.4g} rows x {columns:.0f} columns, more "
             f"than {MAX_TRACE_ENTRIES} entries", command=cfg["command"],
             limit=MAX_TRACE_ENTRIES)
 

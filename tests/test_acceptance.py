@@ -14,10 +14,13 @@ import pytest
 from uotcone import checks, cone, gaussian, pde
 from uotcone.checks import (ALL_CHECKS, _Below, _result, check_constant_acceleration,
                             check_elliptic_closed_forms, check_energy_conservation,
-                            check_energy_lower_bound)
+                            check_energy_lower_bound, check_flat_cone_oracle,
+                            check_lyapunov_residual, check_mccann_oracle,
+                            check_submersion_consistency)
 from uotcone.pde import Grid1D, small_metric_eval, gdiv_metric_eval
 
 SEED = 0
+NAN = float("nan")
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=[c.__name__ for c in ALL_CHECKS])
@@ -43,6 +46,12 @@ def test_result_judges_each_value_against_its_bound():
     assert (r.name, r.passed) == ("x", False)
     assert r.detail == ("dev 2e-06 (<= 1e-06) FAILED; order 4.02 (in [3.5, 4.5]); "
                         "flag True (must hold); dip 0.976 (< 1)")
+    # all draws of a value: the largest is judged, and a flag needs every draw
+    assert _result("x", ("v", [0.5, 1.0], 1.0), ("f", np.array([True, True]), True),
+                   ("dip", (0.5, 0.9), _Below(1.0))).passed
+    r = _result("x", ("v", [0.5, nan, 0.1], 1.0), ("f", [True, np.False_], True),
+                ("dip", np.array([0.5, 1.0]), _Below(1.0)))
+    assert r.detail == "v nan (<= 1) FAILED; f False (must hold) FAILED; dip 1 (< 1) FAILED"
 
 
 def test_elliptic_detail_shows_a_nan_constant_case(monkeypatch):
@@ -66,6 +75,40 @@ def test_energy_lower_bound_detail_shows_the_broken_inequality(monkeypatch):
     assert not result.passed
     assert "on 100 random Gaussian states False (must hold) FAILED" in result.detail
     assert "on 100 random density states True (must hold);" in result.detail
+
+
+@pytest.mark.parametrize("check, name, call, poison, shown", [
+    (check_lyapunov_residual, "lyapunov_solve", 7, lambda S: S * NAN,
+     "max relative residual nan (<= 1e-12) FAILED"),
+    (check_mccann_oracle, "mccann_geodesic", 12, lambda W: W * NAN,
+     "reversal nan (<= 1e-12) FAILED"),
+    (check_energy_lower_bound, "hamiltonian", 3, lambda H: NAN,
+     "on 100 random Gaussian states False (must hold) FAILED"),
+    (check_submersion_consistency, "submersion_consistency", 3, lambda gb: (NAN, NAN),
+     "matrix level nan (<= 1e-10) FAILED"),
+    (check_energy_conservation, "relative_energy_drift", 2, lambda drift: NAN,
+     "ode drift nan (<= 1e-08) FAILED"),
+    (check_energy_conservation, "relative_energy_drift", 4, lambda drift: NAN,
+     "pde drift nan (<= 1e-06) FAILED"),
+    (check_constant_acceleration, "mass_quadratic_fit", 2,
+     lambda fit: {**fit, "rms_residual": NAN}, "ode dev nan (<= 1e-06) FAILED"),
+    (check_flat_cone_oracle, "cone_line", 1, lambda ms: (ms[0], ms[1] * NAN),
+     "max deviation from the straight line nan (<= 1e-06) FAILED"),
+], ids=["lyapunov", "mccann", "hamiltonian", "submersion", "ode-drift", "pde-drift",
+        "mass-fit", "cone-line"])
+def test_one_nan_draw_fails_its_check(monkeypatch, check, name, call, poison, shown):
+    # the NaN comes after finite draws, which Python's max(worst, nan) keeps over it
+    real, calls = getattr(checks, name), []
+
+    def nan_on_one_call(*args, **kwargs):
+        calls.append(name)
+        value = real(*args, **kwargs)
+        return poison(value) if len(calls) == call else value
+    monkeypatch.setattr(checks, name, nan_on_one_call)
+    result = check(np.random.default_rng(SEED), quick=True)
+    assert len(calls) >= call
+    assert not result.passed
+    assert shown in result.detail
 
 
 def test_benchmark_counts_every_check():

@@ -67,6 +67,17 @@ def test_invalid_json_rejected(tmp_path):
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("text", [
+    b'{"command": "gauss-geodesic", "m": 1' + b"0" * 5000 + b"}",
+    b'{"command": "check", "quick": tru\xff}',
+], ids=["integer-of-5001-digits", "not-utf-8"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert strict_json(capsys.readouterr().err)["kind"] == "config"
+
+
 def gauss_config(**overrides):
     cfg = {"command": "gauss-geodesic", "n": 1, "V": [1.0], "m": 1.0,
            "P": [0.0], "xi": 2.0, "dt": 1e-3, "steps": 200}
@@ -1031,17 +1042,23 @@ FINITE = st.floats(min_value=-1e308, max_value=1e308)
 POSITIVE = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
 # tame values reach past the input checks into the numerics
 NUMBER = st.one_of(FINITE, st.floats(min_value=0.01, max_value=10.0))
+# JSON integers have no range, and one beyond the float range is no finite number
+BEYOND_FLOATS = st.integers(min_value=2**1024, max_value=10**400) | st.integers(
+    min_value=-10**400, max_value=-2**1024)
 
 
 @st.composite
 def fuzz_configs(draw):
     """A schema-valid run of any command but ``check``: grids of 8-32 points,
-    at most 20 steps, matrices of size 1-3, finite numbers up to 1e308."""
+    at most 20 steps, matrices of size 1-3 and finite numbers up to 1e308; in
+    about one run of four, a number may also be an integer beyond the float
+    range, so the other runs still reach the numerics."""
     command = draw(st.sampled_from(sorted(set(_SCHEMAS) - {"check"})))
     n_grid = draw(st.integers(8, 32))
     n_mat = draw(st.integers(1, 3))
     rows = draw(st.integers(2, 4))
-    grid = st.one_of(st.lists(NUMBER, min_size=n_grid, max_size=n_grid),
+    number = st.one_of(NUMBER, BEYOND_FLOATS) if draw(st.integers(0, 3)) == 0 else NUMBER
+    grid = st.one_of(st.lists(number, min_size=n_grid, max_size=n_grid),
                      st.lists(POSITIVE, min_size=n_grid, max_size=n_grid))
     cfg = {"command": command}
     for key, (kind, required) in _SCHEMAS[command].items():
@@ -1059,7 +1076,7 @@ def fuzz_configs(draw):
                                st.floats(min_value=1e-3, max_value=1e308))
                      if command == "gauss-connect" and key == "dt" else POSITIVE)
         elif kind == "float":
-            value = NUMBER
+            value = number
         elif kind == "count":
             value = st.integers(1, 20) if key == "steps" else st.just(n_mat)
         elif kind == "gridsize":
@@ -1071,12 +1088,12 @@ def fuzz_configs(draw):
         elif kind == "grids":
             value = st.lists(grid, min_size=rows, max_size=rows)
         elif key in ("times", "r"):
-            value = st.lists(NUMBER, min_size=rows, max_size=rows)
+            value = st.lists(number, min_size=rows, max_size=rows)
         elif key in ("q", "q_dot"):
             size = {"circle": 1, "flat": n_mat}.get(cfg["base"], n_mat * n_mat)
-            value = st.lists(NUMBER, min_size=size, max_size=size)
+            value = st.lists(number, min_size=size, max_size=size)
         else:  # row-major matrices
-            value = st.lists(NUMBER, min_size=n_mat * n_mat, max_size=n_mat * n_mat)
+            value = st.lists(number, min_size=n_mat * n_mat, max_size=n_mat * n_mat)
         cfg[key] = draw(value)
     return cfg
 
@@ -1105,6 +1122,19 @@ def fuzz_configs(draw):
 # the ray overflows, and the reason holds a NaN residual
 @example(cfg={"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1e-310,
               "Sigma1": [1.000000000000001], "m1": 1e-310})
+# integers beyond the float range, as a number, in a list, and as a count
+@example(cfg=gauss_config(m=10**400, steps=20))
+@example(cfg={"command": "pde-evolve", "rho": [1.0] * 7 + [10**400], "theta": [0.0] * 8,
+              "steps": 20})
+@example(cfg=bb_explicit_config(r=[1.0, 10**400]))
+@example(cfg={"command": "cone-geodesic", "base": "circle", "q": [10**400], "q_dot": [1.0],
+              "alpha": 1.0, "alpha_dot": 0.0, "steps": 20})
+@example(cfg=gauss_config(steps=10**400))
+@example(cfg={"command": "fr-geodesic", "rho0": [1.0] * 8, "rho1": [2.0] * 8,
+              "num_times": 10**400})
+# the trace would have more columns than a float can count
+@example(cfg={"command": "gauss-connect", "n": 10**200, "Sigma0": [1.0], "m0": 1.0,
+              "Sigma1": [1.0], "m1": 4.0})
 def test_fuzzed_configs_exit_typed(cfg):
     # no exception may escape main; exit 2 always comes with a reason, and
     # every summary.json is strict JSON, so exit 0 has finite numbers only
