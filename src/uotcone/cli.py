@@ -361,8 +361,8 @@ def main(argv=None):
         else:
             try:
                 doc = json.loads(args.config.read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                raise ConfigError(f"config file not found: {args.config}")
+            except OSError as exc:  # not found, a directory, no read permission
+                raise ConfigError(f"cannot read the config: {exc}", path=str(args.config))
             except ValueError as exc:  # also a file not in UTF-8, or an overlong integer
                 raise ConfigError(f"config is not valid JSON: {exc}")
         runs = validate_config(doc)

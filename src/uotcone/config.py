@@ -9,6 +9,7 @@ plain value arrays.
 from __future__ import annotations
 
 import math
+import os
 
 from .errors import ConfigError
 
@@ -187,8 +188,10 @@ def validate_run(cfg):
     if unknown:
         raise ConfigError(f"unknown keys for {command}: {unknown}",
                           allowed=sorted(allowed))
-    if "name" in cfg and not isinstance(cfg["name"], str):
-        raise ConfigError("'name' must be a string")
+    name = cfg.get("name", "run")  # a sweep writes each run into the directory of its name
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or {os.sep, os.altsep, "\0"} & set(name)):
+        raise ConfigError("'name' must be one plain path component", name=name)
 
     out = {"command": command}
     if "name" in cfg:

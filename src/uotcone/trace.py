@@ -490,7 +490,7 @@ def _norm(x):
 
 
 def relative_energy_drift(trace):
-    """max |H(t) - H(0)| / max(|H(0)|, eps) over the trace."""
+    """max |H(t) - H(0)| / max(|H(0)|, np.finfo(float).tiny) over the trace."""
     e = trace.column("H")
     scale = max(abs(e[0]), np.finfo(float).tiny)
     return float(np.max(np.abs(e - e[0])) / scale)

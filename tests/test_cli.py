@@ -78,6 +78,16 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, text):
     assert strict_json(capsys.readouterr().err)["kind"] == "config"
 
 
+@pytest.mark.parametrize("directory", [False, True], ids=["missing", "a-directory"])
+def test_config_path_that_cannot_be_read_is_a_config_error(tmp_path, capsys, directory):
+    path = tmp_path / "run.json"
+    if directory:
+        path.mkdir()
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert (err["kind"], err["path"]) == ("config", str(path))
+
+
 def gauss_config(**overrides):
     cfg = {"command": "gauss-geodesic", "n": 1, "V": [1.0], "m": 1.0,
            "P": [0.0], "xi": 2.0, "dt": 1e-3, "steps": 200}
@@ -879,6 +889,16 @@ def test_sweep_duplicate_names_rejected(tmp_path):
     doc = {"runs": [gauss_config(name="a"), gauss_config(name="a")]}
     code, _ = run_cli(tmp_path, doc)
     assert code == 1
+
+
+@pytest.mark.parametrize("name", ["a/", "../x", "", ".", "..", "b\0"],
+                         ids=["slash", "escape", "empty", "dot", "dot-dot", "nul"])
+def test_sweep_run_name_is_one_path_component(tmp_path, capsys, name):
+    # any other name aliases another run's directory or escapes --out
+    doc = {"runs": [gauss_config(name="a"), gauss_config(name=name, xi=1.0)]}
+    assert run_cli(tmp_path, doc)[0] == 1
+    assert strict_json(capsys.readouterr().err)["kind"] == "config"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_check_outputs_are_deterministic(tmp_path):
