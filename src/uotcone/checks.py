@@ -358,6 +358,25 @@ ALL_CHECKS = (
     check_bb_action,
 )
 
+#: the order in which run_all hands the checks out, longest first, so the
+#: last check claimed is a short one and the cores finish together (Graham's
+#: LPT list schedule).  Serially at seed 0, full mode, they took 0.269,
+#: 0.135, 0.100, 0.081, 0.080, 0.022, 0.012, 0.009, 0.006 and 0.001 s
+#: (2-core Xeon).  Checks not named here are claimed after these, in
+#: ALL_CHECKS order.
+CLAIM_ORDER = (
+    check_constant_acceleration,
+    check_bb_action,
+    check_shooting,
+    check_energy_conservation,
+    check_energy_lower_bound,
+    check_mccann_oracle,
+    check_flat_cone_oracle,
+    check_lyapunov_residual,
+    check_submersion_consistency,
+    check_elliptic_closed_forms,
+)
+
 
 def run_all(seed=0, quick=False):
     """Run every check on a fresh generator of the seed, yielding each
@@ -367,15 +386,19 @@ def run_all(seed=0, quick=False):
     The checks run on every available core: this process and one forked
     worker per further core (``trace._forked``) claim check indices from one
     ticket pipe until it is empty, and the workers send back what they ran.
-    So nothing is yielded before every check has run, and the seconds are
-    each check's own, on contended cores.  On one core nothing is forked.
-    A check that raised is run again here at its turn, so it raises after
-    the same results as in a serial run; a worker that died raises
-    RuntimeError.
+    The tickets are in CLAIM_ORDER, longest check first (its comment gives
+    the seconds behind that order).  So nothing is yielded before every
+    check has run, no result depends on the claim order, and the seconds
+    are each check's own, on contended cores.  On one core nothing is
+    forked.  A check that raised is run again here at its turn, so it
+    raises after the same results as in a serial run; a worker that died
+    raises RuntimeError.
     """
     checks = ALL_CHECKS
+    rank = {check: k for k, check in enumerate(CLAIM_ORDER)}
+    order = sorted(range(len(checks)), key=lambda i: rank.get(checks[i], len(rank)))
     tickets, w = os.pipe()
-    os.write(w, bytes(range(len(checks))))
+    os.write(w, bytes(order))
     os.close(w)
     try:
         claim = partial(_claim, checks, tickets, seed, quick)

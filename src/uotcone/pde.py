@@ -205,7 +205,7 @@ def _hamiltonian_wfr(state, *_):
 def _transport_flow(grid, y):
     """Packed (-div(rho grad theta), -|grad theta|^2 / 2) of the packed
     state y = (rho, theta), one state or a stack, in one pass over the last
-    axis; returns the new array and its two halves.
+    axis; returns the new array and the (rho | -theta) it formed.
 
     Each entry is the value the four primitives give, rounded the same
     way, signed zeros included: x / 2 is 0.5 x, (a - b) / -h is
@@ -213,8 +213,9 @@ def _transport_flow(grid, y):
     """
     n = grid.n
     sign = grid.sign2
+    signed = sign * y                 # (rho | -theta)
     e = y.take(grid.up2, axis=-1)
-    e += sign * y
+    e += signed
     e /= grid.edge_div2               # (rho_{i+1/2} | g = D+ theta)
     e[..., :n] *= e[..., n:]          # (F = rho_{i+1/2} g | g)
     e[..., n:] *= e[..., n:]          # (F | G = g^2)
@@ -222,7 +223,7 @@ def _transport_flow(grid, y):
     out *= sign
     np.subtract(e, out, out=out)      # (F - F_{i-1/2} | G + G_{i-1/2})
     out /= grid.node_div2
-    return out, out[..., :n], out[..., n:]
+    return out, signed
 
 
 def _small_flow(grid, y):
@@ -239,19 +240,21 @@ def _small_flow(grid, y):
         raise MassError("total mass became nonpositive",
                         m=float(m[where.get("member", 0)]), **where)
     xi = h * np.add.reduce(theta * rho, -1, keepdims=stack) / m
-    out, drho, dtheta = _transport_flow(grid, y)
-    drho += xi * rho
-    dtheta -= xi * theta
-    dtheta += 0.5 * (xi * xi)
+    out, signed = _transport_flow(grid, y)
+    # (+ xi rho | - xi theta) in one pass, bit for bit: xi (-theta) is
+    # -(xi theta) and a + (-b) is a - b exactly
+    signed *= xi
+    out += signed
+    out[..., n:] += 0.5 * (xi * xi)
     return out
 
 
 def _wfr_flow(grid, y):
     n = grid.n
     rho, theta = y[..., :n], y[..., n:]
-    out, drho, dtheta = _transport_flow(grid, y)
-    drho += rho * theta
-    dtheta -= 0.5 * theta**2
+    out = _transport_flow(grid, y)[0]
+    out[..., :n] += rho * theta
+    out[..., n:] -= 0.5 * theta**2
     return out
 
 

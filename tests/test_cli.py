@@ -921,17 +921,46 @@ def run_check(tmp_path, capsys, out):
 
 
 def test_check_suite_is_the_same_on_any_core_count(tmp_path, capsys, cores, monkeypatch):
+    # and in any claim order
     fork = os.fork
+    order = checks.CLAIM_ORDER
     runs = []
-    for k in (1, 2, 3):
+    for k, claims in ((1, order), (2, order), (3, order), (2, order[::-1])):
         cores(k)
         monkeypatch.setattr(os, "fork", fork if k > 1 else
                             lambda: pytest.fail("forked on one core"))
-        runs.append(run_check(tmp_path, capsys, f"c{k}"))
+        monkeypatch.setattr(checks, "CLAIM_ORDER", claims)
+        runs.append(run_check(tmp_path, capsys, f"c{len(runs)}"))
         no_child_left()
     assert runs[0][0] == 0
     assert runs[0][3] == [r["name"] for r in json.loads(runs[0][2])["results"]]
-    assert runs[0] == runs[1] == runs[2]
+    assert all(run == runs[0] for run in runs)
+
+
+def test_checks_are_claimed_longest_first(cores, monkeypatch):
+    cores(1)  # this process claims every ticket, in the ticket order
+    claimed = []
+
+    def record(check, seed, quick):
+        claimed.append(check)
+        return CheckResult("stub", True, ""), 0.0
+
+    def claims(suite):
+        monkeypatch.setattr(checks, "ALL_CHECKS", suite)
+        claimed.clear()
+        list(checks.run_all(0, quick=True))
+        return claimed.copy()
+
+    monkeypatch.setattr(checks, "_timed", record)
+    suite = checks.ALL_CHECKS
+    order = claims(suite)
+    assert sorted(order, key=suite.index) == list(suite)
+    assert order[:2] == [checks.check_constant_acceleration, checks.check_bb_action]
+    # checks missing from CLAIM_ORDER come after it, in ALL_CHECKS order
+    stubs = tuple(stub(i) for i in range(3))
+    assert claims(stubs) == list(stubs)
+    assert (claims((stubs[0], checks.check_bb_action, stubs[1], checks.check_shooting))
+            == [checks.check_bb_action, checks.check_shooting, stubs[0], stubs[1]])
 
 
 def stub(i, delay_in=None):
