@@ -115,17 +115,19 @@ def scaled_base(base, factor):
                         speed=lambda q0, qdot0: root * base.speed(q0, qdot0))
 
 
-def _clairaut_rhs(y, p, alpha0, speed):
+def _clairaut_rhs(y, p, alpha0, speed, out):
     """Time derivative of the reduced state y = (alpha, alphadot, s) from
-    radius alpha0 and base speed |qdot0|_g: Clairaut's integral gives
-    sdot = speed (alpha0 / alpha)^{2p}, a ratio in which c = alpha0^{2p} speed
-    cannot under- or overflow, and alphaddot = p alpha^{2p-1} sdot^2.  A
-    stage at or below the apex (alpha <= 0) raises ApexCrossingError."""
+    radius alpha0 and base speed |qdot0|_g, written into ``out``: Clairaut's
+    integral gives sdot = speed (alpha0 / alpha)^{2p}, a ratio in which
+    c = alpha0^{2p} speed cannot under- or overflow, and
+    alphaddot = p alpha^{2p-1} sdot^2.  A stage at or below the apex
+    (alpha <= 0) raises ApexCrossingError."""
     alpha = y[0]
     if alpha <= 0.0:
         raise ApexCrossingError("apex crossing: alpha <= 0", alpha=float(alpha))
     sdot = speed * (alpha0 / alpha) ** (2.0 * p)
-    return np.array([y[1], p * alpha ** (2.0 * p - 1.0) * sdot * sdot, sdot])
+    out[:] = y[1], p * alpha ** (2.0 * p - 1.0) * sdot * sdot, sdot
+    return out
 
 
 def integrate_cone(initial, problem, base):
@@ -153,7 +155,8 @@ def integrate_cone(initial, problem, base):
                                     alpha=float(y[0]))
 
     try:
-        _rk4(lambda y: _clairaut_rhs(y, p, initial.alpha, speed), post, ys, problem.dt)
+        _rk4(lambda y, out: _clairaut_rhs(y, p, initial.alpha, speed, out), post, ys,
+             problem.dt)
     except NumericsError as exc:
         # an arc past the base's boundary before that step fails first
         base.exp(initial.q, initial.q_dot, ys[:exc.details["step"], 2])

@@ -164,10 +164,10 @@ def _pack_state(state, n):
     return np.concatenate([V.ravel(), P.ravel(), [state.m, state.xi]])
 
 
-def _gauss_rhs(y, n):
-    """The canonical equations on packed states: one state (2n^2 + 2 entries)
-    or a stack of them along a leading member axis, with the matrix products
-    broadcast over the stack.
+def _gauss_rhs(y, n, out):
+    """The canonical equations on packed states, written into ``out``: one
+    state (2n^2 + 2 entries) or a stack of them along a leading member axis,
+    with the matrix products broadcast over the stack.
 
     They are written in the velocity S = 2 P / m, which carries no mass:
     Vdot = SV + VS, Pdot = -P S and xidot = tr(V P S) / m - xi^2 / 2, so no
@@ -183,7 +183,6 @@ def _gauss_rhs(y, n):
     S = 2.0 * (P / m[..., None, None])
     SV = S @ V
     PS = P @ S
-    out = np.empty_like(y)
     out[..., :nn] = (SV + SV.swapaxes(-1, -2)).reshape(flat)
     out[..., nn:2 * nn] = (-PS).reshape(flat)
     out[..., -2] = xi * m
@@ -256,7 +255,8 @@ def integrate_geodesics(states, dt, steps):
     nn = n * n
     ys = np.empty((len(states), steps + 1, 2 * nn + 2))
     ys[:, 0] = [_pack_state(s, n) for s in states]
-    _rk4(lambda y: _gauss_rhs(y, n), lambda y: _project(y, n), ys.swapaxes(0, 1), dt)
+    _rk4(lambda y, out: _gauss_rhs(y, n, out), lambda y: _project(y, n),
+         ys.swapaxes(0, 1), dt)
     t = np.arange(steps + 1) * dt
     return [_geodesic_trace(t, y[:, :nn].reshape(-1, n, n)[:, :s.n, :s.n], y[:, -2],
                             y[:, nn:2 * nn].reshape(-1, n, n)[:, :s.n, :s.n], y[:, -1])

@@ -92,7 +92,7 @@ class Grid1D:
 # The staggered stencil of the periodic last axis, one field or a stack of
 # them: node values go to the edges (the half-point i + 1/2 at index i) and
 # edge values come back to the nodes.  These four, and the packed pass of
-# the flows (_transport_flow), which gives their values bit for bit, are the
+# the flows (_flow), which gives their values bit for bit, are the
 # only places where a neighbour is read.
 def _dplus(grid, f):
     """Forward difference (f_{i+1} - f_i) / h, at i + 1/2."""
@@ -202,60 +202,79 @@ def _hamiltonian_wfr(state, *_):
     return 0.5 * (kinetic_energy(state.grid, state.rho, state.theta) + reaction)
 
 
-def _transport_flow(grid, y):
-    """Packed (-div(rho grad theta), -|grad theta|^2 / 2) of the packed
-    state y = (rho, theta), one state or a stack, in one pass over the last
-    axis; returns the new array and the (rho | -theta) it formed.
+def _flow(model, grid, shape):
+    """The flow ``flow(y, out)`` of ``model`` ('small' or 'wfr') on packed
+    states y = (rho | theta) of ``shape``, (2n,) for one state or
+    (members, 2n) for a stack: it writes (rhodot | thetadot) into ``out``
+    and returns it.
 
-    Each entry is the value the four primitives give, rounded the same
-    way, signed zeros included: x / 2 is 0.5 x, (a - b) / -h is
-    -((a - b) / h), and x / -4 is -0.5 (0.5 x).
+    An integration builds its flow once: the layout, the scratch arrays
+    (the signed state, the edge array and the theta rho product) with their
+    views, and the grid's packed rows are fixed here, so a call makes its
+    numpy calls and no other choice.  The scratch is the flow's own, so one
+    flow serves one integration at a time.
+
+    The transport part (-div(rho grad theta) | -|grad theta|^2 / 2) is one
+    packed pass over the last axis.  Each entry is the value the four
+    primitives give, rounded the same way, signed zeros included: x / 2 is
+    0.5 x, (a - b) / -h is -((a - b) / h), and x / -4 is -0.5 (0.5 x).
     """
-    n = grid.n
-    sign = grid.sign2
-    signed = sign * y                 # (rho | -theta)
-    e = y.take(grid.up2, axis=-1)
-    e += signed
-    e /= grid.edge_div2               # (rho_{i+1/2} | g = D+ theta)
-    e[..., :n] *= e[..., n:]          # (F = rho_{i+1/2} g | g)
-    e[..., n:] *= e[..., n:]          # (F | G = g^2)
-    out = e.take(grid.down2, axis=-1)
-    out *= sign
-    np.subtract(e, out, out=out)      # (F - F_{i-1/2} | G + G_{i-1/2})
-    out /= grid.node_div2
-    return out, signed
-
-
-def _small_flow(grid, y):
-    # RK4 stage states may dip negative; only the total mass must stay
-    # positive for the division defining xi.  m and xi stay numpy values
-    # (scalars for one state, a column for a stack): xi^2 overflows to inf.
     n, h = grid.n, grid.h
-    rho, theta = y[..., :n], y[..., n:]
-    stack = y.ndim > 1
-    m = h * np.add.reduce(rho, -1, keepdims=stack)
-    if (m.min() if stack else m) <= 0.0:
-        m = m.ravel()
-        where = _first_member(m <= 0.0)
-        raise MassError("total mass became nonpositive",
-                        m=float(m[where.get("member", 0)]), **where)
-    xi = h * np.add.reduce(theta * rho, -1, keepdims=stack) / m
-    out, signed = _transport_flow(grid, y)
-    # (+ xi rho | - xi theta) in one pass, bit for bit: xi (-theta) is
-    # -(xi theta) and a + (-b) is a - b exactly
-    signed *= xi
-    out += signed
-    out[..., n:] += 0.5 * (xi * xi)
-    return out
+    up2, down2, sign = grid.up2, grid.down2, grid.sign2
+    edge_div2, node_div2 = grid.edge_div2, grid.node_div2
+    half = np.asarray(0.5)  # a 0-d operand is cheaper than a Python float
+    # m and xi are numpy scalars for one state, whose float takes 0.02 us
+    # where their min takes 1.7 us, and columns for a stack
+    stack = len(shape) > 1
+    lowest = np.ndarray.min if stack else float
+    lo, hi = (np.s_[:, :n], np.s_[:, n:]) if stack else (np.s_[:n], np.s_[n:])
+    signed, e = np.empty(shape), np.empty(shape)
+    e_lo, e_hi = e[lo], e[hi]
+    rho_theta = np.empty(shape[:-1] + (n,))
 
+    # The neighbour reads clip: every index is in range, and numpy buffers
+    # a take into out= in its default mode, 'raise'.
+    def transport(y, out):
+        np.multiply(y, sign, signed)        # (rho | -theta)
+        y.take(up2, -1, e, "clip")
+        np.add(e, signed, e)
+        np.divide(e, edge_div2, e)          # (rho_{i+1/2} | g = D+ theta)
+        np.multiply(e_lo, e_hi, e_lo)       # (F = rho_{i+1/2} g | g)
+        np.multiply(e_hi, e_hi, e_hi)       # (F | G = g^2)
+        e.take(down2, -1, out, "clip")
+        np.multiply(out, sign, out)
+        np.subtract(e, out, out)            # (F - F_{i-1/2} | G + G_{i-1/2})
+        np.divide(out, node_div2, out)
 
-def _wfr_flow(grid, y):
-    n = grid.n
-    rho, theta = y[..., :n], y[..., n:]
-    out = _transport_flow(grid, y)[0]
-    out[..., :n] += rho * theta
-    out[..., n:] -= 0.5 * theta**2
-    return out
+    def small(y, out):
+        # RK4 stage states may dip negative; only the total mass must stay
+        # positive for the division defining xi.  m and xi stay numpy
+        # values: xi^2 overflows to inf.
+        m = h * np.add.reduce(y[lo], -1, None, None, stack)
+        if lowest(m) <= 0.0:
+            m = m.ravel()
+            where = _first_member(m <= 0.0)
+            raise MassError("total mass became nonpositive",
+                            m=float(m[where.get("member", 0)]), **where)
+        np.multiply(y[hi], y[lo], rho_theta)
+        xi = h * np.add.reduce(rho_theta, -1, None, None, stack) / m
+        transport(y, out)
+        # (+ xi rho | - xi theta) in one pass, bit for bit: xi (-theta) is
+        # -(xi theta) and a + (-b) is a - b exactly
+        np.add(out, np.multiply(signed, xi, signed), out)
+        out_hi = out[hi]
+        np.add(out_hi, 0.5 * (xi * xi), out_hi)
+        return out
+
+    def wfr(y, out):
+        transport(y, out)
+        rho, theta, out_lo, out_hi = y[lo], y[hi], out[lo], out[hi]
+        np.add(out_lo, np.multiply(rho, theta, rho_theta), out_lo)
+        np.multiply(np.multiply(theta, theta, rho_theta), half, rho_theta)
+        np.subtract(out_hi, rho_theta, out_hi)
+        return out
+
+    return {"small": small, "wfr": wfr}[model]
 
 
 def small_rhs(state):
@@ -263,14 +282,12 @@ def small_rhs(state):
     thetadot = -|grad theta|^2 / 2 - xi theta + xi^2 / 2."""
     state = state.validate()
     n = state.grid.n
-    d = _small_flow(state.grid, np.append(state.rho, state.theta))
+    y = np.append(state.rho, state.theta)
+    d = _flow("small", state.grid, y.shape)(y, np.empty_like(y))
     return d[:n], d[n:]
 
 
-_MODELS = {
-    "small": (_small_flow, _hamiltonian_small),
-    "wfr": (_wfr_flow, _hamiltonian_wfr),
-}
+_ENERGIES = {"small": _hamiltonian_small, "wfr": _hamiltonian_wfr}
 
 
 def integrate_pde(state, model, dt, steps):
@@ -286,13 +303,15 @@ def integrate_pde(state, model, dt, steps):
 def integrate_pdes(states, model, dt, steps):
     """``integrate_pde`` for states on one grid, stepped as one stack.
 
-    Returns one trace per state, equal entry for entry to its own
+    Builds one flow (``_flow``) for the layout, one state or a stack, and
+    steps it in one ``trace._rk4`` loop, which copies each state into the
+    trace.  Returns one trace per state, equal entry for entry to its own
     ``integrate_pde`` trace; the traces are views of one array.  A failure,
     or a state refused by the step guard, aborts the whole stack and carries
     the index ``member`` of the first failing state (in a stack of more than
     one).
     """
-    if model not in _MODELS:
+    if model not in _ENERGIES:
         raise ValueError(f"unknown model {model!r}; expected 'small' or 'wfr'")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -302,7 +321,7 @@ def integrate_pdes(states, model, dt, steps):
     grid = states[0].grid
     if any(s.grid != grid for s in states):
         raise ValueError("stacked states must share one grid")
-    rhs, energy = _MODELS[model]
+    energy = _ENERGIES[model]
     n = grid.n
     h = grid.h
     for i, state in enumerate(states):
@@ -327,11 +346,12 @@ def integrate_pdes(states, model, dt, steps):
     data[:, 0, 4:4 + n] = [s.rho for s in states]
     data[:, 0, 4 + n:] = [s.theta for s in states]
     # a stack of one runs on the 1-D layout, with no member axis: the
-    # member axis gives the same bytes but is slower (n = 256, 1000 steps,
-    # 30 interleaved pairs on one Xeon core: medians small 0.161 s against
-    # 0.125 s, the median pair +31%; wfr 0.122 s against 0.107 s, +18%)
+    # member axis gives the same bytes but is slower (the RK4 loop alone,
+    # n = 256, 1000 steps, 30 interleaved pairs on one Xeon core: medians
+    # small 124 ms against 84 ms, the median pair +46%; wfr 78 ms against
+    # 66 ms, +22%)
     ys = data[:, :, 4:].swapaxes(0, 1) if len(states) > 1 else data[0, :, 4:]
-    _rk4(lambda y: rhs(grid, y), post, ys, dt)
+    _rk4(_flow(model, grid, ys.shape[1:]), post, ys, dt)
     for d in data:  # one member at a time keeps the temporaries small
         rows = PdeState(grid=grid, rho=d[:, 4:4 + n], theta=d[:, 4 + n:])
         d[:, 0] = np.arange(steps + 1) * dt

@@ -10,6 +10,7 @@ numpy makes those bytes for thousands of entries at a time (``_csv_chunk``).
 from __future__ import annotations
 
 import os
+import re
 import signal
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -43,8 +44,11 @@ class GeodesicTrace:
         return self.data[:, self.columns.index(name)]
 
     def block(self, prefix):
-        """All columns whose name starts with prefix, as a (rows, k) array."""
-        idx = [i for i, c in enumerate(self.columns) if c.startswith(prefix)]
+        """The columns named prefix followed by an index, digits or digits
+        joined by "_" (q0, V_0_1), as a (rows, k) array: the q block of a
+        cone trace holds no qdot column."""
+        name = re.compile(re.escape(prefix) + r"\d+(_\d+)*")
+        idx = [i for i, c in enumerate(self.columns) if name.fullmatch(c)]
         return self.data[:, idx]
 
     def write_csv(self, path):
@@ -443,27 +447,46 @@ def _rk4(rhs, post, states, dt):
     """Classical fixed-step RK4 from ``states[0]``; row k receives the state
     after step k, and the last state is returned.
 
+    ``rhs(y, out)`` writes the derivative at y into ``out``, an array of y's
+    shape that is not y.  The steps run on contiguous buffers that this call
+    allocates and keeps to itself: the current state, the stage input, two
+    derivatives and the accumulator, which becomes the next state.  Each
+    finished state is copied into its row, so a stacked row, a strided view
+    of a trace, is never stepped on.  The stages are y + (0.5 dt) k and
+    y + dt k, the new state y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), each
+    operation rounded as the textbook formula rounds it.
+
     A new state with a non-finite entry raises NonFiniteError, naming the
     first such member of a stack; then ``post(y)`` projects the new state in
     place and checks it.  A NumericsError raised by a stage, by that check or
     by ``post`` during the step from k to k + 1 is stamped ``step = k + 1``.
     """
-    y = states[0]
+    y = states[0].copy()
+    stage, acc, ka, kb = (np.empty_like(y) for _ in range(4))
+    # 0-d operands are cheaper than Python floats
+    half, step, sixth, two = map(np.asarray, (0.5 * dt, dt, dt / 6.0, 2.0))
     for k in range(1, len(states)):
         try:
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y).all():
+            rhs(y, ka)                                              # k1
+            np.add(y, np.multiply(ka, half, stage), stage)
+            rhs(stage, kb)                                          # k2
+            np.add(ka, np.multiply(kb, two, acc), acc)
+            np.add(y, np.multiply(kb, half, stage), stage)
+            rhs(stage, ka)                                          # k3
+            np.add(y, np.multiply(ka, step, stage), stage)
+            np.add(acc, np.multiply(ka, two, ka), acc)
+            rhs(stage, ka)                                          # k4
+            np.add(acc, ka, acc)
+            np.add(y, np.multiply(acc, sixth, acc), acc)
+            if not np.isfinite(acc).all():
                 raise NonFiniteError("non-finite state during integration",
-                                     **_first_member(~np.isfinite(y).all(-1)))
-            post(y)
+                                     **_first_member(~np.isfinite(acc).all(-1)))
+            post(acc)
         except NumericsError as exc:
             exc.details["step"] = k
             raise
-        states[k] = y
+        states[k] = acc
+        y, acc = acc, y
     return y
 
 

@@ -22,7 +22,7 @@ def reduced_rhs(state, p, base=None):
     """(alphadot, alphaddot, sdot) of the reduced flow at a cone state."""
     base = base or circle_base()
     return _clairaut_rhs(np.array([state.alpha, state.alpha_dot, 0.0]), p, state.alpha,
-                         base.speed(state.q, state.q_dot))
+                         base.speed(state.q, state.q_dot), np.empty(3))
 
 
 # -- the reduced flow (alpha, alphadot, s) ------------------------------------
@@ -52,7 +52,7 @@ def test_rhs_p_zero_decouples():
 
 def test_rhs_rejects_apex():
     with pytest.raises(ApexCrossingError):
-        _clairaut_rhs(np.array([-0.1, 0.0, 0.0]), 1.0, 1.0, 1.0)
+        _clairaut_rhs(np.array([-0.1, 0.0, 0.0]), 1.0, 1.0, 1.0, np.empty(3))
 
 
 def test_general_p_radial_equation():
@@ -65,6 +65,18 @@ def test_general_p_radial_equation():
 
 # -- integrate_cone -----------------------------------------------------------
 
+def test_trace_block_holds_only_its_indexed_columns():
+    # "q" starts "qdot" too: on a flat base of dim 2 the q block is q0, q1
+    # and the qdot block qdot0, qdot1, each of shape (rows, 2)
+    state = ConeState(q=np.array([0.4, -1.0]), q_dot=np.array([0.5, 0.2]),
+                      alpha=1.3, alpha_dot=0.1)
+    trace = integrate_cone(state, ConeProblem(p=1.5, dt=1e-2, steps=3), flat_base(2))
+    assert trace.block("q").shape == (4, 2)
+    npt.assert_array_equal(trace.block("q"), trace.data[:, 4:6])
+    npt.assert_array_equal(trace.block("qdot"), trace.data[:, 6:8])
+    assert trace.block("q")[0].tolist() == [0.4, -1.0]
+
+
 @pytest.mark.parametrize("base, q", [
     (circle_base(), [0.4]),
     (flat_base(3), [0.4, -1.0, 2.5]),
@@ -76,7 +88,7 @@ def test_integrate_zero_velocity_is_constant(base, q):
     state = ConeState(q=q, q_dot=np.zeros(q.size), alpha=1.3, alpha_dot=-0.2)
     trace = integrate_cone(state, ConeProblem(p=1.0, dt=1e-2, steps=50), base)
     npt.assert_allclose(trace.column("alpha"), 1.3 - 0.2 * trace.t)
-    assert np.array_equal(trace.block("q")[:, :q.size], np.tile(q, (51, 1)))
+    assert np.array_equal(trace.block("q"), np.tile(q, (51, 1)))
     assert np.array_equal(trace.block("qdot"), np.zeros((51, q.size)))
 
 

@@ -10,8 +10,8 @@ from uotcone.cone import cone_line
 from uotcone.config import MIN_GRID
 from uotcone.errors import (MassError, NonFiniteError, PositivityError,
                             SingularSystemError, StepGuardError)
-from uotcone.pde import (_MODELS, Grid1D, PdeState, _dminus, _dplus, _half,
-                         _mean, _wfr_flow, fisher_rao_cone_geodesic,
+from uotcone.pde import (Grid1D, PdeState, _dminus, _dplus, _flow, _half,
+                         _mean, fisher_rao_cone_geodesic,
                          gdiv_metric_eval, hamiltonian_small, hamiltonian_wfr,
                          integrate_pde, integrate_pdes, small_metric_eval,
                          small_rhs, solve_potential, total_mass, xi_of)
@@ -128,7 +128,8 @@ def wfr_rhs(state):
     rhodot = -div(rho grad theta) + rho theta,
     thetadot = -|grad theta|^2 / 2 - theta^2 / 2."""
     n = state.grid.n
-    d = _wfr_flow(state.grid, np.append(state.rho, state.theta))
+    y = np.append(state.rho, state.theta)
+    d = _flow("wfr", state.grid, y.shape)(y, np.empty_like(y))
     return d[:n], d[n:]
 
 
@@ -229,7 +230,6 @@ def test_packed_rhs_equals_the_slice_stencils(model, n):
     # round most delicately
     rng = np.random.default_rng(37)
     rhs = small_rhs if model == "small" else wfr_rhs
-    flow = _MODELS[model][0]
     for length in (TWO_PI, 0.5, 10.0):
         grid = Grid1D(n=n, length=length)
         rho = 0.5 + rng.uniform(size=(3, n))
@@ -239,7 +239,8 @@ def test_packed_rhs_equals_the_slice_stencils(model, n):
                 for got, want in zip(rhs(PdeState(grid, r, t)),
                                      slice_stencil_rhs(model, grid, r, t)):
                     assert_same_bits(got, want)
-            packed = flow(grid, np.concatenate([rho, theta], axis=-1))
+            y = np.concatenate([rho, theta], axis=-1)
+            packed = _flow(model, grid, y.shape)(y, np.empty_like(y))
             assert_same_bits(packed, np.concatenate(
                 slice_stencil_rhs(model, grid, rho, theta), axis=-1))
             if amplitude < 1.0:
@@ -436,6 +437,66 @@ def test_layout_follows_the_stack_size(monkeypatch):
     integrate_pdes([state, state], "small", dt=1e-3, steps=20)
     assert ndims == [2, 2, 3]
     assert single.data.tobytes() == stack_of_one.data.tobytes()
+
+
+def textbook_rk4(model, grid, rho, theta, dt, steps):
+    """Classical RK4 over slice_stencil_rhs from (rho, theta), one state or
+    a stack: stages y + (0.5 dt) k and y + dt k, update
+    y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4).  Returns (rho, theta) after each
+    step, along a leading axis of steps + 1."""
+    def rhs(y):
+        return np.array(slice_stencil_rhs(model, grid, *y))
+
+    y = np.array([rho, theta])
+    ys = [y]
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + (0.5 * dt) * k1)
+        k3 = rhs(y + (0.5 * dt) * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys.append(y)
+    return np.array(ys)
+
+
+@pytest.mark.parametrize("n", [MIN_GRID, 9, 64])
+@pytest.mark.parametrize("model", ["small", "wfr"])
+def test_integration_is_the_textbook_rk4(model, n):
+    # the driver's arithmetic, pinned apart from its buffers: every row of
+    # a single or stacked trace is the textbook RK4 step, bit for bit
+    rng = np.random.default_rng(43)
+    for length in (TWO_PI, 0.5, 10.0):
+        grid = Grid1D(n=n, length=length)
+        wave = 2.0 * np.pi * grid.x / length + rng.uniform(0.0, TWO_PI, size=(3, 1))
+        rho = 1.0 + rng.uniform(0.1, 0.3, size=(3, 1)) * np.cos(wave)
+        theta = rng.uniform(-0.5, 0.5, size=(3, 1)) + 0.1 * np.sin(2.0 * wave)
+        dt = min(1e-3, 0.1 * grid.h**2 / np.max(np.abs(_dplus(grid, theta))))
+        want = textbook_rk4(model, grid, rho, theta, dt, 100)
+        states = [PdeState(grid, r, t) for r, t in zip(rho, theta)]
+        traces = [integrate_pde(states[0], model, dt, 100),
+                  *integrate_pdes(states, model, dt, 100)]
+        for trace, i in zip(traces, [0, 0, 1, 2]):
+            assert_same_bits(trace.block("rho"), want[:, 0, i])
+            assert_same_bits(trace.block("theta"), want[:, 1, i])
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_integrations_share_no_scratch(members):
+    # a later integration on the same grid and shape, and one that fails
+    # mid-run, leave an earlier trace as a fresh run gives it
+    grid = Grid1D(n=16)
+    first = [smooth_state(grid, 0.4 * i) for i in range(members)]
+    later = [smooth_state(grid, 1.0 + 0.4 * i, amp=0.02) for i in range(members)]
+    failing = [PdeState(grid, np.ones(16), np.full(16, -1000.0))] * members
+    for model in ("small", "wfr"):
+        kept = integrate_pdes(first, model, dt=1e-3, steps=60)
+        copies = [t.data.copy() for t in kept]
+        integrate_pdes(later, model, dt=1e-3, steps=60)
+        with pytest.raises(MassError):
+            integrate_pdes(failing, "small", dt=1e-3, steps=50)
+        for trace, copy, fresh in zip(kept, copies,
+                                      integrate_pdes(first, model, dt=1e-3, steps=60)):
+            assert trace.data.tobytes() == copy.tobytes() == fresh.data.tobytes()
 
 
 # -- elliptic solves and metric evaluations -----------------------------------

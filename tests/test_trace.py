@@ -23,7 +23,7 @@ def test_rk4_linear_flow_is_the_degree_four_taylor_factor():
     dt, steps = 0.1, 20
     states = np.empty((steps + 1, 2))
     states[0] = [1.0, 2.0]
-    last = _rk4(lambda y: -y, lambda y: None, states, dt)
+    last = _rk4(lambda y, out: np.negative(y, out), lambda y: None, states, dt)
     factor = 1.0 - dt + dt**2 / 2.0 - dt**3 / 6.0 + dt**4 / 24.0
     expected = np.outer(factor ** np.arange(steps + 1), [1.0, 2.0])
     np.testing.assert_allclose(states, expected, rtol=1e-13)
@@ -33,8 +33,8 @@ def test_rk4_linear_flow_is_the_degree_four_taylor_factor():
 def test_rk4_steps_a_stack_of_states_as_its_members():
     # states of shape (steps + 1, members, d): row k holds every member after
     # step k, each exactly as a run of its own would give it
-    def oscillator(y):  # (x, v)' = (v, -x - 0.3 v) on the last axis
-        return y[..., ::-1] * [1.0, -1.0] - [0.0, 0.3] * y
+    def oscillator(y, out):  # (x, v)' = (v, -x - 0.3 v) on the last axis
+        out[...] = y[..., ::-1] * [1.0, -1.0] - [0.0, 0.3] * y
 
     dt, steps = 0.1, 20
     y0 = np.array([[1.0, 0.0], [0.5, -2.0], [3.0, 1.0]])
@@ -48,6 +48,24 @@ def test_rk4_steps_a_stack_of_states_as_its_members():
         np.testing.assert_array_equal(stack[:, i], single)
 
 
+def test_rk4_result_outlives_later_calls():
+    # the returned state is the call's own: a later call, and one that
+    # fails mid-run, leave it as it was
+    def rhs(y, out):
+        if y[0] > 3.5:
+            raise NonFiniteError("stage failure")
+        out.fill(1.0)
+
+    states = np.zeros((4, 2))
+    last = _rk4(rhs, lambda y: None, states, 1.0)
+    kept = last.copy()
+    _rk4(rhs, lambda y: None, np.full((3, 2), -5.0), 1.0)
+    with pytest.raises(NonFiniteError):
+        _rk4(rhs, lambda y: None, np.zeros((11, 2)), 1.0)
+    np.testing.assert_array_equal(last, kept)
+    np.testing.assert_array_equal(last, [3.0, 3.0])
+
+
 def test_rk4_post_hook_projects_each_state():
     states = np.empty((6, 2))
     states[0] = [1.0, 5.0]
@@ -55,7 +73,7 @@ def test_rk4_post_hook_projects_each_state():
     def clamp(y):
         y[1] = 0.0
 
-    _rk4(lambda y: np.ones(2), clamp, states, 0.5)
+    _rk4(lambda y, out: out.fill(1.0), clamp, states, 0.5)
     np.testing.assert_array_equal(states[1:, 1], 0.0)
     np.testing.assert_allclose(states[:, 0], 1.0 + 0.5 * np.arange(6))
 
@@ -65,11 +83,11 @@ def test_rk4_stage_failure_is_stamped_with_the_step_it_belongs_to(stage):
     # rhs calls 4k + 1 ... 4k + 4 are the stages of the step from k to k + 1
     calls = []
 
-    def rhs(y):
+    def rhs(y, out):
         calls.append(1)
         if len(calls) == 4 * 6 + stage:
             raise NonFiniteError("stage failure")
-        return -y
+        np.negative(y, out)
 
     states = np.empty((11, 1))
     states[0] = 1.0
@@ -86,9 +104,22 @@ def test_rk4_post_failure_is_stamped_with_the_new_step():
     states = np.empty((11, 1))
     states[0] = 0.0
     with pytest.raises(NonFiniteError) as exc:
-        _rk4(lambda y: np.ones(1), post, states, 1.0)
+        _rk4(lambda y, out: out.fill(1.0), post, states, 1.0)
     # y after the step from k to k + 1 is k + 1; 4 is the first above 3.5
     assert exc.value.details == {"value": 4.0, "step": 4}
+
+
+def test_block_is_the_prefix_followed_by_an_index():
+    columns = ("t", "m", "xi", "H", "rho0", "rho1", "theta0", "theta1", "V_0_0",
+               "V_0_1", "q0", "qdot0", "q10", "alpha", "alphadot")
+    trace = GeodesicTrace(columns=columns,
+                          data=np.arange(2.0 * len(columns)).reshape(len(columns), 2).T)
+    blocks = {prefix: [columns.index(c) for c in names] for prefix, names in [
+        ("rho", ["rho0", "rho1"]), ("theta", ["theta0", "theta1"]),
+        ("V_", ["V_0_0", "V_0_1"]), ("q", ["q0", "q10"]), ("qdot", ["qdot0"]),
+        ("alpha", []), ("V", [])]}
+    for prefix, idx in blocks.items():
+        np.testing.assert_array_equal(trace.block(prefix), trace.data[:, idx])
 
 
 def big_trace(rows, cols, seed=0):
