@@ -299,7 +299,7 @@ def test_closed_form_cone_agrees_with_rk4(base, q, q_dot, alpha_dot):
 @pytest.mark.parametrize("base, q, q_dot", BASES, ids=BASE_IDS)
 def test_closed_form_cone_scales_exactly(base, q, q_dot, k):
     # alpha -> 2^k alpha maps cone geodesics to cone geodesics: the mass is
-    # exactly 4^k times, the base path the same
+    # exactly 4^k times, the base path and its velocity the same
     problem = ConeProblem(p=1.0, dt=1e-3, steps=1000)
 
     def trace(scale):
@@ -310,6 +310,7 @@ def test_closed_form_cone_scales_exactly(base, q, q_dot, k):
     unit, scaled = trace(1.0), trace(2.0**k)
     assert np.array_equal(scaled.column("m"), 4.0**k * unit.column("m"))
     assert np.array_equal(scaled.block("q"), unit.block("q"))
+    assert np.array_equal(scaled.block("qdot"), unit.block("qdot"))
     assert np.array_equal(scaled.column("alpha"), 2.0**k * unit.column("alpha"))
 
 
