@@ -53,24 +53,25 @@ def _jsonable(value, bad, key=""):
     return value
 
 
-def _write_output(path, content):
-    """Write one output file: a trace as CSV, a string as UTF-8 text.  An
-    OSError (the path is a directory, the disk is full) is a config error
-    that names the file, as for an output directory that cannot be
-    created."""
+# every file name a run writes into its directory
+_OUTPUTS = ("trace.csv", "result.csv", "summary.json")
+
+
+def _write_output(path, content=None):
+    """Write one output file: a trace as CSV, a string as UTF-8 text; None
+    removes the file, if there is one.  An OSError (the path is a directory,
+    the disk is full) is a config error that names the file, as for an
+    output directory that cannot be created."""
     try:
-        if isinstance(content, GeodesicTrace):
+        if content is None:
+            path.unlink(missing_ok=True)
+        elif isinstance(content, GeodesicTrace):
             content.write_csv(path)
         else:
             path.write_text(content, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write the output file {path}: "
                           f"{exc.strerror or exc}", path=str(path)) from None
-
-
-def _write_summary(outdir, summary):
-    _write_output(outdir / "summary.json",
-                  json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
 def _field(cfg, key, *shape):
@@ -90,69 +91,68 @@ def _fields(cfg, *keys):
     return n, *(_field(cfg, key, n) for key in keys)
 
 
-def _trace_summary(trace):
-    return {
-        "final": {"t": float(trace.t[-1]),
-                  "m": float(trace.column("m")[-1]),
-                  "xi": float(trace.column("xi")[-1]),
-                  "H": float(trace.column("H")[-1])},
-        "H_drift_rel": relative_energy_drift(trace),
-        "mass_fit": mass_quadratic_fit(trace),
-    }
+# The one owner of each trace command's H convention: mass_fit's
+# expected_leading is factor H(0), so m'' = 2 factor H along its geodesics.
+# The Gaussian and density traces write the Hamiltonian (m'' = H for both
+# PDE models); cone-geodesic the bare-cone |v|^2 (p = 1: m = alpha^2 and
+# alpha'' = alpha |qdot|^2, so m'' = 2H; other p have no constant m'' and
+# pass no factor); fr-geodesic the flat energy 4 int (d sqrt(rho)/dt)^2,
+# twice the Hamiltonian (m'' = H/2).
+_LEADING_FACTOR = {"gauss-geodesic": 0.5, "gauss-connect": 0.5, "pde-evolve": 0.5,
+                   "cone-geodesic": 1.0, "fr-geodesic": 0.25}
 
 
-def _handle_gauss_geodesic(cfg, outdir, seed):
+def _trace_summary(trace, factor):
+    """final {t, m, xi, H}, H_drift_rel and mass_fit of a trace; with a
+    factor, mass_fit holds expected_leading = factor H(0)."""
+    mass_fit = mass_quadratic_fit(trace)
+    if factor is not None:
+        mass_fit["expected_leading"] = factor * float(trace.column("H")[0])
+    return {"final": {name: float(trace.column(name)[-1]) for name in ("t", "m", "xi", "H")},
+            "H_drift_rel": relative_energy_drift(trace),
+            "mass_fit": mass_fit}
+
+
+def _handle_gauss_geodesic(cfg, seed):
     n = cfg["n"]
     state = GaussianCotangentState(V=_field(cfg, "V", n, n), m=float(cfg["m"]),
                                    P=_field(cfg, "P", n, n), xi=float(cfg["xi"]))
     trace = geodesic_ray(state, dt=cfg["dt"], steps=cfg["steps"])
-    _write_output(outdir / "trace.csv", trace)
-    summary = {"command": cfg["command"], **_trace_summary(trace)}
-    summary["mass_fit"]["expected_leading"] = 0.5 * float(trace.column("H")[0])
-    return summary, 0
+    return _trace_summary(trace, _LEADING_FACTOR["gauss-geodesic"]), 0, {"trace.csv": trace}
 
 
-def _handle_gauss_connect(cfg, outdir, seed):
+def _handle_gauss_connect(cfg, seed):
     n = cfg["n"]
     Sigma0 = _field(cfg, "Sigma0", n, n)
     Sigma1 = _field(cfg, "Sigma1", n, n)
     P0, xi0, trace, residual = shoot_bvp(Sigma0, float(cfg["m0"]), Sigma1,
                                          float(cfg["m1"]), tol=cfg["tol"], dt=cfg["dt"])
-    _write_output(outdir / "trace.csv", trace)
-    summary = {"command": cfg["command"], **_trace_summary(trace)}
-    summary.update({
-        "P0": P0.ravel().tolist(),
-        "xi0": float(xi0),
-        "endpoint_residual": residual,
-        "min_mass": float(np.min(trace.column("m"))),
-    })
-    return summary, 0
+    return {**_trace_summary(trace, _LEADING_FACTOR["gauss-connect"]),
+            "P0": P0.ravel().tolist(),
+            "xi0": float(xi0),
+            "endpoint_residual": residual,
+            "min_mass": float(np.min(trace.column("m")))}, 0, {"trace.csv": trace}
 
 
-def _handle_pde_evolve(cfg, outdir, seed):
+def _handle_pde_evolve(cfg, seed):
     n, rho, theta = _fields(cfg, "rho", "theta")
     state = PdeState(Grid1D(n=n, length=float(cfg["length"])), rho, theta)
     trace = integrate_pde(state, cfg["model"], dt=cfg["dt"], steps=cfg["steps"])
-    _write_output(outdir / "trace.csv", trace)
-    summary = {"command": cfg["command"], "model": cfg["model"],
-               **_trace_summary(trace)}
-    # m'' = H holds for both models
-    summary["mass_fit"]["expected_leading"] = 0.5 * float(trace.column("H")[0])
-    return summary, 0
+    return ({"model": cfg["model"], **_trace_summary(trace, _LEADING_FACTOR["pde-evolve"])},
+            0, {"trace.csv": trace})
 
 
-def _handle_pde_metric(cfg, outdir, seed):
+def _handle_pde_metric(cfg, seed):
     n, rho, rhodot = _fields(cfg, "rho", "rhodot")
     grid = Grid1D(n=n, length=float(cfg["length"]))
     evaluate = small_metric_eval if cfg["metric"] == "small" else gdiv_metric_eval
     value = evaluate(grid, rho, rhodot)
     rate = float(grid.h * np.sum(rhodot) / total_mass(grid, rho))
-    _write_output(outdir / "result.csv", f"value,rate\n{value!r},{rate!r}\n")
-    return {"command": cfg["command"], "metric": cfg["metric"],
-            "value": value, "rate": rate}, 0
+    return ({"metric": cfg["metric"], "value": value, "rate": rate}, 0,
+            {"result.csv": f"value,rate\n{value!r},{rate!r}\n"})
 
 
-def _handle_fr_geodesic(cfg, outdir, seed):
+def _handle_fr_geodesic(cfg, seed):
     n, rho0, rho1 = _fields(cfg, "rho0", "rho1")
     grid = Grid1D(n=n, length=float(cfg["length"]))
     t = np.linspace(0.0, 1.0, cfg["num_times"])[:, None]
@@ -166,14 +166,12 @@ def _handle_fr_geodesic(cfg, outdir, seed):
     cols = ["t", "m", "xi", "H"] + [f"rho{i}" for i in range(n)]
     data = np.column_stack([t, m_t, mdot / m_t, np.full(t.size, energy), rho_t])
     trace = GeodesicTrace(columns=tuple(cols), data=data)
-    _write_output(outdir / "trace.csv", trace)
     end_err = max(float(np.max(np.abs(rho_t[0] - rho0))),
                   float(np.max(np.abs(rho_t[-1] - rho1))))
-    return {"command": cfg["command"],
-            "m0": float(total_mass(grid, rho0)),
+    return {"m0": float(total_mass(grid, rho0)),
             "m1": float(total_mass(grid, rho1)),
-            "flat_energy": energy,
-            "endpoint_error": end_err}, 0
+            "endpoint_error": end_err,
+            **_trace_summary(trace, _LEADING_FACTOR["fr-geodesic"])}, 0, {"trace.csv": trace}
 
 
 def _cone_base(cfg):
@@ -196,7 +194,7 @@ def _cone_base(cfg):
     return spd_base(n)
 
 
-def _handle_cone_geodesic(cfg, outdir, seed):
+def _handle_cone_geodesic(cfg, seed):
     base = _cone_base(cfg)
     state = ConeState(q=_field(cfg, "q", base.dim),
                       q_dot=_field(cfg, "q_dot", base.dim),
@@ -207,21 +205,12 @@ def _handle_cone_geodesic(cfg, outdir, seed):
         engine, trace = "closed-form", cone_geodesic_ray(state, problem, base)
     else:
         engine, trace = "rk4", integrate_cone(state, problem, base)
-    _write_output(outdir / "trace.csv", trace)
-    mass_fit = mass_quadratic_fit(trace)
-    if problem.p == 1.0:
-        # m = alpha^2 and alpha'' = alpha g(qdot, qdot), so m'' = 2H
-        mass_fit["expected_leading"] = float(trace.column("H")[0])
-    return {"command": cfg["command"], "base": cfg["base"], "p": problem.p,
-            "energy_drift_rel": relative_energy_drift(trace),
-            "mass_fit": mass_fit,
-            "final": {"t": float(trace.t[-1]),
-                      "alpha": float(trace.column("alpha")[-1]),
-                      "H": float(trace.column("H")[-1])},
-            "diagnostics": {"engine": engine}}, 0
+    factor = _LEADING_FACTOR["cone-geodesic"] if problem.p == 1.0 else None
+    return {"base": cfg["base"], "p": problem.p, **_trace_summary(trace, factor),
+            "diagnostics": {"engine": engine}}, 0, {"trace.csv": trace}
 
 
-def _handle_bb_action(cfg, outdir, seed):
+def _handle_bb_action(cfg, seed):
     explicit = cfg["source"] == "explicit"
     for key in ("times", "rhobar", "w", "r") if explicit else ("rho", "theta"):
         if key not in cfg:
@@ -248,11 +237,7 @@ def _handle_bb_action(cfg, outdir, seed):
         path = from_small_trace(trace, grid)
         energy_integral = float(np.trapezoid(2.0 * trace.column("H"), trace.t))
     result = bb_action(path, continuity_tol=cfg["continuity_tol"])
-    _write_output(outdir / "result.csv",
-                  "action,transport,radial,continuity_residual\n"
-                  f"{result.action!r},{result.transport_part!r},"
-                  f"{result.radial_part!r},{result.continuity_residual!r}\n")
-    summary = {"command": cfg["command"], "source": cfg["source"],
+    summary = {"source": cfg["source"],
                "action": result.action,
                "transport_part": result.transport_part,
                "radial_part": result.radial_part,
@@ -260,10 +245,12 @@ def _handle_bb_action(cfg, outdir, seed):
     if energy_integral is not None:
         summary["energy_integral"] = energy_integral
         summary["action_vs_energy_gap"] = abs(result.action - energy_integral)
-    return summary, 0
+    return summary, 0, {"result.csv": "action,transport,radial,continuity_residual\n"
+                                      f"{result.action!r},{result.transport_part!r},"
+                                      f"{result.radial_part!r},{result.continuity_residual!r}\n"}
 
 
-def _handle_check(cfg, outdir, seed):
+def _handle_check(cfg, seed):
     results = []
     for r, seconds in checks.run_all(seed=seed, quick=cfg["quick"]):
         print(("PASS" if r.passed else "FAIL") + f" {r.name} - {r.detail}")
@@ -271,11 +258,10 @@ def _handle_check(cfg, outdir, seed):
         print(f"{r.name} {seconds:.3f}", file=sys.stderr)
         results.append(r)
     all_passed = all(r.passed for r in results)
-    summary = {"command": "check", "seed": seed, "quick": cfg["quick"],
-               "all_passed": all_passed,
+    summary = {"seed": seed, "quick": cfg["quick"], "all_passed": all_passed,
                "results": [{"name": r.name, "passed": r.passed,
                             "detail": r.detail} for r in results]}
-    return summary, 0 if all_passed else 2
+    return summary, 0 if all_passed else 2, {}
 
 
 _HANDLERS = {
@@ -291,12 +277,19 @@ _HANDLERS = {
 
 
 def _run_one(cfg, outdir, seed):
+    """Run one config; the only code that writes into outdir.  Every
+    output of an earlier run is removed first, and summary.json is written
+    last, so the directory holds this run's outputs only, and a failed
+    run's error summary alone."""
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create the output directory: {exc}") from None
+    for name in _OUTPUTS:
+        _write_output(outdir / name)
     try:
-        summary, code = _HANDLERS[cfg["command"]](cfg, outdir, seed)
+        summary, code, outputs = _HANDLERS[cfg["command"]](cfg, seed)
+        summary = {"command": cfg["command"], **summary}
         summary.setdefault("status", "ok" if code == 0 else "failed")
         bad = []
         summary = _jsonable(summary, bad)
@@ -305,27 +298,30 @@ def _run_one(cfg, outdir, seed):
             key, value = bad[0]
             raise NonFiniteError(f"summary value {key!r} is not finite",
                                  key=key, value=value)
+        for name, content in outputs.items():
+            _write_output(outdir / name, content)
     except NumericsError as exc:
-        return _fail(cfg, outdir, exc.to_json(), f"numerical failure in {cfg['command']}")
+        summary, code = _fail(cfg, exc.to_json(), f"numerical failure in {cfg['command']}")
     except ConfigError:
         raise
     except Exception as exc:
         # the last resort: a bug, reported as a reason with the innermost
-        # frame that raised it instead of a traceback
+        # frame that raised it instead of a traceback; a trace whose writing
+        # failed is removed
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         reason = {"kind": "internal", "message": f"{type(exc).__name__}: {exc}",
                   "where": f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"}
-        return _fail(cfg, outdir, reason, f"internal error in {cfg['command']}")
-    _write_summary(outdir, summary)
+        summary, code = _fail(cfg, reason, f"internal error in {cfg['command']}")
+        for name in _OUTPUTS:
+            _write_output(outdir / name)
+    _write_output(outdir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return code
 
 
-def _fail(cfg, outdir, reason, what):
-    """Write the summary of a failed run and return exit code 2."""
-    _write_summary(outdir, _jsonable({"command": cfg["command"], "status": "error",
-                                      "reason": reason}, []))
+def _fail(cfg, reason, what):
+    """The summary of a failed run and exit code 2."""
     print(f"{what}: {reason['message']}", file=sys.stderr)
-    return 2
+    return _jsonable({"command": cfg["command"], "status": "error", "reason": reason}, []), 2
 
 
 def _config_fail(exc):

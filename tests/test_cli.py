@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -17,10 +18,11 @@ from hypothesis import strategies as st
 
 import uotcone
 from test_trace import cores, no_child_left  # noqa: F401 (a fixture)
-from uotcone import checks, cli, gaussian
+from uotcone import checks, cli, gaussian, trace
 from uotcone.cli import main
 from uotcone.checks import CheckResult
-from uotcone.config import _CHOICES, _SCHEMAS, MAX_TRACE_ENTRIES, validate_run
+from uotcone.config import (_CHOICES, _SCHEMAS, _TRACE_SHAPES, MAX_TRACE_ENTRIES,
+                            validate_run)
 from uotcone.errors import ConfigError, NonFiniteError, NumericsError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -267,7 +269,7 @@ def test_non_finite_top_level_summary_is_a_typed_failure(tmp_path):
 def test_internal_failure_is_structured(tmp_path, monkeypatch, capsys):
     # an exception that is neither typed kind is a bug: exit 2 with a reason
     # of kind internal, not a traceback
-    def broken(cfg, outdir, seed):
+    def broken(cfg, seed):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._HANDLERS, "gauss-geodesic", broken)
@@ -285,7 +287,7 @@ def test_internal_failure_is_structured(tmp_path, monkeypatch, capsys):
 def test_non_finite_reason_details_are_strict_json(tmp_path, monkeypatch, capsys):
     # a reason's non-finite details are written as their str, so
     # summary.json stays strict JSON
-    def overflows(cfg, outdir, seed):
+    def overflows(cfg, seed):
         raise NumericsError("x", value=float("nan"), bound=float("inf"))
 
     monkeypatch.setitem(cli._HANDLERS, "gauss-geodesic", overflows)
@@ -300,7 +302,7 @@ def test_non_finite_reason_details_are_strict_json(tmp_path, monkeypatch, capsys
 def test_config_error_line_is_strict_json(tmp_path, monkeypatch, capsys, argv):
     # a config error found before the runs and one raised by a run print
     # the same strict JSON line
-    def refuses(cfg, outdir, seed):
+    def refuses(cfg, seed):
         raise ConfigError("refused", bound=float("-inf"))
 
     monkeypatch.setitem(cli._HANDLERS, "gauss-geodesic", refuses)
@@ -344,8 +346,11 @@ def test_full_disk_is_a_config_error(tmp_path, capsys, monkeypatch):
     # the disk fills while forked workers format the trace: the error names
     # the file, and no worker is left behind
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    (tmp_path / "out").mkdir()
-    (tmp_path / "out" / "trace.csv").symlink_to("/dev/full")
+    # a run removes an earlier trace.csv, a symlink too, before it writes:
+    # the trace writer opens /dev/full in its place
+    target = str(tmp_path / "out" / "trace.csv")
+    monkeypatch.setattr(trace, "open", lambda path, mode: builtins.open(
+        "/dev/full" if str(path) == target else path, mode), raising=False)
     # a header shorter than the file buffer, so the first failing write comes
     # after the fork
     cfg = {"command": "fr-geodesic", "rho0": [1.0] * 512, "rho1": [2.0] * 512,
@@ -365,7 +370,7 @@ def test_full_disk_is_a_config_error(tmp_path, capsys, monkeypatch):
 
 
 def test_config_error_in_a_handler_still_exits_1(tmp_path, monkeypatch, capsys):
-    def refuses(cfg, outdir, seed):
+    def refuses(cfg, seed):
         raise ConfigError("refused", key="V")
 
     monkeypatch.setitem(cli._HANDLERS, "gauss-geodesic", refuses)
@@ -466,6 +471,40 @@ def bb_explicit_config(**overrides):
     return cfg
 
 
+def shipped(name, **overrides):
+    return {**json.loads((CONFIGS / name).read_text(encoding="utf-8")), **overrides}
+
+
+FINE_GRID_X = np.arange(1024) * (TWO_PI / 1024)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the action overflows
+@pytest.mark.parametrize("first, second, code, left", [
+    # refused by the step guard (dt-guard) before its first step
+    (shipped("pde_evolve_scaling.json"),
+     {"command": "pde-evolve", "rho": (1.0 + 0.3 * np.cos(FINE_GRID_X + 0.4)).tolist(),
+      "theta": (0.2 + 0.1 * np.sin(2.0 * FINE_GRID_X)).tolist(), "dt": 0.005, "steps": 200},
+     2, ["summary.json"]),
+    # a circle base with two coordinates is a config error found by the run
+    (shipped("cone_circle.json"), shipped("cone_circle.json", q=[0.1, 0.2]), 1, []),
+    (shipped("pde_metric_sine.json"), shipped("pde_evolve_scaling.json"), 0,
+     ["summary.json", "trace.csv"]),
+    # every entry of the path is finite, its action is not
+    (shipped("bb_pure_scaling.json"), bb_explicit_config(w=[[1e200] * 8] * 2), 2,
+     ["summary.json"]),
+], ids=["evolve-then-guard", "cone-then-config-error", "metric-then-evolve",
+        "bb-then-non-finite-action"])
+def test_run_directory_holds_only_its_run(tmp_path, first, second, code, left):
+    # a run into the directory of an earlier one leaves none of its files:
+    # a failed run leaves its error summary only, a config error nothing
+    assert run_cli(tmp_path, first, name="first.json")[0] == 0
+    assert run_cli(tmp_path, second, name="second.json")[0] == code
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == left
+    if code == 2:
+        assert load_summary(out)["status"] == "error"
+
+
 @pytest.mark.parametrize("cfg", [
     {"command": "pde-evolve", "rho": [1.0] * 4, "theta": [0.0] * 4},
     gauss_config(dt=0.0),
@@ -543,7 +582,8 @@ def test_help_exits_0(capsys):
     gauss_config(V=[1.0], m=1.0, P=[0.1], xi=0.1, steps=1),
     {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
      "Sigma1": [1.0], "m1": 4.0, "dt": 0.7},
-], ids=["geodesic-one-step", "connect-dt-0.7"])
+    {"command": "fr-geodesic", "rho0": [1.0] * 8, "rho1": [4.0] * 8, "num_times": 2},
+], ids=["geodesic-one-step", "connect-dt-0.7", "fr-two-times"])
 def test_mass_fit_of_two_rows_is_a_singular_system(tmp_path, cfg):
     # a parabola through 2 samples is not determined: no mass fit is reported
     code, out = run_cli(tmp_path, cfg)
@@ -594,19 +634,6 @@ def test_pde_evolve_scaling_matches_radial_law(tmp_path):
     assert np.max(np.abs(m - TWO_PI * (1.0 + 0.5 * t) ** 2)) <= 1e-6
 
 
-def test_pde_evolve_wfr_mass_fit(tmp_path):
-    # m'' = H holds for the wfr flow too, so its parabola has leading H0 / 2
-    x = np.arange(128) * TWO_PI / 128
-    cfg = {"command": "pde-evolve", "model": "wfr",
-           "rho": list(1.0 + 0.3 * np.cos(x + 0.4)),
-           "theta": list(0.2 + 0.1 * np.sin(2.0 * x)), "dt": 1e-3, "steps": 500}
-    code, out = run_cli(tmp_path, cfg)
-    assert code == 0
-    fit = load_summary(out)["mass_fit"]
-    assert fit["leading"] == pytest.approx(fit["expected_leading"], abs=1e-8)
-    assert fit["expected_leading"] > 0.01
-
-
 def test_pde_evolve_guard_failure_is_structured(tmp_path):
     n = 64
     grid_x = np.arange(n) * TWO_PI / n
@@ -652,24 +679,98 @@ def test_cone_geodesic_circle(tmp_path):
            "dt": 1e-3, "steps": 500}
     code, out = run_cli(tmp_path, cfg)
     assert code == 0
-    assert load_summary(out)["energy_drift_rel"] <= 1e-8
+    assert load_summary(out)["H_drift_rel"] <= 1e-8
 
 
 def test_cone_geodesic_mass_fit(tmp_path):
-    # p = 1: m = alpha^2 has m'' = 2H, so the parabola's leading coefficient
-    # is H(0); for other p the mass is no parabola and no value is expected
+    # for p != 1 the mass is no parabola of a fixed rate and no value is
+    # expected (p = 1 runs in test_trace_commands_state_their_mass_law)
     cfg = {"command": "cone-geodesic", "base": "spd", "q": [1.2, 0.3, 0.3, 0.8],
            "q_dot": [0.1, -0.05, -0.05, 0.2], "alpha": 1.1, "alpha_dot": 0.2,
-           "dt": 1e-3, "steps": 1000}
-    code, out = run_cli(tmp_path, cfg, out="p1")
-    assert code == 0
-    fit = load_summary(out)["mass_fit"]
-    assert fit["leading"] == pytest.approx(fit["expected_leading"], abs=1e-8)
-    code, out = run_cli(tmp_path, {**cfg, "p": 0.0}, out="p0")
+           "dt": 1e-3, "steps": 1000, "p": 0.0}
+    code, out = run_cli(tmp_path, cfg)
     assert code == 0
     fit = load_summary(out)["mass_fit"]
     assert "expected_leading" not in fit
     assert set(fit) == {"leading", "linear", "constant", "rms_residual"}
+
+
+def spd_matrix(rng, n):
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (Q * rng.uniform(0.5, 2.0, size=n)) @ Q.T
+
+
+def small_symmetric(rng, n):
+    S = rng.normal(size=(n, n))
+    return 0.1 * (S + S.T)
+
+
+def smooth_field(rng, x, mean, amplitude):
+    j = rng.integers(1, 4)
+    return mean + amplitude * np.cos(j * x + rng.uniform(0.0, TWO_PI)) / j
+
+
+def random_trace_run(case, rng):
+    """A random run of one trace command whose geodesic exists."""
+    x = np.arange(32) * (TWO_PI / 32)
+    n = int(rng.integers(1, 4))
+    if case == "gauss-geodesic":
+        m = rng.uniform(0.5, 2.0)
+        return {"command": case, "n": n, "V": spd_matrix(rng, n).ravel().tolist(), "m": m,
+                "P": (m * small_symmetric(rng, n)).ravel().tolist(),
+                "xi": rng.uniform(-0.5, 0.5), "dt": 1e-3, "steps": 500}
+    if case == "gauss-connect":
+        return {"command": case, "n": n, "Sigma0": spd_matrix(rng, n).ravel().tolist(),
+                "Sigma1": spd_matrix(rng, n).ravel().tolist(), "m0": rng.uniform(0.5, 2.0),
+                "m1": rng.uniform(0.5, 2.0), "dt": 1e-2}
+    if case.startswith("pde-evolve"):
+        return {"command": "pde-evolve", "model": case.split("-")[-1],
+                "rho": smooth_field(rng, x, 1.0, rng.uniform(0.1, 0.3)).tolist(),
+                "theta": smooth_field(rng, x, rng.uniform(-0.5, 0.5), 0.1).tolist(),
+                "dt": 1e-3, "steps": 500}
+    if case == "fr-geodesic":
+        return {"command": case, "num_times": 21,
+                "rho0": smooth_field(rng, x, rng.uniform(0.5, 1.5), 0.3).tolist(),
+                "rho1": smooth_field(rng, x, rng.uniform(0.5, 3.0), 0.4).tolist()}
+    base = case.split("-")[-1]
+    q, q_dot = {"circle": ([rng.uniform(0.0, TWO_PI)], [rng.uniform(-1.5, 1.5)]),
+                "flat": (rng.normal(size=n), rng.uniform(-1.0, 1.0, size=n)),
+                "spd": (spd_matrix(rng, n).ravel(), small_symmetric(rng, n).ravel())}[base]
+    return {"command": "cone-geodesic", "base": base, "p": 1.0, "q": list(q),
+            "q_dot": list(q_dot), "alpha": rng.uniform(0.8, 1.4),
+            "alpha_dot": rng.uniform(-0.3, 0.3), "dt": 1e-3, "steps": 1000}
+
+
+# the summary keys of each trace command beyond the ones all of them share
+TRACE_SUMMARY_EXTRAS = {
+    "gauss-geodesic": set(),
+    "gauss-connect": {"P0", "xi0", "endpoint_residual", "min_mass"},
+    "pde-evolve": {"model"},
+    "cone-geodesic": {"base", "p", "diagnostics"},
+    "fr-geodesic": {"m0", "m1", "endpoint_error"},
+}
+
+
+@pytest.mark.parametrize("case", ["gauss-geodesic", "gauss-connect", "pde-evolve-small",
+                                  "pde-evolve-wfr", "cone-geodesic-circle",
+                                  "cone-geodesic-flat", "cone-geodesic-spd", "fr-geodesic"])
+def test_trace_commands_state_their_mass_law(tmp_path, case):
+    # every trace command fits m(t) with a parabola whose leading coefficient
+    # its H convention predicts, and reports it under the same keys
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for draw in range(3):
+        cfg = random_trace_run(case, rng)
+        code, out = run_cli(tmp_path, cfg, out=f"run{draw}")
+        assert code == 0
+        summary = load_summary(out)
+        assert set(summary) == {"command", "status", "final", "H_drift_rel", "mass_fit",
+                                *TRACE_SUMMARY_EXTRAS[cfg["command"]]}
+        assert set(summary["final"]) == {"t", "m", "xi", "H"}
+        fit = summary["mass_fit"]
+        assert set(fit) == {"leading", "linear", "constant", "rms_residual",
+                            "expected_leading"}
+        assert fit["expected_leading"] > 1e-3
+        assert fit["leading"] == pytest.approx(fit["expected_leading"], rel=1e-9)
 
 
 def test_cone_geodesic_spd_loss_failure(tmp_path):
@@ -1045,6 +1146,24 @@ def test_shipped_configs_are_deterministic(tmp_path, name):
         trees.append({p.relative_to(out): p.read_bytes()
                       for p in sorted(out.rglob("*")) if p.is_file()})
     assert trees[0] and trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
+                                         if p.name != "check.json"))
+def test_trace_shapes_match_the_written_traces(tmp_path, name):
+    # config._TRACE_SHAPES, which bounds a run before it starts, knows the
+    # rows and columns of every trace a shipped config writes
+    cfg = validate_run(shipped(name))
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    shape = _TRACE_SHAPES.get(cfg["command"])
+    if not (out / "trace.csv").exists():  # pde-metric, an explicit bb-action path
+        assert shape is None or shape(cfg)[0] == 0
+        return
+    rows, columns = shape(cfg)
+    lines = (out / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == rows + 1
+    assert {len(line.split(",")) for line in lines} == {columns}
 
 
 def subnormal_pde_metric(metric):

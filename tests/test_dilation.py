@@ -65,7 +65,8 @@ def test_connect_affine_with_means_scales_exactly(k):
 # summary keys of gauss-connect that carry one power of the mass; every
 # other value is unchanged by the dilation
 MASS_KEYS = {"final.m", "final.H", "mass_fit.leading", "mass_fit.linear",
-             "mass_fit.constant", "mass_fit.rms_residual", "P0", "min_mass"}
+             "mass_fit.constant", "mass_fit.rms_residual", "mass_fit.expected_leading",
+             "P0", "min_mass"}
 
 
 def flatten(summary, prefix=""):
@@ -135,8 +136,7 @@ def test_gauss_connect_scales_exactly(tmp_path, k):
     assert_scaled(tmp_path, gauss_connect, 4.0 ** k, MASS_KEYS)
 
 
-# summary keys of gauss-geodesic and pde-evolve that carry one power of the
-# mass
+# summary keys of the trace commands that carry one power of the mass
 TRACE_MASS_KEYS = {"final.m", "final.H", "mass_fit.leading", "mass_fit.linear",
                       "mass_fit.constant", "mass_fit.rms_residual",
                       "mass_fit.expected_leading"}
@@ -179,7 +179,7 @@ def fr_geodesic(lam):
 @pytest.mark.parametrize("k", CLI_KS)
 def test_fr_geodesic_scales_exactly(tmp_path, k):
     assert_scaled(tmp_path, fr_geodesic, 4.0 ** k,
-                  {"m0", "m1", "flat_energy", "endpoint_error"})
+                  TRACE_MASS_KEYS | {"m0", "m1", "endpoint_error"})
 
 
 GRID = Grid1D(n=16)
@@ -273,7 +273,7 @@ def cone_column(name):
 @pytest.mark.parametrize("base", ["circle", "spd"])
 @pytest.mark.parametrize("k", CLI_KS)
 def test_cone_geodesic_scales_exactly(tmp_path, base, k):
-    keys = {"final.alpha": 1, **dict.fromkeys(TRACE_MASS_KEYS - {"final.m"}, 2)}
+    keys = dict.fromkeys(TRACE_MASS_KEYS, 2)
     assert_scaled(tmp_path, lambda a: cone_geodesic(base, a), 2.0 ** k, keys, cone_column)
 
 
@@ -338,9 +338,9 @@ def test_pde_evolve_time_dilation(tmp_path, model, j):
 @pytest.mark.parametrize("base", ["circle", "spd"])
 @pytest.mark.parametrize("j", JS)
 def test_cone_geodesic_time_dilation(tmp_path, p, base, j):
-    # the cone summary has no xi, and a warped cone (p != 1) no expected m''
-    keys = {key: power for key, power in TRACE_TIME_KEYS.items() if key != "final.xi"
-            and (p == 1.0 or key != "mass_fit.expected_leading")}
+    # a warped cone (p != 1) has no expected m''
+    keys = {key: power for key, power in TRACE_TIME_KEYS.items()
+            if p == 1.0 or key != "mass_fit.expected_leading"}
     assert_scaled(tmp_path, lambda c: cone_geodesic(base, c=c, p=p), 2.0 ** j, keys,
                   time_column)
 

@@ -285,6 +285,8 @@ def test_worker_failure_is_an_internal_reason(tmp_path, cores, monkeypatch, how)
     assert reason["kind"] == "internal"
     code = -signal.SIGKILL if how == "kill" else 1
     assert reason["message"].endswith(f"failed: exit codes [{code}]")
+    # the part of the trace written before the failure is removed
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
     no_child_left()
 
 
