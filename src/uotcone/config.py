@@ -16,7 +16,7 @@ from .errors import ConfigError
 #: central defaults used by every command that does not override them
 DEFAULTS = {
     "length": 2.0 * math.pi,
-    "dt": 1e-3,        # integrator step; sampling step of the gauss-connect trace
+    "dt": 1e-3,        # integrator step; gauss-connect samples round(1/dt) steps
     "steps": 1000,
     "tol": 1e-8,       # gauss-connect: relative landing tolerance of the closed-form ray
     "continuity_tol": 1e-5,
@@ -145,12 +145,19 @@ _CHOICES = {
 
 COMMANDS = tuple(sorted(_SCHEMAS))
 
+
+def unit_time_steps(dt):
+    """The steps of unit time sampled every dt: round(1 / dt), at least 1,
+    and inf where 1 / dt overflows."""
+    steps = 1.0 / dt
+    return max(1, round(steps)) if math.isfinite(steps) else math.inf
+
+
 # (rows, columns) of the trace a validated run writes: t, m, xi, H and the
-# model state per row; gauss-connect samples unit time every dt, so its row
-# count is a float and may be inf
+# model state per row
 _TRACE_SHAPES = {
     "gauss-geodesic": lambda c: (c["steps"] + 1, 4 + 2 * c["n"] ** 2),
-    "gauss-connect": lambda c: (1.0 / c["dt"] + 1.0, 4 + 2 * c["n"] ** 2),
+    "gauss-connect": lambda c: (unit_time_steps(c["dt"]) + 1, 4 + 2 * c["n"] ** 2),
     "pde-evolve": lambda c: (c["steps"] + 1, 4 + 2 * len(c["rho"])),
     "fr-geodesic": lambda c: (c["num_times"], 4 + len(c["rho0"])),
     "cone-geodesic": lambda c: (c["steps"] + 1, 6 + 2 * len(c["q"])),

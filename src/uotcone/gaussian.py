@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .cone import BaseManifold, cone_line_start, cone_ray
-from .config import DEFAULTS
+from .config import DEFAULTS, unit_time_steps
 from .errors import (MassError, NonFiniteError, ShootingError, SingularSystemError,
                      SpdError, SymmetryError)
 from .trace import GeodesicTrace, _finite, _first_member, _norm, _rk4
@@ -378,14 +378,13 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=DEFAULTS["tol"], dt=DEFAULTS["dt"]):
     solves the initial data (P0, xi0) and checks that the ray from them
     lands on (Sigma1, m1) within the relative tol, else ShootingError; theta >= pi raises
     ApexCrossingError.  Returns P0, xi0, the trace of that ray
-    (``geodesic_ray``), sampled over unit time every dt (round(1 / dt)
-    steps), with the columns of ``integrate_geodesic``, and the relative
+    (``geodesic_ray``) over unit time in ``unit_time_steps(dt)`` steps of
+    about dt, with the columns of ``integrate_geodesic``, and the relative
     landing miss (``AffineConnection.residual``); no RK4 step runs.
     """
     zero = np.zeros(np.shape(Sigma0)[:1])
     c = connect_affine(AffineGaussian(Sigma0, zero, m0), AffineGaussian(Sigma1, zero, m1), tol)
-    steps = max(1, round(1.0 / dt))
-    t = np.linspace(0.0, 1.0, steps + 1)
+    t = np.linspace(0.0, 1.0, unit_time_steps(dt) + 1)
     m, xi, _, V, P = _ray(c.g0.Sigma, c.g0.m, c.P0, c.S0, c.xi0, c.v0, t)
     return c.P0, c.xi0, _geodesic_trace(t, V, m, P, xi), c.residual
 

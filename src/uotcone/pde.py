@@ -60,34 +60,6 @@ class Grid1D:
         """Indices (i - 1) mod n."""
         return (np.arange(self.n) - 1) % self.n
 
-    # The rows of the packed stencil pass, over the last axis of a packed
-    # state (rho | theta) of length 2n; only the flows build them.
-    @cached_property
-    def up2(self):
-        """Indices of (rho_{i+1} | theta_{i+1}) in (rho | theta)."""
-        return np.concatenate([self.up, self.up + self.n])
-
-    @cached_property
-    def down2(self):
-        """Indices of (F_{i-1/2} | G_{i-1/2}) in (F | G)."""
-        return np.concatenate([self.down, self.down + self.n])
-
-    @cached_property
-    def sign2(self):
-        """(+1 | -1)."""
-        return np.repeat([1.0, -1.0], self.n)
-
-    @cached_property
-    def edge_div2(self):
-        """(2 | h): (f_{i+1} + f_i) / 2 and (f_{i+1} - f_i) / h."""
-        return np.repeat([2.0, self.h], self.n)
-
-    @cached_property
-    def node_div2(self):
-        """(-h | -4): -(F_{i+1/2} - F_{i-1/2}) / h and
-        -(G_{i+1/2} + G_{i-1/2}) / 4."""
-        return np.repeat([-self.h, -4.0], self.n)
-
 
 # The staggered stencil of the periodic last axis, one field or a stack of
 # them: node values go to the edges (the half-point i + 1/2 at index i) and
@@ -164,9 +136,7 @@ class PdeState:
         return self
 
 
-# The private energies below take the checked total mass m of the state and
-# its pairing h sum theta rho, which _evolve computes once per trace block
-# for both the xi and the H column.
+# xi_of and the energies take one state or a stack of rows (integrate_pdes)
 def xi_of(state):
     """Logarithmic mass rate xi = (h sum theta rho) / m."""
     m = total_mass(state.grid, state.rho)
@@ -176,10 +146,7 @@ def xi_of(state):
 def hamiltonian_small(state):
     """H = (1/2) int |grad theta|^2 rho + (1/(2m)) (int theta rho)^2."""
     m = total_mass(state.grid, state.rho)
-    return _hamiltonian_small(state, m, _integral(state.grid.h, state.theta * state.rho))
-
-
-def _hamiltonian_small(state, m, pairing):
+    pairing = _integral(state.grid.h, state.theta * state.rho)
     # pairing (pairing / m): the quotient carries no mass, so the term is
     # lam times as large for a density lam times as large, wherever it is
     # representable (the square of the pairing overflows from 1.3e154 on)
@@ -193,11 +160,6 @@ def _hamiltonian_small(state, m, pairing):
 def hamiltonian_wfr(state):
     """H = (1/2) int (|grad theta|^2 + theta^2) rho."""
     total_mass(state.grid, state.rho)  # checks the density
-    return _hamiltonian_wfr(state)
-
-
-def _hamiltonian_wfr(state, *_):
-    # the mass and the pairing do not enter this energy
     reaction = _integral(state.grid.h, state.theta**2 * state.rho)
     return 0.5 * (kinetic_energy(state.grid, state.rho, state.theta) + reaction)
 
@@ -208,11 +170,11 @@ def _flow(model, grid, shape):
     (members, 2n) for a stack: it writes (rhodot | thetadot) into ``out``
     and returns it.
 
-    An integration builds its flow once: the layout, the scratch arrays
-    (the signed state, the edge array and the theta rho product) with their
-    views, and the grid's packed rows are fixed here, so a call makes its
-    numpy calls and no other choice.  The scratch is the flow's own, so one
-    flow serves one integration at a time.
+    An integration builds its flow once: the layout, the packed rows, and
+    the scratch arrays (the signed state, the edge array and the theta rho
+    product) with their views are fixed here, so a call makes its numpy
+    calls and no other choice.  The rows and the scratch are the flow's own
+    and die with it, so one flow serves one integration at a time.
 
     The transport part (-div(rho grad theta) | -|grad theta|^2 / 2) is one
     packed pass over the last axis.  Each entry is the value the four
@@ -220,8 +182,12 @@ def _flow(model, grid, shape):
     0.5 x, (a - b) / -h is -((a - b) / h), and x / -4 is -0.5 (0.5 x).
     """
     n, h = grid.n, grid.h
-    up2, down2, sign = grid.up2, grid.down2, grid.sign2
-    edge_div2, node_div2 = grid.edge_div2, grid.node_div2
+    # the packed rows: neighbour indices, signs, edge and node divisors
+    up2 = np.concatenate([grid.up, grid.up + n])
+    down2 = np.concatenate([grid.down, grid.down + n])
+    sign = np.repeat([1.0, -1.0], n)
+    edge_div2 = np.repeat([2.0, h], n)
+    node_div2 = np.repeat([-h, -4.0], n)
     half = np.asarray(0.5)  # a 0-d operand is cheaper than a Python float
     # m and xi are numpy scalars for one state, whose float takes 0.02 us
     # where their min takes 1.7 us, and columns for a stack
@@ -287,7 +253,7 @@ def small_rhs(state):
     return d[:n], d[n:]
 
 
-_ENERGIES = {"small": _hamiltonian_small, "wfr": _hamiltonian_wfr}
+_ENERGIES = {"small": hamiltonian_small, "wfr": hamiltonian_wfr}
 
 
 def integrate_pde(state, model, dt, steps):
@@ -321,9 +287,7 @@ def integrate_pdes(states, model, dt, steps):
     grid = states[0].grid
     if any(s.grid != grid for s in states):
         raise ValueError("stacked states must share one grid")
-    energy = _ENERGIES[model]
-    n = grid.n
-    h = grid.h
+    n, h = grid.n, grid.h
     for i, state in enumerate(states):
         gmax = float(np.max(np.abs(_dplus(grid, state.theta))))
         if gmax > 0.0 and dt > DT_GUARD_FACTOR * h * h / gmax:
@@ -355,10 +319,9 @@ def integrate_pdes(states, model, dt, steps):
     for d in data:  # one member at a time keeps the temporaries small
         rows = PdeState(grid=grid, rho=d[:, 4:4 + n], theta=d[:, 4 + n:])
         d[:, 0] = np.arange(steps + 1) * dt
-        d[:, 1] = m = total_mass(grid, rows.rho)
-        pairing = _integral(h, rows.theta * rows.rho)
-        d[:, 2] = pairing / m
-        d[:, 3] = energy(rows, m, pairing)
+        d[:, 1] = total_mass(grid, rows.rho)
+        d[:, 2] = xi_of(rows)
+        d[:, 3] = _ENERGIES[model](rows)
     return [GeodesicTrace(columns=tuple(cols), data=d) for d in data]
 
 

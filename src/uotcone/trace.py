@@ -93,6 +93,11 @@ _CHUNK_ENTRIES = 4096
 
 def _csv_block(rows):
     """The CSV lines of ``rows``, as one bytearray."""
+    # A worker holds its whole block: a pipe holds 64 KiB and the parent
+    # reads the pipes only after formatting block 0, so a worker writing each
+    # chunk as made would stall and the blocks be formatted one after another
+    # (2 cores, a 1001 x 516 trace: 75.6 ms as written, 133.6 ms with
+    # streaming workers, which were slower in 24 of 24 interleaved pairs).
     text = bytearray()
     for chunk in _csv_chunks(rows):
         text += chunk.data

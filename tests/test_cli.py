@@ -621,6 +621,14 @@ def test_trace_size_limit_is_inclusive():
     validate_run({**cfg, "steps": MAX_TRACE_ENTRIES // 8 - 1})
     with pytest.raises(ConfigError):
         validate_run({**cfg, "steps": MAX_TRACE_ENTRIES // 8})
+    # a gauss-connect trace at n = 2 has 12 columns and round(1 / dt) + 1 rows
+    eye = [1.0, 0.0, 0.0, 1.0]
+    cfg = {"command": "gauss-connect", "n": 2, "Sigma0": eye, "m0": 1.0,
+           "Sigma1": eye, "m1": 4.0}
+    validate_run({**cfg, "dt": 1 / 2796201.4})  # 2796202 rows, 33554424 entries
+    for dt in (1 / 2796201.6, 5e-324):  # 2796203 rows, 33554436 entries; 1 / dt = inf
+        with pytest.raises(ConfigError, match="rows x 12 columns"):
+            validate_run({**cfg, "dt": dt})
 
 
 def test_pde_evolve_scaling_matches_radial_law(tmp_path):
@@ -1148,12 +1156,22 @@ def test_shipped_configs_are_deterministic(tmp_path, name):
     assert trees[0] and trees[0] == trees[1]
 
 
+# gauss-connect runs whose dt does not divide 1: 1 / dt = 2.6 rounds up to
+# 3 steps, and 2.5 to even, 2 steps
+UNEVEN_CONNECT_RUNS = {
+    f"connect-dt-{dt}": {"command": "gauss-connect", "n": 1, "Sigma0": [1.0], "m0": 1.0,
+                         "Sigma1": [1.0], "m1": 4.0, "dt": dt}
+    for dt in (0.3846, 0.4)}
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
-                                         if p.name != "check.json"))
+                                         if p.name != "check.json")
+                         + sorted(UNEVEN_CONNECT_RUNS))
 def test_trace_shapes_match_the_written_traces(tmp_path, name):
     # config._TRACE_SHAPES, which bounds a run before it starts, knows the
-    # rows and columns of every trace a shipped config writes
-    cfg = validate_run(shipped(name))
+    # rows and columns of every trace a shipped config writes, and of
+    # gauss-connect traces sampled at any dt
+    cfg = validate_run(UNEVEN_CONNECT_RUNS.get(name) or shipped(name))
     code, out = run_cli(tmp_path, cfg)
     assert code == 0
     shape = _TRACE_SHAPES.get(cfg["command"])

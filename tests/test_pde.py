@@ -561,28 +561,47 @@ def test_stencil_primitives_match_np_roll():
             npt.assert_array_equal(_mean(grid, f), 0.5 * (f + down))
 
 
+def closure_arrays(f):
+    """The arrays held in the closure of f and of the functions it holds."""
+    arrays, todo = [], [f]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif getattr(value, "__closure__", None):
+                todo.append(value)
+    return arrays
+
+
 def test_grid_frees_its_neighbour_indices():
-    # the index arrays and the packed rows of the flows are built once per
-    # grid and live exactly as long as it, so the arrays of a fine grid do
-    # not outlive its computation; a grid that only solves for a potential
-    # never builds the packed rows
+    # the index arrays are built once per grid and live exactly as long as
+    # it, and the packed rows of a flow are the flow's own and live exactly
+    # as long as it, so the arrays of a fine grid do not outlive its
+    # computation and the grid holds no packed row after flows ran on it
     grid = Grid1D(n=65536)
     rho = 1.0 + 0.3 * np.cos(grid.x)
     solve_potential(grid, rho, np.sin(2.0 * grid.x))
-    packed = ("up2", "down2", "sign2", "edge_div2", "node_div2")
-    assert not any(name in vars(grid) for name in packed)
     assert grid.up is grid.up and grid.down is grid.down
     npt.assert_array_equal(grid.up[[0, -1]], [1, 0])
     npt.assert_array_equal(grid.down[[0, -1]], [65535, 65534])
     small_rhs(PdeState(grid, rho, np.sin(grid.x)))
-    rows = [getattr(grid, name) for name in packed]
-    small_rhs(PdeState(grid, rho, np.cos(grid.x)))
-    assert all(getattr(grid, name) is row for name, row in zip(packed, rows))
-    npt.assert_array_equal(grid.up2[[0, 65535, 65536, -1]], [1, 0, 65537, 65536])
-    npt.assert_array_equal(grid.down2[[0, 65535, 65536, -1]], [65535, 65534, 131071, 131070])
+    integrate_pde(PdeState(grid, rho, np.zeros(65536)), "wfr", dt=1e-3, steps=1)
+    flow = _flow("small", grid, (2 * 65536,))
+    assert set(vars(grid)) == {"n", "length", "h", "up", "down"}
+    packed = ("up2", "down2", "sign2", "edge_div2", "node_div2")
+    assert not any(hasattr(grid, name) for name in packed)
+    arrays = closure_arrays(flow)
+    up2, down2 = sorted((a for a in arrays if a.dtype.kind == "i"), key=lambda a: a[0])
+    npt.assert_array_equal(up2[[0, 65535, 65536, -1]], [1, 0, 65537, 65536])
+    npt.assert_array_equal(down2[[0, 65535, 65536, -1]], [65535, 65534, 131071, 131070])
+    rows = [weakref.ref(a) for a in arrays]
+    del flow, arrays, up2, down2
+    gc.collect()
+    assert all(ref() is None for ref in rows)
     assert grid == Grid1D(n=65536) and hash(grid) == hash(Grid1D(n=65536))
-    refs = [weakref.ref(a) for a in (grid.up, grid.down, *rows)]
-    del grid, rows
+    refs = [weakref.ref(a) for a in (grid.up, grid.down)]
+    del grid
     gc.collect()
     assert all(ref() is None for ref in refs)
 

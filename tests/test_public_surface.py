@@ -20,7 +20,8 @@ KEEP = {
     "BBResult": "the type bb_action returns",
     "base_metric_eval": "the base metric; checks reach it through submersion_consistency",
     "group_metric_eval": "the group metric; checks reach it through submersion_consistency",
-    "hamiltonian_wfr": "the only code form of the large-model Hamiltonian the tests check",
+    "hamiltonian_wfr": "the only code form of the large-model Hamiltonian: the tests check "
+                       "it, and it writes the H column of a wfr integrate_pde trace",
     "scaled_base": "the statement that the Gaussian model is the cone over spd/4",
     "solve_potential": "the elliptic solve the CLI reaches through the metric evaluations, "
                        "and the benchmark tracer spans by name",
