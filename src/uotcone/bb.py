@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import ContinuityError, PositivityError
-from .pde import Grid1D, _dminus, _dplus, _half
+from .pde import Grid1D, _dminus, _dplus, _half, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -56,38 +56,43 @@ class BBResult:
     continuity_residual: float
 
 
-def continuity_residual(path):
-    """Max norm of d(rhobar)/dt + div w over the path intervals.
-
-    The time derivative uses interval differences and w is averaged onto the
-    interval midpoint; div at node i is (w_{i+1/2} - w_{i-1/2}) / h.
-    """
-    dts = np.diff(path.times)[:, None]
-    drho = (path.rhobar[1:] - path.rhobar[:-1]) / dts
-    wbar = 0.5 * (path.w[1:] + path.w[:-1])
-    return float(np.max(np.abs(drho + _dminus(path.grid, wbar))))
-
-
 def bb_action(path, continuity_tol=DEFAULTS["continuity_tol"]):
     """Trapezoidal action of an admissible path; raises on constraint violation.
 
     Returns the action together with its transport and radial parts and the
-    measured continuity residual.
+    measured continuity residual, the max norm of d(rhobar)/dt + div w over
+    the path intervals: the time derivative uses interval differences and w
+    is averaged onto the interval midpoint; div at node i is
+    (w_{i+1/2} - w_{i-1/2}) / h.
     """
     path = path.validate()
-    res = continuity_residual(path)
+    grid, rb, w = path.grid, path.rhobar, path.w
+    dts = np.diff(path.times)
+    # one pass over blocks of rows (pde._row_blocks) in one reused block of
+    # scratch forms each interval's largest residual and each row's transport
+    # integrand h sum (r w)^2 / rhobar; the radius scales the flux before the
+    # square, so a flux of 1e160 on radii of 1e-100 gives the action it
+    # carries, not an overflow
+    worst = np.empty(dts.size)
+    transport_nodes = np.empty(path.times.size)
+    blocks = _row_blocks(path.times.size, grid.n)
+    scratch = np.empty((blocks[0].stop, grid.n))
+    for b in blocks:
+        rows = scratch[:b.stop - b.start]
+        span = slice(b.start, min(b.stop, dts.size))  # the intervals from b
+        after = slice(span.start + 1, span.stop + 1)
+        drho = np.subtract(rb[after], rb[span], rows[:span.stop - span.start])
+        drho /= dts[span, None]
+        drho += _dminus(grid, 0.5 * (w[after] + w[span]))
+        np.max(np.abs(drho, drho), axis=1, out=worst[span])
+        rw = np.multiply(path.r[b, None], w[b], rows)
+        rw *= rw
+        rw /= _half(grid, rb[b])
+        np.multiply(grid.h, np.sum(rw, axis=1), transport_nodes[b])
+    res = float(np.max(worst))
     if res > continuity_tol:
         raise ContinuityError("path violates the continuity constraint",
                               residual=res, tol=continuity_tol)
-    # the transport integrand h sum (r w)^2 / rhobar, formed in place: the
-    # radius scales the flux before the square, so a flux of 1e160 on radii
-    # of 1e-100 gives the action it carries, not an overflow
-    rb_half = _half(path.grid, path.rhobar)
-    rw = path.r[:, None] * path.w
-    rw *= rw
-    rw /= rb_half
-    transport_nodes = path.grid.h * np.sum(rw, axis=1)
-    dts = np.diff(path.times)
     transport = float(np.sum(0.5 * (transport_nodes[1:] + transport_nodes[:-1]) * dts))
     # 4 rdot (rdot dt): on times 1e-300 apart rdot^2 overflows, the action
     # need not
@@ -101,16 +106,19 @@ def from_small_trace(trace, grid):
     """Convert a conical-model trace into path variables.
 
     rhobar = rho / m, r = sqrt(m), and w = rhobar * grad theta evaluated on
-    the half-points, matching the flux discretization of the simulator.
+    the half-points, matching the flux discretization of the simulator;
+    formed a block of rows at a time into the path's arrays.
     """
-    t = trace.t.copy()
     rho = trace.block("rho")
     theta = trace.block("theta")
-    m = trace.column("m")[:, None]
-    rhobar = rho / m
-    w = _half(grid, rhobar) * _dplus(grid, theta)
-    r = np.sqrt(trace.column("m"))
-    return BBPath(grid=grid, times=t, rhobar=rhobar, w=w, r=r).validate()
+    m = trace.column("m")
+    rhobar = np.empty(rho.shape)
+    w = np.empty(rho.shape)
+    for b in _row_blocks(len(m), grid.n):
+        np.divide(rho[b], m[b, None], rhobar[b])
+        np.multiply(_half(grid, rhobar[b]), _dplus(grid, theta[b]), w[b])
+    return BBPath(grid=grid, times=trace.t.copy(), rhobar=rhobar, w=w,
+                  r=np.sqrt(m)).validate()
 
 
 def antiderivative_half(grid, s):

@@ -68,14 +68,16 @@ def _result(name, *measured):
     return CheckResult(name, passed, "; ".join(parts))
 
 
-def random_spd(rng, n, lam_min=0.5, lam_max=2.0):
-    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    lam = rng.uniform(lam_min, lam_max, size=n)
-    return symmetrize(Q @ np.diag(lam) @ Q.T)
+# random_spd and random_sym draw one matrix, or a stack of the shape
+# ``stack`` with the draws of the stack in one call each
+def random_spd(rng, n, lam_min=0.5, lam_max=2.0, stack=()):
+    Q, _ = np.linalg.qr(rng.normal(size=stack + (n, n)))
+    lam = rng.uniform(lam_min, lam_max, size=stack + (n,))
+    return symmetrize((Q * lam[..., None, :]) @ np.swapaxes(Q, -1, -2))
 
 
-def random_sym(rng, n):
-    return symmetrize(rng.normal(size=(n, n)))
+def random_sym(rng, n, stack=()):
+    return symmetrize(rng.normal(size=stack + (n, n)))
 
 
 def random_gaussian_state(rng, s_norm=0.4):
@@ -94,6 +96,28 @@ def random_gaussian_state(rng, s_norm=0.4):
     return GaussianCotangentState(V=random_spd(rng, n), m=m,
                                   P=0.5 * m * S,
                                   xi=float(rng.uniform(-0.8, 0.8)))
+
+
+#: the spectral-norm bound of S = 2P/m in random_gaussian_stacks
+STACK_S_NORM = 2.0
+
+
+def random_gaussian_stacks(rng, count):
+    """``count`` states from the distribution of
+    ``random_gaussian_state(rng, s_norm=STACK_S_NORM)``, as one state per
+    covariance size n = 1..4 with stacked V and P and arrays m and xi: every
+    quantity of a size is drawn in one call."""
+    sizes = rng.integers(1, 5, size=count)
+    for n in range(1, 5):
+        k = (int(np.count_nonzero(sizes == n)),)
+        m = rng.uniform(0.5, 2.0, k)
+        S = random_sym(rng, n, k)
+        norm = np.linalg.norm(S, 2, axis=(-2, -1))
+        scale = rng.uniform(0.2, 1.0, k) * STACK_S_NORM / np.where(norm > 0.0, norm, 1.0)
+        S *= scale[:, None, None]
+        yield GaussianCotangentState(V=random_spd(rng, n, stack=k), m=m,
+                                     P=0.5 * m[:, None, None] * S,
+                                     xi=rng.uniform(-0.8, 0.8, k))
 
 
 def random_pde_state(rng):
@@ -260,8 +284,8 @@ def check_submersion_consistency(rng, quick=False):
 
 def check_energy_lower_bound(rng, quick=False):
     count = 100 if quick else 1000
-    gaussians = [random_gaussian_state(rng, s_norm=2.0) for _ in range(count)]
-    above_matrix = [hamiltonian(s) >= 0.5 * s.m * s.xi**2 for s in gaussians]
+    above_matrix = np.concatenate([hamiltonian(s) >= 0.5 * s.m * s.xi**2
+                                   for s in random_gaussian_stacks(rng, count)])
     zero_p = GaussianCotangentState(V=random_spd(rng, 3), m=1.4,
                                     P=np.zeros((3, 3)), xi=0.6)
 
@@ -318,26 +342,30 @@ def check_bb_action(rng, quick=False):
     base = bb_action(path, continuity_tol=1e-6)
     energy_integral = float(np.trapezoid(2.0 * trace.column("H"), trace.t))
 
-    exceed = 0
-    total = 3 if quick else 10
+    # each perturbation moves rhobar by scale a(t) s(x), with a = sin(pi tau)
+    # zero at both ends, and w by d(t) S(x) with S' = s, where the interval
+    # mean cc of d cancels scale da/dt, so the path stays admissible
     t = path.times
     tau = (t - t[0]) / (t[-1] - t[0])
+    a = np.sin(np.pi * tau)
+    scale = 0.2 * float(np.min(path.rhobar))
+    cc = -scale * np.diff(a) / np.diff(t)
+    # d[i + 1] = 2 cc[i] - d[i] from d[0] = cc[0]: (-1)^i d[i] is the running
+    # sum of cc[0] and the (-1)^(i+1) 2 cc[i], and as negation is exact,
+    # each step of the sum rounds as the recurrence's does
+    sign = np.where(np.arange(t.size) % 2 == 0, 1.0, -1.0)
+    d = sign * np.cumsum(np.append(cc[0], 2.0 * cc * sign[1:]))
+    exceed = 0
+    total = 3 if quick else 10
     for _ in range(total):
         k = int(rng.integers(1, 4))
         s = np.cos(k * grid.x + rng.uniform(0.0, TWO_PI))
-        s_flux = antiderivative_half(grid, s)
-        a = np.sin(np.pi * tau)
-        scale = 0.2 * float(np.min(path.rhobar))
-        drho = scale * a[:, None] * s[None, :]
-        cc = -scale * np.diff(a) / np.diff(t)
-        d = np.empty(t.size)
-        d[0] = cc[0]
-        for i in range(cc.size):
-            d[i + 1] = 2.0 * cc[i] - d[i]
-        dw = d[:, None] * s_flux[None, :]
-        dr = 0.02 * np.sin(np.pi * tau) * float(rng.normal())
-        perturbed = BBPath(grid, t, path.rhobar + drho, path.w + dw,
-                           path.r + dr).validate()
+        rhobar = (scale * a[:, None]) * s
+        rhobar += path.rhobar
+        w = d[:, None] * antiderivative_half(grid, s)
+        w += path.w
+        r = path.r + 0.02 * a * float(rng.normal())
+        perturbed = BBPath(grid, t, rhobar, w, r).validate()
         if bb_action(perturbed).action >= base.action:
             exceed += 1
     return _result("bb-action",
@@ -360,19 +388,19 @@ ALL_CHECKS = (
 
 #: the order in which run_all hands the checks out, longest first, so the
 #: last check claimed is a short one and the cores finish together (Graham's
-#: LPT list schedule).  Serially at seed 0, full mode, they took 0.269,
-#: 0.135, 0.100, 0.081, 0.080, 0.022, 0.012, 0.009, 0.006 and 0.001 s
-#: (2-core Xeon).  Checks not named here are claimed after these, in
-#: ALL_CHECKS order.
+#: LPT list schedule).  Serially at seed 0, full mode, they took 0.254,
+#: 0.112, 0.092, 0.058, 0.019, 0.011, 0.009, 0.006, 0.006 and 0.001 s
+#: (medians of 9 runs in one process, 2-core Xeon).  Checks not named here
+#: are claimed after these, in ALL_CHECKS order.
 CLAIM_ORDER = (
     check_constant_acceleration,
     check_bb_action,
     check_shooting,
     check_energy_conservation,
-    check_energy_lower_bound,
     check_mccann_oracle,
     check_flat_cone_oracle,
     check_lyapunov_residual,
+    check_energy_lower_bound,
     check_submersion_consistency,
     check_elliptic_closed_forms,
 )

@@ -380,8 +380,12 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=DEFAULTS["tol"], dt=DEFAULTS["dt"]):
     ApexCrossingError.  Returns P0, xi0, the trace of that ray
     (``geodesic_ray``) over unit time in ``unit_time_steps(dt)`` steps of
     about dt, with the columns of ``integrate_geodesic``, and the relative
-    landing miss (``AffineConnection.residual``); no RK4 step runs.
+    landing miss (``AffineConnection.residual``); no RK4 step runs.  A dt
+    that is not a positive, finite step with a finite step count raises
+    ValueError.
     """
+    if not 0.0 < dt < math.inf or unit_time_steps(dt) == math.inf:
+        raise ValueError("dt must be a positive, finite step")
     zero = np.zeros(np.shape(Sigma0)[:1])
     c = connect_affine(AffineGaussian(Sigma0, zero, m0), AffineGaussian(Sigma1, zero, m1), tol)
     t = np.linspace(0.0, 1.0, unit_time_steps(dt) + 1)

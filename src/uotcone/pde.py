@@ -87,6 +87,27 @@ def _mean(grid, F):
     return 0.5 * (F + F.take(grid.down, axis=-1))
 
 
+# The passes over whole traces (the m, xi and H columns here, the path
+# variables and the action in bb) work on blocks of consecutive rows of
+# about this many entries, so their temporaries stay small and are reused.
+# On a 1001 x 256 small-run path (medians of 40 interleaved rounds in one
+# process, one core of a 2-core Xeon, numpy 2.4.6), blocks of 2**12, 2**13,
+# 2**14, 2**15, 2**16 and 2**20 entries (the whole path) took 4.5, 4.3,
+# 4.2, 4.2, 4.6 and 6.5 ms in from_small_trace and 7.6, 5.2, 4.0, 3.5, 3.7
+# and 6.6 ms in the column pass, and in a separate, slower run 6.3, 5.0,
+# 4.3, 4.8, 5.0 and 10.1 ms in bb_action; 2**14 is 64 rows of 256 nodes, a
+# 128 KiB temporary, where 2**15 doubles the peak of bb_action (0.55 to
+# 1.07 MB) and faults in about 220 new pages on every call
+_ROW_BLOCK_ENTRIES = 2**14
+
+
+def _row_blocks(rows, n):
+    """Slices of consecutive rows, in order, each of about _ROW_BLOCK_ENTRIES
+    entries of n nodes and at least one row, covering ``rows`` rows."""
+    size = max(1, _ROW_BLOCK_ENTRIES // n)
+    return [slice(start, min(start + size, rows)) for start in range(0, rows, size)]
+
+
 # The grid integrals below reduce the last axis, so they take one field or
 # a stack of them (one per row) and return a float or an array.
 def _integral(h, f):
@@ -316,12 +337,14 @@ def integrate_pdes(states, model, dt, steps):
     # 66 ms, +22%)
     ys = data[:, :, 4:].swapaxes(0, 1) if len(states) > 1 else data[0, :, 4:]
     _rk4(_flow(model, grid, ys.shape[1:]), post, ys, dt)
-    for d in data:  # one member at a time keeps the temporaries small
-        rows = PdeState(grid=grid, rho=d[:, 4:4 + n], theta=d[:, 4 + n:])
+    energy = _ENERGIES[model]
+    for d in data:  # a block of rows at a time keeps the temporaries small
         d[:, 0] = np.arange(steps + 1) * dt
-        d[:, 1] = total_mass(grid, rows.rho)
-        d[:, 2] = xi_of(rows)
-        d[:, 3] = _ENERGIES[model](rows)
+        for b in _row_blocks(steps + 1, n):
+            rows = PdeState(grid=grid, rho=d[b, 4:4 + n], theta=d[b, 4 + n:])
+            d[b, 1] = total_mass(grid, rows.rho)
+            d[b, 2] = xi_of(rows)
+            d[b, 3] = energy(rows)
     return [GeodesicTrace(columns=tuple(cols), data=d) for d in data]
 
 

@@ -46,10 +46,17 @@ class GeodesicTrace:
     def block(self, prefix):
         """The columns named prefix followed by an index, digits or digits
         joined by "_" (q0, V_0_1), as a (rows, k) array: the q block of a
-        cone trace holds no qdot column."""
+        cone trace holds no qdot column.  The array is read-only: a view of
+        the trace where the columns are adjacent, as every model writes its
+        blocks, else a copy."""
         name = re.compile(re.escape(prefix) + r"\d+(_\d+)*")
         idx = [i for i, c in enumerate(self.columns) if name.fullmatch(c)]
-        return self.data[:, idx]
+        if idx and idx[-1] - idx[0] == len(idx) - 1:
+            block = self.data[:, idx[0]:idx[-1] + 1]
+        else:
+            block = self.data[:, idx]
+        block.flags.writeable = False
+        return block
 
     def write_csv(self, path):
         """Write the header and the rows, split into contiguous blocks, one
@@ -82,6 +89,12 @@ class GeodesicTrace:
 # block in 0-1 pairs at 18k entries, 12-21 at 36k, 31-32 at 41k (-5 to
 # -8%), 31-33 at 49k (-13%) and 32-34 at 82k (-16 to -21%): the break-even
 # lies near 38k entries, and a block of 2**15 entries pays for its worker.
+# Those pairs timed write_csv alone, so they do not see what a fork costs
+# this process afterwards: its pages are shared copy-on-write while the
+# worker lives, and its later work faults them back in (a density round of
+# the benchmark, run in one process, took about 22.8k minor faults with
+# forked writes and 4.1-4.5k with one core, although it still ran in
+# 700-747 ms against 733-787 ms).
 _BLOCK_ENTRIES = 2**15
 
 # A chunk of this many entries, rows or parts of rows, is formatted at a

@@ -3,7 +3,9 @@ import pytest
 
 from uotcone.bb import BBPath, antiderivative_half, bb_action, from_small_trace
 from uotcone.errors import ContinuityError, PositivityError
-from uotcone.pde import Grid1D, PdeState, _dminus, integrate_pde
+from uotcone import pde
+from uotcone.pde import (Grid1D, PdeState, _dminus, _dplus, _half, hamiltonian_small,
+                         hamiltonian_wfr, integrate_pde, integrate_pdes, total_mass, xi_of)
 
 TWO_PI = 2.0 * np.pi
 
@@ -130,3 +132,40 @@ def test_antiderivative_refuses_a_non_finite_source(bad):
     s[5] = bad
     with pytest.raises(ValueError, match="finite and have zero sum"):
         antiderivative_half(grid, s)
+
+
+# rows of 256 nodes per block of the row-blocked passes
+BLOCK = pde._row_blocks(10**6, 256)[0].stop
+
+
+@pytest.mark.parametrize("rows", [2, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
+@pytest.mark.parametrize("model", ["small", "wfr"])
+def test_row_blocks_give_the_whole_array_values(rows, model):
+    # the m, xi and H columns, the path variables and the action, formed a
+    # block of rows at a time, equal the formulas on the whole arrays bit for
+    # bit, on one state and on a stack
+    grid = Grid1D(n=256)
+    states = [PdeState(grid, 1.0 + a * np.cos(grid.x), 0.3 + 0.1 * np.sin(grid.x))
+              for a in (0.2, 0.1)]
+    energy = {"small": hamiltonian_small, "wfr": hamiltonian_wfr}[model]
+    for trace in (integrate_pdes(states[:1], model, 1e-3, rows - 1)
+                  + integrate_pdes(states, model, 1e-3, rows - 1)):
+        whole = PdeState(grid, trace.block("rho"), trace.block("theta"))
+        assert np.array_equal(trace.column("m"), total_mass(grid, whole.rho))
+        assert np.array_equal(trace.column("xi"), xi_of(whole))
+        assert np.array_equal(trace.column("H"), energy(whole))
+
+    grid, trace, path = small_geodesic_path(steps=rows - 1)
+    m = trace.column("m")
+    rhobar = trace.block("rho") / m[:, None]
+    assert np.array_equal(path.rhobar, rhobar)
+    assert np.array_equal(path.w, _half(grid, rhobar) * _dplus(grid, trace.block("theta")))
+    assert np.array_equal(path.r, np.sqrt(m))
+
+    res = bb_action(path)
+    dts = np.diff(path.times)
+    wbar = 0.5 * (path.w[1:] + path.w[:-1])
+    drho = (path.rhobar[1:] - path.rhobar[:-1]) / dts[:, None]
+    assert res.continuity_residual == float(np.max(np.abs(drho + _dminus(grid, wbar))))
+    nodes = grid.h * np.sum((path.r[:, None] * path.w) ** 2 / _half(grid, path.rhobar), axis=1)
+    assert res.transport_part == float(np.sum(0.5 * (nodes[1:] + nodes[:-1]) * dts))

@@ -471,6 +471,15 @@ def test_shoot_trace_ends_at_the_landing_time():
     assert trace.column("m")[-1] == end.m
 
 
+@pytest.mark.parametrize("dt", [0.0, float("nan"), 5e-324, -0.1, float("inf")])
+def test_shoot_refuses_a_step_that_is_not_positive_and_finite(dt):
+    # 0 divides by zero, NaN and 5e-324 (1/dt overflows) give no step count,
+    # and -0.1 and inf would sample a 2-row trace
+    S = np.array([[2.0, 0.3], [0.3, 1.0]])
+    with pytest.raises(ValueError, match="dt must be a positive, finite step"):
+        shoot_bvp(S, 1.0, S, 1.0, dt=dt)
+
+
 def test_shoot_scalar_closed_form_oracle():
     # equal masses, covariance 1 -> 4: the (sqrt(V), m) pair moves on a flat
     # plane; compare the solver's trace (dt = 1e-3) against the exact chord

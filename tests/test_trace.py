@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uotcone import trace as trace_module
+from uotcone.bb import bb_action, from_small_trace
 from uotcone.cli import main
 from uotcone.errors import NonFiniteError
+from uotcone.pde import Grid1D, PdeState, integrate_pde
 from uotcone.trace import GeodesicTrace, _rk4
 
 
@@ -119,7 +121,11 @@ def test_block_is_the_prefix_followed_by_an_index():
         ("V_", ["V_0_0", "V_0_1"]), ("q", ["q0", "q10"]), ("qdot", ["qdot0"]),
         ("alpha", []), ("V", [])]}
     for prefix, idx in blocks.items():
-        np.testing.assert_array_equal(trace.block(prefix), trace.data[:, idx])
+        block = trace.block(prefix)
+        np.testing.assert_array_equal(block, trace.data[:, idx])
+        # read-only: a view where the columns are adjacent, else a copy
+        assert not block.flags.writeable
+        assert np.shares_memory(block, trace.data) == (prefix in ("rho", "theta", "V_", "qdot"))
 
 
 def big_trace(rows, cols, seed=0):
@@ -246,6 +252,43 @@ def test_formatting_memory_is_bounded(rows, cols):
         tracemalloc.stop()
     assert size > 18 * rows * cols
     assert peak < 1_500_000
+
+
+def traced_peak(f):
+    """The tracemalloc peak of calling f, in bytes, and its value."""
+    tracemalloc.start()
+    try:
+        value = f()
+        return tracemalloc.get_traced_memory()[1], value
+    finally:
+        tracemalloc.stop()
+
+
+def small_run(steps=1000, n=256):
+    grid = Grid1D(n=n)
+    state = PdeState(grid, 1.0 + 0.2 * np.cos(grid.x), 0.3 + 0.1 * np.sin(grid.x))
+    return grid, state, integrate_pde(state, "small", dt=1e-3, steps=steps)
+
+
+def test_action_memory_is_bounded():
+    # bb_action on a 1001 x 256 small-run path works a block of rows at a
+    # time: its peak, 0.55 MB with numpy 2.4, stays below half of one
+    # (rows, n) path array, where whole-path temporaries took 8.2 MB, four
+    # such arrays
+    grid, _, trace = small_run()
+    path = from_small_trace(trace, grid)
+    peak, _ = traced_peak(lambda: bb_action(path, continuity_tol=1e-6))
+    assert peak < path.rhobar.nbytes / 2
+
+
+def test_pde_integration_memory_is_bounded():
+    # a 1000-step n = 256 integrate_pde holds its 4.1 MB trace and fills the
+    # m, xi and H columns a block of rows at a time: the peak, 4.7 MB with
+    # numpy 2.4, stays within a quarter of the trace above it, where the
+    # columns over whole traces took 10.3 MB
+    grid, state, _ = small_run()
+    peak, trace = traced_peak(lambda: integrate_pde(state, "small", dt=1e-3, steps=1000))
+    assert peak < 1.25 * trace.data.nbytes
 
 
 def test_rows_longer_than_a_chunk(tmp_path):
