@@ -203,12 +203,13 @@ def _flow(model, grid, shape):
     0.5 x, (a - b) / -h is -((a - b) / h), and x / -4 is -0.5 (0.5 x).
     """
     n, h = grid.n, grid.h
-    # the packed rows: neighbour indices, signs, edge and node divisors
+    # the packed rows: neighbour indices, signs, edge and node divisors,
+    # the last three one per member of a stack, so that no operation
+    # broadcasts a row over the members
     up2 = np.concatenate([grid.up, grid.up + n])
     down2 = np.concatenate([grid.down, grid.down + n])
-    sign = np.repeat([1.0, -1.0], n)
-    edge_div2 = np.repeat([2.0, h], n)
-    node_div2 = np.repeat([-h, -4.0], n)
+    sign, edge_div2, node_div2 = (np.broadcast_to(np.repeat(pair, n), shape).copy()
+                                  for pair in ([1.0, -1.0], [2.0, h], [-h, -4.0]))
     half = np.asarray(0.5)  # a 0-d operand is cheaper than a Python float
     # m and xi are numpy scalars for one state, whose float takes 0.02 us
     # where their min takes 1.7 us, and columns for a stack

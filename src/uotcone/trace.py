@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import re
 import signal
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -88,19 +89,30 @@ class GeodesicTrace:
 # interleaved pairs, a trace split into two blocks was faster than one
 # block in 0-1 pairs at 18k entries, 12-21 at 36k, 31-32 at 41k (-5 to
 # -8%), 31-33 at 49k (-13%) and 32-34 at 82k (-16 to -21%): the break-even
-# lies near 38k entries, and a block of 2**15 entries pays for its worker.
-# Those pairs timed write_csv alone, so they do not see what a fork costs
-# this process afterwards: its pages are shared copy-on-write while the
-# worker lives, and its later work faults them back in (a density round of
-# the benchmark, run in one process, took about 22.8k minor faults with
-# forked writes and 4.1-4.5k with one core, although it still ran in
-# 700-747 ms against 733-787 ms).
+# of write_csv alone lies near 38k entries.  Whole rounds of the benchmark,
+# run in one process with this constant switched round by round (seed 7),
+# see what a fork costs this process afterwards too: its pages, the
+# formatting workspace's 104 among them, are shared copy-on-write while
+# the worker lives, and its later writes fault them back in (a forked
+# 1001 x 516 write took 767 minor faults, 715 before the workspace).  In
+# 30 gauss-cone rounds, 2**14 cuts the 36k-entry trace in two and read
+# +6.1% against 2**15 (7 rounds below it); 2**16 changes no gauss-cone
+# trace, and its +3.2% (11 below) is the spread of such rounds.  Every
+# density trace (180k-517k entries) is two blocks at all three values; in
+# 14 density rounds one block read +9.2% (5 below) with 540 minor faults a
+# round against 20k, so the forks pay for their faults.  No benchmark
+# trace has 38k-65k entries, so 2**15 stays.
 _BLOCK_ENTRIES = 2**15
 
 # A chunk of this many entries, rows or parts of rows, is formatted at a
-# time: the peak of its temporaries is 1.0 MB, where a 36k-entry trace at
-# once would take 9 MB.  Chunks of 2048 entries were 14% slower on 36-column
-# rows, and of 8192 no faster there and 9% faster on 516-column rows.
+# time, in the workspace that each thread keeps (_workspace): 13 uint64 an
+# entry, 426 kB, where the chunk's temporaries took 1.0 MB and a 36k-entry
+# trace at once would take 9 MB.  Against 4096, in gauss-cone rounds
+# alternated in one process, chunks of 2048 read +14.4% (1 of 30 rounds
+# below) and chunks of 8192 -2.6% and +0.8% in two sets (19 and 15 of 30
+# below), and -0.2% in density rounds (8 of 14); their texts of 160-240
+# kB, above malloc's mmap threshold, took 479 minor faults a gauss-cone
+# round against 148, and their workspace would take 852 kB.
 _CHUNK_ENTRIES = 4096
 
 
@@ -231,6 +243,7 @@ def _quads():
 
 _EXP_K, _EXP_SHIFT, _EXP_G, _EXP_TOP, _EXP_MID, _EXP_LOW = _exponent_tables()
 _POW10 = 10 ** np.arange(18, dtype=_U)
+_POW10_COL = _POW10[:, None]
 _QUADS = _quads()
 # Each entry is one column of these characters, of which a mask keeps those
 # that repr writes: sign, "0.000" before small numbers, 17 digits with a
@@ -238,79 +251,170 @@ _QUADS = _quads()
 _TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 18 + b"e+000,", np.uint8)
 _SLOT = np.arange(18, dtype=np.int16)[:, None]  # body position
 _PLACE = np.arange(1, 18, dtype=np.uint8)[:, None]  # digit number
+_TEMPLATE_COL = _TEMPLATE[:, None]
 _PREFIX = np.array([0, 0, 1, 2, 3], dtype=np.int16)[:, None]
 
 
-def _mulhi(a, b0, b1):
+# The temporaries of _decimal and _csv_chunk: name -> (byte offset per
+# entry, dtype, rows or None for one row), in a buffer of _WORDS uint64 an
+# entry.  An array of a chunk of m entries starts at its offset times m, so
+# the chunk uses the first _WORDS * m words and every array is contiguous.
+# Arrays share bytes only where the kernel never needs both at once; as
+# numpy copies an operand that overlaps the output in part, no operation
+# reads an array that shares bytes with its output unless it is that array.
+_LAYOUT = {
+    # _decimal; it leaves f at 96 and k at 24
+    "t": (0, _U, None), "j": (8, _U, None), "shcb": (16, _U, 2), "G": (32, _U, 2),
+    "H": (48, _U, 2), "c1": (64, _U, None), "a0": (72, _U, None), "a1": (80, _U, None),
+    "mtmp": (88, _U, None), "lo": (24, _U, None), "ends": (64, _U, 2), "mid": (80, _U, 2),
+    "low": (32, _U, 2), "carry": (16, bool, 2), "s": (16, _U, None), "f": (96, _U, None),
+    "tens": (56, _U, None), "shorter": (32, bool, 2), "k": (24, np.int64, None),
+    # _csv_chunk: the digit count and the decimal exponent p ...
+    "below": (64, bool, 18), "count": (82, np.uint8, None), "size": (0, np.intp, None),
+    "idx": (8, np.intp, None), "scale": (16, _U, None), "pk": (8, np.int64, None),
+    "p": (84, np.int16, None),
+    # ... the digit rows, filled four digits at a time ...
+    "digits": (64, np.uint8, 19), "quads": (0, _U, 4), "lead": (32, _U, None),
+    "qtmp": (40, _U, None), "packed": (48, np.uint32, 4),
+    # ... the layout of each entry ...
+    "nz": (0, bool, 17), "nmax": (17, np.uint8, None), "zero": (62, bool, None),
+    "n": (86, np.int16, None), "t16": (88, np.int16, None), "t16b": (90, np.int16, None),
+    "dot": (92, np.int16, None), "length": (94, np.int16, None),
+    "positional": (96, bool, None), "notpos": (97, bool, None), "has_dot": (98, bool, None),
+    "b1": (99, bool, None),
+    # ... and its characters
+    "chars": (0, np.uint8, _TEMPLATE.size), "keep": (32, bool, _TEMPLATE.size),
+    "ae": (64, np.intp, None), "q32": (72, np.uint32, None), "e": (76, np.int16, None),
+}
+_WORDS = 13
+
+
+class _Workspace:
+    """The arrays of _LAYOUT for a chunk of m entries, and the views of them
+    that the kernel reads, carved from ``words``."""
+
+    def __init__(self, words, m):
+        self.words = words
+        for name, (offset, dtype, rows) in _LAYOUT.items():
+            setattr(self, name, np.ndarray((rows, m) if rows else (m,), dtype, words, offset * m))
+        self.nz8 = self.nz.view(np.uint8)
+        self.groups = self.digits[2:18].reshape(4, 4, m)
+        self.packed_groups = self.packed.view(np.uint8).reshape(4, m, 4).transpose(0, 2, 1)
+        self.body = self.chars[6:24]
+        self.mask = self.keep[6:24]  # free until the body is made
+        self.mask8 = self.mask.view(np.uint8)
+        self.exp_digits = self.q32.view(np.uint8).reshape(m, 4)[:, 1:].T
+        self.charsT, self.keepT = self.chars.T, self.keep.T
+
+
+_local = threading.local()
+
+
+def _workspace(m):
+    """This thread's workspace for a chunk of m <= _CHUNK_ENTRIES entries.
+
+    Its buffer is allocated on the thread's first chunk and kept for the
+    life of the thread, so a later chunk allocates no array but its text:
+    glibc trims the heap between writes, and a buffer allocated per write
+    would be faulted in again by every write.  It carries nothing from one
+    chunk to the next, as the kernel writes each array before reading it.
+    A forked worker formats with its own copy-on-write copy of the buffer
+    of the thread that forked it."""
+    full = getattr(_local, "workspace", None)
+    if full is None:
+        full = _local.workspace = _Workspace(np.empty(_WORDS * _CHUNK_ENTRIES, _U),
+                                             _CHUNK_ENTRIES)
+    return full if m == _CHUNK_ENTRIES else _Workspace(full.words, m)
+
+
+def _mulhi(a, b0, b1, out, w):
     """High 64 bits of a (b1 2^32 + b0), for a < 2^63, 32-bit b0 and
-    b1 < 2^28, elementwise."""
-    a0 = a & _M32
-    a1 = a >> _U(32)
-    out = a0 * b0
+    b1 < 2^28, elementwise, into out."""
+    a0 = np.bitwise_and(a, _M32, w.a0)
+    a1 = np.right_shift(a, _U(32), w.a1)
+    np.multiply(a0, b0, out)
     out >>= _U(32)
-    tmp = a1 * b0
+    tmp = np.multiply(a1, b0, w.mtmp)
     out += tmp
-    np.multiply(a0, b1, out=tmp)
+    np.multiply(a0, b1, tmp)
     out += tmp
     out >>= _U(32)
-    np.multiply(a1, b1, out=tmp)
+    np.multiply(a1, b1, tmp)
     out += tmp
     return out
 
 
-def _decimal(x):
+# Every operation below writes into the workspace.  numpy allocates a
+# buffer for three kinds of operation, so there are none: a ufunc that
+# casts an operand (here a copyto of its own, or bools seen as uint8), a
+# take into out= in the default mode 'raise' (here 'clip', the indices
+# being in range), and a ufunc that broadcasts a row over the rows of a
+# (2, m) array (here one call per row, which is also faster).  numpy still
+# buffers the operations with a column (_POW10_COL, _PLACE, _PREFIX,
+# _SLOT) in a chunk of fewer than about 2700 entries, up to 130 kB each,
+# and the uint8 product with _PLACE in any chunk, 8 kB.
+
+def _decimal(x, w):
     """The significands f (uint64, 0 for zeros) and exponents k of the
-    shortest closest decimals |x| = f 10^k of finite float64 entries x."""
+    shortest closest decimals |x| = f 10^k of finite float64 entries x,
+    into w.f and w.k."""
     bits = x.view(_U)
-    t = bits & _U(2**52 - 1)
-    j = bits >> _U(52)
+    t = np.bitwise_and(bits, _U(2**52 - 1), w.t)
+    j = np.right_shift(bits, _U(52), w.j)
     j &= _U(0x7FF)
-    j ^= (t - _U(1)) >> _U(52)  # 4095 - bq where t = 0
+    sh, cb = w.shcb
+    j ^= np.right_shift(np.subtract(t, _U(1), sh), _U(52), sh)  # 4095 - bq where t = 0
     j = j.view(np.intp)
-    sh, cb = _EXP_SHIFT.take(j, axis=1)
+    _EXP_SHIFT.take(j, 1, w.shcb, "clip")
     # the centre 4c 2^h of the rounding interval, and its product with g,
     # P = H1 2^127 + L1 2^63 + H0 2^64 + L0
-    cb |= t << sh
-    c0 = np.bitwise_and(cb, _M32, out=sh)
-    c1 = cb >> _U(32)
-    G = _EXP_G.take(j, axis=1)
-    H1, H0 = _mulhi(G, c0, c1)
-    L1, L0 = np.multiply(G, cb, out=G)
+    cb |= np.left_shift(t, sh, w.c1)
+    c0 = np.bitwise_and(cb, _M32, sh)
+    c1 = np.right_shift(cb, _U(32), w.c1)
+    G = _EXP_G.take(j, 1, w.G, "clip")
+    H1, H0 = (_mulhi(g, c0, c1, h, w) for g, h in zip(G, w.H))
+    L1, L0 = (np.multiply(g, cb, g) for g in G)
     # P = (A 2^63 + fh) 2^64 + lo, with 63-bit fh
-    L1_63 = np.left_shift(L1, _U(63), out=c0)
-    lo = L0 + L1_63
+    L1_63 = np.left_shift(L1, _U(63), c0)
+    lo = np.add(L0, L1_63, w.lo)
     L0 &= L1_63
     L0 >>= _U(63)  # the carry out of lo
     L1 >>= _U(1)
     L1 += H0
     L1 += L0
-    A = np.right_shift(L1, _U(63), out=H0)
+    A = np.right_shift(L1, _U(63), H0)
     A += H1
-    fh = np.bitwise_and(L1, _M63, out=L1)
+    fh = np.bitwise_and(L1, _M63, L1)
     # vb and (vbr, vbl): rop of the centre P and of its ends P + D (D
     # negative for the lower end), each first rounded down to a multiple of
     # 2^64: the bits above 2^127, and 1 where any of the 63 below is set
     vb = np.minimum(fh, _U(1), out=H1)
     vb |= A
-    ends = _EXP_TOP.take(j, axis=1)
-    ends += A
-    mid = _EXP_MID.take(j, axis=1)
-    mid += fh
-    mid += lo > _EXP_LOW.take(j, axis=1)  # the carry out of the lowest limbs
-    ends += mid >> _U(63)
+    ends = _EXP_TOP.take(j, 1, w.ends, "clip")
+    for end in ends:
+        end += A
+    mid = _EXP_MID.take(j, 1, w.mid, "clip")
+    for part in mid:
+        part += fh
+    low = _EXP_LOW.take(j, 1, w.low, "clip")
+    for limb, carry in zip(low, w.carry):
+        np.greater(lo, limb, carry)  # the carry out of the lowest limbs
+    np.copyto(low, w.carry)
+    mid += low
+    ends += np.right_shift(mid, _U(63), low)
     mid <<= _U(1)
     ends |= np.minimum(mid, _U(1), out=mid)
     # the digits d with 4d in the interval, a .. b, where an even c keeps
     # its ends
     b, a = ends
-    c = np.bitwise_and(t, _U(1), out=t)
+    c = np.bitwise_and(t, _U(1), t)
     b -= c
     a += c
     a += _U(3)
     ends >>= _U(2)
     # s or s + 1: the closer of the two in a .. b, ties to even
-    s = vb >> _U(2)
-    f = s & _U(1)
+    s = np.right_shift(vb, _U(2), w.s)
+    f = np.bitwise_and(s, _U(1), w.f)
     f += vb
     f += _U(1)
     f >>= _U(2)
@@ -318,73 +422,105 @@ def _decimal(x):
     np.minimum(f, b, out=f)
     # one digit fewer: the multiple of 10 in a .. b (fewer than 10 wide, so
     # it holds at most one), if there is one and s has two digits
-    tens = b // _U(10)
+    tens = np.floor_divide(b, _U(10), w.tens)
     tens *= _U(10)
-    shorter = tens >= a
-    shorter &= s >= _U(10)
-    return np.where(shorter, tens, f), _EXP_K.take(j)
+    shorter, two_digits = w.shorter
+    np.greater_equal(tens, a, shorter)
+    shorter &= np.greater_equal(s, _U(10), two_digits)
+    np.copyto(f, tens, where=shorter)
+    _EXP_K.take(j, 0, w.k, "clip")
 
 
 def _csv_chunk(x, cols, start):
     """The CSV text of float64 entries x, entries start, start + 1, ... of
     rows of cols entries, as a uint8 array: each entry as repr writes it,
-    then "\\n" after the last entry of a row and "," after the others."""
-    m = x.size
-    f, k = _decimal(x)
-    size = np.searchsorted(_POW10, f, side="right")  # digits of f
-    f *= _POW10[17 - size]
-    p = (size + k).astype(np.int16)  # |x| = 0.d1d2...d17 10^p
+    then "\\n" after the last entry of a row and "," after the others.
+    x holds at most _CHUNK_ENTRIES entries, and the text is the one array
+    this allocates."""
+    w = _workspace(x.size)
+    _decimal(x, w)
+    f, p = w.f, w.p
+    # the digits of f: the powers of ten up to f, counted
+    np.greater_equal(f, _POW10_COL, w.below)
+    np.add.reduce(w.below.view(np.uint8), 0, None, w.count)
+    size = w.size
+    np.copyto(size, w.count)
+    f *= _POW10.take(np.subtract(17, size, w.idx), 0, w.scale, "clip")
+    np.copyto(p, np.add(size, w.k, w.pk), casting="unsafe")  # |x| = 0.d1d2...d17 10^p
     # the 17 digits, in rows 1-17 of 19: rows 0 and 18 are "0"s
-    digits = np.empty((19, m), np.uint8)
-    digits[[0, 18]] = ord("0")
-    lead = f // _U(10**16)
-    digits[1] = lead + _U(ord("0"))
-    quads = np.empty((4, m), _U)  # the other 16 digits, four at a time
-    np.floor_divide(f, _U(10**12), out=quads[0])
-    np.floor_divide(f, _U(10**4), out=quads[2])
-    quads[1] = quads[2] // _U(10**4)
-    quads[3] = f - quads[2] * _U(10**4)
-    quads[2] -= quads[1] * _U(10**4)
-    quads[1] -= quads[0] * _U(10**4)
-    quads[0] -= lead * _U(10**4)
-    packed = _QUADS.take(quads, mode="clip").view(np.uint8)
-    digits[2:18].reshape(4, 4, m)[:] = packed.reshape(4, m, 4).transpose(0, 2, 1)
-    n = ((digits[1:18] != ord("0")) * _PLACE).max(axis=0).astype(np.int16)
-    zero = f == 0
+    digits = w.digits
+    digits[0] = ord("0")
+    digits[18] = ord("0")
+    lead = np.floor_divide(f, _U(10**16), w.lead)
+    np.copyto(digits[1], lead, casting="unsafe")
+    digits[1] += ord("0")
+    quads = w.quads  # the other 16 digits, four at a time
+    np.floor_divide(f, _U(10**12), quads[0])
+    np.floor_divide(f, _U(10**4), quads[2])
+    np.floor_divide(quads[2], _U(10**4), quads[1])
+    np.subtract(f, np.multiply(quads[2], _U(10**4), quads[3]), quads[3])
+    quads[2] -= np.multiply(quads[1], _U(10**4), w.qtmp)
+    quads[1] -= np.multiply(quads[0], _U(10**4), w.qtmp)
+    quads[0] -= np.multiply(lead, _U(10**4), w.qtmp)
+    _QUADS.take(quads.view(np.intp), None, w.packed, "clip")
+    np.copyto(w.groups, w.packed_groups)
+    np.not_equal(digits[1:18], ord("0"), w.nz)
+    np.multiply(w.nz8, _PLACE, w.nz8)
+    n = w.n
+    np.copyto(n, np.maximum.reduce(w.nz8, 0, None, w.nmax))
+    zero = np.equal(f, 0, w.zero)
     n[zero] = 1
     p[zero] = 1
-    positional = (p + 3).view(np.uint16) <= 19  # -4 < p <= 16
-    has_dot = positional & (p >= 1) | ~positional & (n > 1)
+    t16, b1 = w.t16, w.b1
+    positional = np.less_equal(np.add(p, 3, t16).view(np.uint16), 19, w.positional)  # -4 < p <= 16
+    has_dot = np.bitwise_and(positional, np.greater_equal(p, 1, b1), w.has_dot)
+    notpos = np.invert(positional, w.notpos)
+    has_dot |= np.bitwise_and(notpos, np.greater(n, 1, b1), b1)
     # the body position of the dot, beyond the body if there is none
-    dot = (p - 1) * positional + 1
-    dot += ~has_dot * np.int16(99)
-    length = n + has_dot * (np.maximum(n, dot + 1) + 1 - n)
+    dot = np.subtract(p, 1, w.dot)
+    np.copyto(t16, positional)
+    dot *= t16
+    dot += 1
+    np.copyto(t16, np.invert(has_dot, b1))
+    dot += np.multiply(t16, 99, t16)
+    np.subtract(np.add(np.maximum(n, np.add(dot, 1, t16), out=t16), 1, t16), n, t16)
+    np.copyto(w.t16b, has_dot)
+    length = np.add(n, np.multiply(w.t16b, t16, t16), w.length)
 
-    chars = np.empty((_TEMPLATE.size, m), np.uint8)
-    chars[:] = _TEMPLATE[:, None]
-    keep = np.empty(chars.shape, bool)
+    chars, keep = w.chars, w.keep
+    np.copyto(chars, _TEMPLATE_COL)
     # one contiguous row of keep per character: numpy 2.4.6 fills a strided bool out= wrongly
-    np.signbit(x, out=keep[0])
-    np.greater_equal(np.where(positional, -p, -1), _PREFIX, out=keep[1:6])
+    np.signbit(x, keep[0])
+    np.negative(p, t16)
+    np.copyto(t16, -1, where=notpos)
+    np.greater_equal(t16, _PREFIX, keep[1:6])
     # the body: the digits, each after the dot one place right, and the dot,
-    # blended in uint8 arithmetic (np.where on uint8 is far slower)
-    body = chars[6:24]
-    shift = np.subtract(digits[0:18], digits[1:19])
-    shift *= _SLOT > dot
-    np.add(digits[1:19], shift, out=body)
-    shift = np.subtract(ord("."), body, dtype=np.uint8)
-    shift *= _SLOT == dot
+    # blended in uint8 arithmetic (np.where on uint8 is far slower); the
+    # digits of rows 0-17 are free for the dot's shift once the body holds
+    # the shifted digits
+    body, mask, shift = w.body, w.mask, digits[0:18]
+    np.subtract(shift, digits[1:19], body)
+    np.greater(_SLOT, dot, mask)
+    body *= w.mask8
+    body += digits[1:19]
+    np.subtract(ord("."), body, shift)
+    np.equal(_SLOT, dot, mask)
+    shift *= w.mask8
     body += shift
-    np.less(_SLOT, length, out=keep[6:24])
-    e = p - 1
-    ae = np.abs(e)
-    np.add((e < 0) * np.uint8(2), ord("+"), out=chars[25])
-    chars[26:29] = _QUADS.take(ae).view(np.uint8).reshape(m, 4)[:, 1:].T
-    keep[24:29] = ~positional
-    keep[26] &= ae >= 100
+    np.less(_SLOT, length, keep[6:24])
+    e = np.subtract(p, 1, w.e)
+    ae = w.ae
+    np.copyto(ae, e)
+    np.abs(ae, ae)
+    np.multiply(np.less(e, 0, b1).view(np.uint8), 2, chars[25])
+    chars[25] += ord("+")
+    _QUADS.take(ae, 0, w.q32, "clip")
+    np.copyto(chars[26:29], w.exp_digits)
+    keep[24:29] = notpos
+    keep[26] &= np.greater_equal(ae, 100, b1)
     chars[29, (cols - 1 - start) % cols::cols] = ord("\n")
     keep[29] = True
-    return chars.T[keep.T]
+    return w.charsT[w.keepT]
 
 
 def _cores():

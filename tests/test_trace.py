@@ -2,7 +2,9 @@ import errno
 import json
 import os
 import signal
+import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 
@@ -236,22 +238,93 @@ def test_write_csv_bytes_are_repr_on_random_bit_patterns(tmp_path):
     assert (tmp_path / "trace.csv").read_bytes() == repr_csv(trace).encode("utf-8")
 
 
+def in_a_thread(f):
+    """f() in a thread of its own, which has no formatting workspace yet."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(f()))
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive() and out
+    return out[0]
+
+
 @pytest.mark.parametrize("rows, cols", [(1001, 36), (11, 16388)])
 def test_formatting_memory_is_bounded(rows, cols):
     # a 1001 x 36 trace (gauss-geodesic at n = 4) and one of rows longer
     # than a chunk (fr-geodesic at n = 16384) are formatted a chunk at a
-    # time: the peak of the temporaries, 0.99 MB with numpy 2.4, stays near
-    # one chunk's, not the 0.8 MB of text and the 9.3 MB of temporaries of
-    # the 1001 x 36 trace at once
+    # time, in a fresh thread, so that its workspace (13 uint64 a chunk
+    # entry, 426 kB) is allocated inside the traced peak: the peak, 0.6 MB
+    # with numpy 2.4, stays near the workspace and one chunk's text, not
+    # the 0.8 MB of text and the 9.3 MB of temporaries of the 1001 x 36
+    # trace at once
     trace = big_trace(rows, cols)
+
+    def formatted():
+        return sum(chunk.size for chunk in trace_module._csv_chunks(trace.data))
+
     tracemalloc.start()
     try:
-        size = sum(chunk.size for chunk in trace_module._csv_chunks(trace.data))
+        size = in_a_thread(formatted)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert size > 18 * rows * cols
     assert peak < 1_500_000
+
+
+def test_a_second_trace_allocates_only_its_text():
+    # the workspace outlives a trace: the next trace in the thread, three
+    # chunks the last of them short, allocates a chunk's text at a time
+    # and no temporaries (each chunk's took 1 MB)
+    first, second = big_trace(3, 5), big_trace(250, 36, seed=1)
+
+    def text_and_peak():
+        for _ in trace_module._csv_chunks(first.data):
+            pass
+        size = 0
+        tracemalloc.start()
+        try:
+            for chunk in trace_module._csv_chunks(second.data):
+                size += chunk.size
+                del chunk
+            return size, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    size, peak = in_a_thread(text_and_peak)
+    assert peak <= size
+
+
+def test_threads_formatting_at_once_each_get_repr_bytes(tmp_path):
+    # each thread formats with its own workspace: four threads, more than
+    # the cores, write four traces of different shapes three times each,
+    # switching every microsecond
+    traces = [big_trace(1001, 36, seed=2), big_trace(300, 7, seed=3),
+              big_trace(7, 6145, seed=4), big_trace(50, 516, seed=5)]
+    start = threading.Barrier(len(traces))
+    written = {}
+
+    def write(i):
+        start.wait(60)
+        for k in range(3):
+            path = tmp_path / f"trace{i}-{k}.csv"
+            traces[i].write_csv(path)
+            written[path] = repr_csv(traces[i]).encode("utf-8")
+
+    threads = [threading.Thread(target=write, args=(i,)) for i in range(len(traces))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(written) == 3 * len(traces)
+    for path, expected in written.items():
+        assert path.read_bytes() == expected
 
 
 def traced_peak(f):
