@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ApexCrossingError, NonFiniteError, NumericsError
-from .trace import GeodesicTrace, _norm, _rk4
+from .trace import GeodesicTrace, _norm, _rk4, _time_grid
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,6 @@ class ConeProblem:
     dt: float
     steps: int
 
-    def validate(self):
-        if not (self.dt > 0.0):
-            raise ValueError("dt must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be a positive integer")
-
 
 def _euclidean_speed(q0, qdot0):
     return _norm(qdot0)  # |qdot0|^2 overflows from 1.3e154 on
@@ -87,7 +81,7 @@ def _euclidean_exp(q0, qdot0, s):
 
 def circle_base():
     """Unit circle S^1 with angle coordinate and metric dphi^2."""
-    return BaseManifold(dim=1, speed=_euclidean_speed, exp=_euclidean_exp)
+    return flat_base(1)
 
 
 def flat_base(dim):
@@ -131,7 +125,9 @@ def _clairaut_rhs(y, p, alpha0, speed, out):
 
 
 def integrate_cone(initial, problem, base):
-    """Fixed-step RK4 integration of the cone geodesic flow, for any p.
+    """Fixed-step RK4 integration of the cone geodesic flow, for any p, at the
+    times ``trace._time_grid(problem.dt, problem.steps)``, which refuses a
+    bad dt or steps.
 
     Returns a trace with columns t, m (= alpha^2), xi (= 2 alphadot/alpha),
     H (the cone energy alphadot^2 + alpha^{2p} sdot^2), then q, qdot, alpha,
@@ -142,10 +138,10 @@ def integrate_cone(initial, problem, base):
     comes first.  For p = 1, ``cone_geodesic_ray`` gives the same trace in
     closed form.
     """
-    problem.validate()
+    t = _time_grid(problem.dt, problem.steps)
     initial.validate(base.dim)
     p = problem.p
-    ys = np.zeros((problem.steps + 1, 3))
+    ys = np.zeros((t.size, 3))
     ys[0, :2] = initial.alpha, initial.alpha_dot
     speed = base.speed(initial.q, initial.q_dot)
 
@@ -161,12 +157,13 @@ def integrate_cone(initial, problem, base):
         # an arc past the base's boundary before that step fails first
         base.exp(initial.q, initial.q_dot, ys[:exc.details["step"], 2])
         raise
-    return _cone_trace(initial, problem, base, speed, *ys.T)
+    return _cone_trace(initial, p, base, speed, t, *ys.T)
 
 
 def cone_geodesic_ray(initial, problem, base):
     """The closed form of ``integrate_cone`` for p = 1: the same trace
-    columns on the same time grid, with no RK4 step.
+    columns on the same time grid, which refuses a bad dt or steps, and no
+    RK4 step.
 
     p = 1 is the standard cone, whose flat picture is the plane in polar
     coordinates (alpha, s): the geodesic is the ray of ``cone_ray`` with
@@ -182,30 +179,27 @@ def cone_geodesic_ray(initial, problem, base):
     """
     if problem.p != 1.0:
         raise ValueError("the cone geodesic has a closed form only for p = 1")
-    problem.validate()
+    t = _time_grid(problem.dt, problem.steps)
     initial.validate(base.dim)
     speed = base.speed(initial.q, initial.q_dot)
-    t = np.arange(problem.steps + 1) * problem.dt
     a0, adot0 = initial.alpha, initial.alpha_dot
     x, y, s = _ray_picture(2.0 * (adot0 / a0), speed, t)
     r = np.hypot(x, y)
     alpha = a0 * r
     alphadot = adot0 * (x / r) + (a0 * speed) * (y / r)
-    return _cone_trace(initial, problem, base, speed, alpha, alphadot, s)
+    return _cone_trace(initial, problem.p, base, speed, t, alpha, alphadot, s)
 
 
-def _cone_trace(initial, problem, base, speed, alpha, alphadot, s):
-    """The trace of a cone geodesic from its reduced state along the time
-    grid: one call of the base's ``exp`` over the arc column s gives q and
-    the direction u of qdot = sdot u, with sdot = |qdot0|_g
-    (alpha0 / alpha)^{2p} from Clairaut's integral, and
-    H = alphadot^2 + alpha^{2p} sdot^2.  A non-finite entry raises the
-    NonFiniteError of ``GeodesicTrace``, which names its row as ``step``."""
-    p = problem.p
+def _cone_trace(initial, p, base, speed, t, alpha, alphadot, s):
+    """The trace of a cone geodesic from its reduced state at the times t:
+    one call of the base's ``exp`` over the arc column s gives q and the
+    direction u of qdot = sdot u, with sdot = |qdot0|_g (alpha0 / alpha)^{2p}
+    from Clairaut's integral, and H = alphadot^2 + alpha^{2p} sdot^2.  A
+    non-finite entry raises the NonFiniteError of ``GeodesicTrace``, which
+    names its row as ``step``."""
     q, u = base.exp(initial.q, initial.q_dot, s)
     sdot = speed * (initial.alpha / alpha) ** (2.0 * p)
-    data = np.column_stack([np.arange(problem.steps + 1) * problem.dt, alpha ** 2,
-                            2.0 * alphadot / alpha,
+    data = np.column_stack([t, alpha ** 2, 2.0 * alphadot / alpha,
                             alphadot ** 2 + alpha ** (2.0 * p) * sdot * sdot,
                             q, sdot[:, None] * u, alpha, alphadot])
     cols = (["t", "m", "xi", "H"] + [f"q{i}" for i in range(base.dim)]

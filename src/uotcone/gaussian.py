@@ -23,7 +23,7 @@ from .cone import BaseManifold, cone_line_start, cone_ray
 from .config import DEFAULTS, unit_time_steps
 from .errors import (MassError, NonFiniteError, ShootingError, SingularSystemError,
                      SpdError, SymmetryError)
-from .trace import GeodesicTrace, _finite, _first_member, _norm, _rk4
+from .trace import GeodesicTrace, _finite, _first_member, _norm, _rk4, _time_grid
 
 _SYM_TOL = 1e-12
 
@@ -200,7 +200,7 @@ def _project(y, n):
     nn = n * n
     lead = y.shape[:-1]
     VP = y[..., :2 * nn].reshape(*lead, 2, n, n)
-    y[..., :2 * nn] = (0.5 * (VP + VP.swapaxes(-1, -2))).reshape(*lead, 2 * nn)
+    y[..., :2 * nn] = symmetrize(VP).reshape(*lead, 2 * nn)
     m = y[..., -2]
     if m.min() <= 0.0:
         raise MassError("mass became nonpositive during integration",
@@ -227,7 +227,8 @@ def _cholesky_fails(V):
 
 
 def integrate_geodesic(initial, dt, steps):
-    """Fixed-step RK4 integration of the cotangent geodesic flow.
+    """Fixed-step RK4 integration of the cotangent geodesic flow at the times
+    ``trace._time_grid(dt, steps)``, which refuses a bad dt or steps.
 
     The trace columns are t, m, xi, H followed by the row-major entries of V
     and P.  SPD loss of V, nonpositive mass, or non-finite values abort with
@@ -246,18 +247,18 @@ def integrate_geodesics(states, dt, steps):
     own block, equal entry for entry to its own ``integrate_geodesic``
     trace.  A failure aborts the whole stack and carries, next to the step
     index, the index ``member`` of the first failing state (in a stack of
-    more than one).
+    more than one); an empty stack is a ValueError.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    t = _time_grid(dt, steps)
     states = [s.validate() for s in states]
+    if not states:
+        raise ValueError("a stack needs at least one state")
     n = max(s.n for s in states)
     nn = n * n
-    ys = np.empty((len(states), steps + 1, 2 * nn + 2))
+    ys = np.empty((len(states), t.size, 2 * nn + 2))
     ys[:, 0] = [_pack_state(s, n) for s in states]
     _rk4(lambda y, out: _gauss_rhs(y, n, out), lambda y: _project(y, n),
          ys.swapaxes(0, 1), dt)
-    t = np.arange(steps + 1) * dt
     return [_geodesic_trace(t, y[:, :nn].reshape(-1, n, n)[:, :s.n, :s.n], y[:, -2],
                             y[:, nn:2 * nn].reshape(-1, n, n)[:, :s.n, :s.n], y[:, -1])
             for s, y in zip(states, ys)]
@@ -330,12 +331,10 @@ def _ray(V0, m0, P0, S0, xi0, v0, t):
 
 def geodesic_ray(initial, dt, steps):
     """The closed form of ``integrate_geodesic``: the same trace columns on
-    the same time grid, from the flat-picture ray of ``_ray`` instead of RK4
-    steps."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    the same time grid, which refuses a bad dt or steps, from the flat-picture
+    ray of ``_ray`` instead of RK4 steps."""
+    t = _time_grid(dt, steps)
     state = initial.validate()
-    t = np.arange(steps + 1) * dt
     S0 = 2.0 * (state.P / state.m)
     m, xi, _, V, P = _ray(state.V, state.m, state.P, S0, state.xi, np.zeros(state.n), t)
     return _geodesic_trace(t, V, m, P, xi)

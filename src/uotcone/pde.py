@@ -20,7 +20,7 @@ from .cone import cone_line
 from .config import MIN_GRID
 from .errors import (MassError, NonFiniteError, PositivityError,
                      SingularSystemError, StepGuardError)
-from .trace import GeodesicTrace, _finite, _first_member, _rk4
+from .trace import GeodesicTrace, _finite, _first_member, _rk4, _time_grid
 
 DT_GUARD_FACTOR = 0.2
 
@@ -279,7 +279,8 @@ _ENERGIES = {"small": hamiltonian_small, "wfr": hamiltonian_wfr}
 
 
 def integrate_pde(state, model, dt, steps):
-    """Fixed-step RK4 evolution of the density/potential pair.
+    """Fixed-step RK4 evolution of the density/potential pair at the times
+    ``trace._time_grid(dt, steps)``, which refuses a bad dt or steps.
 
     Refuses dt above the stability heuristic 0.2 h^2 / max|grad theta_0| and
     aborts with the step index when the density loses positivity.  The trace
@@ -297,18 +298,15 @@ def integrate_pdes(states, model, dt, steps):
     ``integrate_pde`` trace; the traces are views of one array.  A failure,
     or a state refused by the step guard, aborts the whole stack and carries
     the index ``member`` of the first failing state (in a stack of more than
-    one).
+    one); an empty stack is a ValueError.
     """
     if model not in _ENERGIES:
         raise ValueError(f"unknown model {model!r}; expected 'small' or 'wfr'")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be a positive integer")
+    t = _time_grid(dt, steps)
     states = [s.validate() for s in states]
+    if len({s.grid for s in states}) != 1:
+        raise ValueError("a stack needs at least one state, all on one grid")
     grid = states[0].grid
-    if any(s.grid != grid for s in states):
-        raise ValueError("stacked states must share one grid")
     n, h = grid.n, grid.h
     for i, state in enumerate(states):
         gmax = float(np.max(np.abs(_dplus(grid, state.theta))))
@@ -328,7 +326,7 @@ def integrate_pdes(states, model, dt, steps):
 
     cols = (["t", "m", "xi", "H"]
             + [f"rho{i}" for i in range(n)] + [f"theta{i}" for i in range(n)])
-    data = np.empty((len(states), steps + 1, len(cols)))
+    data = np.empty((len(states), t.size, len(cols)))
     data[:, 0, 4:4 + n] = [s.rho for s in states]
     data[:, 0, 4 + n:] = [s.theta for s in states]
     # a stack of one runs on the 1-D layout, with no member axis: the
@@ -340,8 +338,8 @@ def integrate_pdes(states, model, dt, steps):
     _rk4(_flow(model, grid, ys.shape[1:]), post, ys, dt)
     energy = _ENERGIES[model]
     for d in data:  # a block of rows at a time keeps the temporaries small
-        d[:, 0] = np.arange(steps + 1) * dt
-        for b in _row_blocks(steps + 1, n):
+        d[:, 0] = t
+        for b in _row_blocks(t.size, n):
             rows = PdeState(grid=grid, rho=d[b, 4:4 + n], theta=d[b, 4 + n:])
             d[b, 1] = total_mass(grid, rows.rho)
             d[b, 2] = xi_of(rows)

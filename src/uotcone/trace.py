@@ -1,5 +1,5 @@
-"""Time-series container and RK4 driver shared by all integrators, plus trace
-diagnostics.
+"""Time-series container, time grid and RK4 driver shared by all integrators,
+plus trace diagnostics.
 
 Column order is fixed: ``t, m, xi, H`` followed by the flattened state of the
 particular model.  CSV output writes each entry as ``repr`` does, the
@@ -595,6 +595,17 @@ def _fork(job, inherited):
             os._exit(code)
     os.close(w)
     return pid, r
+
+
+def _time_grid(dt, steps):
+    """The sample times 0, dt, ..., steps dt of every fixed-step trace, as
+    np.arange(steps + 1) * dt.  ValueError unless dt is a positive, finite
+    step and steps an integer >= 1."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be a positive, finite step")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError("steps must be a positive integer")
+    return np.arange(steps + 1) * dt
 
 
 def _rk4(rhs, post, states, dt):

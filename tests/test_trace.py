@@ -14,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from uotcone import cone, gaussian, pde
 from uotcone import trace as trace_module
 from uotcone.bb import bb_action, from_small_trace
 from uotcone.cli import main
+from uotcone.cone import ConeProblem, ConeState, circle_base, cone_geodesic_ray, integrate_cone
 from uotcone.errors import NonFiniteError
-from uotcone.pde import Grid1D, PdeState, integrate_pde
+from uotcone.gaussian import GaussianCotangentState, geodesic_ray, integrate_geodesics
+from uotcone.pde import Grid1D, PdeState, integrate_pde, integrate_pdes
 from uotcone.trace import GeodesicTrace, _rk4
 
 
@@ -111,6 +114,49 @@ def test_rk4_post_failure_is_stamped_with_the_new_step():
         _rk4(lambda y, out: out.fill(1.0), post, states, 1.0)
     # y after the step from k to k + 1 is k + 1; 4 is the first above 3.5
     assert exc.value.details == {"value": 4.0, "step": 4}
+
+
+def pde_state():
+    grid = Grid1D(n=16)
+    return PdeState(grid, 1.0 + 0.1 * np.cos(grid.x), 0.05 * np.sin(grid.x))
+
+
+GAUSS_STATE = GaussianCotangentState(V=np.eye(2), m=1.0, P=0.1 * np.eye(2), xi=0.2)
+CONE_STATE = ConeState(q=np.zeros(1), q_dot=np.ones(1), alpha=1.0, alpha_dot=0.0)
+
+# every builder of a fixed-step trace, as a function of (dt, steps)
+TRACE_BUILDERS = {
+    "integrate_pdes": lambda dt, steps: integrate_pdes([pde_state()], "small", dt, steps),
+    "integrate_geodesics": lambda dt, steps: integrate_geodesics([GAUSS_STATE], dt, steps),
+    "geodesic_ray": lambda dt, steps: geodesic_ray(GAUSS_STATE, dt, steps),
+    "integrate_cone": lambda dt, steps: integrate_cone(
+        CONE_STATE, ConeProblem(p=1.0, dt=dt, steps=steps), circle_base()),
+    "cone_geodesic_ray": lambda dt, steps: cone_geodesic_ray(
+        CONE_STATE, ConeProblem(p=1.0, dt=dt, steps=steps), circle_base()),
+}
+
+
+@pytest.mark.parametrize("dt, steps", [(float("nan"), 3), (float("inf"), 3), (0.0, 3),
+                                       (-1e-3, 3), (1e-3, 0), (1e-3, -2), (1e-3, 2.5)])
+@pytest.mark.parametrize("builder", TRACE_BUILDERS)
+def test_every_trace_builder_refuses_a_bad_step_before_stepping(monkeypatch, builder, dt,
+                                                                 steps):
+    def stepped(*args):
+        raise AssertionError("a state was stepped")
+    for module in (cone, gaussian, pde):
+        monkeypatch.setattr(module, "_rk4", stepped)
+    message = ("dt must be a positive, finite step" if steps == 3
+               else "steps must be a positive integer")
+    with pytest.raises(ValueError, match=message):
+        TRACE_BUILDERS[builder](dt, steps)
+
+
+@pytest.mark.parametrize("stack", [lambda: integrate_pdes([], "small", 1e-3, 3),
+                                   lambda: integrate_geodesics([], 1e-3, 3)],
+                         ids=["integrate_pdes", "integrate_geodesics"])
+def test_an_empty_stack_is_refused(stack):
+    with pytest.raises(ValueError, match="a stack needs at least one state"):
+        stack()
 
 
 def test_block_is_the_prefix_followed_by_an_index():
