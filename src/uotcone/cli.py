@@ -28,8 +28,7 @@ from .cone import (ConeProblem, ConeState, circle_base, cone_geodesic_ray, flat_
                    integrate_cone)
 from .config import validate_config
 from .errors import ConfigError, NonFiniteError, NumericsError
-from .gaussian import (GaussianCotangentState, geodesic_ray, require_spd,
-                       require_symmetric, shoot_bvp, spd_base)
+from .gaussian import GaussianCotangentState, geodesic_ray, shoot_bvp, spd_base
 from .pde import (Grid1D, PdeState, fisher_rao_cone_geodesic, gdiv_metric_eval,
                   integrate_pde, small_metric_eval, total_mass)
 from .trace import GeodesicTrace, mass_quadratic_fit, relative_energy_drift
@@ -91,26 +90,12 @@ def _fields(cfg, *keys):
     return n, *(_field(cfg, key, n) for key in keys)
 
 
-# The one owner of each trace command's H convention: mass_fit's
-# expected_leading is factor H(0), so m'' = 2 factor H along its geodesics.
-# The Gaussian and density traces write the Hamiltonian (m'' = H for both
-# PDE models); cone-geodesic the bare-cone |v|^2 (p = 1: m = alpha^2 and
-# alpha'' = alpha |qdot|^2, so m'' = 2H; other p have no constant m'' and
-# pass no factor); fr-geodesic the flat energy 4 int (d sqrt(rho)/dt)^2,
-# twice the Hamiltonian (m'' = H/2).
-_LEADING_FACTOR = {"gauss-geodesic": 0.5, "gauss-connect": 0.5, "pde-evolve": 0.5,
-                   "cone-geodesic": 1.0, "fr-geodesic": 0.25}
-
-
-def _trace_summary(trace, factor):
-    """final {t, m, xi, H}, H_drift_rel and mass_fit of a trace; with a
-    factor, mass_fit holds expected_leading = factor H(0)."""
-    mass_fit = mass_quadratic_fit(trace)
-    if factor is not None:
-        mass_fit["expected_leading"] = factor * float(trace.column("H")[0])
+def _trace_summary(trace):
+    """final {t, m, xi, H}, H_drift_rel and mass_fit of a trace, whose
+    mass_law gives mass_fit its expected_leading."""
     return {"final": {name: float(trace.column(name)[-1]) for name in ("t", "m", "xi", "H")},
             "H_drift_rel": relative_energy_drift(trace),
-            "mass_fit": mass_fit}
+            "mass_fit": mass_quadratic_fit(trace)}
 
 
 def _handle_gauss_geodesic(cfg, seed):
@@ -118,7 +103,7 @@ def _handle_gauss_geodesic(cfg, seed):
     state = GaussianCotangentState(V=_field(cfg, "V", n, n), m=float(cfg["m"]),
                                    P=_field(cfg, "P", n, n), xi=float(cfg["xi"]))
     trace = geodesic_ray(state, dt=cfg["dt"], steps=cfg["steps"])
-    return _trace_summary(trace, _LEADING_FACTOR["gauss-geodesic"]), 0, {"trace.csv": trace}
+    return _trace_summary(trace), 0, {"trace.csv": trace}
 
 
 def _handle_gauss_connect(cfg, seed):
@@ -127,7 +112,7 @@ def _handle_gauss_connect(cfg, seed):
     Sigma1 = _field(cfg, "Sigma1", n, n)
     P0, xi0, trace, residual = shoot_bvp(Sigma0, float(cfg["m0"]), Sigma1,
                                          float(cfg["m1"]), tol=cfg["tol"], dt=cfg["dt"])
-    return {**_trace_summary(trace, _LEADING_FACTOR["gauss-connect"]),
+    return {**_trace_summary(trace),
             "P0": P0.ravel().tolist(),
             "xi0": float(xi0),
             "endpoint_residual": residual,
@@ -138,8 +123,7 @@ def _handle_pde_evolve(cfg, seed):
     n, rho, theta = _fields(cfg, "rho", "theta")
     state = PdeState(Grid1D(n=n, length=float(cfg["length"])), rho, theta)
     trace = integrate_pde(state, cfg["model"], dt=cfg["dt"], steps=cfg["steps"])
-    return ({"model": cfg["model"], **_trace_summary(trace, _LEADING_FACTOR["pde-evolve"])},
-            0, {"trace.csv": trace})
+    return {"model": cfg["model"], **_trace_summary(trace)}, 0, {"trace.csv": trace}
 
 
 def _handle_pde_metric(cfg, seed):
@@ -161,36 +145,32 @@ def _handle_fr_geodesic(cfg, seed):
     # sqrt(rho) is affine in t: d sqrt(rho)/dt = sqrt(rho1) - sqrt(rho0)
     rate = np.sqrt(rho1) - np.sqrt(rho0)
     mdot = 2.0 * grid.h * np.sum(np.sqrt(rho_t) * rate, axis=-1)
-    # flat-coordinate energy 4 int (d sqrt(rho)/dt)^2 is constant on the line
+    # flat-coordinate energy 4 int (d sqrt(rho)/dt)^2 is constant on the line;
+    # it is twice the Hamiltonian, so m'' = H/2: the mass law 1/4
     energy = 4.0 * grid.h * float(np.sum(rate**2))
     cols = ["t", "m", "xi", "H"] + [f"rho{i}" for i in range(n)]
     data = np.column_stack([t, m_t, mdot / m_t, np.full(t.size, energy), rho_t])
-    trace = GeodesicTrace(columns=tuple(cols), data=data)
+    trace = GeodesicTrace(columns=tuple(cols), data=data, mass_law=0.25)
     end_err = max(float(np.max(np.abs(rho_t[0] - rho0))),
                   float(np.max(np.abs(rho_t[-1] - rho1))))
     return {"m0": float(total_mass(grid, rho0)),
             "m1": float(total_mass(grid, rho1)),
             "endpoint_error": end_err,
-            **_trace_summary(trace, _LEADING_FACTOR["fr-geodesic"])}, 0, {"trace.csv": trace}
+            **_trace_summary(trace)}, 0, {"trace.csv": trace}
 
 
 def _cone_base(cfg):
-    q = np.asarray(cfg["q"], dtype=float)
+    """The base named by cfg["base"], of the dimension of q; an spd q must
+    hold a square number of entries.  ``_field`` checks the sizes of q and
+    q_dot, and the base checks its own point and velocity."""
+    size = len(cfg["q"])
     if cfg["base"] == "circle":
-        if q.size != 1:
-            raise ConfigError("circle base expects a single angle coordinate")
         return circle_base()
     if cfg["base"] == "flat":
-        return flat_base(q.size)
-    n = int(round(np.sqrt(q.size)))
-    if n < 1 or n * n != q.size:
-        raise ConfigError("spd base expects a flattened square matrix",
-                          got=int(q.size))
-    # the SPD base symmetrizes q and q_dot, so an initial point that is no
-    # SPD matrix, or a velocity that is not symmetric, is refused here,
-    # before any step
-    require_spd(q.reshape(n, n), "q")
-    require_symmetric(_field(cfg, "q_dot", n, n), "q_dot")
+        return flat_base(size)
+    n = math.isqrt(size)
+    if n < 1 or n * n != size:
+        raise ConfigError("spd base expects a flattened square matrix", got=size)
     return spd_base(n)
 
 
@@ -205,8 +185,7 @@ def _handle_cone_geodesic(cfg, seed):
         engine, trace = "closed-form", cone_geodesic_ray(state, problem, base)
     else:
         engine, trace = "rk4", integrate_cone(state, problem, base)
-    factor = _LEADING_FACTOR["cone-geodesic"] if problem.p == 1.0 else None
-    return {"base": cfg["base"], "p": problem.p, **_trace_summary(trace, factor),
+    return {"base": cfg["base"], "p": problem.p, **_trace_summary(trace),
             "diagnostics": {"engine": engine}}, 0, {"trace.csv": trace}
 
 

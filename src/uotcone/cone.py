@@ -196,7 +196,7 @@ def _cone_trace(initial, p, base, speed, t, alpha, alphadot, s):
     direction u of qdot = sdot u, with sdot = |qdot0|_g (alpha0 / alpha)^{2p}
     from Clairaut's integral, and H = alphadot^2 + alpha^{2p} sdot^2.  A
     non-finite entry raises the NonFiniteError of ``GeodesicTrace``, which
-    names its row as ``step``."""
+    names its row as ``step``.  At p = 1, m'' = 2H; other p have no fixed m''."""
     q, u = base.exp(initial.q, initial.q_dot, s)
     sdot = speed * (initial.alpha / alpha) ** (2.0 * p)
     data = np.column_stack([t, alpha ** 2, 2.0 * alphadot / alpha,
@@ -204,7 +204,7 @@ def _cone_trace(initial, p, base, speed, t, alpha, alphadot, s):
                             q, sdot[:, None] * u, alpha, alphadot])
     cols = (["t", "m", "xi", "H"] + [f"q{i}" for i in range(base.dim)]
             + [f"qdot{i}" for i in range(base.dim)] + ["alpha", "alphadot"])
-    return GeodesicTrace(columns=tuple(cols), data=data)
+    return GeodesicTrace(columns=tuple(cols), data=data, mass_law=1.0 if p == 1.0 else None)
 
 
 def _require_off_apex(angle, **details):

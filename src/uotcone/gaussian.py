@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .cone import BaseManifold, cone_line_start, cone_ray
-from .config import DEFAULTS, unit_time_steps
+from .config import DEFAULTS, MAX_TRACE_ENTRIES, unit_time_steps
 from .errors import (MassError, NonFiniteError, ShootingError, SingularSystemError,
                      SpdError, SymmetryError)
 from .trace import GeodesicTrace, _finite, _first_member, _norm, _rk4, _time_grid
@@ -266,7 +266,7 @@ def integrate_geodesics(states, dt, steps):
 
 def _geodesic_trace(t, V, m, P, xi):
     """Trace of stacked Gaussian states: columns t, m, xi, H, then the
-    row-major entries of V and P."""
+    row-major entries of V and P; H is the Hamiltonian, so m'' = H."""
     n = V.shape[-1]
     nn = n * n
     cols = (["t", "m", "xi", "H"]
@@ -279,7 +279,7 @@ def _geodesic_trace(t, V, m, P, xi):
     data[:, 3] = hamiltonian(GaussianCotangentState(V=V, m=m, P=P, xi=xi))
     data[:, 4:4 + nn] = V.reshape(-1, nn)
     data[:, 4 + nn:] = P.reshape(-1, nn)
-    return GeodesicTrace(columns=tuple(cols), data=data)
+    return GeodesicTrace(columns=tuple(cols), data=data, mass_law=0.5)
 
 
 def _balanced_factor(S, sigma):
@@ -380,11 +380,12 @@ def shoot_bvp(Sigma0, m0, Sigma1, m1, tol=DEFAULTS["tol"], dt=DEFAULTS["dt"]):
     (``geodesic_ray``) over unit time in ``unit_time_steps(dt)`` steps of
     about dt, with the columns of ``integrate_geodesic``, and the relative
     landing miss (``AffineConnection.residual``); no RK4 step runs.  A dt
-    that is not a positive, finite step with a finite step count raises
-    ValueError.
+    that is not a positive, finite step whose unit_time_steps(dt) + 1 rows
+    stay within MAX_TRACE_ENTRIES raises ValueError, before any allocation.
     """
-    if not 0.0 < dt < math.inf or unit_time_steps(dt) == math.inf:
-        raise ValueError("dt must be a positive, finite step")
+    if not 0.0 < dt < math.inf or unit_time_steps(dt) + 1 > MAX_TRACE_ENTRIES:
+        raise ValueError("dt must be a positive, finite step with at most "
+                         f"{MAX_TRACE_ENTRIES} trace rows in unit time")
     zero = np.zeros(np.shape(Sigma0)[:1])
     c = connect_affine(AffineGaussian(Sigma0, zero, m0), AffineGaussian(Sigma1, zero, m1), tol)
     t = np.linspace(0.0, 1.0, unit_time_steps(dt) + 1)
@@ -503,18 +504,21 @@ def spd_base(n):
     Points and tangents are row-major flattened n x n symmetric matrices.
     The metric is tr(V S_u S_v) with S_u the Lyapunov representer of u
     (u = S_u V + V S_u), so the speed of X at V is sqrt(tr(S X) / 2), from
-    one eigendecomposition of V; a V that is not positive definite raises
-    SpdError.  The unit-speed geodesic from V0 along X is the balanced curve
-    V(s) = C V0 C with C = I + s S, S the representer of X / |X| (Takatsu,
-    Osaka J. Math. 2011), and its unit velocity is S V0 C + C V0 S.  It
-    leaves the SPD cone at the arc s* = -1 / min eig(S), and ``exp`` raises
-    SpdError at the first arc at or beyond it (``_balanced_factor``).
+    one eigendecomposition of V.  ``speed`` and ``exp`` refuse, not
+    symmetrize, a q that is not symmetric or not positive definite
+    (``_spd_eigh``) and a q_dot that is not symmetric.  The unit-speed
+    geodesic from V0 along X is the balanced curve V(s) = C V0 C with
+    C = I + s S, S the representer of X / |X| (Takatsu, Osaka J. Math.
+    2011), and its unit velocity is S V0 C + C V0 S.  It leaves the SPD cone
+    at the arc s* = -1 / min eig(S), and ``exp`` raises SpdError at the
+    first arc at or beyond it (``_balanced_factor``).
     """
 
     def start(q0, qdot0):
-        V = symmetrize(q0.reshape(n, n))
-        X = symmetrize(qdot0.reshape(n, n))
-        S = _lyapunov_eig(*_spd_eigh(V, "V"), X)
+        V = require_symmetric(q0.reshape(n, n), "q")
+        lam, Q = _spd_eigh(V, "q")
+        X = require_symmetric(qdot0.reshape(n, n), "q_dot")
+        S = _lyapunov_eig(lam, Q, X)
         return V, S, np.sqrt(0.5 * np.sum(S * X))
 
     def exp(q0, qdot0, s):

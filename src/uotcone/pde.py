@@ -344,7 +344,8 @@ def integrate_pdes(states, model, dt, steps):
             d[b, 1] = total_mass(grid, rows.rho)
             d[b, 2] = xi_of(rows)
             d[b, 3] = energy(rows)
-    return [GeodesicTrace(columns=tuple(cols), data=d) for d in data]
+    # both models' H is the Hamiltonian, and m'' = H: the mass law 1/2
+    return [GeodesicTrace(columns=tuple(cols), data=d, mass_law=0.5) for d in data]
 
 
 def solve_potential(grid, rho, rhodot):

@@ -19,6 +19,7 @@ from functools import partial
 
 import numpy as np
 
+from .config import MAX_TRACE_ENTRIES
 from .errors import NonFiniteError, NumericsError, SingularSystemError
 
 
@@ -26,6 +27,7 @@ from .errors import NonFiniteError, NumericsError, SingularSystemError
 class GeodesicTrace:
     columns: tuple
     data: np.ndarray  # float64, shape (rows, len(columns)), strictly increasing t
+    mass_law: float | None = None  # m'' = 2 mass_law H, set where H is computed
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
@@ -599,12 +601,13 @@ def _fork(job, inherited):
 
 def _time_grid(dt, steps):
     """The sample times 0, dt, ..., steps dt of every fixed-step trace, as
-    np.arange(steps + 1) * dt.  ValueError unless dt is a positive, finite
-    step and steps an integer >= 1."""
+    np.arange(steps + 1) * dt.  ValueError, before anything is allocated,
+    unless dt is a positive, finite step and steps an integer >= 1 whose
+    steps + 1 rows stay within MAX_TRACE_ENTRIES."""
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be a positive, finite step")
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError("steps must be a positive integer")
+    if not isinstance(steps, (int, np.integer)) or not 1 <= steps < MAX_TRACE_ENTRIES:
+        raise ValueError(f"steps must be a positive integer below {MAX_TRACE_ENTRIES}")
     return np.arange(steps + 1) * dt
 
 
@@ -689,8 +692,9 @@ def mass_quadratic_fit(trace):
 
     Returns a dict with the fitted coefficients (highest power first) and the
     rms residual.  Along geodesics of the conical metrics m(t) is a parabola
-    with leading coefficient H/2.  Fewer than 3 samples do not determine a
-    parabola: SingularSystemError, as for a fit that fails.
+    whose leading coefficient the model's H convention fixes: a trace with a
+    ``mass_law`` f also gets expected_leading = f H(0).  Fewer than 3 samples
+    do not determine a parabola: SingularSystemError, as for a fit that fails.
     """
     t = trace.t
     m = trace.column("m")
@@ -711,9 +715,12 @@ def mass_quadratic_fit(trace):
     coeffs = np.polyfit(t, m, 2)
     resid = m - np.polyval(coeffs, t)
     leading, linear, constant = np.ldexp(coeffs, e)
-    return {
+    fit = {
         "leading": float(leading),
         "linear": float(linear),
         "constant": float(constant),
         "rms_residual": float(np.ldexp(np.sqrt(np.mean(resid**2)), e)),
     }
+    if trace.mass_law is not None:
+        fit["expected_leading"] = trace.mass_law * float(trace.column("H")[0])
+    return fit

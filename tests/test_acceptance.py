@@ -6,6 +6,8 @@ and the measured numbers for each criterion.  The same checks back the CLI
 """
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from uotcone.checks import (ALL_CHECKS, _Below, _result, check_constant_accelera
                             check_lyapunov_residual, check_mccann_oracle,
                             check_submersion_consistency)
 from uotcone.pde import Grid1D, small_metric_eval, gdiv_metric_eval
+from uotcone.trace import GeodesicTrace
 
 SEED = 0
 NAN = float("nan")
@@ -134,6 +137,45 @@ def test_benchmark_counts_every_check():
         f"bench/workloads.py expects NUM_CHECKS = {counts} checks but checks.ALL_CHECKS "
         f"has {len(ALL_CHECKS)}: a change that adds or removes a check needs a benchmark "
         "change that updates NUM_CHECKS first")
+
+
+@pytest.mark.parametrize("quick, work", [(True, "1.52e+03"), (False, "2.31e+04")])
+def test_constant_acceleration_budget_counts_rk4_work(quick, work):
+    # members x steps over every stack the check steps, at any seed and on
+    # any machine: 1,520 quick and 23,100 in full, its bound
+    for seed in (SEED, 7):
+        detail = check_constant_acceleration(np.random.default_rng(seed), quick=quick).detail
+        assert detail.endswith(f"RK4 state-steps {work} (<= 23100)")
+
+
+def test_benchmark_binds_names_that_exist():
+    # bench/tracing.py wraps each TARGETS (module, function) through getattr,
+    # and its work lambdas read the call's bound arguments by name, so a
+    # renamed function or parameter fails a traced run; read without
+    # importing it, as test_benchmark_counts_every_check does
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    targets = [node.value for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    assert len(targets) == 1
+    bound = 0
+    for entry in targets[0].elts:
+        module, name = (ast.literal_eval(e) for e in entry.elts[:2])
+        function = getattr(importlib.import_module(module), name, None)
+        assert callable(function), f"bench/tracing.py traces {module}.{name}, which is gone"
+        work = entry.elts[3]
+        if isinstance(work, ast.Lambda):
+            arg = work.args.args[0].arg
+            keys = {ast.literal_eval(node.slice) for node in ast.walk(work.body)
+                    if isinstance(node, ast.Subscript)
+                    and getattr(node.value, "id", None) == arg}
+            assert keys <= set(inspect.signature(function).parameters), (
+                f"bench/tracing.py reads {sorted(keys)} of {module}.{name}")
+            bound += len(keys)
+    assert bound  # the lambdas were found and read
+    # the two names it patches beside TARGETS
+    assert "path" in inspect.signature(GeodesicTrace.write_csv).parameters
+    assert isinstance(checks.ALL_CHECKS, tuple)
 
 
 @pytest.mark.parametrize("check, loops", [

@@ -9,7 +9,7 @@ from uotcone import checks, cone, gaussian
 from uotcone.cone import (BaseManifold, ConeProblem, ConeState, _clairaut_rhs,
                           circle_base, cone_geodesic_ray, cone_line, cone_ray, flat_base,
                           integrate_cone, scaled_base)
-from uotcone.errors import ApexCrossingError, NonFiniteError, SpdError
+from uotcone.errors import ApexCrossingError, NonFiniteError, SpdError, SymmetryError
 from uotcone.trace import relative_energy_drift
 
 
@@ -268,6 +268,29 @@ def test_spd_cone_flow_calls_no_public_lyapunov_solve(monkeypatch):
     trace = integrate_cone(state, ConeProblem(p=1.0, dt=1e-2, steps=10),
                            gaussian.spd_base(2))
     assert relative_energy_drift(trace) <= 1e-8
+
+
+@pytest.mark.parametrize("q, q_dot, error, message", [
+    ([1.0, 0.3, 0.0, 1.0], [0.1, -0.05, -0.05, 0.2], SymmetryError, "q is not symmetric"),
+    ([1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0], SymmetryError, "q_dot is not symmetric"),
+    ([-1.0, 0.0, 0.0, 1.0], [0.1, 0.0, 0.0, 0.2], SpdError, "q is not positive definite"),
+], ids=["asymmetric-q", "asymmetric-q_dot", "non-spd-q"])
+@pytest.mark.parametrize("flow, p", [(integrate_cone, 0.5), (cone_geodesic_ray, 1.0)],
+                         ids=["integrate_cone", "cone_geodesic_ray"])
+def test_spd_base_refuses_points_it_would_symmetrize(monkeypatch, flow, p, q, q_dot, error,
+                                                     message):
+    # the base checks its own start, before any step or arc: symmetrizing
+    # q = [1, 0.3, 0, 1] would start the trace at [1, 0.15, 0.15, 1]
+    def stepped(*args):
+        raise AssertionError("the flow was stepped")
+    monkeypatch.setattr(cone, "_rk4", stepped)
+    monkeypatch.setattr(cone, "_ray_picture", stepped)
+    state = ConeState(q=np.array(q), q_dot=np.array(q_dot), alpha=1.0, alpha_dot=0.1)
+    with pytest.raises(error, match=f"^{message}$") as exc:
+        flow(state, ConeProblem(p=p, dt=1e-3, steps=10), gaussian.spd_base(2))
+    assert "step" not in exc.value.details
+    if error is SpdError:
+        assert exc.value.details["min_eigenvalue"] == -1.0
 
 
 # -- cone_geodesic_ray: the closed form for p = 1 ----------------------------

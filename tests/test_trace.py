@@ -20,9 +20,10 @@ from uotcone.bb import bb_action, from_small_trace
 from uotcone.cli import main
 from uotcone.cone import ConeProblem, ConeState, circle_base, cone_geodesic_ray, integrate_cone
 from uotcone.errors import NonFiniteError
-from uotcone.gaussian import GaussianCotangentState, geodesic_ray, integrate_geodesics
+from uotcone.gaussian import (GaussianCotangentState, geodesic_ray, integrate_geodesics,
+                              shoot_bvp, spd_base)
 from uotcone.pde import Grid1D, PdeState, integrate_pde, integrate_pdes
-from uotcone.trace import GeodesicTrace, _rk4
+from uotcone.trace import GeodesicTrace, _rk4, _time_grid, mass_quadratic_fit
 
 
 def test_rk4_linear_flow_is_the_degree_four_taylor_factor():
@@ -151,12 +152,77 @@ def test_every_trace_builder_refuses_a_bad_step_before_stepping(monkeypatch, bui
         TRACE_BUILDERS[builder](dt, steps)
 
 
+def test_a_grid_beyond_the_trace_size_limit_is_refused_before_allocating(monkeypatch):
+    # 10**13 rows of times, or of a unit-time shooting trace at dt = 1e-12,
+    # would ask numpy for terabytes; at a limit of 11 rows, 10 steps fit
+    one = np.eye(1)
+    with pytest.raises(ValueError, match="integer below 33554432"):
+        _time_grid(1e-3, 10**13)
+    with pytest.raises(ValueError, match="at most 33554432 trace rows"):
+        shoot_bvp(one, 1.0, one, 4.0, dt=1e-12)
+    monkeypatch.setattr(trace_module, "MAX_TRACE_ENTRIES", 11)
+    monkeypatch.setattr(gaussian, "MAX_TRACE_ENTRIES", 11)
+    assert _time_grid(0.1, 10).size == 11
+    assert shoot_bvp(one, 1.0, one, 4.0, dt=0.1)[2].t.size == 11
+    with pytest.raises(ValueError, match="integer below 11"):
+        _time_grid(0.1, 11)
+    with pytest.raises(ValueError, match="at most 11 trace rows"):
+        shoot_bvp(one, 1.0, one, 4.0, dt=1.0 / 11)
+
+
 @pytest.mark.parametrize("stack", [lambda: integrate_pdes([], "small", 1e-3, 3),
                                    lambda: integrate_geodesics([], 1e-3, 3)],
                          ids=["integrate_pdes", "integrate_geodesics"])
 def test_an_empty_stack_is_refused(stack):
     with pytest.raises(ValueError, match="a stack needs at least one state"):
         stack()
+
+
+def pde_states():
+    grid = Grid1D(n=16)
+    return [pde_state(), PdeState(grid, 2.0 + 0.3 * np.sin(2.0 * grid.x),
+                                  -0.4 + 0.08 * np.cos(grid.x))]
+
+
+GAUSS_STATES = [GAUSS_STATE, GaussianCotangentState(V=np.array([[1.5]]), m=0.7,
+                                                    P=np.array([[-0.1]]), xi=-0.3)]
+SPD_CONE_STATE = ConeState(q=np.array([1.2, 0.3, 0.3, 0.8]),
+                           q_dot=np.array([0.1, -0.05, -0.05, 0.2]), alpha=1.1, alpha_dot=0.2)
+
+# (mass law, traces) of every library builder: m'' = 2 f H along each trace
+# of mass law f, and None where m is no parabola of a fixed rate
+MASS_LAW_CASES = {
+    "geodesic_ray": (0.5, lambda: [geodesic_ray(GAUSS_STATE, 1e-3, 500)]),
+    "integrate_geodesics": (0.5, lambda: integrate_geodesics(GAUSS_STATES, 1e-3, 500)),
+    "shoot_bvp": (0.5, lambda: [shoot_bvp(np.eye(2), 1.0, np.diag([2.0, 0.5]), 1.5)[2]]),
+    "integrate_pdes-small": (0.5, lambda: integrate_pdes(pde_states(), "small", 1e-3, 500)),
+    "integrate_pdes-wfr": (0.5, lambda: integrate_pdes(pde_states(), "wfr", 1e-3, 500)),
+    "cone_geodesic_ray": (1.0, lambda: [cone_geodesic_ray(
+        SPD_CONE_STATE, ConeProblem(p=1.0, dt=1e-3, steps=1000), spd_base(2))]),
+    "integrate_cone": (1.0, lambda: [integrate_cone(
+        SPD_CONE_STATE, ConeProblem(p=1.0, dt=1e-3, steps=1000), spd_base(2))]),
+    "integrate_cone-p0.5": (None, lambda: [integrate_cone(
+        SPD_CONE_STATE, ConeProblem(p=0.5, dt=1e-3, steps=1000), spd_base(2))]),
+    "hand-built": (None, lambda: [GeodesicTrace(
+        columns=("t", "m", "xi", "H"),
+        data=np.column_stack([np.arange(5.0), 1.0 + np.arange(5.0) ** 2, np.zeros(5),
+                              np.full(5, 4.0)]))]),
+}
+
+
+@pytest.mark.parametrize("case", MASS_LAW_CASES)
+def test_each_trace_builder_states_its_mass_law(case):
+    # the factor is set where H is computed, and the fit reads it from there
+    law, build = MASS_LAW_CASES[case]
+    for trace in build():
+        assert trace.mass_law == law
+        fit = mass_quadratic_fit(trace)
+        if law is None:
+            assert "expected_leading" not in fit
+            continue
+        assert fit["expected_leading"] == law * trace.column("H")[0]
+        assert fit["expected_leading"] > 1e-3
+        assert fit["leading"] == pytest.approx(fit["expected_leading"], rel=1e-9)
 
 
 def test_block_is_the_prefix_followed_by_an_index():
